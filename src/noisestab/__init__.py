@@ -12,10 +12,8 @@ measure (:mod:`noisestab.geometry`), Ornstein-Uhlenbeck simulation
 __version__ = "0.1.0"
 
 from .gaussian import (
-    CholeskyFactor,
     CorrelationMatrix,
     NotPositiveSemidefinite,
-    SchurData,
     SingularMatrix,
     cholesky,
     inverse_offdiag_nonpositive,
@@ -23,7 +21,6 @@ from .gaussian import (
     laplacian_quadratic_form,
     max_eigenvalue,
     ou_covariance,
-    schur_complement,
     semigroup_slope,
     std_normal_cdf,
     std_normal_pdf,

@@ -356,7 +356,11 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     if cp.has_section("sets"):
         sets = []
         for key in cp["sets"]:
-            sets.append(parse_set_expr(cp["sets"][key], where=f"[sets] {key}"))
+            s = parse_set_expr(cp["sets"][key], where=f"[sets] {key}")
+            if s.dim != cfg.n:
+                raise ConfigError(f"[experiment] n: {cfg.n}, but [sets] {key} "
+                                  f"is {s.dim}-dimensional")
+            sets.append(s)
         cfg = replace(cfg, sets=tuple(sets))
 
     if cp.has_section("sampling"):

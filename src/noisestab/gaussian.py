@@ -6,8 +6,9 @@ factors with PSD clamping, conditional (Schur) reductions of correlation
 matrices, exponential-decay covariances on time grids, and the structural
 matrix predicates used by the inequality checks.
 
-All operations are pure functions over immutable inputs; the domain types
-are frozen dataclasses wrapping read-only arrays.
+All operations are pure functions over immutable inputs; the domain type
+is a frozen dataclass wrapping a read-only array, and Cholesky factors
+are read-only arrays.
 """
 from __future__ import annotations
 
@@ -71,75 +72,16 @@ def std_normal_pdf(z):
     return float(out) if out.ndim == 0 else out
 
 
-# Acklam's rational approximation to the inverse normal CDF, ~1.15e-9
-# relative error, then refined by one Halley step against the CDF.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
-
-
-def _acklam(p: np.ndarray) -> np.ndarray:
-    z = np.empty_like(p)
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-
-    lo = p < _ACK_SPLIT
-    hi = p > 1.0 - _ACK_SPLIT
-    mid = ~(lo | hi)
-
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        z[lo] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log1p(-p[hi]))
-        z[hi] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        z[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-                 (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    return z
-
-
 def std_normal_quantile(p):
-    """Inverse of the standard normal CDF.
+    """Inverse of the standard normal CDF (scipy's ``ndtri``).
 
-    Rational initializer refined by one Halley step against
-    :func:`std_normal_cdf`, giving full double accuracy in the interior.
-    Returns -inf at 0 and +inf at 1; rejects p outside [0, 1].
+    Returns -inf at 0 and +inf at 1; rejects NaN and p outside [0, 1].
     """
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("quantile argument must lie in [0, 1]")
-
-    z = np.empty_like(arr)
-    z[arr == 0.0] = -np.inf
-    z[arr == 1.0] = np.inf
-    interior = (arr > 0.0) & (arr < 1.0)
-    if interior.any():
-        zi = _acklam(arr[interior])
-        # Halley refinement; skipped in the far tails where exp(z^2/2)
-        # would overflow and the initializer is already at float accuracy.
-        safe = np.abs(zi) < 37.0
-        if safe.any():
-            zs = zi[safe]
-            err = special.ndtr(zs) - arr[interior][safe]
-            u = err * SQRT_2PI * np.exp(0.5 * zs * zs)
-            zi[safe] = zs - u / (1.0 + 0.5 * zs * u)
-        z[interior] = zi
-    return float(z[0]) if scalar else z
+    z = special.ndtri(arr)
+    return float(z) if arr.ndim == 0 else z
 
 
 def isoperimetric_profile(x):
@@ -234,35 +176,13 @@ class CorrelationMatrix:
         return cls(m)
 
 
-@dataclass(frozen=True, eq=False)
-class SchurData:
-    """Conditional reduction of a correlation matrix at one coordinate.
-
-    ``cond_mean_row`` holds the conditional-mean coefficients of the
-    remaining coordinates given the removed one; ``reduced`` is their
-    conditional covariance (general diagonal). Satisfies
-    reduced^{-1} == inverse-of-source with the removed row/column deleted.
-    """
-    removed_index: int
-    cond_mean_row: np.ndarray
-    reduced: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CholeskyFactor:
-    """Lower-triangular Q with QQ^T equal to the factored matrix."""
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _readonly(self.q))
-
-
 # ---------------------------------------------------------------------------
 # matrix operations
 # ---------------------------------------------------------------------------
 
-def cholesky(m, tol: float = PSD_TOL) -> CholeskyFactor:
-    """Lower-triangular factor of a symmetric PSD matrix.
+def cholesky(m, tol: float = PSD_TOL) -> np.ndarray:
+    """Lower-triangular factor Q, QQ^T = m, of a symmetric PSD matrix, as
+    a read-only array.
 
     Strictly PD inputs go straight to the standard factorization.
     Semidefinite inputs (eigenvalues in [-tol, ~0]) are clamped and
@@ -271,7 +191,7 @@ def cholesky(m, tol: float = PSD_TOL) -> CholeskyFactor:
     """
     a = _check_symmetric(m)
     try:
-        return CholeskyFactor(np.linalg.cholesky(a))
+        return _readonly(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(a)
@@ -281,7 +201,7 @@ def cholesky(m, tol: float = PSD_TOL) -> CholeskyFactor:
     w = np.clip(w, 0.0, None)
     a2 = (v * w) @ v.T
     a2 = 0.5 * (a2 + a2.T) + 1e-13 * np.eye(a.shape[0])
-    return CholeskyFactor(np.linalg.cholesky(a2))
+    return _readonly(np.linalg.cholesky(a2))
 
 
 def conditional_reduction(cov, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +209,9 @@ def conditional_reduction(cov, i: int) -> tuple[np.ndarray, np.ndarray]:
     general-diagonal Gaussian covariance given coordinate ``i``.
 
     Returns (coef, reduced): conditioned on X_i = x, the remaining
-    coordinates have mean x*coef and covariance ``reduced``.
+    coordinates have mean x*coef and covariance ``reduced`` (the Schur
+    complement). For a strictly PD input, reduced^{-1} equals the inverse
+    of ``cov`` with row and column i deleted.
     """
     c = _as_square(cov, "covariance")
     k = c.shape[0]
@@ -303,16 +225,6 @@ def conditional_reduction(cov, i: int) -> tuple[np.ndarray, np.ndarray]:
     coef = col / vii
     reduced = c[np.ix_(keep, keep)] - np.outer(col, col) / vii
     return coef, 0.5 * (reduced + reduced.T)
-
-
-def schur_complement(m: CorrelationMatrix, i: int) -> SchurData:
-    """Conditional reduction of a strictly PD correlation matrix at ``i``."""
-    if not m.is_strictly_pd():
-        raise SingularMatrix("correlation matrix is numerically singular")
-    coef, reduced = conditional_reduction(m.entries, i)
-    return SchurData(removed_index=int(i),
-                     cond_mean_row=_readonly(coef),
-                     reduced=_readonly(reduced))
 
 
 def ou_covariance(times) -> CorrelationMatrix:

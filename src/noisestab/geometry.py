@@ -16,10 +16,9 @@ from scipy import special
 
 from .orthant import Estimate
 from .gaussian import std_normal_quantile
-from .seeding import check_seed, derive_rng
+from .seeding import batches, check_seed, derive_rng
 
 DEFAULT_MEASURE_SAMPLES = 10**6
-_MC_BATCH = 1 << 20
 
 
 class UnsupportedRegion(ValueError):
@@ -275,23 +274,11 @@ def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
     if isinstance(s, Ball) and np.all(s.center == 0.0):
         v = float(special.gammainc(s.dim / 2.0, 0.5 * s.radius * s.radius))
         return Estimate(value=v, std_error=0.0, samples=0, seed=seed)
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     hits = 0
-    done = 0
-    batch = 0
-    while done < samples:
-        n = min(_MC_BATCH, samples - done)
-        rng = derive_rng(seed, "gaussian_measure", batch)
-        pts = rng.standard_normal((n, s.dim))
-        hits += int(_contains(s, pts).sum())
-        done += n
-        batch += 1
-    value = hits / samples
-    se = np.sqrt(max(value * (1.0 - value), 0.0) / samples)
-    return Estimate(value=float(value), std_error=float(se),
-                    samples=samples, seed=seed)
+    for b, n in batches(samples):
+        rng = derive_rng(seed, "gaussian_measure", b)
+        hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
+    return Estimate.binomial(hits, samples, seed)
 
 
 def parallel_halfspaces(measures, direction) -> list[HalfSpace]:

@@ -28,12 +28,11 @@ from .gaussian import (
     _readonly,
     conditional_reduction,
     isoperimetric_profile,
-    schur_complement,
     std_normal_pdf,
     std_normal_quantile,
 )
 from .orthant import Estimate, OrthantQuery, orthant_qmc
-from .seeding import check_seed, derive_rng
+from .seeding import check_seed, subseed
 
 # 1/I(x) diverges at the endpoints; derivatives are restricted to this band.
 DERIV_LO = 1e-6
@@ -113,12 +112,6 @@ def _require_strict_pd(q: JQuery):
                              "definite for derivative work")
 
 
-def _subseed(seed: int, *key) -> int:
-    # Stable 64-bit sub-seed so repeated estimates of distinct pieces
-    # decorrelate while the whole evaluation stays reproducible.
-    return int(derive_rng(seed, *key).integers(0, 2**63 - 1))
-
-
 def j_value(q: JQuery, target_se: float, seed: int,
             points: int | None = None) -> Estimate:
     """J(x; M): orthant probability at the coordinatewise quantiles.
@@ -132,11 +125,11 @@ def j_value(q: JQuery, target_se: float, seed: int,
 
 
 def _reduced_system(q: JQuery, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Limits and covariance of the conditional system behind d_i J."""
+    """Limits and covariance of the conditional system behind d_i J;
+    callers have checked that the matrix is strictly PD."""
     z = std_normal_quantile(q.x)
-    sd = schur_complement(q.m, i)
-    limits = np.delete(z, i) - sd.cond_mean_row * z[i]
-    return limits, np.asarray(sd.reduced)
+    coef, reduced = conditional_reduction(q.m.entries, i)
+    return np.delete(z, i) - coef * z[i], reduced
 
 
 def j_grad(q: JQuery, i: int, target_se: float, seed: int,
@@ -209,6 +202,7 @@ def j_diag_second(q: JQuery, i: int, target_se: float, seed: int) -> Estimate:
     total = 0.0
     var = 0.0
     samples = 0
+    cap_hit = False
     for j in range(q.k):
         if j == i:
             continue
@@ -216,13 +210,14 @@ def j_diag_second(q: JQuery, i: int, target_se: float, seed: int) -> Estimate:
         if mij == 0.0:
             continue
         pair = _pair_interaction(q, i, j, target_se,
-                                 _subseed(seed, "diag", i, j))
+                                 subseed(seed, "diag", i, j))
         total += mij * pair.value
         var += (mij * pair.std_error) ** 2
         samples += pair.samples
+        cap_hit |= pair.cap_hit
     scale = 1.0 / isoperimetric_profile(q.x[i]) ** 2
     return Estimate(value=-scale * total, std_error=scale * np.sqrt(var),
-                    samples=samples, seed=check_seed(seed))
+                    samples=samples, seed=check_seed(seed), cap_hit=cap_hit)
 
 
 def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
@@ -241,11 +236,11 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
     seed = check_seed(seed)
     k = q.k
 
-    val = j_value(q, target_se, _subseed(seed, "value"))
+    val = j_value(q, target_se, subseed(seed, "value"))
     grad = np.zeros(k)
     grad_se = np.zeros(k)
     for i in range(k):
-        g = j_grad(q, i, target_se, _subseed(seed, "grad", i))
+        g = j_grad(q, i, target_se, subseed(seed, "grad", i))
         grad[i], grad_se[i] = g.value, g.std_error
 
     mixed = np.zeros((k, k))
@@ -253,7 +248,7 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
     for i in range(k):
         for j in range(i + 1, k):
             pair = _pair_interaction(q, i, j, target_se,
-                                     _subseed(seed, "pair", i, j))
+                                     subseed(seed, "pair", i, j))
             mixed[i, j] = mixed[j, i] = pair.value
             mixed_se[i, j] = mixed_se[j, i] = pair.std_error
 
@@ -265,7 +260,8 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
 
     iota = 1.0 / isoperimetric_profile(q.x)
     hess = iota[:, None] * a * iota[None, :]
-    hess_se = iota[:, None] * np.sqrt(a_var) * iota[None, :]
+    # grouped so that the standard errors are exactly symmetric
+    hess_se = np.sqrt(a_var) * (iota[:, None] * iota[None, :])
 
     return JEvaluation(
         x=q.x, m=q.m, seed=seed,

@@ -13,6 +13,7 @@ Both are bit-for-bit reproducible for a fixed (query, sample size, seed).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,13 +22,12 @@ from scipy import special
 
 from .gaussian import PD_TOL, PSD_TOL, SingularMatrix, _check_symmetric, _readonly, \
     cholesky, std_normal_quantile
-from .seeding import check_seed, derive_rng
+from .seeding import batches, check_seed, derive_rng
 
 MAX_QMC_DIM = 12
 DEFAULT_SAMPLE_CAP = 10**8
 MIN_SHIFTS = 12
 
-_MC_BATCH = 1 << 20
 _QMC_START_POINTS = 1021  # prime
 
 
@@ -71,6 +71,15 @@ class Estimate:
     seed: int
     cap_hit: bool = False
 
+    @classmethod
+    def binomial(cls, hits, samples: int, seed: int) -> "Estimate":
+        """Frequency of ``hits`` in ``samples`` draws with its binomial
+        standard error."""
+        value = hits / samples
+        se = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
+        return cls(value=float(value), std_error=se, samples=int(samples),
+                   seed=seed)
+
 
 def bivariate_orthant_closed(rho: float) -> float:
     """Closed-form Pr(X <= 0, Y <= 0) = 1/4 + arcsin(rho)/(2*pi).
@@ -93,27 +102,13 @@ def orthant_mc(q: OrthantQuery, samples: int, seed: int) -> Estimate:
     Singular covariances are fine: the factor samples on the supported
     subspace. Standard error is the binomial one.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     seed = check_seed(seed)
-    factor = cholesky(q.cov).q
-    limits = q.limits
+    factor = cholesky(q.cov)
     hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        n = min(_MC_BATCH, samples - done)
-        rng = derive_rng(seed, "orthant_mc", batch_index)
-        z = rng.standard_normal((n, q.k))
-        x = z @ factor.T
-        hits += int(np.all(x <= limits, axis=1).sum())
-        done += n
-        batch_index += 1
-    value = hits / samples
-    se = np.sqrt(max(value * (1.0 - value), 0.0) / samples)
-    return Estimate(value=float(value), std_error=float(se),
-                    samples=samples, seed=seed)
+    for b, n in batches(samples):
+        z = derive_rng(seed, "orthant_mc", b).standard_normal((n, q.k))
+        hits += int(np.all(z @ factor.T <= q.limits, axis=1).sum())
+    return Estimate.binomial(hits, samples, seed)
 
 
 # ---------------------------------------------------------------------------

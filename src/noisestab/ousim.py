@@ -27,9 +27,7 @@ from .gaussian import CorrelationMatrix, cholesky, semigroup_slope, \
     std_normal_quantile, _readonly
 from .geometry import HalfSpace, SetExpr, boundary_distance, contains
 from .orthant import Estimate
-from .seeding import check_seed, derive_rng
-
-_CHUNK = 1 << 16
+from .seeding import batches, check_seed, derive_rng, subseed
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +53,7 @@ class KroneckerSampler:
         if int(self.n) < 1:
             raise ValueError("ambient dimension must be >= 1")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "q", cholesky(self.m.entries).q)
+        object.__setattr__(self, "q", cholesky(self.m.entries))
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """(count, k, n) array of joint draws."""
@@ -181,9 +179,6 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     _, _, decay, scale = _grid_params(tau, fine_steps)
     inv_fine = _inv_sinh(tau / fine_steps)
     inv_coarse = _inv_sinh(tau / steps)
-    paths = int(paths)
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
     seed = check_seed(seed)
     n = regions[0].dim
     r = len(regions)
@@ -193,10 +188,7 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
         s, s2 = acc.get(key, (0.0, 0.0))
         acc[key] = (s + float(x.sum()), s2 + float(x @ x))
 
-    done = 0
-    chunk_index = 0
-    while done < paths:
-        c = min(_CHUNK, paths - done)
+    for chunk_index, c in batches(paths):
         rng = derive_rng(seed, "exit", chunk_index)
         states = rng.standard_normal((c, n))
         last_f = [boundary_distance(reg, states) for reg in regions]
@@ -231,8 +223,6 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
             pair_c = wc[1] - wc[0]
             add("pair", pair_c)
             add("margin", pair_c - (wf[1] - wf[0]))
-        done += c
-        chunk_index += 1
     return acc
 
 
@@ -243,12 +233,6 @@ def _mean_se(moments, paths: int) -> tuple[float, float]:
     mean = total / paths
     var = max(total2 / paths - mean * mean, 0.0)
     return float(mean), math.sqrt(var / paths)
-
-
-def _binomial_estimate(count, paths, seed) -> Estimate:
-    value = count / paths
-    se = math.sqrt(max(value * (1.0 - value), 0.0) / paths)
-    return Estimate(value=float(value), std_error=se, samples=paths, seed=seed)
 
 
 def _survival_estimate(acc, idx, tau, steps, paths, seed) -> ExitTimeEstimate:
@@ -290,13 +274,11 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
     acc = _survival_scan([s], tau, steps, paths, seed, refine=refine)
     paths = int(paths)
     coarse, fine = acc[("raw", 0)][0], acc[("raw_fine", 0)][0]
-    ce = _binomial_estimate(coarse, paths, seed)
-    fe = _binomial_estimate(fine, paths, seed)
-    change = (coarse - fine) / paths
-    change_se = math.sqrt(max(change * (1.0 - change), 0.0) / paths)
+    ce, fe, drop = (Estimate.binomial(count, paths, seed)
+                    for count in (coarse, fine, coarse - fine))
     return (ExitTimeEstimate(float(tau), int(steps), ce),
             ExitTimeEstimate(float(tau), int(steps) * refine, fe),
-            change, change_se)
+            drop.value, drop.std_error)
 
 
 def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
@@ -369,9 +351,6 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
     on shared trajectories. Returns per-pair (sum, sum of squares) and,
     with two pairs, the same for the per-path count difference."""
     tau, steps, decay, scale = _grid_params(tau, steps)
-    paths = int(paths)
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
     seed = check_seed(seed)
     n = pairs[0][0].dim
     r = len(pairs)
@@ -379,10 +358,7 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
     tot2 = np.zeros(r)
     dtot = 0.0
     dtot2 = 0.0
-    done = 0
-    chunk_index = 0
-    while done < paths:
-        c = min(_CHUNK, paths - done)
+    for chunk_index, c in batches(paths):
         rng = derive_rng(seed, "exit", chunk_index)
         states = rng.standard_normal((c, n))
         alive = [contains(a1, states) for a1, _ in pairs]
@@ -399,8 +375,6 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
             d = counts[1] - counts[0]
             dtot += d.sum()
             dtot2 += (d.astype(float) ** 2).sum()
-        done += c
-        chunk_index += 1
     return tot, tot2, dtot, dtot2
 
 
@@ -459,26 +433,14 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
     if t == 0.0:
         return Estimate(value=float(contains(s, pt)), std_error=0.0,
                         samples=0, seed=seed)
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    decay = math.exp(-t)
+    base = math.exp(-t) * pt
     scale = math.sqrt(-math.expm1(-2.0 * t))
-    base = decay * pt
     hits = 0
-    done = 0
-    batch = 0
-    while done < samples:
-        c = min(_CHUNK * 8, samples - done)
-        rng = derive_rng(seed, "semigroup", batch)
+    for b, c in batches(samples):
+        rng = derive_rng(seed, "semigroup", b)
         pts = base + scale * rng.standard_normal((c, s.dim))
         hits += int(contains(s, pts).sum())
-        done += c
-        batch += 1
-    value = hits / samples
-    se = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
-    return Estimate(value=float(value), std_error=se, samples=samples,
-                    seed=seed)
+    return Estimate.binomial(hits, samples, seed)
 
 
 def semigroup_halfspace_closed(c: float, t: float, u: float) -> float:
@@ -541,7 +503,7 @@ def gradient_bound_check(s: SetExpr, t: float, probe_points: int, seed: int,
         h = float(step)
         kept = []
         for pi, p in enumerate(probes):
-            probe_seed = _probe_seed(seed, pi)
+            probe_seed = subseed(seed, "probe", pi)
             base = semigroup_apply(s, t, p, samples, probe_seed).value
             kept.append((p, probe_seed, base))
         selected = [kp for kp in kept if p_band[0] <= kp[2] <= p_band[1]]
@@ -563,6 +525,3 @@ def gradient_bound_check(s: SetExpr, t: float, probe_points: int, seed: int,
     return GradientBoundResult(max_ratio=max_ratio, ratios=tuple(ratios),
                                probes_used=used)
 
-
-def _probe_seed(seed: int, index: int) -> int:
-    return int(derive_rng(seed, "probe", index).integers(0, 2**63 - 1))

@@ -29,7 +29,8 @@ def _py(value):
 
 def estimate_dict(est) -> dict:
     return {"value": float(est.value), "se": float(est.std_error),
-            "samples": int(est.samples), "seed": int(est.seed)}
+            "samples": int(est.samples), "seed": int(est.seed),
+            "cap_hit": bool(est.cap_hit)}
 
 
 def build_report(config_dict: dict, results: list[dict],

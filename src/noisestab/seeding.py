@@ -2,13 +2,19 @@
 
 Every estimator in this package derives its generators through
 :func:`derive_rng` so that a (seed, purpose, shard) triple always maps to
-the same stream, independent of how work is scheduled.
+the same stream, independent of how work is scheduled. Chunked samplers
+walk :func:`batches` and key batch ``i`` by ``i``, so a result depends
+only on the seed and the sample count.
 """
 from __future__ import annotations
 
 import zlib
 
 import numpy as np
+
+# Points per batch of every chunked sampler (Monte Carlo draws and OU
+# paths alike).
+BATCH = 1 << 16
 
 
 def _key_parts(parts: tuple) -> tuple[int, ...]:
@@ -32,3 +38,21 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
     """Generator for the sub-stream identified by ``key`` under ``seed``."""
     ss = np.random.SeedSequence(check_seed(seed), spawn_key=_key_parts(key))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def subseed(seed: int, *key) -> int:
+    """Stable 63-bit seed for the piece of work named by ``key``, so that
+    separate estimates decorrelate while the whole run stays
+    reproducible."""
+    return int(derive_rng(seed, *key).integers(0, 2**63 - 1))
+
+
+def batches(samples: int):
+    """(index, count) of each batch of a ``samples``-point run, in order:
+    every count is at most :data:`BATCH` and the counts sum to
+    ``samples``. Rejects ``samples < 1`` at the call."""
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    return ((index, min(BATCH, samples - start))
+            for index, start in enumerate(range(0, samples, BATCH)))

@@ -25,7 +25,7 @@ from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
 from .orthant import Estimate
 from .ousim import KroneckerSampler, exit_survival_pair, occupation_pair, \
     semigroup_apply
-from .seeding import check_seed, derive_rng
+from .seeding import batches, check_seed, derive_rng, subseed
 
 # Verdict band: three combined standard errors with an absolute floor.
 VERDICT_BAND_SES = 3.0
@@ -93,52 +93,38 @@ def joint_containment(sets: SetSystem, m: CorrelationMatrix, samples: int,
                       seed: int) -> Estimate:
     """Monte-Carlo frequency of {X_i in A_i for every i} under the
     Kronecker-structured joint law."""
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     seed = check_seed(seed)
     sampler = KroneckerSampler(m, sets.dim)
     hits = 0
-    done = 0
-    batch = 0
-    chunk = 1 << 17
-    while done < samples:
-        c = min(chunk, samples - done)
-        draws = sampler.sample(c, _subseed(seed, "joint", batch))
+    for b, c in batches(samples):
+        draws = sampler.sample(c, subseed(seed, "joint", b))
         inside = np.ones(c, dtype=bool)
         for i, s in enumerate(sets.sets):
             inside &= contains(s, draws[:, i, :])
         hits += int(inside.sum())
-        done += c
-        batch += 1
-    value = hits / samples
-    se = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
-    return Estimate(value=float(value), std_error=se, samples=samples,
-                    seed=seed)
-
-
-def _subseed(seed: int, *key) -> int:
-    return int(derive_rng(seed, *key).integers(0, 2**63 - 1))
+    return Estimate.binomial(hits, samples, seed)
 
 
 def stability_bound(sets: SetSystem, m: CorrelationMatrix, samples: int,
                     target_se: float, seed: int) -> tuple[Estimate, list[Estimate]]:
     """The half-space bound J(measures; M), with measure noise propagated
     through the gradient to first order."""
-    measures = [gaussian_measure(s, samples, _subseed(seed, "measure", i))
+    measures = [gaussian_measure(s, samples, subseed(seed, "measure", i))
                 for i, s in enumerate(sets.sets)]
     x = np.array([mu.value for mu in measures])
     jq = JQuery(np.clip(x, 0.0, 1.0), m)
-    est = j_value(jq, target_se, _subseed(seed, "bound"))
+    est = j_value(jq, target_se, subseed(seed, "bound"))
     var = est.std_error ** 2
+    cap_hit = est.cap_hit
     if any(mu.std_error > 0.0 for mu in measures):
         interior = JQuery(np.clip(x, DERIV_LO, DERIV_HI), m)
         for i, mu in enumerate(measures):
             if mu.std_error > 0.0:
-                g = j_grad(interior, i, target_se, _subseed(seed, "propag", i))
+                g = j_grad(interior, i, target_se, subseed(seed, "propag", i))
                 var += (g.value * mu.std_error) ** 2
+                cap_hit |= g.cap_hit
     rhs = Estimate(value=est.value, std_error=math.sqrt(var),
-                   samples=est.samples, seed=seed, cap_hit=est.cap_hit)
+                   samples=est.samples, seed=seed, cap_hit=cap_hit)
     return rhs, measures
 
 
@@ -194,7 +180,7 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     """Bridge-corrected survival of A against the matched half-space, per
     horizon, with common random numbers."""
     s = cfg.sampling
-    mu = gaussian_measure(a, s.samples, _subseed(s.seed, "measure", 0))
+    mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", 0))
     b = _matched_halfspaces(SetSystem((a,)), [mu])[0]
     out = []
     for tau in taus:
@@ -210,7 +196,7 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, tau: float,
                       cfg: ExperimentConfig) -> list[ComparisonResult]:
     """Occupation of (A_1, A_2) against matched parallel half-spaces."""
     s = cfg.sampling
-    mus = [gaussian_measure(a, s.samples, _subseed(s.seed, "measure", i))
+    mus = [gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
            for i, a in enumerate((a1, a2))]
     b1, b2 = _matched_halfspaces(SetSystem((a1, a2)), mus)
     occ_a, occ_b, paired = occupation_pair((a1, a2), (b1, b2), tau,
@@ -242,7 +228,7 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
         raise ConfigError("[experiment] t: equality diagnostic needs t > 0")
     s = cfg.sampling
     for i, a in enumerate(sets.sets):
-        mu = gaussian_measure(a, s.samples, _subseed(s.seed, "measure", i))
+        mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
         if not 0.0 < mu.value < 1.0:
             raise ConfigError(f"[sets] a{i + 1}: measure must be interior "
                               "to (0, 1) for the diagnostic")
@@ -264,7 +250,7 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
         else:
             vals = np.array([
                 semigroup_apply(a, t, p, s.samples,
-                                _subseed(s.seed, "flow", j)).value
+                                subseed(s.seed, "flow", j)).value
                 for j, p in enumerate(probes)])
             keep = (vals >= 0.01) & (vals <= 0.99)
             if not keep.any():
@@ -319,7 +305,7 @@ def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
             xs = np.stack([a.ravel() for a in axes], axis=1)
         for idx, x in enumerate(xs):
             ev = hadamard_hessian(JQuery(x, m), s.target_se,
-                                  _subseed(s.seed, "sweep", idx))
+                                  subseed(s.seed, "sweep", idx))
             lam, lam_se = hessian_top_eigenvalue(ev)
             diag = kernel_diagnostic(ev)
             rows.append({

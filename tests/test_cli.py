@@ -52,6 +52,11 @@ class TestExitCodes:
     def test_unreadable_config(self, capsys):
         assert cli.cli_main(["verify-main", "--config", "/no/such.cfg"]) == 1
 
+    def test_dimension_mismatch_exit_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, PARALLEL_DOC.replace("n = 2", "n = 3"))
+        assert cli.cli_main(["verify-main", "--config", cfg]) == 1
+        assert "[experiment] n" in capsys.readouterr().err
+
     def test_equality_case_exit_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         cfg = _write_cfg(tmp_path, PARALLEL_DOC, report=str(report))
@@ -173,4 +178,5 @@ class TestDeterminism:
                              "library_version", "timestamp"}
         row = data["results"][0]
         assert set(row) >= {"name", "lhs", "rhs", "margin_se", "verdict"}
-        assert set(row["lhs"]) == {"value", "se", "samples", "seed"}
+        assert set(row["lhs"]) == {"value", "se", "samples", "seed",
+                                   "cap_hit"}

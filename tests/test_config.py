@@ -123,6 +123,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="kind"):
             parse_config("[experiment]\nkind = frobnicate\n")
 
+    def test_set_dimension_must_match_n(self):
+        doc = "[experiment]\nn = 3\n[sets]\na1 = ball([0, 0], 1.0)\n"
+        with pytest.raises(ConfigError, match=r"\[experiment\] n"):
+            parse_config(doc)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[nonsense]\nx = 1\n")

@@ -2,26 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import random_correlation
 from noisestab import (
-    CholeskyFactor,
     CorrelationMatrix,
+    JQuery,
     NotPositiveSemidefinite,
     SingularMatrix,
     cholesky,
     inverse_offdiag_nonpositive,
+    j_grad,
     isoperimetric_profile,
     laplacian_quadratic_form,
     max_eigenvalue,
     ou_covariance,
-    schur_complement,
     semigroup_slope,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
+from noisestab.gaussian import conditional_reduction
 
 # Reference CDF values computed with a 40-digit error-function oracle
 # (mpmath.ncdf), frozen here.
@@ -114,6 +115,14 @@ class TestQuantile:
         err = np.abs(std_normal_cdf(std_normal_quantile(p)) - p)
         assert err.max() <= 1e-12
 
+    def test_matches_ndtri(self):
+        p = np.concatenate([np.logspace(-300, -1, 50),
+                            np.linspace(0.01, 0.99, 199),
+                            1.0 - np.logspace(-16, -1, 50)])
+        assert np.array_equal(std_normal_quantile(p), special.ndtri(p))
+        assert all(std_normal_quantile(float(v)) == special.ndtri(v)
+                   for v in p[::25])
+
     def test_vectorized(self):
         p = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         z = std_normal_quantile(p)
@@ -167,29 +176,29 @@ class TestSemigroupSlope:
 
 class TestCholesky:
     def test_identity(self):
-        f = cholesky(np.eye(3))
-        assert isinstance(f, CholeskyFactor)
-        assert np.array_equal(f.q, np.eye(3))
+        q = cholesky(np.eye(3))
+        assert isinstance(q, np.ndarray) and not q.flags.writeable
+        assert np.array_equal(q, np.eye(3))
 
     def test_two_by_two(self):
         rho = 0.6
-        f = cholesky([[1.0, rho], [rho, 1.0]])
+        q = cholesky([[1.0, rho], [rho, 1.0]])
         expected = np.array([[1.0, 0.0], [rho, math.sqrt(1 - rho * rho)]])
-        assert np.allclose(f.q, expected, atol=1e-15)
+        assert np.allclose(q, expected, atol=1e-15)
 
     def test_reconstruction_corpus(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             a = rng.standard_normal((4, 4))
             m = a @ a.T
-            f = cholesky(m)
-            assert np.abs(f.q @ f.q.T - m).max() <= 1e-10 * max(1, np.abs(m).max())
-            assert np.all(np.diag(f.q) >= 0.0)
+            q = cholesky(m)
+            assert np.abs(q @ q.T - m).max() <= 1e-10 * max(1, np.abs(m).max())
+            assert np.all(np.diag(q) >= 0.0)
 
     def test_singular_psd(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-        f = cholesky(m)
-        assert np.abs(f.q @ f.q.T - m).max() <= 1e-10
+        q = cholesky(m)
+        assert np.abs(q @ q.T - m).max() <= 1e-10
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite):
@@ -230,23 +239,22 @@ class TestCorrelationMatrix:
 class TestSchurComplement:
     def test_two_by_two(self):
         m = CorrelationMatrix.equicorrelated(2, 0.6)
-        sd = schur_complement(m, 0)
-        assert sd.removed_index == 0
-        assert np.allclose(sd.cond_mean_row, [0.6])
-        assert np.allclose(sd.reduced, [[1 - 0.36]])
+        coef, reduced = conditional_reduction(m.entries, 0)
+        assert np.allclose(coef, [0.6])
+        assert np.allclose(reduced, [[1 - 0.36]])
 
     def test_identity(self):
         m = CorrelationMatrix.identity(4)
-        sd = schur_complement(m, 2)
-        assert np.array_equal(sd.reduced, np.eye(3))
-        assert np.array_equal(sd.cond_mean_row, np.zeros(3))
+        coef, reduced = conditional_reduction(m.entries, 2)
+        assert np.array_equal(reduced, np.eye(3))
+        assert np.array_equal(coef, np.zeros(3))
 
     def test_ou_inverse_identity(self):
         m = ou_covariance([0.0, 0.5, 1.0])
-        sd = schur_complement(m, 1)
+        _, reduced = conditional_reduction(m.entries, 1)
         inv = np.linalg.inv(m.entries)
         target = np.delete(np.delete(inv, 1, axis=0), 1, axis=1)
-        assert np.abs(np.linalg.inv(sd.reduced) - target).max() <= 1e-8
+        assert np.abs(np.linalg.inv(reduced) - target).max() <= 1e-8
 
     def test_inverse_identity_corpus(self):
         rng = np.random.default_rng(77)
@@ -254,16 +262,18 @@ class TestSchurComplement:
             k = int(rng.integers(2, 6))
             m = random_correlation(rng, k)
             i = int(rng.integers(k))
-            sd = schur_complement(m, i)
+            _, reduced = conditional_reduction(m.entries, i)
             inv = np.linalg.inv(m.entries)
             target = np.delete(np.delete(inv, i, axis=0), i, axis=1)
-            assert np.abs(np.linalg.inv(sd.reduced) - target).max() <= 1e-8
-            assert np.linalg.eigvalsh(sd.reduced)[0] >= -1e-12
+            assert np.abs(np.linalg.inv(reduced) - target).max() <= 1e-8
+            assert np.linalg.eigvalsh(reduced)[0] >= -1e-12
 
     def test_rejects_singular(self):
+        # The conditional system behind the gradient needs a strictly PD
+        # matrix; a rank-one one is refused before any reduction.
         m = CorrelationMatrix([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrix):
-            schur_complement(m, 0)
+            j_grad(JQuery([0.5, 0.5], m), 0, 1e-3, 0)
 
 
 class TestOUCovariance:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from noisestab import (
     max_eigenvalue,
     ou_covariance,
 )
+import noisestab.jfunc as jfunc
 from noisestab.jfunc import _pair_interaction
 
 
@@ -304,3 +306,16 @@ class TestFiniteDifferenceSweep:
             cf2 = j_mixed_second(q, i, j, 1e-5, 810 + trial)
             fd2, fd2_se = fdcheck.fd_mixed(x, m, i, j, 910 + trial)
             assert fdcheck.agrees(cf2.value, cf2.std_error, fd2, fd2_se)
+
+
+class TestCapHit:
+    def test_diag_second_carries_pair_cap(self, monkeypatch):
+        q = JQuery([0.3, 0.5, 0.6], CorrelationMatrix.equicorrelated(3, 0.5))
+        assert not j_diag_second(q, 0, 1e-3, 1).cap_hit
+        real = jfunc.orthant_qmc
+
+        def capped(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
+
+        monkeypatch.setattr(jfunc, "orthant_qmc", capped)
+        assert j_diag_second(q, 0, 1e-3, 1).cap_hit

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -25,6 +26,8 @@ from noisestab import (
     verify_noise_stability,
     verify_occupation,
 )
+import noisestab.cli as cli
+import noisestab.jfunc as jfunc
 from noisestab.config import ConfigError, ExperimentConfig, parse_config
 from noisestab.report import build_report, render_csv, report_fingerprint
 from noisestab.verify import EQUALITY_BAND, HOLDS, SE_FLOOR, VIOLATED, \
@@ -137,6 +140,29 @@ class TestMainInequality:
         (comp,) = verify_main_inequality(cfg)
         assert comp.verdict == HOLDS
         assert comp.margin_se > 3.0
+
+    @pytest.mark.parametrize("capped_dims", [(1, 2), (1,)])
+    def test_capped_qmc_reaches_report(self, monkeypatch, tmp_path,
+                                       capped_dims):
+        # dimension 2 is the bound J itself, dimension 1 the gradients
+        # that propagate the Monte Carlo measure noise of the off-centre
+        # ball
+        real = jfunc.orthant_qmc
+
+        def capped(q, *args, **kwargs):
+            est = real(q, *args, **kwargs)
+            return dataclasses.replace(est, cap_hit=q.k in capped_dims)
+
+        monkeypatch.setattr(jfunc, "orthant_qmc", capped)
+        cfg = tmp_path / "main.cfg"
+        cfg.write_text(MAIN_DOC.replace("a1 = halfspace([1, 0], 0.0)",
+                                        "a1 = ball([0.3, 0], 1.2)"))
+        out = tmp_path / "report.json"
+        assert cli.cli_main(["verify-main", "--config", str(cfg), "--quiet",
+                             "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["results"]
+        assert row["rhs"]["cap_hit"] is True
+        assert row["lhs"]["cap_hit"] is False
 
     def test_negative_entry_refused(self):
         cfg = parse_config(MAIN_DOC.replace("rho = 0.5", "rho = -0.2"))
