@@ -274,9 +274,9 @@ def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
     if isinstance(s, Ball) and np.all(s.center == 0.0):
         v = float(special.gammainc(s.dim / 2.0, 0.5 * s.radius * s.radius))
         return Estimate(value=v, std_error=0.0, samples=0, seed=seed)
+    rng = derive_rng(seed, "gaussian_measure", 0)
     hits = 0
-    for b, n in batches(samples):
-        rng = derive_rng(seed, "gaussian_measure", b)
+    for _, n in batches(samples):
         hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
     return Estimate.binomial(hits, samples, seed)
 

@@ -104,9 +104,10 @@ def orthant_mc(q: OrthantQuery, samples: int, seed: int) -> Estimate:
     """
     seed = check_seed(seed)
     factor = cholesky(q.cov)
+    rng = derive_rng(seed, "orthant_mc", 0)
     hits = 0
-    for b, n in batches(samples):
-        z = derive_rng(seed, "orthant_mc", b).standard_normal((n, q.k))
+    for _, n in batches(samples):
+        z = rng.standard_normal((n, q.k))
         hits += int(np.all(z @ factor.T <= q.limits, axis=1).sum())
     return Estimate.binomial(hits, samples, seed)
 

@@ -435,9 +435,9 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
                         samples=0, seed=seed)
     base = math.exp(-t) * pt
     scale = math.sqrt(-math.expm1(-2.0 * t))
+    rng = derive_rng(seed, "semigroup", 0)
     hits = 0
-    for b, c in batches(samples):
-        rng = derive_rng(seed, "semigroup", b)
+    for _, c in batches(samples):
         pts = base + scale * rng.standard_normal((c, s.dim))
         hits += int(contains(s, pts).sum())
     return Estimate.binomial(hits, samples, seed)

@@ -3,8 +3,14 @@
 Every estimator in this package derives its generators through
 :func:`derive_rng` so that a (seed, purpose, shard) triple always maps to
 the same stream, independent of how work is scheduled. Chunked samplers
-walk :func:`batches` and key batch ``i`` by ``i``, so a result depends
-only on the seed and the sample count.
+walk :func:`batches`, so a result depends only on the seed and the sample
+count. The OU scans key batch ``i`` by ``i``, since each batch draws its
+paths step by step. The Monte Carlo indicator averages (``orthant_mc``,
+``gaussian_measure``, ``semigroup_apply``) draw every batch from the one
+stream keyed ``(purpose, 0)``, so their numbers do not depend on
+:data:`BATCH` at all. Key 0 is the one their first batch always had, so
+reports made when these estimators drew 2^19 or 2^20 points per batch
+keep their numbers up to that many draws.
 """
 from __future__ import annotations
 

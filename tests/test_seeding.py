@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 
+from noisestab import Ball, OrthantQuery, Union, gaussian_measure, \
+    orthant_mc, semigroup_apply
+from noisestab import seeding
 from noisestab.seeding import BATCH, batches, subseed
 
 # Sub-seeds frozen from the per-module helpers that subseed replaced
@@ -37,3 +41,27 @@ class TestSubseed:
     @pytest.mark.parametrize("seed,key,expected", PINNED_SUBSEEDS)
     def test_pinned(self, seed, key, expected):
         assert subseed(seed, *key) == expected
+
+
+class TestIndicatorStreams:
+    """The Monte Carlo indicator averages draw all batches from one stream,
+    so the batch size sets memory use and never the result."""
+
+    ESTIMATORS = {
+        "gaussian_measure": lambda: gaussian_measure(
+            Union((Ball(np.array([0.3, -0.2]), 1.1),)), 5000, 31),
+        "orthant_mc": lambda: orthant_mc(
+            OrthantQuery(np.array([0.2, -0.1]),
+                         np.array([[1.0, 0.4], [0.4, 1.0]])), 5000, 32),
+        "semigroup_apply": lambda: semigroup_apply(
+            Ball(np.zeros(2), 1.0), 0.5, np.array([0.4, 0.1]), 5000, 33),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_result_independent_of_batch_size(self, name, monkeypatch):
+        whole = self.ESTIMATORS[name]()
+        monkeypatch.setattr(seeding, "BATCH", 999)
+        assert len(list(batches(5000))) == 6
+        chunked = self.ESTIMATORS[name]()
+        assert chunked == whole
+        assert 0.0 < whole.value < 1.0 and whole.samples == 5000
