@@ -180,12 +180,20 @@ class SetSystem:
 # operations
 # ---------------------------------------------------------------------------
 
+def _square_distance(s: Ball, pts: np.ndarray) -> np.ndarray:
+    """|x - center|^2 column by column; even and odd columns are summed
+    apart, the order of ``einsum("ij,ij->i")`` up to n = 7."""
+    sq = [np.square(pts[:, j] - c) for j, c in enumerate(s.center)]
+    for j in range(2, s.dim):
+        sq[j % 2] += sq[j]
+    return sum(sq[1:2], sq[0])
+
+
 def _contains(s: SetExpr, pts: np.ndarray) -> np.ndarray:
     if isinstance(s, HalfSpace):
         return pts @ s.normal <= s.offset
     if isinstance(s, Ball):
-        d = pts - s.center
-        return np.einsum("ij,ij->i", d, d) <= s.radius * s.radius
+        return _square_distance(s, pts) <= s.radius * s.radius
     if isinstance(s, AxisBox):
         return np.all((pts >= s.lower) & (pts <= s.upper), axis=1)
     if isinstance(s, Complement):
@@ -207,9 +215,7 @@ def _distance(s: SetExpr, pts: np.ndarray) -> np.ndarray:
     if isinstance(s, HalfSpace):
         return s.offset - pts @ s.normal
     if isinstance(s, Ball):
-        sq = np.square(pts[:, 0] - s.center[0])
-        for j in range(1, s.dim):
-            sq += np.square(pts[:, j] - s.center[j])
+        sq = _square_distance(s, pts)
         return s.radius - np.sqrt(sq, out=sq)
     if isinstance(s, AxisBox):
         return np.minimum(pts - s.lower, s.upper - pts).min(axis=1)

@@ -70,7 +70,7 @@ class JEvaluation:
     matrix m_ij * J_ij; ``hadamard_hessian`` is stored as the exact
     congruence D A D with D = diag(iota), so the factorization identity
     holds by construction. Every statistical entry carries a first-order
-    propagated standard error.
+    propagated standard error. ``cap_hit``: some QMC run stopped on its cap.
     """
     x: np.ndarray
     m: CorrelationMatrix
@@ -85,6 +85,7 @@ class JEvaluation:
     iota: np.ndarray
     hadamard_hessian: np.ndarray
     hessian_se: np.ndarray
+    cap_hit: bool
 
 
 @dataclass(frozen=True)
@@ -237,11 +238,13 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
     k = q.k
 
     val = j_value(q, target_se, subseed(seed, "value"))
+    cap_hit = val.cap_hit
     grad = np.zeros(k)
     grad_se = np.zeros(k)
     for i in range(k):
         g = j_grad(q, i, target_se, subseed(seed, "grad", i))
         grad[i], grad_se[i] = g.value, g.std_error
+        cap_hit |= g.cap_hit
 
     mixed = np.zeros((k, k))
     mixed_se = np.zeros((k, k))
@@ -251,6 +254,7 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
                                      subseed(seed, "pair", i, j))
             mixed[i, j] = mixed[j, i] = pair.value
             mixed_se[i, j] = mixed_se[j, i] = pair.std_error
+            cap_hit |= pair.cap_hit
 
     a = q.m.entries * mixed
     a_var = (q.m.entries * mixed_se) ** 2
@@ -270,6 +274,7 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
         mixed=_readonly(mixed), mixed_se=_readonly(mixed_se),
         a_matrix=_readonly(a), iota=_readonly(iota),
         hadamard_hessian=_readonly(hess), hessian_se=_readonly(hess_se),
+        cap_hit=cap_hit,
     )
 
 

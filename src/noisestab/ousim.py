@@ -14,6 +14,11 @@ the raw grid functional.
 
 Comparisons (set A versus set B) reuse identical trajectories per path
 index: common random numbers, so margins carry a paired standard error.
+
+Once fewer than 7/8 of a batch's paths are live, the scans drop the ones
+whose result is fixed and draw normals for the rest only. Batch i still
+draws from the stream keyed ("exit", i); when rows drop depends only on
+the seed, the sizes and the sets.
 """
 from __future__ import annotations
 
@@ -113,6 +118,11 @@ def simulate_path(n: int, grid, seed: int) -> OUPath:
 # streaming grid scans
 # ---------------------------------------------------------------------------
 
+# A scan gathers a batch's live rows (with ``compress``, which keeps them
+# C-contiguous) once fewer than this share of its rows is live.
+_LIVE_SHARE = 7 / 8
+
+
 def _grid_params(tau: float, steps: int):
     tau = float(tau)
     steps = int(steps)
@@ -151,6 +161,20 @@ def _inv_sinh(d: float):
     return 1.0 / math.sinh(d) if d > 0.0 else None
 
 
+def _step(rng, states, noise, decay, scale):
+    """One exact-transition step of ``states``, in place."""
+    z = rng.standard_normal(out=noise[:len(states)])
+    states *= decay
+    z *= scale
+    states += z
+
+
+def _add(acc, key, x):
+    """Add the sum and the sum of squares of per-path values ``x``."""
+    s, s2 = acc.get(key, (0.0, 0.0))
+    acc[key] = (s + float(x.sum()), s2 + float(x @ x))
+
+
 def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     """Shared-trajectory exit scan for one or two regions at once.
 
@@ -171,7 +195,8 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
 
     Differences are taken per path because the corrected fine event no
     longer nests inside the coarse one; identical regions give exactly
-    zero.
+    zero. A path whose raw indicators have all died (each region, fine
+    and coarse grid) adds 0 to every sum, so it may be dropped.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     refine = int(refine)
@@ -180,49 +205,45 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     inv_fine = _inv_sinh(tau / fine_steps)
     inv_coarse = _inv_sinh(tau / steps)
     seed = check_seed(seed)
-    n = regions[0].dim
     r = len(regions)
     acc: dict = {}
-
-    def add(key, x):
-        s, s2 = acc.get(key, (0.0, 0.0))
-        acc[key] = (s + float(x.sum()), s2 + float(x @ x))
-
     for chunk_index, c in batches(paths):
         rng = derive_rng(seed, "exit", chunk_index)
-        states = rng.standard_normal((c, n))
-        last_f = [boundary_distance(reg, states) for reg in regions]
-        alive_f = [a >= 0.0 for a in last_f]
-        weight_f = [np.ones(c) for _ in regions]
-        if refine > 1:
-            last_c = list(last_f)
-            alive_c = [a.copy() for a in alive_f]
-            weight_c = [np.ones(c) for _ in regions]
+        states = rng.standard_normal((c, regions[0].dim))
+        noise = np.empty_like(states)
+        # rows: each region on the fine grid, then on the coarse grid
+        last = np.array([boundary_distance(reg, states)
+                         for reg in regions] * min(refine, 2))
+        alive = last >= 0.0
+        weight = np.ones_like(last)
         for i in range(1, fine_steps + 1):
-            states = decay * states + scale * rng.standard_normal((c, n))
+            live = alive.any(axis=0)
+            if np.count_nonzero(live) < _LIVE_SHARE * live.size:
+                states = states[live]
+                last, alive, weight = (x.compress(live, 1)
+                                       for x in (last, alive, weight))
+                if not len(states):
+                    break
+            _step(rng, states, noise, decay, scale)
             on_coarse = refine > 1 and i % refine == 0
             for idx, reg in enumerate(regions):
                 a1 = boundary_distance(reg, states)
-                _bridge_monitor(alive_f[idx], weight_f[idx], last_f[idx], a1,
-                                inv_fine)
-                last_f[idx] = a1
-                if on_coarse:
-                    _bridge_monitor(alive_c[idx], weight_c[idx], last_c[idx],
-                                    a1, inv_coarse)
-                    last_c[idx] = a1
-        if refine == 1:
-            alive_c, weight_c = alive_f, weight_f
-        wc = [np.where(a, w, 0.0) for a, w in zip(alive_c, weight_c)]
-        wf = [np.where(a, w, 0.0) for a, w in zip(alive_f, weight_f)]
+                rows = (idx, r + idx) if on_coarse else (idx,)
+                for row, inv in zip(rows, (inv_fine, inv_coarse)):
+                    _bridge_monitor(alive[row], weight[row], last[row], a1,
+                                    inv)
+                    last[row] = a1
+        w = np.where(alive, weight, 0.0)
+        wf, wc = w[:r], w[-r:]
         for idx in range(r):
-            add(("w", idx), wc[idx])
-            add(("change", idx), wc[idx] - wf[idx])
-            add(("raw", idx), alive_c[idx].astype(float))
-            add(("raw_fine", idx), alive_f[idx].astype(float))
+            _add(acc, ("w", idx), wc[idx])
+            _add(acc, ("change", idx), wc[idx] - wf[idx])
+            _add(acc, ("raw", idx), alive[-r + idx].astype(float))
+            _add(acc, ("raw_fine", idx), alive[idx].astype(float))
         if r >= 2:
             pair_c = wc[1] - wc[0]
-            add("pair", pair_c)
-            add("margin", pair_c - (wf[1] - wf[0]))
+            _add(acc, "pair", pair_c)
+            _add(acc, "margin", pair_c - (wf[1] - wf[0]))
     return acc
 
 
@@ -346,43 +367,51 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
         raw_drop_a=raw_drop(0), raw_drop_b=raw_drop(1))
 
 
+def _add_counts(acc, counts):
+    """Add occupation step counts (a row per pair) and their difference."""
+    for idx, row in enumerate(counts):
+        _add(acc, ("count", idx), row)
+    if len(counts) >= 2:
+        _add(acc, "pair", counts[1] - counts[0])
+
+
 def _occupation_scan(pairs, tau, steps, paths, seed):
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
-    on shared trajectories. Returns per-pair (sum, sum of squares) and,
-    with two pairs, the same for the per-path count difference."""
+    on shared trajectories. Returns per-path sums and sums of squares
+    keyed ``("count", i)`` for pair i and, with two pairs, ``"pair"``
+    for the count difference (pair 1 minus pair 0). A path that has left
+    every A_1 may be dropped; its integer counts are added when it is.
+    """
     tau, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
-    n = pairs[0][0].dim
-    r = len(pairs)
-    tot = np.zeros(r)
-    tot2 = np.zeros(r)
-    dtot = 0.0
-    dtot2 = 0.0
+    acc: dict = {}
     for chunk_index, c in batches(paths):
         rng = derive_rng(seed, "exit", chunk_index)
-        states = rng.standard_normal((c, n))
-        alive = [contains(a1, states) for a1, _ in pairs]
-        counts = [np.zeros(c, dtype=np.int64) for _ in pairs]
+        states = rng.standard_normal((c, pairs[0][0].dim))
+        noise = np.empty_like(states)
+        alive = np.array([contains(a1, states) for a1, _ in pairs])
+        counts = np.zeros((len(pairs), c), dtype=np.int64)
         for _ in range(steps):
-            states = decay * states + scale * rng.standard_normal((c, n))
+            live = alive.any(axis=0)
+            if np.count_nonzero(live) < _LIVE_SHARE * live.size:
+                _add_counts(acc, counts.compress(~live, axis=1))
+                states = states[live]
+                alive, counts = (x.compress(live, 1) for x in (alive, counts))
+                if not len(states):
+                    break
+            _step(rng, states, noise, decay, scale)
             for idx, (a1, a2) in enumerate(pairs):
                 counts[idx] += alive[idx] & contains(a2, states)
                 alive[idx] &= contains(a1, states)
-        for idx in range(r):
-            tot[idx] += counts[idx].sum()
-            tot2[idx] += (counts[idx].astype(float) ** 2).sum()
-        if r >= 2:
-            d = counts[1] - counts[0]
-            dtot += d.sum()
-            dtot2 += (d.astype(float) ** 2).sum()
-    return tot, tot2, dtot, dtot2
+        _add_counts(acc, counts)
+    return acc
 
 
-def _occupation_estimate(total, total2, tau, steps, paths, seed) -> Estimate:
-    dt = tau / steps
-    mean_c, se_c = _mean_se((total, total2), paths)
+def _occupation_estimate(acc, key, tau, steps, paths, seed) -> Estimate:
+    dt = float(tau) / int(steps)
+    mean_c, se_c = _mean_se(acc[key], int(paths))
     return Estimate(value=float(dt * mean_c), std_error=float(dt * se_c),
-                    samples=paths, seed=seed)
+                    samples=int(paths), seed=check_seed(seed))
 
 
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
@@ -392,25 +421,21 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
 
     Faithful to the raw functional: A_2 is not forced inside A_1.
     """
-    tot, tot2, _, _ = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
-    est = _occupation_estimate(tot[0], tot2[0], float(tau), int(steps),
-                               int(paths), check_seed(seed))
+    acc = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
+    est = _occupation_estimate(acc, ("count", 0), tau, steps, paths, seed)
     return OccupationEstimate(horizon=float(tau), sets=(a1, a2), value=est)
 
 
 def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     """Occupation of two set pairs on identical trajectories, with the
     paired standard error of the difference (B minus A)."""
-    tot, tot2, dtot, dtot2 = _occupation_scan([pair_a, pair_b], tau, steps,
-                                              paths, seed)
-    tau, steps, paths = float(tau), int(steps), int(paths)
-    seed = check_seed(seed)
-    est_a = _occupation_estimate(tot[0], tot2[0], tau, steps, paths, seed)
-    est_b = _occupation_estimate(tot[1], tot2[1], tau, steps, paths, seed)
-    paired_se = tau / steps * _mean_se((dtot, dtot2), paths)[1]
-    return (OccupationEstimate(tau, tuple(pair_a), est_a),
-            OccupationEstimate(tau, tuple(pair_b), est_b),
-            paired_se)
+    acc = _occupation_scan([pair_a, pair_b], tau, steps, paths, seed)
+    est_a, est_b, diff = (_occupation_estimate(acc, key, tau, steps, paths,
+                                               seed)
+                          for key in (("count", 0), ("count", 1), "pair"))
+    return (OccupationEstimate(float(tau), tuple(pair_a), est_a),
+            OccupationEstimate(float(tau), tuple(pair_b), est_b),
+            diff.std_error)
 
 
 # ---------------------------------------------------------------------------

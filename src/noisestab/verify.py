@@ -279,7 +279,8 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
 
 
 def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """Rows of (x, matrix, top eigenvalue of the weighted Hessian, SE)."""
+    """Rows of (x, matrix, top eigenvalue of the weighted Hessian, SE,
+    whether any QMC run behind the row stopped on its cap)."""
     s = cfg.sampling
     matrices = []
     if cfg.matrix.kind == "equicorrelated" and cfg.sweep.rhos:
@@ -316,6 +317,7 @@ def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "se": lam_se,
                 "kernel_alignment": diag.kernel_alignment
                 if diag.applicable else None,
+                "cap_hit": ev.cap_hit,
             })
     return rows
 
@@ -408,9 +410,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
         return _comparisons_output(comps)
     if kind == "hessian-sweep":
         rows = hessian_sweep(cfg)
-        columns = ["name", "x", "max_eigenvalue", "se"]
-        csv_rows = [[r["name"], ";".join(f"{v:.17g}" for v in r["x"]),
-                     r["max_eigenvalue"], r["se"]] for r in rows]
+        columns = ["name", "x", "max_eigenvalue", "se", "cap_hit"]
+        csv_rows = [[r["name"], ";".join(f"{v:.17g}" for v in r["x"])]
+                    + [r[c] for c in columns[2:]] for r in rows]
         return ExperimentOutput(rows, columns, csv_rows, [])
     if kind == "equality-diagnostic":
         if not cfg.sets:

@@ -115,7 +115,7 @@ target_se = 0.0005
                              "--format", "csv", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "name,x,max_eigenvalue,se"
+        assert lines[0] == "name,x,max_eigenvalue,se,cap_hit"
         assert len(lines) == 1 + 9
 
     def test_condition_check_without_config(self, tmp_path, capsys):

@@ -76,6 +76,40 @@ class TestContains:
             HalfSpace(np.zeros(2), 0.0)
 
 
+# integer points at distance exactly 3 from the origin
+SPHERE_3 = {1: [[3.0], [-3.0]],
+            2: [[3.0, 0.0], [0.0, -3.0], [-3.0, 0.0]],
+            3: [[1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [-2.0, 2.0, -1.0],
+                [0.0, 0.0, 3.0]]}
+
+
+class TestBallMembership:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("centre", ["zero", "integer", "random"])
+    def test_matches_einsum(self, n, centre):
+        # column-wise membership against the einsum form it replaced
+        rng = np.random.default_rng(70 + n)
+        center = {"zero": np.zeros(n),
+                  "integer": np.arange(1.0, n + 1.0) * (-1.0) ** np.arange(n),
+                  "random": rng.standard_normal(n)}[centre]
+        radius = 3.0
+        directions = rng.standard_normal((4000, n))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        pts = np.concatenate([
+            center + 3.0 * rng.standard_normal((4000, n)),
+            center + radius * directions,  # on the sphere up to rounding
+            center + np.array(SPHERE_3[n]),
+        ])
+        d = pts - center
+        old = np.einsum("ij,ij->i", d, d) <= radius * radius
+        new = contains(Ball(center, radius), pts)
+        assert np.array_equal(new, old)
+        if n > 1:  # rounding puts near-sphere points on both sides
+            assert 0 < np.count_nonzero(new[4000:8000]) < 4000
+        if centre != "random":  # exactly on the sphere: inside
+            assert new[8000:].all()
+
+
 
 class TestBoundaryDistance:
     def test_leaves(self):

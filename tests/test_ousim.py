@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from noisestab import (
     Ball,
@@ -24,6 +25,7 @@ from noisestab import (
     simulate_path,
     std_normal_cdf,
 )
+import noisestab.ousim as ousim
 from noisestab.ousim import exit_dominance_refined
 
 HALF_BALL = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
@@ -285,3 +287,84 @@ class TestDominanceRefined:
         # signed and carry their own standard errors
         r = exit_dominance_refined(HALF_BALL, HS0, 0.4, 64, 20_000, 2)
         assert r.raw_drop_a >= 0.0 and r.raw_drop_b >= 0.0
+
+
+class _CountingRng:
+    """Generator proxy that records the shape of every normal draw."""
+
+    def __init__(self, rng, shapes):
+        self._rng = rng
+        self._shapes = shapes
+
+    def standard_normal(self, size=None, out=None):
+        self._shapes.append(tuple(size) if out is None else out.shape)
+        return self._rng.standard_normal(size, out=out)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    shapes = []
+    real = ousim.derive_rng
+    monkeypatch.setattr(ousim, "derive_rng",
+                        lambda *key: _CountingRng(real(*key), shapes))
+    return shapes
+
+
+class TestCompaction:
+    POINT = Ball(np.zeros(2), 0.0)  # every path starts outside
+
+    def test_dead_at_start_exit(self, draws):
+        est = exit_survival(self.POINT, 0.5, 64, 3000, 1).survival
+        assert est.value == 0.0 and est.std_error == 0.0
+        assert draws == [(3000, 2)]
+
+    def test_dead_at_start_refined(self, draws):
+        r = exit_dominance_refined(self.POINT, self.POINT, 0.5, 64, 3000, 1)
+        assert r.est_a.survival.value == r.est_b.survival.value == 0.0
+        assert r.change_a == r.margin_change == r.raw_drop_a == 0.0
+        assert draws == [(3000, 2)]
+
+    def test_dead_at_start_occupation(self, draws):
+        est = occupation(self.POINT, FULL, 0.5, 64, 3000, 1).value
+        assert est.value == 0.0 and est.std_error == 0.0
+        assert draws == [(3000, 2)]
+
+    def test_no_exit_draws_every_path(self, draws):
+        # nothing leaves A_1, so nothing is dropped: the value is the
+        # one the scan gave before paths were ever dropped
+        est = occupation(FULL, HALF_BALL, 0.5, 64, 3000, 11).value
+        assert draws == [(3000, 2)] * 65
+        assert est.value == 0.2504296875
+        assert est.std_error == 0.003300080233539377
+
+    def test_dropped_paths_keep_their_counts(self):
+        # the occupation of {x_1 <= 0} before leaving it is the integral
+        # of the survival asin(e^{-t})/pi, which the raw grid overshoots
+        # (+0.020 at 256 steps); losing the counts of dropped paths would
+        # undershoot it by 0.08
+        est = occupation(HS0, HS0, 1.0, 256, 20_000, 13).value
+        exact = integrate.quad(lambda t: math.asin(math.exp(-t)) / math.pi,
+                               0.0, 1.0)[0]
+        assert exact - 3 * est.std_error <= est.value <= exact + 0.03
+
+    def test_draws_shrink_with_survivors(self, draws):
+        exit_survival(HALF_BALL, 1.0, 128, 3000, 2)
+        rows = [shape[0] for shape in draws]
+        assert rows[0] == 3000 and len(rows) <= 129
+        assert all(b <= a for a, b in zip(rows, rows[1:]))
+        assert rows[-1] < 3000 * ousim._LIVE_SHARE
+
+    def test_coarse_monitor_kept_alive(self):
+        # with refine=2 a path that left on the fine grid may still be
+        # alive on the coarse one; the coarse raw survival must match an
+        # independent scan on the coarse grid alone, which it would
+        # undershoot by the raw drop (about 7 SE here) if such paths
+        # were dropped
+        coarse, fine, drop, _ = exit_survival_refined(
+            HALF_BALL, 0.5, 16, 40_000, 31, refine=2)
+        alone, _, _, _ = exit_survival_refined(HALF_BALL, 0.5, 16, 40_000,
+                                               32, refine=1)
+        a, b = coarse.survival, alone.survival
+        assert drop > 0.0
+        assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error,
+                                                        b.std_error)

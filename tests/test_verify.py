@@ -316,6 +316,36 @@ rhos = 0.2, 0.8
         rows = hessian_sweep(cfg)
         assert len(rows) == 8
 
+    @pytest.mark.parametrize("capped_dims", [(), (3,), (2,), (1,)])
+    def test_capped_qmc_reaches_rows(self, monkeypatch, tmp_path,
+                                     capped_dims):
+        # at k = 3, dimension 3 is the value J, dimension 2 the gradient
+        # and dimension 1 the inner orthant of a pair interaction
+        real = jfunc.orthant_qmc
+
+        def capped(q, *args, **kwargs):
+            est = real(q, *args, **kwargs)
+            return dataclasses.replace(est, cap_hit=q.k in capped_dims)
+
+        monkeypatch.setattr(jfunc, "orthant_qmc", capped)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[experiment]\nkind = hessian-sweep\n"
+                       "[matrix]\ntype = equicorrelated\nk = 3\n"
+                       "rho = 0.5\n[sweep]\nx = 0.4, 0.6\n"
+                       "[sampling]\nseed = 4\ntarget_se = 0.001\n")
+        report, table = tmp_path / "rows.json", tmp_path / "rows.csv"
+        for out, fmt in ((report, "json"), (table, "csv")):
+            assert cli.cli_main(["hessian-sweep", "--config", str(cfg),
+                                 "--quiet", "--format", fmt,
+                                 "--out", str(out)]) == 0
+        rows = json.loads(report.read_text())["results"]
+        assert len(rows) == 8
+        assert {r["cap_hit"] for r in rows} == {bool(capped_dims)}
+        lines = table.read_text().strip().splitlines()
+        assert lines[0].split(",")[-1] == "cap_hit"
+        flag = "true" if capped_dims else "false"
+        assert {line.split(",")[-1] for line in lines[1:]} == {flag}
+
     def test_refuses_hypothesis_violation(self):
         cfg = parse_config("[matrix]\ntype = equicorrelated\nk = 2\n"
                            "rho = -0.5\n")
