@@ -18,7 +18,9 @@ index: common random numbers, so margins carry a paired standard error.
 Once fewer than 7/8 of a batch's paths are live, the scans drop the ones
 whose result is fixed and draw normals for the rest only. Batch i still
 draws from the stream keyed ("exit", i); when rows drop depends only on
-the seed, the sizes and the sets.
+the seed, the sizes and the sets. The batches run side by side on the
+shared thread pool (``seeding.fan_out``) and their sums are merged in
+batch order, so results do not depend on the number of workers.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .gaussian import CorrelationMatrix, cholesky, semigroup_slope, \
     std_normal_quantile, _readonly
 from .geometry import HalfSpace, SetExpr, boundary_distance, contains
 from .orthant import Estimate
-from .seeding import batches, check_seed, derive_rng, subseed
+from .seeding import batches, check_seed, derive_rng, fan_out, subseed
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +177,17 @@ def _add(acc, key, x):
     acc[key] = (s + float(x.sum()), s2 + float(x @ x))
 
 
+def _merge(parts):
+    """Sum per-batch moment dicts in batch order, so each total has the
+    float association of one sequential pass over the batches."""
+    acc: dict = {}
+    for part in parts:
+        for key, (s, s2) in part.items():
+            t, t2 = acc.get(key, (0.0, 0.0))
+            acc[key] = (t + s, t2 + s2)
+    return acc
+
+
 def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     """Shared-trajectory exit scan for one or two regions at once.
 
@@ -206,8 +219,9 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     inv_coarse = _inv_sinh(tau / steps)
     seed = check_seed(seed)
     r = len(regions)
-    acc: dict = {}
-    for chunk_index, c in batches(paths):
+
+    def batch(part):
+        chunk_index, c = part
         rng = derive_rng(seed, "exit", chunk_index)
         states = rng.standard_normal((c, regions[0].dim))
         noise = np.empty_like(states)
@@ -233,6 +247,7 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
                     _bridge_monitor(alive[row], weight[row], last[row], a1,
                                     inv)
                     last[row] = a1
+        acc: dict = {}
         w = np.where(alive, weight, 0.0)
         wf, wc = w[:r], w[-r:]
         for idx in range(r):
@@ -244,7 +259,9 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
             pair_c = wc[1] - wc[0]
             _add(acc, "pair", pair_c)
             _add(acc, "margin", pair_c - (wf[1] - wf[0]))
-    return acc
+        return acc
+
+    return _merge(fan_out(batch, batches(paths)))
 
 
 def _mean_se(moments, paths: int) -> tuple[float, float]:
@@ -384,13 +401,15 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
     """
     tau, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
-    acc: dict = {}
-    for chunk_index, c in batches(paths):
+
+    def batch(part):
+        chunk_index, c = part
         rng = derive_rng(seed, "exit", chunk_index)
         states = rng.standard_normal((c, pairs[0][0].dim))
         noise = np.empty_like(states)
         alive = np.array([contains(a1, states) for a1, _ in pairs])
         counts = np.zeros((len(pairs), c), dtype=np.int64)
+        acc: dict = {}
         for _ in range(steps):
             live = alive.any(axis=0)
             if np.count_nonzero(live) < _LIVE_SHARE * live.size:
@@ -404,7 +423,9 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
                 counts[idx] += alive[idx] & contains(a2, states)
                 alive[idx] &= contains(a1, states)
         _add_counts(acc, counts)
-    return acc
+        return acc
+
+    return _merge(fan_out(batch, batches(paths)))
 
 
 def _occupation_estimate(acc, key, tau, steps, paths, seed) -> Estimate:

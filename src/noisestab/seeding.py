@@ -11,16 +11,30 @@ stream keyed ``(purpose, 0)``, so their numbers do not depend on
 :data:`BATCH` at all. Key 0 is the one their first batch always had, so
 reports made when these estimators drew 2^19 or 2^20 points per batch
 keep their numbers up to that many draws.
+
+Independent pieces of work (the batches of an OU scan, the horizons of
+an exit-time or occupation run) go through :func:`fan_out`, which runs
+them on one thread per CPU this process may use. There is no setting:
+each piece draws from its own keyed stream and the results are combined
+in item order, so reports do not depend on the number of workers.
 """
 from __future__ import annotations
 
+import os
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 # Points per batch of every chunked sampler (Monte Carlo draws and OU
 # paths alike).
 BATCH = 1 << 16
+
+# Threads of the shared pool: one per CPU this process may use. A module
+# constant, not a setting; results are the same for every value.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
 
 
 def _key_parts(parts: tuple) -> tuple[int, ...]:
@@ -62,3 +76,38 @@ def batches(samples: int):
         raise ValueError(f"sample count must be >= 1, got {samples}")
     return ((index, min(BATCH, samples - start))
             for index, start in enumerate(range(0, samples, BATCH)))
+
+
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread():
+    _pool_thread.active = True
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The shared pool of ``workers`` threads, built on first use."""
+    with _pools_lock:
+        if workers not in _pools:
+            _pools[workers] = ThreadPoolExecutor(
+                workers, thread_name_prefix="noisestab",
+                initializer=_mark_pool_thread)
+        return _pools[workers]
+
+
+def fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed on the shared pool of
+    :data:`WORKERS` threads; the results come back in item order.
+
+    One item, one worker, or a call from a pool thread runs inline on
+    the calling thread, so nested use neither deadlocks nor
+    oversubscribes the CPUs. Numpy's generators and ufuncs release the
+    interpreter lock, so the threads overlap in the array work.
+    """
+    items = list(items)
+    if len(items) < 2 or WORKERS < 2 or getattr(_pool_thread, "active",
+                                                 False):
+        return [fn(item) for item in items]
+    return list(_pool(WORKERS).map(fn, items))

@@ -25,7 +25,7 @@ from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
 from .orthant import Estimate
 from .ousim import KroneckerSampler, exit_survival_pair, occupation_pair, \
     semigroup_apply
-from .seeding import batches, check_seed, derive_rng, subseed
+from .seeding import batches, check_seed, derive_rng, fan_out, subseed
 
 # Verdict band: three combined standard errors with an absolute floor.
 VERDICT_BAND_SES = 3.0
@@ -178,31 +178,39 @@ def verify_noise_stability(a1: SetExpr, a2: SetExpr, t: float,
 def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
                           ) -> list[ComparisonResult]:
     """Bridge-corrected survival of A against the matched half-space, per
-    horizon, with common random numbers."""
+    horizon, with common random numbers. The horizons are independent
+    scans and run side by side (``fan_out``)."""
     s = cfg.sampling
     mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", 0))
     b = _matched_halfspaces(SetSystem((a,)), [mu])[0]
-    out = []
-    for tau in taus:
+
+    def horizon(tau):
         est_a, est_b, paired = exit_survival_pair(a, b, tau, cfg.grid.steps,
                                                   s.paths, s.seed)
-        out.append(compare(f"exit-dominance[tau={tau:g}]",
-                           est_a.survival, est_b.survival,
-                           paired_se=max(paired, 0.0)))
-    return out
+        return compare(f"exit-dominance[tau={tau:g}]",
+                       est_a.survival, est_b.survival,
+                       paired_se=max(paired, 0.0))
+
+    return fan_out(horizon, taus)
 
 
-def verify_occupation(a1: SetExpr, a2: SetExpr, tau: float,
+def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
                       cfg: ExperimentConfig) -> list[ComparisonResult]:
-    """Occupation of (A_1, A_2) against matched parallel half-spaces."""
+    """Occupation of (A_1, A_2) against matched parallel half-spaces, per
+    horizon, each horizon an independent scan at the same seed."""
     s = cfg.sampling
     mus = [gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
            for i, a in enumerate((a1, a2))]
     b1, b2 = _matched_halfspaces(SetSystem((a1, a2)), mus)
-    occ_a, occ_b, paired = occupation_pair((a1, a2), (b1, b2), tau,
-                                           cfg.grid.steps, s.paths, s.seed)
-    return [compare(f"occupation[tau={tau:g}]", occ_a.value, occ_b.value,
-                    paired_se=max(paired, 0.0))]
+
+    def horizon(tau):
+        occ_a, occ_b, paired = occupation_pair((a1, a2), (b1, b2), tau,
+                                               cfg.grid.steps, s.paths,
+                                               s.seed)
+        return compare(f"occupation[tau={tau:g}]", occ_a.value, occ_b.value,
+                       paired_se=max(paired, 0.0))
+
+    return fan_out(horizon, taus)
 
 
 @dataclass(frozen=True)
@@ -405,8 +413,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     if kind == "occupation":
         if len(cfg.sets) != 2:
             raise ConfigError("[sets]: occupation needs exactly a1, a2")
-        comps = verify_occupation(cfg.sets[0], cfg.sets[1],
-                                  cfg.grid.taus[0], cfg)
+        comps = verify_occupation(cfg.sets[0], cfg.sets[1], cfg.grid.taus,
+                                  cfg)
         return _comparisons_output(comps)
     if kind == "hessian-sweep":
         rows = hessian_sweep(cfg)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from noisestab.config import (
     apply_overrides,
     emit_config,
     emit_set_expr,
+    load_config,
     parse_config,
     parse_set_expr,
 )
@@ -172,6 +175,23 @@ class TestEmitConfig:
         cfg = parse_config(doc)
         again = parse_config(emit_config(cfg))
         assert again.matrix.rows == cfg.matrix.rows
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.cfg"))
+
+
+class TestShippedConfigs:
+    def test_configs_found(self):
+        assert SHIPPED
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_round_trip_bytes(self, path):
+        cfg = load_config(str(path))
+        text = emit_config(cfg)
+        again = parse_config(text)
+        assert emit_config(again) == text
+        assert again.resolved_dict() == cfg.resolved_dict()
 
 
 class TestOverrides:

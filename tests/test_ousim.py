@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from noisestab import (
     std_normal_cdf,
 )
 import noisestab.ousim as ousim
+from noisestab import seeding
 from noisestab.ousim import exit_dominance_refined
 
 HALF_BALL = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
@@ -368,3 +371,79 @@ class TestCompaction:
         assert drop > 0.0
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error,
                                                         b.std_error)
+
+
+BALL_06 = Ball(np.zeros(2), 1.353728726055671)
+BALL_03 = Ball(np.zeros(2), 0.8446004309005916)
+HS_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
+HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
+
+
+def _occupation_case():
+    a, b, paired = occupation_pair((BALL_06, BALL_03), (HS_06, HS_03), 0.5,
+                                   32, 70_000, 21)
+    return (a.value.value, a.value.std_error, b.value.value,
+            b.value.std_error, paired)
+
+
+def _dominance_case():
+    r = exit_dominance_refined(HALF_BALL, HS0, 0.5, 32, 70_000, 22)
+    return (r.est_a.survival.value, r.est_b.survival.value, r.paired_se,
+            r.change_a, r.change_b, r.margin_change, r.margin_change_se)
+
+
+class TestWorkerCount:
+    """The batches of a scan run on the thread pool and their sums are
+    merged in batch order, so results do not depend on the worker count
+    and equal those of the sequential scans (pinned here)."""
+
+    CASES = {"occupation_pair": _occupation_case,
+             "exit_dominance_refined": _dominance_case}
+    # 70,000 paths are two batches at the default batch size and ten at
+    # 7,000, where the order of the float sums matters
+    PINNED = {
+        ("occupation_pair", seeding.BATCH): (
+            0.10739174107142857, 0.0005995895222957735, 0.13544665178571427,
+            0.0007173996896094337, 0.001043042142794477),
+        ("occupation_pair", 7000): (
+            0.10870200892857143, 0.0006012011959830103, 0.1354234375,
+            0.0007190791113502751, 0.0010480101587609985),
+        ("exit_dominance_refined", seeding.BATCH): (
+            0.07728469870250138, 0.20891371022527833, 0.0018868454200417972,
+            0.0003691125365078266, 0.00019908093361759938,
+            -0.00017003160289022717, 0.0002684911200689418),
+        ("exit_dominance_refined", 7000): (
+            0.07519022938013442, 0.2064133472338548, 0.001871416751814838,
+            3.7123524945555236e-05, 0.00013143131264031644,
+            9.430778769476109e-05, 0.0002672852577411519),
+    }
+
+    @pytest.mark.parametrize("name,batch", sorted(PINNED))
+    def test_pinned_for_one_and_two_workers(self, name, batch, monkeypatch):
+        monkeypatch.setattr(seeding, "BATCH", batch)
+        for workers in (1, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            assert self.CASES[name]() == self.PINNED[name, batch]
+
+    def test_concurrent_calls_equal_sequential(self):
+        calls = [(HALF_BALL, HS0, 0.5, 32, 70_000, seed)
+                 for seed in (31, 32, 33, 34)]
+        sequential = [exit_survival_pair(*c) for c in calls]
+        results = [None] * len(calls)
+
+        def run(i):
+            results[i] = exit_survival_pair(*calls[i])
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == sequential

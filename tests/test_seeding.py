@@ -1,10 +1,15 @@
+import json
+import threading
+
 import numpy as np
 import pytest
 
 from noisestab import Ball, OrthantQuery, Union, gaussian_measure, \
     orthant_mc, semigroup_apply
 from noisestab import seeding
-from noisestab.seeding import BATCH, batches, subseed
+from noisestab.cli import cli_main
+from noisestab.report import report_fingerprint
+from noisestab.seeding import BATCH, batches, fan_out, subseed
 
 # Sub-seeds frozen from the per-module helpers that subseed replaced
 # (jfunc/verify key tuples and the gradient-check probe seeds), so any
@@ -65,3 +70,102 @@ class TestIndicatorStreams:
         chunked = self.ESTIMATORS[name]()
         assert chunked == whole
         assert 0.0 < whole.value < 1.0 and whole.samples == 5000
+
+
+class TestFanOut:
+    def test_results_in_item_order(self, monkeypatch):
+        monkeypatch.setattr(seeding, "WORKERS", 2)
+        assert fan_out(lambda x: x * x, range(10)) == [x * x for x in
+                                                        range(10)]
+
+    def test_one_item_runs_on_calling_thread(self, monkeypatch):
+        # what the draw-counting proxies of the single-batch scans in
+        # tests/test_ousim.py::TestCompaction rely on
+        monkeypatch.setattr(seeding, "WORKERS", 2)
+        me = threading.current_thread()
+        assert fan_out(lambda _: threading.current_thread(), [0]) == [me]
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(seeding, "WORKERS", 1)
+        me = threading.current_thread()
+        assert fan_out(lambda _: threading.current_thread(),
+                       range(3)) == [me] * 3
+
+    def test_nested_use_runs_on_the_pool_thread(self, monkeypatch):
+        # more outer items than workers: a nested call that waited on the
+        # pool would deadlock, so the caller waits with a timeout
+        monkeypatch.setattr(seeding, "WORKERS", 2)
+
+        def outer(_):
+            here = threading.current_thread()
+            return here, fan_out(lambda _: threading.current_thread(),
+                                 range(3))
+
+        results = []
+        caller = threading.Thread(
+            target=lambda: results.extend(fan_out(outer, range(4))),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(results) == 4
+        for here, inner in results:
+            assert here is not caller
+            assert inner == [here] * 3
+
+    def test_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(seeding, "WORKERS", 2)
+
+        def fail_on_two(x):
+            if x == 2:
+                raise ValueError("item 2")
+            return x
+
+        with pytest.raises(ValueError, match="item 2"):
+            fan_out(fail_on_two, range(4))
+
+
+# A two-horizon exit-time run of 70,000 paths: two batches per scan.
+EXIT_CFG = """[experiment]
+kind = exit-time
+n = 2
+
+[sets]
+a1 = ball([0, 0], 1.1774100225154747)
+
+[sampling]
+samples = 1000
+paths = 70000
+seed = 24
+
+[grid]
+taus = 0.25, 0.5
+steps = 32
+"""
+
+# (lhs, lhs se, rhs, rhs se, margin in SEs) per horizon, as the
+# sequential scans gave them.
+PINNED_EXIT = [
+    (0.17149166145733866, 0.0013762525324444775, 0.28529360040140506,
+     0.0016805871808753885, 47.63444661223218),
+    (0.07498171890230296, 0.0009302021381064404, 0.21017843524323968,
+     0.0015037001907726966, 71.90780314115317),
+]
+
+
+class TestWorkerCount:
+    def test_exit_time_report(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "exit.cfg"
+        cfg.write_text(EXIT_CFG)
+        out = tmp_path / "report.json"
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            assert cli_main(["exit-time", "--config", str(cfg), "--out",
+                             str(out), "--quiet"]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert report_fingerprint(reports[0]) == \
+            report_fingerprint(reports[1])
+        assert [(c["lhs"]["value"], c["lhs"]["se"], c["rhs"]["value"],
+                 c["rhs"]["se"], c["margin_se"])
+                for c in reports[0]["results"]] == PINNED_EXIT

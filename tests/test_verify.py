@@ -232,7 +232,7 @@ class TestOccupation:
             "[sampling]\npaths = 20000\nseed = 11\n[grid]\nsteps = 64\n")
         ball_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
         ball_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
-        (comp,) = verify_occupation(ball_06, ball_03, 0.5, cfg)
+        (comp,) = verify_occupation(ball_06, ball_03, [0.5], cfg)
         assert comp.verdict == EQUALITY_BAND
         assert comp.lhs.value == comp.rhs.value  # identical sets
 
@@ -240,9 +240,23 @@ class TestOccupation:
         cfg = parse_config(
             "[sampling]\npaths = 5000\nseed = 12\n[grid]\nsteps = 32\n")
         empty = Ball(np.array([50.0, 50.0]), 0.1)
-        (comp,) = verify_occupation(HS0, empty, 0.5, cfg)
+        (comp,) = verify_occupation(HS0, empty, [0.5], cfg)
         assert comp.lhs.value == 0.0
         assert comp.verdict in (HOLDS, EQUALITY_BAND)
+
+    def test_each_horizon_reported(self):
+        doc = ("[experiment]\nkind = occupation\nn = 2\n[sets]\n"
+               "a1 = ball([0, 0], 1.353728726055671)\n"
+               "a2 = ball([0, 0], 0.8446004309005916)\n"
+               "[sampling]\npaths = 5000\nseed = 14\n"
+               "[grid]\ntaus = 0.25, 0.5\nsteps = 32\n")
+        both = run_experiment(parse_config(doc)).results
+        assert [r["name"] for r in both] == ["occupation[tau=0.25]",
+                                             "occupation[tau=0.5]"]
+        for tau, result in zip(("0.25", "0.5"), both):
+            alone = run_experiment(
+                parse_config(doc.replace("0.25, 0.5", tau))).results
+            assert alone == [result]
 
 
 class TestEqualityDiagnostic:
