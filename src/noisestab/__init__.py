@@ -47,6 +47,7 @@ from .geometry import (
     contains,
     enlarge,
     gaussian_measure,
+    heat_flow,
     parallel_halfspaces,
 )
 from .jfunc import (

@@ -467,7 +467,9 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
                     seed: int) -> Estimate:
     """Heat-flow average Pr(e^{-t} x + sqrt(1-e^{-2t}) Y in s), Y standard.
 
-    t = 0 returns exact membership; negative t is rejected.
+    t = 0 returns exact membership; negative t is rejected. This Monte
+    Carlo route serves composites and is the oracle for the closed form
+    ``geometry.heat_flow`` on leaves.
     """
     t = float(t)
     if t < 0.0:

@@ -13,7 +13,8 @@ reports made when these estimators drew 2^19 or 2^20 points per batch
 keep their numbers up to that many draws.
 
 Independent pieces of work (the batches of an OU scan, the horizons of
-an exit-time or occupation run) go through :func:`fan_out`, which runs
+an exit-time or occupation run, the probes of a composite set in the
+equality diagnostic) go through :func:`fan_out`, which runs
 them on one thread per CPU this process may use. There is no setting:
 each piece draws from its own keyed stream and the results are combined
 in item order, so reports do not depend on the number of workers.

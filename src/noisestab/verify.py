@@ -18,8 +18,8 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig
 from .gaussian import CorrelationMatrix, inverse_offdiag_nonpositive, \
     ou_covariance, semigroup_slope, std_normal_quantile
-from .geometry import HalfSpace, SetExpr, SetSystem, contains, \
-    gaussian_measure, parallel_halfspaces
+from .geometry import HalfSpace, SetExpr, SetSystem, UnsupportedRegion, \
+    contains, gaussian_measure, heat_flow, parallel_halfspaces
 from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
     hessian_top_eigenvalue, j_grad, j_value, kernel_diagnostic
 from .orthant import Estimate
@@ -217,10 +217,11 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
 class EqualityDiagnostic:
     """Linearity diagnostic of the quantile-transformed heat flow.
 
-    For each set: fitted direction, offset, RMS nonlinearity residual and
-    fitted slope magnitude; plus pairwise cosines between directions.
-    Parallel half-spaces give residuals near zero, aligned directions,
-    and slope equal to the semigroup slope.
+    For each set: fitted direction, offset, RMS nonlinearity residual,
+    fitted slope magnitude and how its heat flow was made (``flows``:
+    ``exact`` for leaves, ``monte_carlo`` for composites); plus pairwise
+    cosines between directions. Parallel half-spaces give residuals near
+    zero, aligned directions, and slope equal to the semigroup slope.
     """
     directions: np.ndarray
     offsets: np.ndarray
@@ -228,6 +229,11 @@ class EqualityDiagnostic:
     slopes: np.ndarray
     cosines: np.ndarray
     probes_used: np.ndarray
+    flows: tuple[str, ...]
+
+
+EXACT_FLOW = "exact"
+MONTE_CARLO_FLOW = "monte_carlo"
 
 
 def equality_diagnostic_run(sets: SetSystem, t: float,
@@ -250,16 +256,25 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
     residuals = np.zeros(sets.k)
     slopes = np.zeros(sets.k)
     used = np.zeros(sets.k, dtype=int)
+    flows = []
     for i, a in enumerate(sets.sets):
+        flow = EXACT_FLOW
         if isinstance(a, HalfSpace):
             u = probes @ a.normal
             w = (a.offset - decay * u) / scale
             keep = np.ones(probes.shape[0], dtype=bool)
         else:
-            vals = np.array([
-                semigroup_apply(a, t, p, s.samples,
-                                subseed(s.seed, "flow", j)).value
-                for j, p in enumerate(probes)])
+            try:
+                vals = heat_flow(a, t, probes)
+            except UnsupportedRegion:
+                # composites: one Monte Carlo estimate per probe, each on
+                # its own stream, so the pool does not change the values
+                flow = MONTE_CARLO_FLOW
+                vals = np.array(fan_out(
+                    lambda j, a=a: semigroup_apply(
+                        a, t, probes[j], s.samples,
+                        subseed(s.seed, "flow", j)).value,
+                    range(probes.shape[0])))
             keep = (vals >= 0.01) & (vals <= 0.99)
             if not keep.any():
                 keep = np.ones(probes.shape[0], dtype=bool)
@@ -273,6 +288,7 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
         residuals[i] = math.sqrt(float(np.mean((w - fit) ** 2)))
         slopes[i] = float(np.linalg.norm(coef[:n]))
         used[i] = int(keep.sum())
+        flows.append(flow)
 
     cosines = np.eye(sets.k)
     for i in range(sets.k):
@@ -283,7 +299,8 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
             cosines[i, j] = cosines[j, i] = c
     return EqualityDiagnostic(directions=directions, offsets=offsets,
                               residuals=residuals, slopes=slopes,
-                              cosines=cosines, probes_used=used)
+                              cosines=cosines, probes_used=used,
+                              flows=tuple(flows))
 
 
 def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -437,6 +454,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
                 "slope": float(diag.slopes[i]),
                 "slope_over_kt": float(diag.slopes[i] / kt),
                 "probes_used": int(diag.probes_used[i]),
+                "flow": diag.flows[i],
             })
         results.append({
             "name": "equality-diagnostic[cosines]",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from noisestab import (
     AxisBox,
@@ -16,7 +17,10 @@ from noisestab import (
     contains,
     enlarge,
     gaussian_measure,
+    heat_flow,
     parallel_halfspaces,
+    semigroup_apply,
+    semigroup_halfspace_closed,
     std_normal_cdf,
 )
 
@@ -179,9 +183,14 @@ class TestGaussianMeasure:
         assert est.value == 0.0
 
     def test_mc_branch_used_for_offcenter_ball(self):
-        est = gaussian_measure(Ball(np.array([1.0, 0.0]), 1.0),
-                               samples=50_000, seed=1)
+        # the off-centre ball is exact; a one-part union keeps the Monte
+        # Carlo route, which must agree with it
+        ball = Ball(np.array([1.0, 0.0]), 1.0)
+        exact = gaussian_measure(ball, samples=50_000, seed=1)
+        assert exact.samples == 0 and exact.std_error == 0.0
+        est = gaussian_measure(Union((ball,)), samples=50_000, seed=1)
         assert est.samples == 50_000 and est.std_error > 0.0
+        assert abs(est.value - exact.value) <= 3 * est.std_error
 
     def test_analytic_vs_mc_agreement(self):
         rng = np.random.default_rng(14)
@@ -216,10 +225,118 @@ class TestGaussianMeasure:
             assert union >= max(mus) - se
 
     def test_reproducible(self):
-        s = Ball(np.array([0.5, 0.5]), 1.0)
+        s = Union((Ball(np.array([0.5, 0.5]), 1.0),))
         a = gaussian_measure(s, samples=40_000, seed=5)
         b = gaussian_measure(s, samples=40_000, seed=5)
         assert a == b
+
+
+def _poisson_mixture(r2, n, lam, terms=120):
+    """Noncentral chi-square CDF at r2 as a Poisson(lam/2) mixture of
+    central chi-square CDFs, sum_k w_k P(n/2 + k, r2/2)."""
+    k = np.arange(terms)
+    logw = -0.5 * lam + k * math.log(0.5 * lam) - special.gammaln(k + 1)
+    return float(np.sum(np.exp(logw) * special.gammainc(0.5 * n + k,
+                                                        0.5 * r2)))
+
+
+def _random_leaf(rng, n):
+    kind = rng.integers(3)
+    if kind == 0:
+        return HalfSpace(rng.standard_normal(n), float(rng.uniform(-1, 1)))
+    if kind == 1:
+        return Ball(rng.standard_normal(n) * 0.7, float(rng.uniform(0.5, 2)))
+    lo = rng.uniform(-2.0, 0.5, n)
+    hi = lo + rng.uniform(0.5, 3.0, n)
+    lo[rng.integers(n)] = -np.inf
+    return AxisBox(lo, hi)
+
+
+class TestClosedForms:
+    def test_offcenter_ball_poisson_mixture(self):
+        for center, r, n in (([0.5, 0.0], 1.2, 2), ([1.0, -2.0, 0.5], 2.5, 3),
+                             ([3.0, 0.0], 0.4, 2), ([0.1, 0.2, 0.3, 0.4], 1.0,
+                                                    4)):
+            c = np.array(center)
+            est = gaussian_measure(Ball(c, r))
+            assert est.samples == 0 and est.std_error == 0.0
+            want = _poisson_mixture(r * r, n, float(c @ c))
+            assert abs(est.value - want) <= 1e-14
+
+    def test_far_tail_box(self):
+        box = AxisBox(np.array([6.0, -np.inf]), np.array([7.0, np.inf]))
+        want = 0.5 * (math.erfc(6.0 / math.sqrt(2.0))
+                      - math.erfc(7.0 / math.sqrt(2.0)))
+        est = gaussian_measure(box)
+        assert est.samples == 0
+        assert abs(est.value - want) <= 1e-12 * want
+        # Monte Carlo sees nothing this far out
+        assert gaussian_measure(Union((box,)), samples=100_000,
+                                seed=2).value == 0.0
+
+    def test_box_product(self):
+        box = AxisBox(np.array([-1.0, 0.5, -np.inf]),
+                      np.array([2.0, 1.5, 0.3]))
+        want = ((std_normal_cdf(2.0) - std_normal_cdf(-1.0))
+                * (std_normal_cdf(1.5) - std_normal_cdf(0.5))
+                * std_normal_cdf(0.3))
+        assert abs(gaussian_measure(box).value - want) <= 1e-15
+
+    def test_centered_ball_bit_equal_gammainc(self):
+        for n, r in ((2, HALF_BALL_RADIUS), (3, 1.7), (5, 0.9)):
+            est = gaussian_measure(Ball(np.zeros(n), r))
+            assert est.value == float(special.gammainc(n / 2.0, 0.5 * r * r))
+
+    def test_heat_flow_vs_semigroup_apply(self):
+        rng = np.random.default_rng(16)
+        for trial in range(36):
+            n = int(rng.integers(2, 4))
+            s = _random_leaf(rng, n)
+            t = float(rng.uniform(0.1, 1.5))
+            x = rng.standard_normal(n)
+            mc = semigroup_apply(s, t, x, 100_000, 1600 + trial)
+            exact = heat_flow(s, t, x)
+            assert abs(mc.value - exact) <= 3 * max(mc.std_error, 1e-5)
+
+    def test_halfspace_flow_matches_closed_form(self):
+        rng = np.random.default_rng(17)
+        hs = HalfSpace(np.array([0.6, -0.8]), 0.3)
+        pts = rng.standard_normal((50, 2))
+        flow = heat_flow(hs, 0.7, pts)
+        want = [semigroup_halfspace_closed(hs.offset, 0.7, u)
+                for u in pts @ hs.normal]
+        assert np.max(np.abs(flow - want)) <= 1e-15
+
+    def test_batch_matches_single_points(self):
+        rng = np.random.default_rng(18)
+        pts = rng.standard_normal((20, 3))
+        for s in (Ball(np.array([0.2, 0.0, -0.4]), 1.3),
+                  AxisBox(np.array([-1.0, 0.0, -np.inf]),
+                          np.array([1.0, 2.0, 0.5]))):
+            batch = heat_flow(s, 0.4, pts)
+            assert batch.shape == (20,)
+            single = [heat_flow(s, 0.4, p) for p in pts]
+            assert all(isinstance(v, float) for v in single)
+            assert np.array_equal(batch, single)
+
+    def test_long_time_flow_is_measure(self):
+        x = np.array([2.0, -1.0])
+        for s in (Ball(np.array([0.5, 0.0]), 1.2),
+                  AxisBox(np.array([-0.5, 0.0]), np.array([1.0, np.inf]))):
+            assert abs(heat_flow(s, 40.0, x)
+                       - gaussian_measure(s).value) <= 1e-15
+
+    def test_composites_unsupported(self):
+        for s in (Union((Ball(np.zeros(2), 1.0),)),
+                  Intersection((HalfSpace(np.array([1.0, 0.0]), 0.0),)),
+                  Complement(Ball(np.zeros(2), 1.0))):
+            with pytest.raises(UnsupportedRegion):
+                heat_flow(s, 0.5, np.zeros(2))
+
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_nonpositive_time_rejected(self, t):
+        with pytest.raises(ValueError):
+            heat_flow(Ball(np.zeros(2), 1.0), t, np.zeros(2))
 
 
 class TestParallelHalfspaces:

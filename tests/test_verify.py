@@ -14,6 +14,7 @@ from noisestab import (
     Estimate,
     HalfSpace,
     SetSystem,
+    Union,
     classify_margin,
     compare,
     equality_diagnostic_run,
@@ -28,6 +29,7 @@ from noisestab import (
 )
 import noisestab.cli as cli
 import noisestab.jfunc as jfunc
+from noisestab import seeding
 from noisestab.config import ConfigError, ExperimentConfig, parse_config
 from noisestab.report import build_report, render_csv, report_fingerprint
 from noisestab.verify import EQUALITY_BAND, HOLDS, SE_FLOOR, VIOLATED, \
@@ -145,8 +147,8 @@ class TestMainInequality:
     def test_capped_qmc_reaches_report(self, monkeypatch, tmp_path,
                                        capped_dims):
         # dimension 2 is the bound J itself, dimension 1 the gradients
-        # that propagate the Monte Carlo measure noise of the off-centre
-        # ball
+        # that propagate the Monte Carlo measure noise of the one-part
+        # union (a bare ball would be measured exactly)
         real = jfunc.orthant_qmc
 
         def capped(q, *args, **kwargs):
@@ -156,7 +158,7 @@ class TestMainInequality:
         monkeypatch.setattr(jfunc, "orthant_qmc", capped)
         cfg = tmp_path / "main.cfg"
         cfg.write_text(MAIN_DOC.replace("a1 = halfspace([1, 0], 0.0)",
-                                        "a1 = ball([0.3, 0], 1.2)"))
+                                        "a1 = union(ball([0.3, 0], 1.2))"))
         out = tmp_path / "report.json"
         assert cli.cli_main(["verify-main", "--config", str(cfg), "--quiet",
                              "--out", str(out)]) == 0
@@ -296,6 +298,50 @@ class TestEqualityDiagnostic:
         empty = HalfSpace(np.array([1.0, 0.0]), -np.inf)
         with pytest.raises(ConfigError):
             equality_diagnostic_run(SetSystem((empty,)), 0.5, cfg)
+
+    def test_flow_reported_per_row(self):
+        doc = ("[experiment]\nkind = equality-diagnostic\nn = 2\nt = 0.5\n"
+               "[sets]\na1 = halfspace([1, 0], 0.0)\n"
+               "a2 = ball([0.3, 0], 1.2)\n"
+               "a3 = box([-1, -inf], [1, 0.5])\n"
+               "a4 = union(ball([0, 0], 1.0))\n"
+               "[sampling]\nprobes = 24\nsamples = 4000\nseed = 17\n")
+        out = run_experiment(parse_config(doc))
+        rows = out.results[:4]
+        assert [r["flow"] for r in rows] == ["exact", "exact", "exact",
+                                             "monte_carlo"]
+        assert "flow" not in out.results[4]  # the cosines row
+        assert out.csv_columns == ["name", "residual", "slope",
+                                   "slope_over_kt"]
+        assert [len(r) for r in out.csv_rows] == [4] * 4
+
+    def test_exact_ball_flow_matches_monte_carlo_row(self):
+        # the exact row and the Monte Carlo row of the same ball fit the
+        # same quantile-transformed flow up to sampling noise
+        cfg = parse_config(
+            "[sampling]\nprobes = 32\nsamples = 100000\nseed = 18\n")
+        ball = Ball(np.array([0.3, 0.0]), 1.2)
+        d = equality_diagnostic_run(SetSystem((ball, Union((ball,)))), 0.5,
+                                    cfg)
+        assert d.flows == ("exact", "monte_carlo")
+        assert d.cosines[0, 1] >= 0.999
+        assert abs(d.slopes[0] - d.slopes[1]) <= 0.05
+
+    def test_composite_probes_independent_of_workers(self, monkeypatch):
+        cfg = parse_config(
+            "[sampling]\nprobes = 24\nsamples = 3000\nseed = 19\n")
+        sets = SetSystem((HS0, Union((Ball(np.array([0.2, 0.1]), 1.1),
+                                      HalfSpace(np.array([0.0, 1.0]),
+                                                -1.0)))))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            runs.append(equality_diagnostic_run(sets, 0.5, cfg))
+        one, two = runs
+        assert one.flows == two.flows == ("exact", "monte_carlo")
+        for field in ("directions", "offsets", "residuals", "slopes",
+                      "cosines", "probes_used"):
+            assert np.array_equal(getattr(one, field), getattr(two, field))
 
 
 class TestHessianSweep:
