@@ -74,6 +74,7 @@ from .ousim import (
     exit_survival_pair,
     exit_survival_refined,
     gradient_bound_check,
+    halfspace_survival,
     occupation,
     occupation_pair,
     sample_joint,

@@ -192,13 +192,23 @@ def _square_distance(s: Ball, pts: np.ndarray) -> np.ndarray:
     return sum(sq[1:2], sq[0])
 
 
+def _box_contains(s: AxisBox, pts: np.ndarray) -> np.ndarray:
+    """lower <= x <= upper column by column, with no (N, n) temporary."""
+    out = np.ones(len(pts), dtype=bool)
+    for j, (lo, hi) in enumerate(zip(s.lower, s.upper)):
+        col = pts[:, j]
+        out &= col >= lo
+        out &= col <= hi
+    return out
+
+
 def _contains(s: SetExpr, pts: np.ndarray) -> np.ndarray:
     if isinstance(s, HalfSpace):
         return pts @ s.normal <= s.offset
     if isinstance(s, Ball):
         return _square_distance(s, pts) <= s.radius * s.radius
     if isinstance(s, AxisBox):
-        return np.all((pts >= s.lower) & (pts <= s.upper), axis=1)
+        return _box_contains(s, pts)
     if isinstance(s, Complement):
         return ~_contains(s.inner, pts)
     if isinstance(s, Intersection):

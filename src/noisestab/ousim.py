@@ -12,8 +12,13 @@ the bridge between the two grid states stays inside (Broadie, Glasserman
 origin and leaves an O(d) bias elsewhere. The occupation scan is still
 the raw grid functional.
 
-Comparisons (set A versus set B) reuse identical trajectories per path
-index: common random numbers, so margins carry a paired standard error.
+Survival in a half-space {nu.x <= c} depends on the 1-d OU process
+nu.X alone, and ``halfspace_survival`` computes it exactly from one
+parabolic equation. ``exit_survival_pair`` takes that value for every
+half-space arm and scans only the other arm. Two arms that are both not
+half-spaces reuse identical trajectories per path index (common random
+numbers), and so do the arms of ``exit_dominance_refined`` and
+``occupation_pair``; their margins carry a paired standard error.
 
 Once fewer than 7/8 of a batch's paths are live, the scans drop the ones
 whose result is fixed and draw normals for the rest only. Batch i still
@@ -298,6 +303,85 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     return _survival_estimate(acc, 0, tau, steps, paths, seed)
 
 
+# The half-space oracle solves on (c - width, c], width = min(9, 12
+# sqrt(tau)): a path started further below c reaches c within tau with
+# probability below 1e-16, and the shorter interval keeps the grid fine
+# against the sqrt(tau)-wide boundary layer at small horizons. Richardson
+# extrapolation over _HALFSPACE_NODES and twice as many nodes stays within
+# 2e-7 of an 800/1600-node solve for c = Phi^-1(p), p in [1e-6, 1 - 1e-6],
+# and tau in [1e-4, 50], and within 4e-8 of asin(e^{-tau}) / pi at c = 0.
+_HALFSPACE_WIDTH = 9.0
+_HALFSPACE_LAYER = 12.0
+_HALFSPACE_NODES = 100
+
+
+def _halfspace_grid_exit(c: float, tau: float, width: float,
+                         nodes: int) -> float:
+    """Exit probability by time tau of the finite-difference OU chain on
+    ``nodes`` nodes spaced h = width / nodes below c: the trapezoid rule
+    for the integral of phi (1 - u(tau)) over (c - width, c].
+
+    The generator f'' - x f' = (phi f')' / phi is taken in flux form,
+    (L f)_i = [phi_{i+1/2} (f_{i+1} - f_i) - phi_{i-1/2} (f_i - f_{i-1})]
+    / (h w_i phi_i), with trapezoid weights w_i. The node c is absorbing
+    (u = 0 there, so its term is (h/2) phi(c)) and the left end is
+    reflecting (phi_{-1/2} = 0). D = diag(sqrt(w phi)) makes
+    D L D^-1 = V diag(lam) V^T symmetric, so
+    sum_i w_i phi_i (1 - e^{tau L} 1)_i
+    = sum_k (1 - e^{tau lam_k}) (V^T D 1)_k^2, exact in time. On a
+    uniform grid phi_{i+1/2} / sqrt(phi_i phi_{i+1}) is e^{h^2/8}, so no
+    ratio of phi values under- or overflows.
+    """
+    h = width / nodes
+    x = c - h * np.arange(nodes, 0, -1)
+    w = np.full(nodes, h)
+    w[0] = 0.5 * h
+    up = np.exp(-0.5 * h * x - h * h / 8.0)  # phi_{i+1/2} / phi_i
+    down = np.exp(0.5 * h * x - h * h / 8.0)  # phi_{i-1/2} / phi_i
+    down[0] = 0.0
+    off = math.exp(h * h / 8.0) / (h * np.sqrt(w[:-1] * w[1:]))
+    gen = np.diag(-(up + down) / (h * w))
+    idx = np.arange(nodes - 1)
+    gen[idx, idx + 1] = gen[idx + 1, idx] = off
+    lam, vec = np.linalg.eigh(gen)
+    # D 1 = sqrt(w phi), scaled by sqrt(phi) at the node nearest 0
+    x0 = float(np.min(x * x))
+    proj = vec.T @ (np.sqrt(w) * np.exp(-0.25 * (x * x - x0)))
+    inner = float(-np.expm1(tau * lam) @ (proj * proj))
+    return (0.5 * h * math.exp(-0.5 * c * c)
+            + inner * math.exp(-0.5 * x0)) / math.sqrt(2.0 * math.pi)
+
+
+def halfspace_survival(offset: float, tau: float) -> float:
+    """Probability that a stationary 1-d OU process stays <= ``offset``
+    on [0, tau]: the survival of any standard OU process in a half-space
+    {nu.x <= offset} with |nu| = 1.
+
+    Phi(offset) minus the exit probability, which solves the backward
+    equation u_t = u_xx - x u_x, killed at the offset, on a
+    finite-difference grid diagonalised once (``_halfspace_grid_exit``).
+    Two grids of ``_HALFSPACE_NODES`` and twice as many nodes are
+    extrapolated (Richardson; the grid error is O(h^2)). tau = 0 returns
+    Phi(offset); an offset of +inf or -inf returns 1 or 0. At offset 0
+    the exact value is asin(e^{-tau}) / pi.
+    """
+    c = float(offset)
+    tau = float(tau)
+    if not tau >= 0.0:
+        raise ValueError("horizon must be nonnegative")
+    if math.isnan(c):
+        raise ValueError("offset must not be NaN")
+    if tau == 0.0:
+        return float(special.ndtr(c))
+    if math.isinf(c):
+        return float(c > 0.0)
+    width = min(_HALFSPACE_WIDTH, _HALFSPACE_LAYER * math.sqrt(tau))
+    coarse, fine = (_halfspace_grid_exit(c, tau, width, nodes)
+                    for nodes in (_HALFSPACE_NODES, 2 * _HALFSPACE_NODES))
+    # far below the origin nearly all of Phi(c) exits; keep rounding >= 0
+    return max(float(special.ndtr(c)) - (4.0 * fine - coarse) / 3.0, 0.0)
+
+
 def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
                           refine: int = 2):
     """The raw grid monitor, kept as the oracle: the frequency of paths
@@ -320,19 +404,40 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
 
 
 def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
-    """Bridge-corrected survival (as in ``exit_survival``) of two sets on
-    identical trajectories.
+    """Survival over [0, tau] of two sets: exact for a half-space arm
+    (``halfspace_survival``, with std_error 0 and samples 0), and the
+    bridge-corrected estimate of ``exit_survival`` for any other arm.
 
-    Returns (estimate_a, estimate_b, paired_se) where paired_se is the
-    standard error of the mean per-path weight difference (b minus a)
-    under common random numbers; it is exactly zero for identical sets.
+    Returns (estimate_a, estimate_b, paired_se). When neither arm is a
+    half-space, both are scanned on identical trajectories and paired_se
+    is the standard error of the mean per-path weight difference (b
+    minus a) under common random numbers; it is exactly zero for
+    identical sets. Otherwise the scan carries the other arm alone, so
+    its rows drop as soon as that arm's paths die, and paired_se is that
+    arm's standard error (0 when both arms are half-spaces).
     """
+    tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
-    acc = _survival_scan([a, b], tau, steps, paths, seed)
-    return (_survival_estimate(acc, 0, tau, steps, paths, seed),
-            _survival_estimate(acc, 1, tau, steps, paths, seed),
-            _mean_se(acc["pair"], paths)[1])
+    scanned = [s for s in (a, b) if not isinstance(s, HalfSpace)]
+    if len(scanned) == 2:
+        acc = _survival_scan([a, b], tau, steps, paths, seed)
+        return (_survival_estimate(acc, 0, tau, steps, paths, seed),
+                _survival_estimate(acc, 1, tau, steps, paths, seed),
+                _mean_se(acc["pair"], paths)[1])
+    acc = _survival_scan(scanned, tau, steps, paths, seed) if scanned else None
+
+    def arm(s):
+        if not isinstance(s, HalfSpace):
+            return _survival_estimate(acc, 0, tau, steps, paths, seed)
+        exact = Estimate(value=halfspace_survival(s.offset, tau),
+                         std_error=0.0, samples=0, seed=seed)
+        return ExitTimeEstimate(tau, steps, exact)
+
+    est_a, est_b = arm(a), arm(b)
+    # an exact arm adds nothing: hypot(se, 0) is se
+    return (est_a, est_b,
+            math.hypot(est_a.survival.std_error, est_b.survival.std_error))
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,20 @@ statistical or discretization artifact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .gaussian import CorrelationMatrix, inverse_offdiag_nonpositive, \
-    ou_covariance, semigroup_slope, std_normal_quantile
+    ou_covariance, semigroup_slope, std_normal_pdf, std_normal_quantile
 from .geometry import HalfSpace, SetExpr, SetSystem, UnsupportedRegion, \
     contains, gaussian_measure, heat_flow, parallel_halfspaces
 from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
     hessian_top_eigenvalue, j_grad, j_value, kernel_diagnostic
 from .orthant import Estimate
-from .ousim import KroneckerSampler, exit_survival_pair, occupation_pair, \
-    semigroup_apply
+from .ousim import KroneckerSampler, exit_survival_pair, \
+    halfspace_survival, occupation_pair, semigroup_apply
 from .seeding import batches, check_seed, derive_rng, fan_out, subseed
 
 # Verdict band: three combined standard errors with an absolute floor.
@@ -175,21 +175,40 @@ def verify_noise_stability(a1: SetExpr, a2: SetExpr, t: float,
     return [compare(f"noise-stability[t={t:g}]", lhs, rhs)]
 
 
+# Step of the central difference that takes dS/dc from the exact
+# half-space survival; its O(step^2) error is far below any standard error.
+OFFSET_STEP = 1e-3
+
+
+def _offset_se(c: float, tau: float, measure_se: float) -> float:
+    """Standard error that a Monte Carlo measure mu passes to the exact
+    survival S(c) of the matched half-space at c = Phi^{-1}(mu), to
+    first order: |dS/dc| se(mu) / phi(c). Exact measures pass none."""
+    if measure_se == 0.0:
+        return 0.0
+    slope = (halfspace_survival(c + OFFSET_STEP, tau)
+             - halfspace_survival(c - OFFSET_STEP, tau)) / (2.0 * OFFSET_STEP)
+    return abs(slope) * measure_se / std_normal_pdf(c)
+
+
 def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
                           ) -> list[ComparisonResult]:
-    """Bridge-corrected survival of A against the matched half-space, per
-    horizon, with common random numbers. The horizons are independent
-    scans and run side by side (``fan_out``)."""
+    """Bridge-corrected survival of A against the exact survival of the
+    matched half-space, per horizon. A Monte Carlo measure of A makes
+    the matched offset noisy; that noise reaches the rhs standard error
+    (``_offset_se``), and the margin combines both sides in quadrature.
+    The horizons are independent scans and run side by side
+    (``fan_out``)."""
     s = cfg.sampling
     mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", 0))
     b = _matched_halfspaces(SetSystem((a,)), [mu])[0]
 
     def horizon(tau):
-        est_a, est_b, paired = exit_survival_pair(a, b, tau, cfg.grid.steps,
-                                                  s.paths, s.seed)
-        return compare(f"exit-dominance[tau={tau:g}]",
-                       est_a.survival, est_b.survival,
-                       paired_se=max(paired, 0.0))
+        est_a, est_b, _ = exit_survival_pair(a, b, tau, cfg.grid.steps,
+                                             s.paths, s.seed)
+        rhs = replace(est_b.survival,
+                      std_error=_offset_se(b.offset, tau, mu.std_error))
+        return compare(f"exit-dominance[tau={tau:g}]", est_a.survival, rhs)
 
     return fan_out(horizon, taus)
 

@@ -115,6 +115,41 @@ class TestBallMembership:
 
 
 
+class TestBoxMembership:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_all_reduction(self, n):
+        # column-wise membership against the np.all form it replaced
+        rng = np.random.default_rng(80 + n)
+        lower = rng.uniform(-1.5, 0.0, n)
+        upper = rng.uniform(0.0, 1.5, n)
+        lower[0] = -np.inf
+        if n > 1:
+            upper[-1] = np.inf
+        box = AxisBox(lower, upper)
+        faces = np.repeat(rng.uniform(-1.0, 1.0, (1, n)), 2 * n, axis=0)
+        for j in range(n):  # one point on each finite face
+            faces[2 * j, j] = lower[j] if np.isfinite(lower[j]) else 0.0
+            faces[2 * j + 1, j] = upper[j] if np.isfinite(upper[j]) \
+                else 0.0
+        pts = np.concatenate([
+            2.0 * rng.standard_normal((4000, n)),
+            faces,
+            faces + 1e-300 * rng.choice([-1.0, 1.0], faces.shape),
+            np.array([[np.inf] * n, [-np.inf] * n, [np.nan] * n]),
+        ])
+        old = np.all((pts >= box.lower) & (pts <= box.upper), axis=1)
+        new = contains(box, pts)
+        assert np.array_equal(new, old)
+        assert 0 < np.count_nonzero(new[:4000]) < 4000
+
+    def test_faces_inside_and_infinite_bounds(self):
+        box = AxisBox(np.array([-1.0, -np.inf]), np.array([1.0, 0.0]))
+        pts = np.array([[-1.0, 0.0], [1.0, -1e308], [0.5, -np.inf],
+                        [1.0 + 1e-15, -1.0], [0.0, 1e-300]])
+        assert contains(box, pts).tolist() == [True, True, True, False,
+                                               False]
+
+
 class TestBoundaryDistance:
     def test_leaves(self):
         hs = HalfSpace(np.array([2.0, 0.0]), 3.0)  # x_1 <= 1.5

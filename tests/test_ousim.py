@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from noisestab import (
     Ball,
@@ -18,6 +18,7 @@ from noisestab import (
     exit_survival_refined,
     gaussian_measure,
     gradient_bound_check,
+    halfspace_survival,
     occupation,
     occupation_pair,
     ou_covariance,
@@ -187,6 +188,106 @@ class TestExitSurvival:
         assert last_diff >= 0.0
         assert last_diff <= 3 * math.hypot(base.std_error,
                                            est.std_error) + 0.02
+
+
+class TestHalfspaceSurvival:
+    """The exact survival of a stationary 1-d OU process below an offset,
+    which ``exit_survival_pair`` takes for every half-space arm."""
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1, 0.5, 1.0, 5.0])
+    def test_origin_closed_form(self, tau):
+        exact = math.asin(math.exp(-tau)) / math.pi
+        assert abs(halfspace_survival(0.0, tau) - exact) <= 1e-6
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.6, 0.95])
+    def test_matches_bridge_monte_carlo(self, p):
+        # off the origin the bridge correction leaves an O(d) bias, small
+        # at 2048 steps
+        c = float(special.ndtri(p))
+        hs = HalfSpace(np.array([0.6, -0.8]), c)
+        est = exit_survival(hs, 0.5, 2048, 100_000, 40).survival
+        assert abs(est.value - halfspace_survival(c, 0.5)) \
+            <= 3 * est.std_error
+
+    @pytest.mark.parametrize("c", [-2.0, -0.3, 0.0, 0.7, 3.5])
+    def test_zero_horizon_is_measure(self, c):
+        assert halfspace_survival(c, 0.0) == special.ndtr(c)
+        # continuous at tau = 0
+        assert 0.0 < special.ndtr(c) - halfspace_survival(c, 1e-8) < 1e-3
+
+    def test_infinite_offsets(self):
+        assert halfspace_survival(np.inf, 0.7) == 1.0
+        assert halfspace_survival(-np.inf, 0.7) == 0.0
+
+    def test_monotone_in_offset_and_horizon(self):
+        values = [[halfspace_survival(c, tau) for tau in (0.05, 0.5, 2.0)]
+                  for c in (-1.0, 0.0, 1.0)]
+        assert all(a > b for row in values for a, b in zip(row, row[1:]))
+        assert all(a < b for col in zip(*values) for a, b in zip(col, col[1:]))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            halfspace_survival(0.0, -0.1)
+        with pytest.raises(ValueError):
+            halfspace_survival(float("nan"), 0.5)
+
+    def test_pair_takes_halfspace_arms_exactly(self):
+        hs = HalfSpace(np.array([0.0, 2.0]), 0.6)  # x_2 <= 0.3
+        for a, b in ((HALF_BALL, hs), (hs, HALF_BALL)):
+            est_a, est_b, paired = exit_survival_pair(a, b, 0.5, 32, 20_000,
+                                                      14)
+            exact, scanned = (est_a, est_b) if a is hs else (est_b, est_a)
+            assert exact.survival.value == halfspace_survival(0.3, 0.5)
+            assert (exact.survival.std_error, exact.survival.samples) == \
+                (0.0, 0)
+            # the other arm is scanned alone, as exit_survival scans it
+            assert scanned == exit_survival(HALF_BALL, 0.5, 32, 20_000, 14)
+            assert paired == scanned.survival.std_error
+
+    def test_pair_without_halfspace_unchanged(self):
+        # two scanned arms keep common random numbers; pinned before the
+        # half-space arms became exact
+        a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
+                                          70_000, 23)
+        assert (a.survival.value, a.survival.std_error, b.survival.value,
+                b.survival.std_error, paired) == (
+            0.07580512123583859, 0.0009328205873876181, 0.15536956322475515,
+            0.001298882714055576, 0.0008540896990839787)
+
+    def test_equal_for_one_and_two_workers(self, monkeypatch):
+        # the horizons run on pool threads, each diagonalising its grids
+        hs = HalfSpace(np.array([1.0, 0.0]), -0.4)
+        cases = [(hs, hs, tau, 16, 1000, 3) for tau in (0.1, 0.4, 0.9, 2.0)]
+        sequential = [halfspace_survival(-0.4, tau) for tau in
+                      (0.1, 0.4, 0.9, 2.0)]
+        for workers in (1, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            got = seeding.fan_out(lambda c: exit_survival_pair(*c), cases)
+            assert [g[0].survival.value for g in got] == sequential
+            assert [g[1].survival.value for g in got] == sequential
+            assert all(g[2] == 0.0 for g in got)
+
+    def test_concurrent_threads_equal_sequential(self):
+        args = [(c, tau) for c in (-0.8, 0.25) for tau in (0.05, 0.3, 1.5)]
+        sequential = [halfspace_survival(*a) for a in args]
+        results = [None] * len(args)
+
+        def run(i):
+            results[i] = halfspace_survival(*args[i])
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(args))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == sequential
 
 
 class TestOccupation:

@@ -144,12 +144,13 @@ steps = 32
 """
 
 # (lhs, lhs se, rhs, rhs se, margin in SEs) per horizon, as the
-# sequential scans gave them.
+# sequential scans gave them. The rhs is the exact survival of the
+# matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.17149166145733866, 0.0013762525324444775, 0.28529360040140506,
-     0.0016805871808753885, 47.63444661223218),
-    (0.07498171890230296, 0.0009302021381064404, 0.21017843524323968,
-     0.0015037001907726966, 71.90780314115317),
+    (0.17082034381363462, 0.0013734281656006158, 0.28417173094549575, 0.0,
+     82.53171878289774),
+    (0.07684970895259752, 0.0009403470641802083, 0.20743930276399708, 0.0,
+     138.8738251926667),
 ]
 
 

@@ -19,9 +19,13 @@ from noisestab import (
     compare,
     equality_diagnostic_run,
     exit_code_for,
+    gaussian_measure,
+    halfspace_survival,
     joint_containment,
     run_experiment,
     semigroup_slope,
+    std_normal_pdf,
+    std_normal_quantile,
     verify_exit_dominance,
     verify_main_inequality,
     verify_noise_stability,
@@ -30,10 +34,11 @@ from noisestab import (
 import noisestab.cli as cli
 import noisestab.jfunc as jfunc
 from noisestab import seeding
+from noisestab.seeding import subseed
 from noisestab.config import ConfigError, ExperimentConfig, parse_config
 from noisestab.report import build_report, render_csv, report_fingerprint
-from noisestab.verify import EQUALITY_BAND, HOLDS, SE_FLOOR, VIOLATED, \
-    condition_check, hessian_sweep
+from noisestab.verify import EQUALITY_BAND, HOLDS, OFFSET_STEP, SE_FLOOR, \
+    VIOLATED, condition_check, hessian_sweep
 
 HS0 = HalfSpace(np.array([1.0, 0.0]), 0.0)
 HALF_BALL = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
@@ -218,7 +223,36 @@ class TestExitDominance:
             "[sampling]\npaths = 50000\nseed = 9\n[grid]\nsteps = 16\n")
         (comp,) = verify_exit_dominance(HALF_BALL, [0.0], cfg)
         assert abs(comp.lhs.value - 0.5) <= 3 * comp.lhs.std_error
-        assert abs(comp.rhs.value - 0.5) <= 3 * comp.rhs.std_error
+        # the matched half-space arm is exact: Phi of its offset
+        assert comp.rhs.std_error == 0.0 and comp.rhs.samples == 0
+        assert abs(comp.rhs.value - 0.5) <= 1e-15
+
+    def test_measure_noise_reaches_rhs(self):
+        # a one-part union has a Monte Carlo measure, so the matched
+        # offset c is noisy: rhs se = |dS/dc| se(mu) / phi(c)
+        cfg = parse_config("[sampling]\nsamples = 100000\npaths = 5000\n"
+                           "seed = 12\n[grid]\nsteps = 32\n")
+        noisy = Union((HALF_BALL,))
+        taus = [0.0, 0.3, 1.0]
+        comps = verify_exit_dominance(noisy, taus, cfg)
+        mu = gaussian_measure(noisy, 100_000, subseed(12, "measure", 0))
+        c = std_normal_quantile(mu.value)
+        h = OFFSET_STEP
+        for tau, comp in zip(taus, comps):
+            slope = (halfspace_survival(c + h, tau)
+                     - halfspace_survival(c - h, tau)) / (2 * h)
+            want = abs(slope) * mu.std_error / std_normal_pdf(c)
+            assert comp.rhs.std_error > 0.0
+            assert comp.rhs.std_error == pytest.approx(want, rel=1e-12)
+            combined = math.hypot(comp.lhs.std_error, comp.rhs.std_error)
+            assert comp.margin_se == pytest.approx(
+                (comp.rhs.value - comp.lhs.value) / combined, rel=1e-12)
+        # at tau = 0 the rhs is Phi(c) = mu, so it carries se(mu)
+        assert comps[0].rhs.std_error == pytest.approx(mu.std_error,
+                                                       rel=1e-5)
+        # a leaf's measure is exact, and so is its rhs
+        leaf = verify_exit_dominance(HALF_BALL, taus, cfg)
+        assert [comp.rhs.std_error for comp in leaf] == [0.0] * 3
 
     def test_ball_dominated(self):
         cfg = parse_config(
