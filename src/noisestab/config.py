@@ -17,15 +17,16 @@ expressions, e.g.::
     a1 = ball([0, 0], 1.1774)
     a2 = halfspace([1, 0], 0.0)
 
-Every field has an explicit default; the resolved configuration (with
-all defaults filled in) is what gets embedded in reports, and
-:func:`emit_config` re-emits it byte-stably.
+Each key is declared once, in :data:`FIELDS`, which drives parsing, the
+resolved configuration embedded in reports (defaults filled in), the
+byte-stable :func:`emit_config` and :func:`apply_overrides`. Every field
+has a default, which an empty list keeps. Unknown sections and keys fail.
 """
 from __future__ import annotations
 
 import configparser
-import io
 import os
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,33 +256,19 @@ class ExperimentConfig:
 
     def resolved_dict(self) -> dict:
         """Every field, defaults included, as JSON-ready primitives."""
-        return {
-            "experiment": {"kind": self.kind, "n": self.n, "t": self.t},
-            "matrix": {
-                "type": self.matrix.kind, "k": self.matrix.k,
-                "rho": self.matrix.rho, "times": list(self.matrix.times),
-                "rows": [list(r) for r in self.matrix.rows],
-            },
-            "sets": [emit_set_expr(s) for s in self.sets],
-            "sampling": {
-                "samples": self.sampling.samples, "paths": self.sampling.paths,
-                "seed": self.sampling.seed,
-                "target_se": self.sampling.target_se,
-                "probes": self.sampling.probes,
-            },
-            "grid": {"taus": list(self.grid.taus), "steps": self.grid.steps},
-            "sweep": {
-                "x_axis": list(self.sweep.x_axis),
-                "random_x": self.sweep.random_x,
-                "rhos": list(self.sweep.rhos),
-                "grids": self.sweep.grids, "k_max": self.sweep.k_max,
-            },
-            "output": {"report": self.output.report, "csv": self.output.csv},
-        }
+        d = {section: {} for section in SECTIONS}
+        d["sets"] = [emit_set_expr(s) for s in self.sets]
+        for f in FIELDS:
+            d[f.section][f.report or f.key] = _plain(_get(self, f))
+        return d
+
+
+def _plain(value):
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the field table: parsing, reporting, emission and overrides
 # ---------------------------------------------------------------------------
 
 def _floats(text: str, where: str) -> tuple[float, ...]:
@@ -306,52 +293,104 @@ def _float(text: str, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {text!r}")
 
 
-def _parser() -> configparser.ConfigParser:
-    # ';' stays available inside values (explicit matrix rows use it).
-    return configparser.ConfigParser(comment_prefixes=("#",),
-                                     inline_comment_prefixes=None,
-                                     interpolation=None)
+def _emit_floats(values) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+def _choice(options: tuple[str, ...]):
+    def parse(text: str, where: str) -> str:
+        if text.strip() not in options:
+            raise ConfigError(f"{where}: {text.strip()!r} is not one of "
+                              f"{', '.join(options)}")
+        return text.strip()
+    return parse, str
+
+
+_INT = (_int, str)
+_FLOAT = (_float, repr)
+_FLOATS = (_floats, _emit_floats)
+_ROWS = (lambda text, where: tuple(_floats(row, where) for row in
+                                   text.split(";") if row.strip()),
+         lambda rows: "; ".join(_emit_floats(r) for r in rows))
+_TEXT = (lambda text, where: text.strip(), str)
+
+
+# One entry per config key: its section; its key in the file; the
+# dataclass attribute (on ExperimentConfig for [experiment], else on the
+# section's spec); the value parser and emitter; the apply_overrides
+# keyword that sets it; its name in resolved_dict if not the key.
+Field = namedtuple("Field", "section key attr parse emit flag report",
+                   defaults=(None, None))
+
+SECTIONS = ("experiment", "matrix", "sets", "sampling", "grid", "sweep",
+            "output")
+
+FIELDS = (
+    Field("experiment", "kind", "kind", *_choice(EXPERIMENT_KINDS),
+          flag="kind"),
+    Field("experiment", "n", "n", *_INT),
+    Field("experiment", "t", "t", *_FLOAT),
+    Field("matrix", "type", "kind",
+          *_choice(("explicit", "ou-times", "equicorrelated"))),
+    Field("matrix", "k", "k", *_INT),
+    Field("matrix", "rho", "rho", *_FLOAT),
+    Field("matrix", "times", "times", *_FLOATS),
+    Field("matrix", "rows", "rows", *_ROWS),
+    Field("sampling", "samples", "samples", *_INT, flag="samples"),
+    Field("sampling", "paths", "paths", *_INT, flag="paths"),
+    Field("sampling", "seed", "seed", *_INT, flag="seed"),
+    Field("sampling", "target_se", "target_se", *_FLOAT),
+    Field("sampling", "probes", "probes", *_INT),
+    Field("grid", "taus", "taus", *_FLOATS, flag="taus"),
+    Field("grid", "steps", "steps", *_INT, flag="steps"),
+    Field("sweep", "x", "x_axis", *_FLOATS, report="x_axis"),
+    Field("sweep", "random_x", "random_x", *_INT),
+    Field("sweep", "rhos", "rhos", *_FLOATS),
+    Field("sweep", "grids", "grids", *_INT),
+    Field("sweep", "k_max", "k_max", *_INT),
+    Field("output", "report", "report", *_TEXT, flag="out"),
+    Field("output", "csv", "csv", *_TEXT),
+)
+
+
+def _get(cfg: ExperimentConfig, f: Field):
+    return getattr(cfg if f.section == "experiment"
+                   else getattr(cfg, f.section), f.attr)
+
+
+def _with(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """``cfg`` with each Field in ``values`` set to its value."""
+    def changes(section):
+        return {f.attr: v for f, v in values.items() if f.section == section}
+    specs = {f.section for f in values} - {"experiment"}
+    return replace(cfg, **changes("experiment"), **{
+        s: replace(getattr(cfg, s), **changes(s)) for s in specs})
 
 
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
-    cp = _parser()
+    # ';' stays available inside values (explicit matrix rows use it).
+    cp = configparser.ConfigParser(comment_prefixes=("#",),
+                                   inline_comment_prefixes=None,
+                                   interpolation=None)
     try:
         cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(str(exc))
 
-    cfg = ExperimentConfig()
-
-    known = {"experiment", "matrix", "sets", "sampling", "grid", "sweep",
-             "output"}
-    unknown = set(cp.sections()) - known
+    unknown = set(cp.sections()) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
+    for section in cp.sections():
+        unknown = set(cp[section]) - {f.key for f in FIELDS
+                                      if f.section == section}
+        if unknown and section != "sets":
+            raise ConfigError(f"[{section}]: unknown key(s) {sorted(unknown)}")
 
-    if cp.has_section("experiment"):
-        sec = cp["experiment"]
-        kind = sec.get("kind", cfg.kind).strip()
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"[experiment] kind: {kind!r} is not one of "
-                              f"{', '.join(EXPERIMENT_KINDS)}")
-        cfg = replace(cfg, kind=kind,
-                      n=_int(sec.get("n", str(cfg.n)), "[experiment] n"),
-                      t=_float(sec.get("t", str(cfg.t)), "[experiment] t"))
-
-    if cp.has_section("matrix"):
-        sec = cp["matrix"]
-        m = MatrixSpec(
-            kind=sec.get("type", cfg.matrix.kind).strip(),
-            k=_int(sec.get("k", str(cfg.matrix.k)), "[matrix] k"),
-            rho=_float(sec.get("rho", str(cfg.matrix.rho)), "[matrix] rho"),
-            times=_floats(sec.get("times", ""), "[matrix] times"),
-            rows=tuple(_floats(row, "[matrix] rows")
-                       for row in sec.get("rows", "").split(";")
-                       if row.strip()),
-        )
-        if m.kind not in ("explicit", "ou-times", "equicorrelated"):
-            raise ConfigError(f"[matrix] type: unknown kind {m.kind!r}")
-        cfg = replace(cfg, matrix=m)
+    values = {f: f.parse(cp[f.section][f.key], f"[{f.section}] {f.key}")
+              for f in FIELDS if cp.has_option(f.section, f.key)}
+    # an empty list keeps its default
+    cfg = _with(ExperimentConfig(), {f: v for f, v in values.items()
+                                     if v != ()})
 
     if cp.has_section("sets"):
         sets = []
@@ -362,50 +401,6 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
                                   f"is {s.dim}-dimensional")
             sets.append(s)
         cfg = replace(cfg, sets=tuple(sets))
-
-    if cp.has_section("sampling"):
-        sec = cp["sampling"]
-        cfg = replace(cfg, sampling=SamplingSpec(
-            samples=_int(sec.get("samples", str(cfg.sampling.samples)),
-                         "[sampling] samples"),
-            paths=_int(sec.get("paths", str(cfg.sampling.paths)),
-                       "[sampling] paths"),
-            seed=_int(sec.get("seed", str(cfg.sampling.seed)),
-                      "[sampling] seed"),
-            target_se=_float(sec.get("target_se",
-                                     str(cfg.sampling.target_se)),
-                             "[sampling] target_se"),
-            probes=_int(sec.get("probes", str(cfg.sampling.probes)),
-                        "[sampling] probes"),
-        ))
-
-    if cp.has_section("grid"):
-        sec = cp["grid"]
-        taus = _floats(sec.get("taus", ""), "[grid] taus") or cfg.grid.taus
-        cfg = replace(cfg, grid=GridSpec(
-            taus=taus,
-            steps=_int(sec.get("steps", str(cfg.grid.steps)),
-                       "[grid] steps")))
-
-    if cp.has_section("sweep"):
-        sec = cp["sweep"]
-        x_axis = _floats(sec.get("x", ""), "[sweep] x") or cfg.sweep.x_axis
-        cfg = replace(cfg, sweep=SweepSpec(
-            x_axis=x_axis,
-            random_x=_int(sec.get("random_x", str(cfg.sweep.random_x)),
-                          "[sweep] random_x"),
-            rhos=_floats(sec.get("rhos", ""), "[sweep] rhos"),
-            grids=_int(sec.get("grids", str(cfg.sweep.grids)),
-                       "[sweep] grids"),
-            k_max=_int(sec.get("k_max", str(cfg.sweep.k_max)),
-                       "[sweep] k_max")))
-
-    if cp.has_section("output"):
-        sec = cp["output"]
-        cfg = replace(cfg, output=OutputSpec(
-            report=sec.get("report", cfg.output.report).strip(),
-            csv=sec.get("csv", cfg.output.csv).strip()))
-
     return cfg
 
 
@@ -423,66 +418,30 @@ def apply_overrides(cfg: ExperimentConfig, *, seed=None, samples=None,
                     kind=None) -> ExperimentConfig:
     """Resolve command-line flags and the seed environment variable.
 
-    Precedence for the seed: flag, config value, then the environment
-    default NOISESTAB_SEED if the config kept the built-in 0.
+    Each keyword sets the field whose ``flag`` it is in :data:`FIELDS`,
+    converted to that field's type. Precedence for the seed: flag,
+    config value, then the environment default NOISESTAB_SEED if the
+    config kept the built-in 0.
     """
-    if kind is not None:
-        cfg = replace(cfg, kind=kind)
-    sampling = cfg.sampling
-    if seed is None and sampling.seed == 0 and os.environ.get(SEED_ENV_VAR):
-        seed = _int(os.environ[SEED_ENV_VAR], f"${SEED_ENV_VAR}")
-    if seed is not None:
-        sampling = replace(sampling, seed=int(seed))
-    if samples is not None:
-        sampling = replace(sampling, samples=int(samples))
-    if paths is not None:
-        sampling = replace(sampling, paths=int(paths))
-    cfg = replace(cfg, sampling=sampling)
-    grid = cfg.grid
-    if steps is not None:
-        grid = replace(grid, steps=int(steps))
-    if taus is not None:
-        grid = replace(grid, taus=tuple(float(t) for t in taus))
-    cfg = replace(cfg, grid=grid)
-    if out is not None:
-        cfg = replace(cfg, output=replace(cfg.output, report=str(out)))
-    return cfg
+    flags = dict(locals())            # keyword name -> value
+    if seed is None and cfg.sampling.seed == 0 \
+            and os.environ.get(SEED_ENV_VAR):
+        flags["seed"] = _int(os.environ[SEED_ENV_VAR], f"${SEED_ENV_VAR}")
+    return _with(cfg, {f: type(_get(cfg, f))(flags[f.flag]) for f in FIELDS
+                       if flags.get(f.flag) is not None})
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Re-emit the resolved configuration; stable byte-for-byte under a
     parse/emit round trip."""
-    out = io.StringIO()
-
-    def section(name, pairs):
-        out.write(f"[{name}]\n")
-        for key, value in pairs:
-            out.write(f"{key} = {value}\n")
-        out.write("\n")
-
-    section("experiment", [("kind", cfg.kind), ("n", cfg.n), ("t", repr(cfg.t))])
-    m = cfg.matrix
-    pairs = [("type", m.kind), ("k", m.k), ("rho", repr(m.rho))]
-    if m.times:
-        pairs.append(("times", ", ".join(repr(v) for v in m.times)))
-    if m.rows:
-        pairs.append(("rows", "; ".join(", ".join(repr(v) for v in row)
-                                        for row in m.rows)))
-    section("matrix", pairs)
-    if cfg.sets:
-        section("sets", [(f"a{i + 1}", emit_set_expr(s))
-                         for i, s in enumerate(cfg.sets)])
-    s = cfg.sampling
-    section("sampling", [("samples", s.samples), ("paths", s.paths),
-                         ("seed", s.seed), ("target_se", repr(s.target_se)),
-                         ("probes", s.probes)])
-    g = cfg.grid
-    section("grid", [("taus", ", ".join(repr(v) for v in g.taus)),
-                     ("steps", g.steps)])
-    w = cfg.sweep
-    section("sweep", [("x", ", ".join(repr(v) for v in w.x_axis)),
-                      ("random_x", w.random_x),
-                      ("rhos", ", ".join(repr(v) for v in w.rhos)),
-                      ("grids", w.grids), ("k_max", w.k_max)])
-    section("output", [("report", cfg.output.report), ("csv", cfg.output.csv)])
-    return out.getvalue()
+    lines = []
+    for section in SECTIONS:
+        if section == "sets":
+            pairs = [(f"a{i + 1}", emit_set_expr(s))
+                     for i, s in enumerate(cfg.sets)]
+        else:
+            pairs = [(f.key, f.emit(_get(cfg, f))) for f in FIELDS
+                     if f.section == section]
+        if pairs:
+            lines += [f"[{section}]", *(f"{k} = {v}" for k, v in pairs), ""]
+    return "".join(line + "\n" for line in lines)

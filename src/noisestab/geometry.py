@@ -42,10 +42,18 @@ def _unit(v) -> tuple[np.ndarray, float]:
         raise ValueError("normal must be a nonempty vector")
     if not np.all(np.isfinite(a)):
         raise ValueError("normal must be finite")
-    nrm = float(np.linalg.norm(a))
-    if nrm == 0.0:
+    big = float(np.max(np.abs(a)))
+    if big == 0.0:
         raise ValueError("normal must be nonzero")
-    return a / nrm, nrm
+    # scale by the largest entry so the norm cannot underflow or overflow;
+    # keep a normal that is unit up to rounding (as a copy, so the caller's
+    # array stays writable): normalising twice then changes nothing, and
+    # the DSL round trip is exact
+    scaled = a / big
+    s = float(np.linalg.norm(scaled))
+    if abs(big * s - 1.0) <= 4 * a.size * np.finfo(float).eps:
+        return a.copy(), 1.0
+    return scaled / s, big * s
 
 
 @dataclass(frozen=True, eq=False)

@@ -260,12 +260,16 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
     if not float(t) > 0.0:
         raise ConfigError("[experiment] t: equality diagnostic needs t > 0")
     s = cfg.sampling
+    n = sets.dim
+    if s.probes < n + 2:
+        raise ConfigError(f"[sampling] probes: {s.probes}, but the linear fit "
+                          f"has {n + 1} coefficients in n = {n}, so its "
+                          f"residual needs at least {n + 2} probes")
     for i, a in enumerate(sets.sets):
         mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
         if not 0.0 < mu.value < 1.0:
             raise ConfigError(f"[sets] a{i + 1}: measure must be interior "
                               "to (0, 1) for the diagnostic")
-    n = sets.dim
     probes = derive_rng(s.seed, "diagnostic").standard_normal((s.probes, n))
     decay = math.exp(-float(t))
     scale = math.sqrt(-math.expm1(-2.0 * float(t)))
@@ -379,11 +383,16 @@ def condition_check(cfg: ExperimentConfig) -> list[dict]:
     whose inverses have nonpositive off-diagonals appear to be
     entrywise nonnegative at this scale, and the rows only report.
     """
-    s = cfg.sampling
-    rng = derive_rng(s.seed, "condition")
+    w = cfg.sweep
+    if w.k_max < 2:
+        raise ConfigError(f"[sweep] k_max: {w.k_max}, but a time grid needs "
+                          "at least 2 times")
+    if w.grids < 0:
+        raise ConfigError(f"[sweep] grids: {w.grids} is negative")
+    rng = derive_rng(cfg.sampling.seed, "condition")
     rows = []
-    for g in range(cfg.sweep.grids):
-        k = int(rng.integers(2, cfg.sweep.k_max + 1))
+    for g in range(w.grids):
+        k = int(rng.integers(2, w.k_max + 1))
         times = np.cumsum(rng.uniform(0.05, 1.0, size=k))
         times[0] = 0.0
         m = ou_covariance(times)

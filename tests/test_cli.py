@@ -57,6 +57,13 @@ class TestExitCodes:
         assert cli.cli_main(["verify-main", "--config", cfg]) == 1
         assert "[experiment] n" in capsys.readouterr().err
 
+    def test_unknown_key_exit_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, PARALLEL_DOC.replace("samples =",
+                                                        "sampels ="))
+        assert cli.cli_main(["verify-main", "--config", cfg]) == 1
+        assert "[sampling]: unknown key(s) ['sampels']" \
+            in capsys.readouterr().err
+
     def test_equality_case_exit_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         cfg = _write_cfg(tmp_path, PARALLEL_DOC, report=str(report))

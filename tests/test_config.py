@@ -1,13 +1,27 @@
+import dataclasses
+import hashlib
+import inspect
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisestab import AxisBox, Ball, Complement, HalfSpace, Intersection, Union
 from noisestab.config import (
+    EXPERIMENT_KINDS,
+    FIELDS,
+    SECTIONS,
     ConfigError,
     ExperimentConfig,
+    GridSpec,
     MatrixSpec,
+    OutputSpec,
+    SamplingSpec,
+    SweepSpec,
     apply_overrides,
     emit_config,
     emit_set_expr,
@@ -44,6 +58,63 @@ steps = 64
 report = out/report.json
 csv = out/rows.csv
 """
+
+
+# -- hypothesis strategies ---------------------------------------------------
+
+NUMBERS = st.floats(allow_nan=False)          # infinities included
+
+
+def vectors(n, elements=NUMBERS):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+def set_exprs(n):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    leaves = st.one_of(
+        st.builds(HalfSpace, vectors(n, finite).filter(np.any), NUMBERS),
+        st.builds(Ball, vectors(n, finite),
+                  st.floats(min_value=0.0, allow_nan=False)),
+        st.builds(lambda a, b: AxisBox(np.minimum(a, b), np.maximum(a, b)),
+                  vectors(n), vectors(n)))
+    def nodes(inner):
+        parts = st.lists(inner, min_size=1, max_size=3).map(tuple)
+        return st.one_of(st.builds(Complement, inner),
+                         st.builds(Intersection, parts),
+                         st.builds(Union, parts))
+    return st.recursive(leaves, nodes, max_leaves=6)
+
+
+def floats(min_size=0):
+    return st.lists(NUMBERS, min_size=min_size, max_size=4).map(tuple)
+
+
+INTS = st.integers(-2**64, 2**64)
+# no line breaks; no surrounding whitespace, which the parser strips
+TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+               max_size=12).map(str.strip)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(1, 4))
+    return ExperimentConfig(
+        kind=draw(st.sampled_from(EXPERIMENT_KINDS)), n=n, t=draw(NUMBERS),
+        matrix=MatrixSpec(
+            kind=draw(st.sampled_from(("explicit", "ou-times",
+                                       "equicorrelated"))),
+            k=draw(INTS), rho=draw(NUMBERS), times=draw(floats()),
+            rows=draw(st.lists(floats(1), max_size=3).map(tuple))),
+        sets=draw(st.lists(set_exprs(n), max_size=3).map(tuple)),
+        sampling=SamplingSpec(samples=draw(INTS), paths=draw(INTS),
+                              seed=draw(INTS), target_se=draw(NUMBERS),
+                              probes=draw(INTS)),
+        # an empty taus or x keeps its default, so neither is drawn empty
+        grid=GridSpec(taus=draw(floats(1)), steps=draw(INTS)),
+        sweep=SweepSpec(x_axis=draw(floats(1)), random_x=draw(INTS),
+                        rhos=draw(floats()), grids=draw(INTS),
+                        k_max=draw(INTS)),
+        output=OutputSpec(report=draw(TEXT), csv=draw(TEXT)))
 
 
 class TestSetExprDsl:
@@ -97,8 +168,59 @@ class TestSetExprDsl:
             assert emit_set_expr(parse_set_expr(emit_set_expr(s))) == \
                 emit_set_expr(s)
 
+    @pytest.mark.parametrize("normal", [[1.0, 1.0], [0.3, -2.0, 5.5],
+                                        [1e-160, 0.0], [3e-170, 4e-170],
+                                        [1e200, -1e200], [5e-324, 0.0]])
+    def test_halfspace_normal_is_unit_and_stable(self, normal):
+        s = parse_set_expr(f"halfspace({normal}, 0.5)")
+        assert abs(np.linalg.norm(s.normal) - 1.0) <= 1e-15
+        text = emit_set_expr(s)
+        assert emit_set_expr(parse_set_expr(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(set_exprs))
+    def test_round_trip_property(self, s):
+        text = emit_set_expr(s)
+        again = parse_set_expr(text)
+        assert type(again) is type(s)
+        assert again.dim == s.dim
+        assert emit_set_expr(again) == text
+
 
 class TestParseConfig:
+    def test_unknown_key_anchored(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "[sampling]: unknown key(s) ['sampels']")):
+            parse_config("[sampling]\nsampels = 5\n")
+
+    @pytest.mark.parametrize("doc, keys", [
+        ("[experiment]\nkind = exit-time\nN = 3\ntau = 1\nsteps = 4\n",
+         "['steps', 'tau']"),
+        ("[matrix]\nkind = explicit\n", "['kind']"),
+        ("[sweep]\nx_axis = 0.5\n", "['x_axis']"),
+        ("[output]\nreport = r.json\njson = r.json\n", "['json']"),
+    ])
+    def test_attribute_names_are_not_keys(self, doc, keys):
+        # configparser lowercases keys, so N is the known n; a key of
+        # another section and the attribute names kind and x_axis are not
+        # keys here
+        with pytest.raises(ConfigError, match=re.escape(keys)):
+            parse_config(doc)
+
+    def test_sets_take_any_key(self):
+        cfg = parse_config("[sets]\nleft = ball([0, 0], 1.0)\n"
+                           "b = halfspace([0, 1], 0.0)\n")
+        assert [type(s) for s in cfg.sets] == [Ball, HalfSpace]
+
+    def test_empty_list_keeps_default(self):
+        cfg = parse_config("[matrix]\ntimes =\nrows =\n[grid]\ntaus =\n"
+                           "[sweep]\nx =\nrhos =\n")
+        assert cfg == ExperimentConfig()
+
+    def test_unknown_matrix_type_anchored(self):
+        with pytest.raises(ConfigError, match=r"\[matrix\] type: 'toeplitz'"):
+            parse_config("[matrix]\ntype = toeplitz\n")
+
     def test_full_document(self):
         cfg = parse_config(FULL_DOC)
         assert cfg.kind == "exit-time"
@@ -170,6 +292,14 @@ class TestEmitConfig:
         again = parse_config(emit_config(cfg))
         assert again.resolved_dict() == cfg.resolved_dict()
 
+    @settings(max_examples=100, deadline=None)
+    @given(configs())
+    def test_round_trip_property(self, cfg):
+        text = emit_config(cfg)
+        again = parse_config(text)
+        assert again.resolved_dict() == cfg.resolved_dict()
+        assert emit_config(again) == text
+
     def test_explicit_rows_round_trip(self):
         doc = "[matrix]\ntype = explicit\nrows = 1.0, 0.25; 0.25, 1.0\n"
         cfg = parse_config(doc)
@@ -180,10 +310,39 @@ class TestEmitConfig:
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs")
                  .glob("*.cfg"))
 
+# sha256 of json.dumps(load_config(p).resolved_dict(), sort_keys=True):
+# the block every report embeds and fingerprints. A rename that parses
+# and emits consistently still changes these.
+PINNED_RESOLVED = {
+    "ball_vs_bound.cfg":
+        "090cc79033bc1a995ff65aad4aec37a3bb82cdaba4b443d72b1c734f92fab066",
+    "condition.cfg":
+        "3b4eb96091e0fc63a8aa27964065e8a1e730e6e32d4d233182a22fc0e63355b1",
+    "equality_diag.cfg":
+        "495d9242aa61c00c437cad4f85fd1af09d18b98cac415b159ed4d8525a3c0499",
+    "exit_ball.cfg":
+        "188630050de6d8eaeb5802fe6457cc0f5a8e6efc223e15b978af217a1887a8f0",
+    "k2grid.cfg":
+        "dee4c39c001e9445755f5d2234ae8367a70cc477caa501fb4e87efc8c5c08c32",
+    "noise_ball.cfg":
+        "a0523f8f5eecfb1fb65b661d10df82ee1cbeb9883c256aa89621c8171ef82f03",
+    "occupation_balls.cfg":
+        "0accfb1359b603ad23b6d17dd4fa1382d952f3caec40bb920397a4a96be09222",
+    "parallel.cfg":
+        "05e6e8439e9c7b91cb38e3aed94a161f3a0398bdb423da8995047df790d54c57",
+}
+
 
 class TestShippedConfigs:
     def test_configs_found(self):
-        assert SHIPPED
+        assert [p.name for p in SHIPPED] == sorted(PINNED_RESOLVED)
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_resolved_dict_pinned(self, path):
+        blob = json.dumps(load_config(str(path)).resolved_dict(),
+                          sort_keys=True)
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() \
+            == PINNED_RESOLVED[path.name]
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_round_trip_bytes(self, path):
@@ -223,3 +382,30 @@ class TestOverrides:
     def test_kind_override(self):
         cfg = apply_overrides(ExperimentConfig(), kind="condition-check")
         assert cfg.kind == "condition-check"
+
+
+class TestFieldTable:
+    def test_each_key_and_attribute_declared_once(self):
+        keys = [(f.section, f.key) for f in FIELDS]
+        attrs = [(f.section, f.attr) for f in FIELDS]
+        assert len(set(keys)) == len(keys) == len(set(attrs))
+        assert {f.section for f in FIELDS} == set(SECTIONS) - {"sets"}
+
+    def test_every_dataclass_field_has_an_entry(self):
+        specs = {"matrix": MatrixSpec, "sampling": SamplingSpec,
+                 "grid": GridSpec, "sweep": SweepSpec, "output": OutputSpec}
+        for section, spec in specs.items():
+            assert {f.attr for f in FIELDS if f.section == section} \
+                == {a.name for a in dataclasses.fields(spec)}
+        top = {a.name for a in dataclasses.fields(ExperimentConfig)}
+        assert {f.attr for f in FIELDS if f.section == "experiment"} \
+            == top - set(specs) - {"sets"}
+
+    def test_flags_are_the_override_keywords(self):
+        params = inspect.signature(apply_overrides).parameters
+        assert {f.flag for f in FIELDS if f.flag} == set(params) - {"cfg"}
+
+    def test_emit_writes_every_key(self):
+        text = emit_config(ExperimentConfig())
+        for f in FIELDS:
+            assert f"\n{f.key} = " in text

@@ -333,6 +333,22 @@ class TestEqualityDiagnostic:
         with pytest.raises(ConfigError):
             equality_diagnostic_run(SetSystem((empty,)), 0.5, cfg)
 
+    @pytest.mark.parametrize("probes", [0, 1, 3])
+    def test_rejects_too_few_probes(self, probes):
+        # n = 2: the fit has 3 coefficients, so fewer than 4 probes leave
+        # a residual that is 0 or undefined by construction
+        cfg = parse_config(f"[sampling]\nprobes = {probes}\nseed = 16\n")
+        with pytest.raises(ConfigError, match=r"\[sampling\] probes: "
+                           rf"{probes}, .* at least 4 probes"):
+            equality_diagnostic_run(SetSystem((HS0,)), 0.5, cfg)
+
+    def test_fewest_probes_give_a_residual(self):
+        cfg = parse_config("[sampling]\nprobes = 4\nseed = 16\n")
+        d = equality_diagnostic_run(SetSystem((HS0, HALF_BALL)), 0.5, cfg)
+        assert np.all(np.isfinite(d.residuals))
+        assert list(d.probes_used) == [4, 4]
+        assert d.residuals[1] > 0.0
+
     def test_flow_reported_per_row(self):
         doc = ("[experiment]\nkind = equality-diagnostic\nn = 2\nt = 0.5\n"
                "[sets]\na1 = halfspace([1, 0], 0.0)\n"
@@ -459,6 +475,23 @@ class TestConditionCheck:
         witness = rows[-1]
         assert witness["entrywise_nonnegative"]
         assert not witness["inverse_offdiag_nonpositive"]
+
+
+    def test_rejects_k_max_below_two(self):
+        cfg = parse_config("[sweep]\nk_max = 1\n")
+        with pytest.raises(ConfigError, match=r"\[sweep\] k_max: 1"):
+            condition_check(cfg)
+
+    def test_rejects_negative_grids(self):
+        cfg = parse_config("[sweep]\ngrids = -3\n")
+        with pytest.raises(ConfigError, match=r"\[sweep\] grids: -3"):
+            condition_check(cfg)
+
+    def test_smallest_sweep(self):
+        rows = condition_check(parse_config("[sweep]\ngrids = 0\nk_max = 2\n"))
+        assert [r["name"] for r in rows] == ["condition[witness]"]
+        rows = condition_check(parse_config("[sweep]\ngrids = 3\nk_max = 2\n"))
+        assert [len(r["times"]) for r in rows[:3]] == [2, 2, 2]
 
 
 class TestRunExperiment:
