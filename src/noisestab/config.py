@@ -377,6 +377,11 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc))
 
+    # configparser hides [DEFAULT] from sections() and copies its keys into
+    # every section, so it would otherwise slip past both checks below
+    if cp.defaults():
+        raise ConfigError(f"[{cp.default_section}]: keys are not allowed "
+                          f"here, got {sorted(cp.defaults())}")
     unknown = set(cp.sections()) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")

@@ -64,10 +64,16 @@ class HalfSpace(SetExpr):
     offset: float
 
     def __post_init__(self):
+        offset = float(self.offset)
+        if math.isnan(offset):
+            raise ValueError("offset must not be nan")
         unit, nrm = _unit(self.normal)
         unit.setflags(write=False)
         object.__setattr__(self, "normal", unit)
-        object.__setattr__(self, "offset", float(self.offset) / nrm)
+        # an infinite offset stays as it is (the set is empty or the whole
+        # space), also where the norm overflows and inf / inf would be nan
+        object.__setattr__(self, "offset",
+                           offset if math.isinf(offset) else offset / nrm)
 
     @property
     def dim(self) -> int:
@@ -106,6 +112,8 @@ class AxisBox(SetExpr):
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size < 1:
             raise ValueError("box bounds must be matching nonempty vectors")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be nan")
         if np.any(lo > hi):
             raise ValueError("box lower bounds must not exceed upper bounds")
         lo.setflags(write=False)

@@ -50,12 +50,25 @@ class OUPath:
     seed: int
 
 
+# Rows that KroneckerSampler.sample draws and mixes at once; at k = 3 and
+# n = 2 its noise buffer takes 0.4 MB, so a block stays in cache.
+_BLOCK_ROWS = 1 << 13
+
+
 @dataclass(frozen=True, eq=False)
 class KroneckerSampler:
     """Joint sampler for k correlated standard Gaussian n-vectors.
 
-    Mixes k iid standard n-vectors through the k x k Cholesky factor of
-    the correlation matrix; the kn x kn covariance is never formed.
+    Mixes k iid standard n-vectors through the k x k lower-triangular
+    Cholesky factor q of the correlation matrix; the kn x kn covariance
+    is never formed. ``sample`` draws the noise in blocks of
+    ``_BLOCK_ROWS`` rows from the one stream keyed "kronecker", and
+    chunked draws equal one draw of the whole count bit for bit. Row i
+    of a draw is q[i, 0] z_0 + ... + q[i, i] z_i, summed in that order,
+    so for n >= 2 the draws equal ``einsum("ij,cjn->cin", q, z)`` bit
+    for bit. For n = 1 and k >= 3 the einsum sums in another, unrolled
+    order, so a draw may differ from it in the last bits (at most
+    (k - 1) eps sum_j |q[i, j] z_j|).
     """
     m: CorrelationMatrix
     n: int
@@ -68,10 +81,26 @@ class KroneckerSampler:
         object.__setattr__(self, "q", cholesky(self.m.entries))
 
     def sample(self, count: int, seed: int) -> np.ndarray:
-        """(count, k, n) array of joint draws."""
+        """(count, k, n) array of joint draws. It is a view of a (k, count,
+        n) buffer, so each column ``[:, i, :]`` is C-contiguous."""
+        count = int(count)
+        if count < 0:
+            raise ValueError(f"draw count must be >= 0, got {count}")
         rng = derive_rng(check_seed(seed), "kronecker")
-        z = rng.standard_normal((int(count), self.m.k, self.n))
-        return np.einsum("ij,cjn->cin", self.q, z)
+        k, q = self.m.k, self.q
+        rows = min(count, _BLOCK_ROWS)
+        z = np.empty((rows, k, self.n))
+        term = np.empty((rows, self.n))
+        mixed = np.empty((k, count, self.n))
+        for start in range(0, count, _BLOCK_ROWS):
+            r = min(rows, count - start)
+            zb = rng.standard_normal(out=z[:r])
+            for i in range(k):
+                out = mixed[i, start:start + r]
+                np.multiply(zb[:, 0], q[i, 0], out=out)
+                for j in range(1, i + 1):
+                    out += np.multiply(zb[:, j], q[i, j], out=term[:r])
+        return mixed.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ keep their numbers up to that many draws.
 
 Independent pieces of work (the batches of an OU scan, the horizons of
 an exit-time or occupation run, the probes of a composite set in the
-equality diagnostic) go through :func:`fan_out`, which runs
-them on one thread per CPU this process may use. There is no setting:
-each piece draws from its own keyed stream and the results are combined
-in item order, so reports do not depend on the number of workers.
+equality diagnostic, the batches of the joint-containment frequency) go
+through :func:`fan_out`, which runs them on one thread per CPU this
+process may use. There is no setting: each piece draws from its own
+keyed stream and the results are combined in item order, so reports do
+not depend on the number of workers.
 """
 from __future__ import annotations
 

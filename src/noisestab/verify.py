@@ -89,19 +89,32 @@ def comparison_dict(c: ComparisonResult) -> dict:
 # shared pieces
 # ---------------------------------------------------------------------------
 
+# Draws that joint_containment tests for containment at once, so that the
+# temporaries of each pool thread stay the size of a block, not a batch.
+_TEST_ROWS = 1 << 13
+
+
 def joint_containment(sets: SetSystem, m: CorrelationMatrix, samples: int,
                       seed: int) -> Estimate:
     """Monte-Carlo frequency of {X_i in A_i for every i} under the
-    Kronecker-structured joint law."""
+    Kronecker-structured joint law. The batches run on the shared pool,
+    each on its own stream, so the count does not depend on the workers."""
     seed = check_seed(seed)
     sampler = KroneckerSampler(m, sets.dim)
-    hits = 0
-    for b, c in batches(samples):
+
+    def batch(part):
+        b, c = part
         draws = sampler.sample(c, subseed(seed, "joint", b))
-        inside = np.ones(c, dtype=bool)
-        for i, s in enumerate(sets.sets):
-            inside &= contains(s, draws[:, i, :])
-        hits += int(inside.sum())
+        hits = 0
+        for start in range(0, c, _TEST_ROWS):
+            block = draws[start:start + _TEST_ROWS]
+            inside = np.ones(len(block), dtype=bool)
+            for i, s in enumerate(sets.sets):
+                inside &= contains(s, block[:, i, :])
+            hits += int(inside.sum())
+        return hits
+
+    hits = sum(fan_out(batch, batches(samples)))
     return Estimate.binomial(hits, samples, seed)
 
 
@@ -299,7 +312,9 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
                         subseed(s.seed, "flow", j)).value,
                     range(probes.shape[0])))
             keep = (vals >= 0.01) & (vals <= 0.99)
-            if not keep.any():
+            # the fit has n + 1 coefficients, so on fewer than n + 2
+            # probes its residual is 0 by construction
+            if np.count_nonzero(keep) < n + 2:
                 keep = np.ones(probes.shape[0], dtype=bool)
             w = std_normal_quantile(np.clip(vals[keep], 1e-9, 1 - 1e-9))
         pts = probes[keep]

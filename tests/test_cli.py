@@ -64,6 +64,19 @@ class TestExitCodes:
         assert "[sampling]: unknown key(s) ['sampels']" \
             in capsys.readouterr().err
 
+    def test_nan_set_exit_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, PARALLEL_DOC.replace(
+            "a2 = halfspace([1, 0], 0.5244005127080407)",
+            "a2 = halfspace([1, 0], nan)"))
+        assert cli.cli_main(["verify-main", "--config", cfg]) == 1
+        assert "[sets] a2: offset must not be nan" in capsys.readouterr().err
+
+    def test_default_section_exit_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[DEFAULT]\nseed = 5\n" + PARALLEL_DOC)
+        assert cli.cli_main(["verify-main", "--config", cfg]) == 1
+        assert "[DEFAULT]: keys are not allowed here" \
+            in capsys.readouterr().err
+
     def test_equality_case_exit_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         cfg = _write_cfg(tmp_path, PARALLEL_DOC, report=str(report))

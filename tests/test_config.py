@@ -160,6 +160,20 @@ class TestSetExprDsl:
         with pytest.raises(ConfigError):
             parse_set_expr("ball([0,0], -1)")
 
+    @pytest.mark.parametrize("text", ["box([nan, 0], [1, 1])",
+                                      "box([0, 0], [1, NaN])",
+                                      "halfspace([1, 0], nan)",
+                                      "union(ball([0, 0], 1), "
+                                      "halfspace([0, 1], nan))"])
+    def test_nan_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"\[sets\] a1: .*nan"):
+            parse_set_expr(text, where="[sets] a1")
+
+    def test_infinite_bounds_allowed(self):
+        box = parse_set_expr("box([-inf, 0], [inf, inf])")
+        assert box.lower[0] == -np.inf and box.upper[1] == np.inf
+        assert parse_set_expr("halfspace([1, 0], -inf)").offset == -np.inf
+
     def test_round_trip(self):
         for text in ("halfspace([1.0, 0.0], 0.25)",
                      "union(ball([0.0, 0.0], 1.0), box([-1.0, -1.0], [1.0, 1.0]))",
@@ -205,6 +219,18 @@ class TestParseConfig:
         # another section and the attribute names kind and x_axis are not
         # keys here
         with pytest.raises(ConfigError, match=re.escape(keys)):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("doc, keys", [
+        ("[DEFAULT]\nsampels = 5\n", "['sampels']"),
+        ("[DEFAULT]\nseed = 5\n[experiment]\nkind = verify-main\n",
+         "['seed']"),
+    ])
+    def test_default_section_rejected(self, doc, keys):
+        # configparser hides [DEFAULT] and copies its keys into every
+        # section; the error names [DEFAULT] itself
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[DEFAULT]: keys are not allowed here, got {keys}")):
             parse_config(doc)
 
     def test_sets_take_any_key(self):

@@ -39,6 +39,13 @@ class TestContains:
         assert np.allclose(hs.normal, [1.0, 0.0])
         assert hs.offset == 1.5
 
+    @pytest.mark.parametrize("offset", [np.inf, -np.inf])
+    def test_halfspace_infinite_offset_under_norm_overflow(self, offset):
+        # the norm of this normal overflows; inf / inf must not become nan
+        hs = HalfSpace(np.full(2, np.finfo(float).max), offset)
+        assert hs.offset == offset
+        assert np.allclose(hs.normal, [2 ** -0.5] * 2)
+
     def test_ball(self):
         b = Ball(np.zeros(2), 1.0)
         assert not contains(b, np.array([2.0, 0.0]))

@@ -108,6 +108,73 @@ class TestSampleJoint:
             KroneckerSampler(CorrelationMatrix.identity(2), 0)
 
 
+def _einsum_draws(sampler, count, seed):
+    """The sampler's draws as one einsum over the whole noise array: the
+    oracle of the triangular block mixing."""
+    z = seeding.derive_rng(seed, "kronecker").standard_normal(
+        (count, sampler.m.k, sampler.n))
+    return np.einsum("ij,cjn->cin", sampler.q, z), z
+
+
+def _matrices(k):
+    yield CorrelationMatrix.equicorrelated(k, 0.5)
+    if k > 1:
+        yield ou_covariance(np.linspace(0.0, 1.3, k))
+
+
+class TestKroneckerBlocks:
+    """``sample`` mixes cache-sized row blocks through the triangular
+    factor in the einsum's order of terms."""
+
+    COUNTS = (1, 7, ousim._BLOCK_ROWS - 1, ousim._BLOCK_ROWS,
+              2 * ousim._BLOCK_ROWS + 5)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_equals_einsum_for_n_at_least_2(self, k):
+        for m in _matrices(k):
+            for n in (2, 3, 5, 8):
+                sampler = KroneckerSampler(m, n)
+                for count in self.COUNTS:
+                    want, _ = _einsum_draws(sampler, count, 100 + count)
+                    assert np.array_equal(sampler.sample(count, 100 + count),
+                                          want)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_n_1_within_summation_rounding(self, k):
+        # for n = 1 the einsum unrolls its sum over j, so a draw may move
+        # by the rounding of a k-term sum: at most (k - 1) eps sum|terms|
+        for m in _matrices(k):
+            sampler = KroneckerSampler(m, 1)
+            count = 2 * ousim._BLOCK_ROWS + 5
+            want, z = _einsum_draws(sampler, count, 9)
+            got = sampler.sample(count, 9)
+            if k <= 2:
+                assert np.array_equal(got, want)
+            terms = np.einsum("ij,cjn->cin", np.abs(sampler.q), np.abs(z))
+            bound = (k - 1) * np.finfo(float).eps * terms
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_block_size_does_not_change_draws(self, monkeypatch):
+        sampler = KroneckerSampler(CorrelationMatrix.equicorrelated(3, 0.4), 2)
+        count = 3 * ousim._BLOCK_ROWS + 1234
+        want = sampler.sample(count, 5)
+        for rows in (1000, count):
+            monkeypatch.setattr(ousim, "_BLOCK_ROWS", rows)
+            assert np.array_equal(sampler.sample(count, 5), want)
+
+    def test_columns_contiguous(self):
+        sampler = KroneckerSampler(CorrelationMatrix.equicorrelated(3, 0.4), 2)
+        draws = sampler.sample(ousim._BLOCK_ROWS + 3, 5)
+        assert draws.shape == (ousim._BLOCK_ROWS + 3, 3, 2)
+        assert all(draws[:, i, :].flags.c_contiguous for i in range(3))
+
+    def test_counts(self):
+        sampler = KroneckerSampler(CorrelationMatrix.identity(2), 2)
+        assert sampler.sample(0, 1).shape == (0, 2, 2)
+        with pytest.raises(ValueError):
+            sampler.sample(-1, 1)
+
+
 class TestExitSurvival:
     def test_full_space(self):
         est = exit_survival(FULL, 1.0, 16, 2000, 1)

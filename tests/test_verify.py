@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisestab import (
+    AxisBox,
     Ball,
     CorrelationMatrix,
     ComparisonResult,
@@ -22,6 +23,7 @@ from noisestab import (
     gaussian_measure,
     halfspace_survival,
     joint_containment,
+    ou_covariance,
     run_experiment,
     semigroup_slope,
     std_normal_pdf,
@@ -102,6 +104,42 @@ class TestJointContainment:
         m = CorrelationMatrix.equicorrelated(2, 0.5)
         assert joint_containment(sets, m, 50_000, 2) == \
             joint_containment(sets, m, 50_000, 2)
+
+    @staticmethod
+    def _case_2d():
+        sets = SetSystem((
+            Union((Ball(np.zeros(2), 1.0),
+                   AxisBox(np.array([-1.0, -np.inf]), np.array([1.0, 0.0])))),
+            Ball(np.array([0.5, 0.0]), 1.2),
+            HalfSpace(np.array([1.0, 1.0]), 0.3)))
+        return joint_containment(
+            sets, CorrelationMatrix.equicorrelated(3, 0.5), 100_000, 41)
+
+    @staticmethod
+    def _case_1d():
+        sets = SetSystem((HalfSpace(np.array([1.0]), 0.2),
+                          AxisBox(np.array([-1.0]), np.array([1.5])),
+                          Ball(np.array([0.3]), 1.1),
+                          HalfSpace(np.array([-1.0]), 0.4)))
+        return joint_containment(
+            sets, ou_covariance([0.0, 0.3, 0.5, 1.2]), 100_000, 43)
+
+    # values of the sequential einsum sampler; 100,000 samples are two
+    # batches at the default batch size and five of three blocks at 20,000
+    PINNED = {
+        ("_case_2d", seeding.BATCH): (0.16341, 0.0011692184222804566),
+        ("_case_2d", 20_000): (0.16356, 0.0011696500604881786),
+        ("_case_1d", seeding.BATCH): (0.23104, 0.0013328935381342352),
+        ("_case_1d", 20_000): (0.23066, 0.0013321259865343067),
+    }
+
+    @pytest.mark.parametrize("case,batch", sorted(PINNED))
+    def test_pinned_for_one_and_two_workers(self, case, batch, monkeypatch):
+        monkeypatch.setattr(seeding, "BATCH", batch)
+        for workers in (1, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            est = getattr(self, case)()
+            assert (est.value, est.std_error) == self.PINNED[case, batch]
 
 
 MAIN_DOC = """
@@ -348,6 +386,19 @@ class TestEqualityDiagnostic:
         assert np.all(np.isfinite(d.residuals))
         assert list(d.probes_used) == [4, 4]
         assert d.residuals[1] > 0.0
+
+    def test_too_few_kept_probes_fit_on_all(self):
+        # only 2 of the 200 flows lie in [0.01, 0.99]: a fit on them alone
+        # would read residual 0; fewer than n + 2 kept means all probes
+        cfg = parse_config("[sampling]\nprobes = 200\nseed = 3\n")
+        far = SetSystem((Ball(np.array([2.5, 0.0]), 0.15),))
+        d = equality_diagnostic_run(far, 0.05, cfg)
+        assert list(d.probes_used) == [200]
+        # 4 kept probes are enough for a residual and stay the fit
+        wider = SetSystem((Ball(np.array([2.5, 0.0]), 0.2),))
+        d = equality_diagnostic_run(wider, 0.05, cfg)
+        assert list(d.probes_used) == [4]
+        assert d.residuals[0] > 0.1
 
     def test_flow_reported_per_row(self):
         doc = ("[experiment]\nkind = equality-diagnostic\nn = 2\nt = 0.5\n"
