@@ -65,7 +65,6 @@ from .jfunc import (
 from .ousim import (
     DominanceRefinement,
     ExitTimeEstimate,
-    GradientBoundResult,
     KroneckerSampler,
     OccupationEstimate,
     OUPath,
@@ -73,7 +72,6 @@ from .ousim import (
     exit_survival,
     exit_survival_pair,
     exit_survival_refined,
-    gradient_bound_check,
     halfspace_survival,
     occupation,
     occupation_pair,
@@ -85,10 +83,12 @@ from .ousim import (
 from .verify import (
     ComparisonResult,
     EqualityDiagnostic,
+    GradientBoundResult,
     classify_margin,
     compare,
     equality_diagnostic_run,
     exit_code_for,
+    gradient_bound_check,
     joint_containment,
     run_experiment,
     stability_bound,

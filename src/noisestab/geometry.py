@@ -2,12 +2,13 @@
 
 Leaves are closed half-spaces, balls, and axis-aligned boxes; nodes are
 complement, intersection, and union. Indicator evaluation is exact and
-vectorized, as is a signed distance to the boundary. Gaussian measure
-and heat flow have a closed form for every leaf, in any dimension, and
-are Monte Carlo for composites: the heat flow at a point is the measure
-of an affine image of the set, and a leaf's image is a leaf of the same
-kind. Epsilon-enlargement has closed form for half-spaces, balls, and
-unions thereof.
+vectorized, as is a signed distance to the boundary. Heat flow has a
+closed form for every leaf, in any dimension, in ``heat_flow``, the only
+place with leaf formulas: the heat flow at a point is the measure of an
+affine image of the set, and a leaf's image is a leaf of the same kind.
+A leaf's Gaussian measure is its heat flow at t = inf; composites are
+Monte Carlo. Epsilon-enlargement has closed form for half-spaces, balls,
+and unions thereof.
 """
 from __future__ import annotations
 
@@ -295,29 +296,21 @@ def boundary_distance(s: SetExpr, x) -> float | np.ndarray:
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def _box_mass(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Standard Gaussian mass of the boxes [lo, hi] along the last axis:
-    a product of per-coordinate Phi differences. A coordinate whose lower
-    bound is positive takes the upper-tail form Phi(-lo) - Phi(-hi),
-    which keeps its relative precision far out in the tail."""
-    tail = lo > 0.0
-    mass = np.where(tail, special.ndtr(-lo) - special.ndtr(-hi),
-                    special.ndtr(hi) - special.ndtr(lo))
-    return np.prod(mass, axis=-1)
-
-
 def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
     """Exact heat flow P_t 1_s(x) = Pr(e^{-t} x + sqrt(1-e^{-2t}) Y in s),
     Y standard, for a leaf in any dimension. Accepts one point (n,) or a
-    batch (N, n).
+    batch (N, n). This is the one place that writes the leaf formulas.
 
     With sigma = sqrt(1 - e^{-2t}): a half-space gives
     Phi((offset - e^{-t} normal.x) / sigma); a ball gives the noncentral
     chi-square CDF at (radius/sigma)^2 with n degrees of freedom and
-    noncentrality |center - e^{-t} x|^2 / sigma^2; a box gives the
-    product of Phi differences of its bounds shifted by e^{-t} x and
-    scaled by 1/sigma. Composites raise UnsupportedRegion
-    (``ousim.semigroup_apply`` estimates them); t <= 0 raises ValueError.
+    noncentrality |center - e^{-t} x|^2 / sigma^2, which is the
+    regularized incomplete gamma function where the noncentrality is 0;
+    a box gives the product of Phi differences of its bounds shifted by
+    e^{-t} x and scaled by 1/sigma. t = inf gives e^{-t} = 0 and
+    sigma = 1, so the flow there is the Gaussian measure. Composites
+    raise UnsupportedRegion (``ousim.semigroup_apply`` estimates them);
+    t <= 0 raises ValueError.
     """
     t = float(t)
     if not t > 0.0:
@@ -329,50 +322,41 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
         out = special.ndtr((s.offset - decay * (pts @ s.normal)) / scale)
     elif isinstance(s, Ball):
         d = (s.center - decay * pts) / scale
-        out = special.chndtr((s.radius / scale) ** 2, s.dim,
-                             np.einsum("ij,ij->i", d, d))
+        nc = np.einsum("ij,ij->i", d, d)
+        r2 = (s.radius / scale) ** 2
+        out = np.where(nc == 0.0, special.gammainc(s.dim / 2.0, 0.5 * r2),
+                       special.chndtr(r2, s.dim, nc))
     elif isinstance(s, AxisBox):
         base = decay * pts
-        out = _box_mass((s.lower - base) / scale, (s.upper - base) / scale)
+        lo, hi = (s.lower - base) / scale, (s.upper - base) / scale
+        # a coordinate with a positive lower bound takes the upper-tail
+        # form, which keeps its relative precision far out in the tail
+        out = np.prod(np.where(lo > 0.0, special.ndtr(-lo) - special.ndtr(-hi),
+                               special.ndtr(hi) - special.ndtr(lo)), axis=-1)
     else:
         raise UnsupportedRegion(
             f"heat flow has no closed form for {type(s).__name__}")
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def _leaf_measure(s: SetExpr) -> float | None:
-    """Closed-form Gaussian measure of a leaf; None for a composite."""
-    if isinstance(s, HalfSpace):
-        return float(special.ndtr(s.offset))
-    if isinstance(s, Ball):
-        r2 = s.radius * s.radius
-        if np.all(s.center == 0.0):
-            return float(special.gammainc(s.dim / 2.0, 0.5 * r2))
-        return float(special.chndtr(r2, s.dim, float(s.center @ s.center)))
-    if isinstance(s, AxisBox):
-        return float(_box_mass(s.lower, s.upper))
-    return None
-
-
 def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
                      seed: int = 0) -> Estimate:
     """Standard Gaussian measure of a set expression.
 
-    Leaves are exact (std_error 0, samples 0): Phi of the offset for a
-    half-space, the regularized incomplete gamma function for a centered
-    ball, the noncentral chi-square CDF for any other ball, a product of
-    Phi differences for a box. Composites are a Monte Carlo indicator
-    average.
+    Leaves are exact (std_error 0, samples 0): the measure is the heat
+    flow at t = inf, taken from ``heat_flow`` at the origin. Composites
+    are a Monte Carlo indicator average.
     """
     seed = check_seed(seed)
-    exact = _leaf_measure(s)
-    if exact is not None:
-        return Estimate(value=exact, std_error=0.0, samples=0, seed=seed)
-    rng = derive_rng(seed, "gaussian_measure", 0)
-    hits = 0
-    for _, n in batches(samples):
-        hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
-    return Estimate.binomial(hits, samples, seed)
+    try:
+        value = heat_flow(s, math.inf, np.zeros(s.dim))
+    except UnsupportedRegion:
+        rng = derive_rng(seed, "gaussian_measure", 0)
+        hits = 0
+        for _, n in batches(samples):
+            hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
+        return Estimate.binomial(hits, samples, seed)
+    return Estimate(value=value, std_error=0.0, samples=0, seed=seed)
 
 
 def parallel_halfspaces(measures, direction) -> list[HalfSpace]:

@@ -113,16 +113,14 @@ def _require_strict_pd(q: JQuery):
                              "definite for derivative work")
 
 
-def j_value(q: JQuery, target_se: float, seed: int,
-            points: int | None = None) -> Estimate:
+def j_value(q: JQuery, target_se: float, seed: int) -> Estimate:
     """J(x; M): orthant probability at the coordinatewise quantiles.
 
     Exact at the boundary: any x_i = 0 gives 0 and any x_i = 1 reduces
     the dimension.
     """
     limits = std_normal_quantile(q.x)
-    return orthant_qmc(OrthantQuery(limits, q.m.entries), target_se, seed,
-                       points=points)
+    return orthant_qmc(OrthantQuery(limits, q.m.entries), target_se, seed)
 
 
 def _reduced_system(q: JQuery, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +131,7 @@ def _reduced_system(q: JQuery, i: int) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(z, i) - coef * z[i], reduced
 
 
-def j_grad(q: JQuery, i: int, target_se: float, seed: int,
-           points: int | None = None) -> Estimate:
+def j_grad(q: JQuery, i: int, target_se: float, seed: int) -> Estimate:
     """dJ/dx_i: the (k-1)-dimensional orthant probability of the
     conditional system at coordinate i."""
     _require_interior(q)
@@ -145,8 +142,7 @@ def j_grad(q: JQuery, i: int, target_se: float, seed: int,
         return Estimate(value=1.0, std_error=0.0, samples=0,
                         seed=check_seed(seed))
     limits, cov = _reduced_system(q, i)
-    return orthant_qmc(OrthantQuery(limits, cov), target_se, seed,
-                       points=points)
+    return orthant_qmc(OrthantQuery(limits, cov), target_se, seed)
 
 
 def _pair_interaction(q: JQuery, i: int, j: int, target_se: float,

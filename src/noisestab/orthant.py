@@ -265,19 +265,17 @@ def orthant_qmc_shift_means(q: OrthantQuery, points: int, seed: int,
 
 def orthant_qmc(q: OrthantQuery, target_se: float, seed: int,
                 n_shifts: int = MIN_SHIFTS,
-                sample_cap: int = DEFAULT_SAMPLE_CAP,
-                points: int | None = None) -> Estimate:
+                sample_cap: int = DEFAULT_SAMPLE_CAP) -> Estimate:
     """Adaptive randomized-lattice estimate of the orthant probability.
 
     Doubles the lattice size until the shift-spread standard error drops
     to ``target_se`` or the cumulative point budget exceeds
-    ``sample_cap`` (reported via ``cap_hit``). Passing ``points`` pins a
-    single fixed-size round, bypassing adaptation.
+    ``sample_cap`` (reported via ``cap_hit``).
     """
     seed = check_seed(seed)
-    if points is None and not target_se > 0.0:
+    if not target_se > 0.0:
         raise ValueError("target_se must be positive")
-    n_pts = int(points) if points is not None else _QMC_START_POINTS
+    n_pts = _QMC_START_POINTS
     total = 0
     round_index = 0
     while True:
@@ -290,10 +288,9 @@ def orthant_qmc(q: OrthantQuery, target_se: float, seed: int,
         total += n_used * n_shifts
         value = float(means.mean())
         se = float(means.std(ddof=1) / np.sqrt(n_shifts))
-        if points is not None or se <= target_se or total >= sample_cap:
+        if se <= target_se or total >= sample_cap:
             return Estimate(value=float(np.clip(value, 0.0, 1.0)),
                             std_error=se, samples=n_used * n_shifts,
-                            seed=seed,
-                            cap_hit=bool(points is None and se > target_se))
+                            seed=seed, cap_hit=bool(se > target_se))
         n_pts = _next_prime(2 * n_used)
         round_index += 1

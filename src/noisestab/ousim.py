@@ -26,6 +26,9 @@ draws from the stream keyed ("exit", i); when rows drop depends only on
 the seed, the sizes and the sets. The batches run side by side on the
 shared thread pool (``seeding.fan_out``) and their sums are merged in
 batch order, so results do not depend on the number of workers.
+
+``semigroup_apply`` is the Monte Carlo heat flow of composites and the
+oracle of ``geometry.heat_flow``; the gradient check is in ``verify``.
 """
 from __future__ import annotations
 
@@ -35,11 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .gaussian import CorrelationMatrix, cholesky, semigroup_slope, \
-    std_normal_quantile, _readonly
-from .geometry import HalfSpace, SetExpr, boundary_distance, contains
+from .gaussian import CorrelationMatrix, cholesky, _readonly
+from .geometry import HalfSpace, SetExpr, boundary_distance, contains, \
+    heat_flow
 from .orthant import Estimate
-from .seeding import batches, check_seed, derive_rng, fan_out, subseed
+from .seeding import batches, check_seed, derive_rng, fan_out
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,84 +629,7 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
 
 
 def semigroup_halfspace_closed(c: float, t: float, u: float) -> float:
-    """Exact heat-flow value on a half-space {x : nu.x <= c} at a point
-    with projection u = nu.x: Phi((c - e^{-t} u) / sqrt(1 - e^{-2t})).
-
-    The coefficient of u is minus the semigroup slope.
-    """
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError("time must be positive")
-    scale = math.sqrt(-math.expm1(-2.0 * t))
-    return float(special.ndtr((float(c) - math.exp(-t) * float(u)) / scale))
-
-
-@dataclass(frozen=True)
-class GradientBoundResult:
-    """Max over probes of |grad quantile-transformed heat flow| divided
-    by the semigroup slope; the bound predicts <= 1, with equality on
-    half-spaces."""
-    max_ratio: float
-    ratios: tuple[float, ...]
-    probes_used: int
-
-
-def gradient_bound_check(s: SetExpr, t: float, probe_points: int, seed: int,
-                         samples: int = 400_000, step: float = 0.05,
-                         p_band: tuple[float, float] = (0.02, 0.98)
-                         ) -> GradientBoundResult:
-    """Finite-difference check of the gradient bound at Gaussian probes.
-
-    Half-spaces use the closed-form heat flow (tiny step); other sets use
-    Monte Carlo values with the same noise at every stencil point, so the
-    differences stay smooth. Probes whose value falls outside ``p_band``
-    are skipped (the quantile transform amplifies noise there); if all
-    are skipped the full probe set is used.
-    """
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError("time must be positive")
-    seed = check_seed(seed)
-    kt = semigroup_slope(t)
-    n = s.dim
-    probes = derive_rng(seed, "probes").standard_normal((int(probe_points), n))
-
-    def w_closed(pt):
-        u = float(pt @ s.normal)
-        scale = math.sqrt(-math.expm1(-2.0 * t))
-        return (s.offset - math.exp(-t) * u) / scale
-
-    ratios = []
-    if isinstance(s, HalfSpace):
-        h = 1e-3
-        for p in probes:
-            g = np.array([(w_closed(p + h * e) - w_closed(p - h * e)) / (2 * h)
-                          for e in np.eye(n)])
-            ratios.append(float(np.linalg.norm(g) / kt))
-        used = len(ratios)
-    else:
-        h = float(step)
-        kept = []
-        for pi, p in enumerate(probes):
-            probe_seed = subseed(seed, "probe", pi)
-            base = semigroup_apply(s, t, p, samples, probe_seed).value
-            kept.append((p, probe_seed, base))
-        selected = [kp for kp in kept if p_band[0] <= kp[2] <= p_band[1]]
-        if not selected:
-            selected = kept
-        for p, probe_seed, _ in selected:
-            g = np.empty(n)
-            for d in range(n):
-                e = np.zeros(n)
-                e[d] = h
-                hi = semigroup_apply(s, t, p + e, samples, probe_seed).value
-                lo = semigroup_apply(s, t, p - e, samples, probe_seed).value
-                wp = std_normal_quantile(np.clip(hi, 1e-9, 1 - 1e-9))
-                wm = std_normal_quantile(np.clip(lo, 1e-9, 1 - 1e-9))
-                g[d] = (wp - wm) / (2 * h)
-            ratios.append(float(np.linalg.norm(g) / kt))
-        used = len(selected)
-    max_ratio = max(ratios) if ratios else float("nan")
-    return GradientBoundResult(max_ratio=max_ratio, ratios=tuple(ratios),
-                               probes_used=used)
-
+    """Exact heat flow Phi((c - e^{-t} u) / sqrt(1 - e^{-2t})) on a
+    half-space {x : nu.x <= c} at a point with projection u = nu.x: the
+    ``heat_flow`` of the 1-d half-space {y <= c} at y = u."""
+    return heat_flow(HalfSpace(np.ones(1), c), t, np.array([float(u)]))

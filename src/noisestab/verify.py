@@ -6,7 +6,8 @@ margin in units of the combined standard error: ``holds`` (clearly
 below the bound), ``equality_band`` (within three combined standard
 errors, the expected outcome for parallel half-spaces), or ``violated``
 (margin below minus three, which at valid configurations can only be a
-statistical or discretization artifact).
+statistical or discretization artifact). The equality diagnostic and the
+gradient-bound check read the heat flow through ``_quantile_flows``.
 """
 from __future__ import annotations
 
@@ -245,15 +246,56 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
     return fan_out(horizon, taus)
 
 
+EXACT_FLOW = "exact"
+MONTE_CARLO_FLOW = "monte_carlo"
+# The quantile transform maps flows 0 and 1 to -inf and inf.
+FLOW_CLIP = 1e-9
+
+
+def _quantile_flows(s: SetExpr, t: float, pts: np.ndarray, samples: int,
+                    seed_of) -> tuple[np.ndarray, np.ndarray | None, str]:
+    """w = Phi^{-1}(P_t 1_s) at each row of ``pts``, the flows, and
+    ``exact`` or ``monte_carlo``. A half-space gives the exact linear
+    w = (c - e^{-t} nu.x) / sigma and no flows (None); another leaf takes
+    ``heat_flow``; a composite takes one ``semigroup_apply`` per point j
+    on the stream ``seed_of(j)``, on the pool. Flows are clipped to
+    [FLOW_CLIP, 1 - FLOW_CLIP] before the quantile."""
+    if isinstance(s, HalfSpace):
+        scale = math.sqrt(-math.expm1(-2.0 * t))
+        w = (s.offset - math.exp(-t) * (pts @ s.normal)) / scale
+        return w, None, EXACT_FLOW
+    try:
+        flows, kind = heat_flow(s, t, pts), EXACT_FLOW
+    except UnsupportedRegion:
+        flows = np.array(fan_out(
+            lambda j: semigroup_apply(s, t, pts[j], samples,
+                                      seed_of(j)).value, range(len(pts))))
+        kind = MONTE_CARLO_FLOW
+    w = std_normal_quantile(np.clip(flows, FLOW_CLIP, 1.0 - FLOW_CLIP))
+    return w, flows, kind
+
+
+def _in_band(flows: np.ndarray | None, count: int, lo: float, hi: float,
+             least: int) -> np.ndarray:
+    """The points whose flow lies in [lo, hi]; all ``count`` points where
+    fewer than ``least`` do, or where the flow is a half-space's."""
+    if flows is not None:
+        keep = (flows >= lo) & (flows <= hi)
+        if np.count_nonzero(keep) >= least:
+            return keep
+    return np.ones(count, dtype=bool)
+
+
 @dataclass(frozen=True)
 class EqualityDiagnostic:
     """Linearity diagnostic of the quantile-transformed heat flow.
 
     For each set: fitted direction, offset, RMS nonlinearity residual,
-    fitted slope magnitude and how its heat flow was made (``flows``:
-    ``exact`` for leaves, ``monte_carlo`` for composites); plus pairwise
-    cosines between directions. Parallel half-spaces give residuals near
-    zero, aligned directions, and slope equal to the semigroup slope.
+    fitted slope magnitude, the probes fitted and how many of them had a
+    clipped flow, and how its heat flow was made (``flows``: ``exact``
+    for leaves, ``monte_carlo`` for composites); plus pairwise cosines
+    between directions. Parallel half-spaces give residuals near zero,
+    aligned directions, and slope equal to the semigroup slope.
     """
     directions: np.ndarray
     offsets: np.ndarray
@@ -261,16 +303,14 @@ class EqualityDiagnostic:
     slopes: np.ndarray
     cosines: np.ndarray
     probes_used: np.ndarray
+    clipped: np.ndarray
     flows: tuple[str, ...]
-
-
-EXACT_FLOW = "exact"
-MONTE_CARLO_FLOW = "monte_carlo"
 
 
 def equality_diagnostic_run(sets: SetSystem, t: float,
                             cfg: ExperimentConfig) -> EqualityDiagnostic:
-    if not float(t) > 0.0:
+    t = float(t)
+    if not t > 0.0:
         raise ConfigError("[experiment] t: equality diagnostic needs t > 0")
     s = cfg.sampling
     n = sets.dim
@@ -284,40 +324,24 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
             raise ConfigError(f"[sets] a{i + 1}: measure must be interior "
                               "to (0, 1) for the diagnostic")
     probes = derive_rng(s.seed, "diagnostic").standard_normal((s.probes, n))
-    decay = math.exp(-float(t))
-    scale = math.sqrt(-math.expm1(-2.0 * float(t)))
 
     directions = np.zeros((sets.k, n))
     offsets = np.zeros(sets.k)
     residuals = np.zeros(sets.k)
     slopes = np.zeros(sets.k)
     used = np.zeros(sets.k, dtype=int)
+    clipped = np.zeros(sets.k, dtype=int)
     flows = []
     for i, a in enumerate(sets.sets):
-        flow = EXACT_FLOW
-        if isinstance(a, HalfSpace):
-            u = probes @ a.normal
-            w = (a.offset - decay * u) / scale
-            keep = np.ones(probes.shape[0], dtype=bool)
-        else:
-            try:
-                vals = heat_flow(a, t, probes)
-            except UnsupportedRegion:
-                # composites: one Monte Carlo estimate per probe, each on
-                # its own stream, so the pool does not change the values
-                flow = MONTE_CARLO_FLOW
-                vals = np.array(fan_out(
-                    lambda j, a=a: semigroup_apply(
-                        a, t, probes[j], s.samples,
-                        subseed(s.seed, "flow", j)).value,
-                    range(probes.shape[0])))
-            keep = (vals >= 0.01) & (vals <= 0.99)
-            # the fit has n + 1 coefficients, so on fewer than n + 2
-            # probes its residual is 0 by construction
-            if np.count_nonzero(keep) < n + 2:
-                keep = np.ones(probes.shape[0], dtype=bool)
-            w = std_normal_quantile(np.clip(vals[keep], 1e-9, 1 - 1e-9))
-        pts = probes[keep]
+        w, vals, flow = _quantile_flows(
+            a, t, probes, s.samples, lambda j: subseed(s.seed, "flow", j))
+        # the fit has n + 1 coefficients, so on fewer than n + 2 probes
+        # its residual is 0 by construction
+        keep = _in_band(vals, len(probes), 0.01, 0.99, n + 2)
+        if vals is not None:
+            clipped[i] = np.count_nonzero(
+                keep & ((vals < FLOW_CLIP) | (vals > 1.0 - FLOW_CLIP)))
+        w, pts = w[keep], probes[keep]
         design = np.hstack([pts, np.ones((pts.shape[0], 1))])
         coef, *_ = np.linalg.lstsq(design, w, rcond=None)
         fit = design @ coef
@@ -338,13 +362,54 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
     return EqualityDiagnostic(directions=directions, offsets=offsets,
                               residuals=residuals, slopes=slopes,
                               cosines=cosines, probes_used=used,
-                              flows=tuple(flows))
+                              clipped=clipped, flows=tuple(flows))
+
+
+@dataclass(frozen=True)
+class GradientBoundResult:
+    """Max over probes of |grad quantile-transformed heat flow| divided
+    by the semigroup slope; the bound predicts <= 1, with equality on
+    half-spaces."""
+    max_ratio: float
+    ratios: tuple[float, ...]
+    probes_used: int
+
+
+def gradient_bound_check(s: SetExpr, t: float, probe_points: int, seed: int,
+                         samples: int = 400_000) -> GradientBoundResult:
+    """Central-difference check of the gradient bound at Gaussian probes.
+
+    Flows come from ``_quantile_flows``, with the whole stencil of a
+    probe on that probe's stream; exact flows take step 1e-3, Monte
+    Carlo ones 0.05. Probes whose flow lies outside [0.02, 0.98], where
+    the quantile transform amplifies noise, are skipped unless all are;
+    half-spaces keep every probe.
+    """
+    kt = semigroup_slope(t)  # raises ValueError unless t > 0
+    t, seed, n = float(t), check_seed(seed), s.dim
+    probes = derive_rng(seed, "probes").standard_normal((int(probe_points), n))
+    _, vals, kind = _quantile_flows(
+        s, t, probes, samples, lambda i: subseed(seed, "probe", i))
+    idx = np.flatnonzero(_in_band(vals, len(probes), 0.02, 0.98, 1))
+    h = 1e-3 if kind == EXACT_FLOW else 0.05
+    # rows (i, 0, d) and (i, 1, d) of the stencil: probe i +- h e_d
+    step = h * np.eye(n)
+    stencil = probes[idx, None, None, :] + np.stack([step, -step])
+    w, _, _ = _quantile_flows(
+        s, t, stencil.reshape(-1, n), samples,
+        lambda j: subseed(seed, "probe", idx[j // (2 * n)]))
+    ratios = [float(np.linalg.norm((wp - wm) / (2 * h)) / kt)
+              for wp, wm in w.reshape(len(idx), 2, n)]
+    return GradientBoundResult(max_ratio=max(ratios, default=float("nan")),
+                               ratios=tuple(ratios), probes_used=len(idx))
 
 
 def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Rows of (x, matrix, top eigenvalue of the weighted Hessian, SE,
     whether any QMC run behind the row stopped on its cap)."""
     s = cfg.sampling
+    if cfg.sweep.random_x < 0:
+        raise ConfigError(f"[sweep] random_x: {cfg.sweep.random_x} is negative")
     matrices = []
     if cfg.matrix.kind == "equicorrelated" and cfg.sweep.rhos:
         for rho in cfg.sweep.rhos:
@@ -497,6 +562,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
                 "slope": float(diag.slopes[i]),
                 "slope_over_kt": float(diag.slopes[i] / kt),
                 "probes_used": int(diag.probes_used[i]),
+                "clipped": int(diag.clipped[i]),
                 "flow": diag.flows[i],
             })
         results.append({

@@ -77,6 +77,13 @@ class TestExitCodes:
         assert "[DEFAULT]: keys are not allowed here" \
             in capsys.readouterr().err
 
+    def test_negative_random_x_exit_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[experiment]\nkind = hessian-sweep\n"
+                         "[matrix]\ntype = equicorrelated\nk = 2\n"
+                         "rho = 0.5\n[sweep]\nrandom_x = -3\n")
+        assert cli.cli_main(["hessian-sweep", "--config", cfg]) == 1
+        assert "[sweep] random_x: -3 is negative" in capsys.readouterr().err
+
     def test_equality_case_exit_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         cfg = _write_cfg(tmp_path, PARALLEL_DOC, report=str(report))

@@ -294,6 +294,85 @@ def _random_leaf(rng, n):
     return AxisBox(lo, hi)
 
 
+def _old_leaf_measure(s):
+    """The leaf measures as written apart from ``heat_flow``, kept as the
+    oracle of the measure taken from the flow at t = inf."""
+    if isinstance(s, HalfSpace):
+        return float(special.ndtr(s.offset))
+    if isinstance(s, Ball):
+        r2 = s.radius * s.radius
+        if np.all(s.center == 0.0):
+            return float(special.gammainc(s.dim / 2.0, 0.5 * r2))
+        return float(special.chndtr(r2, s.dim, float(s.center @ s.center)))
+    tail = s.lower > 0.0
+    mass = np.where(tail, special.ndtr(-s.lower) - special.ndtr(-s.upper),
+                    special.ndtr(s.upper) - special.ndtr(s.lower))
+    return float(np.prod(mass))
+
+
+def _old_halfspace_closed(c, t, u):
+    """The half-space flow as written apart from ``heat_flow``."""
+    scale = math.sqrt(-math.expm1(-2.0 * t))
+    return float(special.ndtr((float(c) - math.exp(-t) * float(u)) / scale))
+
+
+class TestMeasureIsFlowAtInfinity:
+    def test_halfspace_and_box_bit_equal_old_formulas(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            offset = rng.choice([float(rng.normal(0.0, 3.0)), np.inf,
+                                 -np.inf, 0.0, -0.0])
+            hs = HalfSpace(rng.standard_normal(n), offset)
+            assert gaussian_measure(hs).value == _old_leaf_measure(hs)
+            lo = rng.normal(0.0, 2.0, n)
+            hi = lo + rng.exponential(1.5, n)
+            lo[rng.random(n) < 0.2] = -np.inf
+            hi[rng.random(n) < 0.2] = np.inf
+            box = AxisBox(lo, hi)
+            assert gaussian_measure(box).value == _old_leaf_measure(box)
+
+    def test_centred_ball_bit_equal_old_formula(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            r = float(rng.choice([0.0, rng.uniform(0.0, 6.0)]))
+            ball = Ball(np.zeros(n), r)
+            assert gaussian_measure(ball).value == _old_leaf_measure(ball)
+
+    def test_offcentre_ball_moves_only_in_last_bits(self):
+        # the noncentrality |c|^2 is now summed by einsum, not by a dot
+        # product; its rounding (at most n eps |c|^2) reaches the measure
+        # through dF/dlambda = (F(k + 2) - F(k)) / 2
+        rng = np.random.default_rng(42)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            c = rng.standard_normal(n) * rng.uniform(0.1, 2.0)
+            r = float(rng.uniform(0.1, 4.0))
+            old = _old_leaf_measure(Ball(c, r))
+            lam = float(c @ c)
+            slope = 0.5 * abs(special.chndtr(r * r, n + 2, lam) - old)
+            bound = slope * n * eps * lam + 4.0 * eps * old
+            assert abs(gaussian_measure(Ball(c, r)).value - old) <= bound
+
+    def test_halfspace_closed_bit_equal_old_formula(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            c = float(rng.choice([rng.normal(0.0, 2.0), np.inf, -np.inf]))
+            t = float(rng.choice([rng.uniform(1e-4, 3.0), 40.0]))
+            u = float(rng.normal(0.0, 3.0))
+            assert semigroup_halfspace_closed(c, t, u) \
+                == _old_halfspace_closed(c, t, u)
+
+    def test_centred_ball_flow_at_zero_noncentrality(self):
+        for n, r, t in ((1, 0.7, 0.3), (2, HALF_BALL_RADIUS, 0.5),
+                        (5, 2.1, 1.7)):
+            scale = math.sqrt(-math.expm1(-2.0 * t))
+            want = float(special.gammainc(n / 2.0, 0.5 * (r / scale) ** 2))
+            assert heat_flow(Ball(np.zeros(n), r), t, np.zeros(n)) == want
+
+
 class TestClosedForms:
     def test_offcenter_ball_poisson_mixture(self):
         for center, r, n in (([0.5, 0.0], 1.2, 2), ([1.0, -2.0, 0.5], 2.5, 3),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from noisestab import (
     equality_diagnostic_run,
     exit_code_for,
     gaussian_measure,
+    gradient_bound_check,
     halfspace_survival,
+    heat_flow,
     joint_containment,
     ou_covariance,
     run_experiment,
+    semigroup_apply,
     semigroup_slope,
     std_normal_pdf,
     std_normal_quantile,
@@ -36,8 +40,9 @@ from noisestab import (
 import noisestab.cli as cli
 import noisestab.jfunc as jfunc
 from noisestab import seeding
-from noisestab.seeding import subseed
-from noisestab.config import ConfigError, ExperimentConfig, parse_config
+from noisestab.seeding import derive_rng, subseed
+from noisestab.config import ConfigError, ExperimentConfig, load_config, \
+    parse_config
 from noisestab.report import build_report, render_csv, report_fingerprint
 from noisestab.verify import EQUALITY_BAND, HOLDS, OFFSET_STEP, SE_FLOOR, \
     VIOLATED, condition_check, hessian_sweep
@@ -400,6 +405,43 @@ class TestEqualityDiagnostic:
         assert list(d.probes_used) == [4]
         assert d.residuals[0] > 0.1
 
+    def test_fallback_reports_clipped_flows(self):
+        # the all-probe fit of the far ball sees 153 flows below 1e-9,
+        # which the quantile transform floors at about -6.0
+        doc = ("[experiment]\nkind = equality-diagnostic\nn = 2\n"
+               "t = 0.05\n[sets]\na1 = ball([2.5, 0], 0.15)\n"
+               "a2 = ball([2.5, 0], 0.2)\na3 = halfspace([1, 0], 0.0)\n"
+               "[sampling]\nprobes = 200\nseed = 3\n")
+        out = run_experiment(parse_config(doc))
+        rows = out.results[:3]
+        assert [r["probes_used"] for r in rows] == [200, 4, 200]
+        assert [r["clipped"] for r in rows] == [153, 0, 0]
+        assert out.csv_columns == ["name", "residual", "slope",
+                                   "slope_over_kt"]
+
+    def test_shipped_config_clips_nothing(self):
+        path = Path(__file__).resolve().parents[1] / "configs" \
+            / "equality_diag.cfg"
+        out = run_experiment(load_config(str(path)))
+        rows = [r for r in out.results if "residual" in r]
+        assert len(rows) == 3
+        assert all(r["clipped"] == 0 for r in rows)
+
+    def test_composite_counts_clipped_fitted_probes(self):
+        # a Monte Carlo flow of 0 or 1 is clipped; the far ball leaves
+        # fewer than 4 flows in the band, so every probe is fitted
+        cfg = parse_config(
+            "[sampling]\nprobes = 40\nsamples = 2000\nseed = 5\n")
+        far = Union((Ball(np.array([2.5, 0.0]), 0.15),))
+        d = equality_diagnostic_run(SetSystem((far,)), 0.1, cfg)
+        probes = derive_rng(5, "diagnostic").standard_normal((40, 2))
+        flows = np.array([semigroup_apply(far, 0.1, p, 2000,
+                                          subseed(5, "flow", j)).value
+                          for j, p in enumerate(probes)])
+        assert np.count_nonzero((flows >= 0.01) & (flows <= 0.99)) < 4
+        assert list(d.probes_used) == [40]
+        assert list(d.clipped) == [np.count_nonzero(flows == 0.0)] == [36]
+
     def test_flow_reported_per_row(self):
         doc = ("[experiment]\nkind = equality-diagnostic\nn = 2\nt = 0.5\n"
                "[sets]\na1 = halfspace([1, 0], 0.0)\n"
@@ -443,6 +485,65 @@ class TestEqualityDiagnostic:
         for field in ("directions", "offsets", "residuals", "slopes",
                       "cosines", "probes_used"):
             assert np.array_equal(getattr(one, field), getattr(two, field))
+
+
+class TestGradientBound:
+    @staticmethod
+    def _oracle(s, t, probe_points, seed, h=1e-3):
+        """Ratios from a central difference of ``heat_flow`` at the
+        probes whose flow lies in [0.02, 0.98] (all if none does)."""
+        probes = derive_rng(seed, "probes").standard_normal(
+            (probe_points, s.dim))
+        flows = heat_flow(s, t, probes)
+        band = (flows >= 0.02) & (flows <= 0.98)
+        if band.any():
+            probes = probes[band]
+
+        def w(x):
+            return std_normal_quantile(
+                np.clip(heat_flow(s, t, x), 1e-9, 1 - 1e-9))
+
+        ratios = []
+        for p in probes:
+            g = [(w(p + h * e) - w(p - h * e)) / (2 * h)
+                 for e in np.eye(s.dim)]
+            ratios.append(float(np.linalg.norm(g)) / semigroup_slope(t))
+        return ratios
+
+    @pytest.mark.parametrize("s", [
+        Ball(np.array([0.3, -0.2]), 1.1),
+        AxisBox(np.array([-1.0, -np.inf]), np.array([0.5, 1.0])),
+        Ball(np.array([2.0, 0.0]), 0.3)], ids=["ball", "box", "far-ball"])
+    def test_leaf_is_exact(self, s):
+        few = gradient_bound_check(s, 0.5, 8, 21, samples=10)
+        many = gradient_bound_check(s, 0.5, 8, 21, samples=400_000)
+        assert few == many
+        want = self._oracle(s, 0.5, 8, 21)
+        assert few.probes_used == len(want)
+        np.testing.assert_allclose(few.ratios, want, rtol=1e-12, atol=0.0)
+        assert few.max_ratio == max(few.ratios) <= 1.0
+
+    # values of the parent implementation (step 0.05, band [0.02, 0.98]);
+    # 4 of the 10 probes lie in the band
+    UNION = Union((Ball(np.array([1.8, 0.0]), 0.5),
+                   Ball(np.array([-1.8, 0.0]), 0.5)))
+    UNION_RATIOS = (0.8435308913572095, 0.6921847898411809,
+                    0.8108082364453801, 0.7026353367329398)
+
+    def test_union_pinned_for_one_and_two_workers(self, monkeypatch):
+        for workers in (1, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            res = gradient_bound_check(self.UNION, 0.2, 10, 44,
+                                       samples=20_000)
+            assert res.ratios == self.UNION_RATIOS
+            assert res.probes_used == 4
+            assert res.max_ratio == max(self.UNION_RATIOS)
+
+    def test_halfspace_uses_every_probe(self):
+        far = HalfSpace(np.array([1.0, 0.0]), 4.0)
+        res = gradient_bound_check(far, 0.5, 6, 1)
+        assert res.probes_used == 6
+        assert max(abs(r - 1.0) for r in res.ratios) <= 1e-9
 
 
 class TestHessianSweep:
@@ -511,6 +612,12 @@ rhos = 0.2, 0.8
         cfg = parse_config("[matrix]\ntype = equicorrelated\nk = 2\n"
                            "rho = -0.5\n")
         with pytest.raises(ConfigError, match="nonnegative"):
+            hessian_sweep(cfg)
+
+    def test_rejects_negative_random_x(self):
+        cfg = parse_config("[matrix]\ntype = equicorrelated\nk = 2\n"
+                           "rho = 0.5\n[sweep]\nrandom_x = -3\n")
+        with pytest.raises(ConfigError, match=r"\[sweep\] random_x: -3 "):
             hessian_sweep(cfg)
 
 
