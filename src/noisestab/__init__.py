@@ -45,7 +45,6 @@ from .geometry import (
     UnsupportedRegion,
     boundary_distance,
     contains,
-    enlarge,
     gaussian_measure,
     heat_flow,
     parallel_halfspaces,
@@ -67,7 +66,6 @@ from .ousim import (
     ExitTimeEstimate,
     KroneckerSampler,
     OccupationEstimate,
-    OUPath,
     exit_dominance_refined,
     exit_survival,
     exit_survival_pair,
@@ -75,10 +73,8 @@ from .ousim import (
     halfspace_survival,
     occupation,
     occupation_pair,
-    sample_joint,
     semigroup_apply,
     semigroup_halfspace_closed,
-    simulate_path,
 )
 from .verify import (
     ComparisonResult,

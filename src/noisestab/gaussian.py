@@ -43,9 +43,9 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _check_symmetric(m, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+def _check_symmetric(m, name: str = "matrix") -> np.ndarray:
     a = _as_square(m, name)
-    if not np.all(np.abs(a - a.T) <= tol * max(1.0, np.abs(a).max())):
+    if not np.all(np.abs(a - a.T) <= 1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError(f"{name} is not symmetric")
     return 0.5 * (a + a.T)
 
@@ -151,8 +151,8 @@ class CorrelationMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
-    def is_strictly_pd(self, tol: float = PD_TOL) -> bool:
-        return self.min_eigenvalue() > tol
+    def is_strictly_pd(self) -> bool:
+        return self.min_eigenvalue() > PD_TOL
 
     @classmethod
     def from_covariance(cls, cov) -> "CorrelationMatrix":
@@ -180,14 +180,14 @@ class CorrelationMatrix:
 # matrix operations
 # ---------------------------------------------------------------------------
 
-def cholesky(m, tol: float = PSD_TOL) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower-triangular factor Q, QQ^T = m, of a symmetric PSD matrix, as
     a read-only array.
 
     Strictly PD inputs go straight to the standard factorization.
-    Semidefinite inputs (eigenvalues in [-tol, ~0]) are clamped and
+    Semidefinite inputs (eigenvalues in [-PSD_TOL, ~0]) are clamped and
     factored with a 1e-13 diagonal jitter, so the reconstruction error
-    stays far below tol. Eigenvalues below -tol raise.
+    stays far below PSD_TOL. Eigenvalues below -PSD_TOL raise.
     """
     a = _check_symmetric(m)
     try:
@@ -195,9 +195,9 @@ def cholesky(m, tol: float = PSD_TOL) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(a)
-    if w[0] < -tol:
+    if w[0] < -PSD_TOL:
         raise NotPositiveSemidefinite(
-            f"minimum eigenvalue {w[0]:.3e} below -{tol:.0e}")
+            f"minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
     w = np.clip(w, 0.0, None)
     a2 = (v * w) @ v.T
     a2 = 0.5 * (a2 + a2.T) + 1e-13 * np.eye(a.shape[0])
@@ -238,8 +238,8 @@ def ou_covariance(times) -> CorrelationMatrix:
     return CorrelationMatrix(np.exp(-np.abs(t[:, None] - t[None, :])))
 
 
-def inverse_offdiag_nonpositive(m: CorrelationMatrix, tol: float = 1e-10) -> bool:
-    """True iff every off-diagonal entry of the inverse is <= tol.
+def inverse_offdiag_nonpositive(m: CorrelationMatrix) -> bool:
+    """True iff every off-diagonal entry of the inverse is <= 1e-10.
 
     This is the conditional-positive-correlation hypothesis; entrywise
     nonnegativity of the matrix itself is the other hypothesis, and
@@ -249,15 +249,16 @@ def inverse_offdiag_nonpositive(m: CorrelationMatrix, tol: float = 1e-10) -> boo
         raise SingularMatrix("correlation matrix is numerically singular")
     inv = np.linalg.inv(m.entries)
     off = inv[~np.eye(m.k, dtype=bool)]
-    return bool(off.size == 0 or off.max() <= tol)
+    return bool(off.size == 0 or off.max() <= 1e-10)
 
 
-def laplacian_quadratic_form(a, v, tol: float = 1e-10) -> float:
+def laplacian_quadratic_form(a, v) -> float:
     """Quadratic form of a zero-row-sum matrix via its pair decomposition.
 
     For a with a_ii = -sum_{j!=i} a_ij, returns
     -sum_{i<j} a_ij (v_i - v_j)^2, which equals v^T a v. The all-ones
-    vector is always in the kernel.
+    vector is always in the kernel. A row sum above 1e-10 times the
+    largest entry (or 1e-10, if larger) raises.
     """
     am = _as_square(a, "matrix")
     vv = np.asarray(v, dtype=float)
@@ -265,7 +266,7 @@ def laplacian_quadratic_form(a, v, tol: float = 1e-10) -> float:
     if vv.shape != (k,):
         raise ValueError(f"vector length {vv.shape} does not match matrix {k}")
     row_resid = np.abs(am.sum(axis=1))
-    if np.any(row_resid > tol * max(1.0, np.abs(am).max())):
+    if np.any(row_resid > 1e-10 * max(1.0, np.abs(am).max())):
         raise ValueError(f"row sums must vanish (max residual {row_resid.max():.3e})")
     iu, ju = np.triu_indices(k, 1)
     diff = vv[iu] - vv[ju]

@@ -7,8 +7,7 @@ closed form for every leaf, in any dimension, in ``heat_flow``, the only
 place with leaf formulas: the heat flow at a point is the measure of an
 affine image of the set, and a leaf's image is a leaf of the same kind.
 A leaf's Gaussian measure is its heat flow at t = inf; composites are
-Monte Carlo. Epsilon-enlargement has closed form for half-spaces, balls,
-and unions thereof.
+Monte Carlo.
 """
 from __future__ import annotations
 
@@ -369,23 +368,3 @@ def parallel_halfspaces(measures, direction) -> list[HalfSpace]:
         raise ValueError("measures must lie in [0, 1]")
     unit, _ = _unit(direction)
     return [HalfSpace(unit, std_normal_quantile(pi)) for pi in p]
-
-
-def enlarge(s: SetExpr, eps: float) -> SetExpr:
-    """Epsilon-enlargement (all points within distance eps).
-
-    Closed form exists for half-spaces (offset shift), balls (radius
-    growth), and unions of supported shapes; other nodes raise
-    UnsupportedRegion because enlargement does not distribute over them.
-    """
-    e = float(eps)
-    if not e >= 0.0:
-        raise ValueError("enlargement distance must be nonnegative")
-    if isinstance(s, HalfSpace):
-        return HalfSpace(s.normal, s.offset + e)
-    if isinstance(s, Ball):
-        return Ball(s.center, s.radius + e)
-    if isinstance(s, Union):
-        return Union(tuple(enlarge(p, e) for p in s.parts))
-    raise UnsupportedRegion(
-        f"enlargement has no closed form for {type(s).__name__}")

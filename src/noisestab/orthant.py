@@ -25,7 +25,10 @@ from .gaussian import PD_TOL, PSD_TOL, SingularMatrix, _check_symmetric, _readon
 from .seeding import batches, check_seed, derive_rng
 
 MAX_QMC_DIM = 12
+# Lattice points over all rounds after which orthant_qmc stops short of
+# its target and reports cap_hit.
 DEFAULT_SAMPLE_CAP = 10**8
+# Random shifts of every lattice round; the standard error is their spread.
 MIN_SHIFTS = 12
 
 _QMC_START_POINTS = 1021  # prime
@@ -133,13 +136,9 @@ def _prev_prime(n: int) -> int:
 
 
 def _next_prime(n: int) -> int:
-    m = max(n, 2)
-    while True:
-        primes = _primes_up_to(2 * m)
-        bigger = primes[primes >= n]
-        if bigger.size:
-            return int(bigger[0])
-        m *= 2
+    # Bertrand's postulate: a prime lies in [m, 2m] for every m >= 1
+    primes = _primes_up_to(2 * max(n, 2))
+    return int(primes[primes >= n][0])
 
 
 def _primitive_root(p: int) -> int:
@@ -228,49 +227,45 @@ def _chain_means(factor: np.ndarray, limits: np.ndarray, gen: np.ndarray,
 
 
 def orthant_qmc_shift_means(q: OrthantQuery, points: int, seed: int,
-                            n_shifts: int = MIN_SHIFTS,
                             round_index: int = 0) -> tuple[np.ndarray, int]:
-    """Per-shift lattice means for a fixed point budget.
+    """Per-shift lattice means for a fixed point budget, one for each of
+    ``MIN_SHIFTS`` random shifts.
 
     The lattice and shift stream depend only on (dimension, points, seed,
-    round_index, n_shifts), so two queries of equal dimension evaluated
-    with the same arguments share all randomness -- the hook used by the
-    coupled finite-difference comparisons.
+    round_index), so two queries of equal dimension evaluated with the
+    same arguments share all randomness -- the hook used by the coupled
+    finite-difference comparisons.
 
     Analytic cases (a -inf limit, everything +inf, or a single
     coordinate) return a constant vector of shift means and 0 points.
     """
     seed = check_seed(seed)
-    if n_shifts < MIN_SHIFTS:
-        raise ValueError(f"need at least {MIN_SHIFTS} randomized shifts")
     if q.k > MAX_QMC_DIM:
         raise ValueError(f"QMC estimator supports dimension <= {MAX_QMC_DIM}")
     if np.any(q.limits == -np.inf):
-        return np.zeros(n_shifts), 0
+        return np.zeros(MIN_SHIFTS), 0
     limits, cov = _reduce_query(q)
     if limits.size == 0:
-        return np.ones(n_shifts), 0
+        return np.ones(MIN_SHIFTS), 0
     if np.linalg.eigvalsh(cov)[0] < PD_TOL:
         raise SingularMatrix("covariance is singular after reduction; "
                              "QMC needs a strictly PD core")
     factor = np.linalg.cholesky(cov)
     if limits.size == 1:
         v = float(special.ndtr(limits[0] / factor[0, 0]))
-        return np.full(n_shifts, v), 0
+        return np.full(MIN_SHIFTS, v), 0
     gen, n = _cbc_lattice(limits.size - 1, points)
     rng = derive_rng(seed, "orthant_qmc", round_index)
-    shifts = rng.random((n_shifts, limits.size - 1))
+    shifts = rng.random((MIN_SHIFTS, limits.size - 1))
     return _chain_means(factor, limits, gen, n, shifts), n
 
 
-def orthant_qmc(q: OrthantQuery, target_se: float, seed: int,
-                n_shifts: int = MIN_SHIFTS,
-                sample_cap: int = DEFAULT_SAMPLE_CAP) -> Estimate:
+def orthant_qmc(q: OrthantQuery, target_se: float, seed: int) -> Estimate:
     """Adaptive randomized-lattice estimate of the orthant probability.
 
     Doubles the lattice size until the shift-spread standard error drops
-    to ``target_se`` or the cumulative point budget exceeds
-    ``sample_cap`` (reported via ``cap_hit``).
+    to ``target_se`` or the cumulative point budget reaches
+    ``DEFAULT_SAMPLE_CAP`` (reported via ``cap_hit``).
     """
     seed = check_seed(seed)
     if not target_se > 0.0:
@@ -280,17 +275,16 @@ def orthant_qmc(q: OrthantQuery, target_se: float, seed: int,
     round_index = 0
     while True:
         means, n_used = orthant_qmc_shift_means(q, n_pts, seed,
-                                                n_shifts=n_shifts,
                                                 round_index=round_index)
         if n_used == 0:
             return Estimate(value=float(means[0]), std_error=0.0,
                             samples=0, seed=seed)
-        total += n_used * n_shifts
+        total += n_used * MIN_SHIFTS
         value = float(means.mean())
-        se = float(means.std(ddof=1) / np.sqrt(n_shifts))
-        if se <= target_se or total >= sample_cap:
+        se = float(means.std(ddof=1) / np.sqrt(MIN_SHIFTS))
+        if se <= target_se or total >= DEFAULT_SAMPLE_CAP:
             return Estimate(value=float(np.clip(value, 0.0, 1.0)),
-                            std_error=se, samples=n_used * n_shifts,
+                            std_error=se, samples=n_used * MIN_SHIFTS,
                             seed=seed, cap_hit=bool(se > target_se))
         n_pts = _next_prime(2 * n_used)
         round_index += 1

@@ -38,19 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .gaussian import CorrelationMatrix, cholesky, _readonly
+from .gaussian import CorrelationMatrix, cholesky
 from .geometry import HalfSpace, SetExpr, boundary_distance, contains, \
     heat_flow
 from .orthant import Estimate
 from .seeding import batches, check_seed, derive_rng, fan_out
-
-
-@dataclass(frozen=True, eq=False)
-class OUPath:
-    """One trajectory on a time grid; states are (len(times), n)."""
-    times: np.ndarray
-    states: np.ndarray
-    seed: int
 
 
 # Rows that KroneckerSampler.sample draws and mixes at once; at k = 3 and
@@ -123,36 +115,6 @@ class OccupationEstimate:
     value: Estimate
 
 
-def sample_joint(m: CorrelationMatrix, n: int, seed: int) -> np.ndarray:
-    """One draw of (X_1, ..., X_k), returned as a (k, n) array."""
-    return KroneckerSampler(m, n).sample(1, seed)[0]
-
-
-def simulate_path(n: int, grid, seed: int) -> OUPath:
-    """Exact-transition trajectory on a nondecreasing grid starting at 0.
-
-    The initial state is stationary; repeated grid times reproduce the
-    state exactly.
-    """
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("grid must be a nonempty 1-d sequence")
-    if t[0] != 0.0:
-        raise ValueError("grid must start at 0")
-    if np.any(np.diff(t) < 0.0):
-        raise ValueError("grid must be nondecreasing")
-    seed = check_seed(seed)
-    rng = derive_rng(seed, "path")
-    states = np.empty((t.size, int(n)))
-    states[0] = rng.standard_normal(int(n))
-    for j in range(1, t.size):
-        d = t[j] - t[j - 1]
-        decay = math.exp(-d)
-        scale = math.sqrt(max(0.0, -math.expm1(-2.0 * d)))
-        states[j] = decay * states[j - 1] + scale * rng.standard_normal(int(n))
-    return OUPath(times=_readonly(t), states=_readonly(states), seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # streaming grid scans
 # ---------------------------------------------------------------------------
@@ -165,8 +127,8 @@ _LIVE_SHARE = 7 / 8
 def _grid_params(tau: float, steps: int):
     tau = float(tau)
     steps = int(steps)
-    if tau < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {tau}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     d = tau / steps

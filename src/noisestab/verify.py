@@ -53,7 +53,10 @@ class ComparisonResult:
 
 def classify_margin(margin_se: float) -> str:
     """Pure verdict rule: violated iff margin < -3 SEs, equality band iff
-    |margin| <= 3 SEs, holds otherwise."""
+    |margin| <= 3 SEs, holds otherwise. A NaN margin has no verdict and
+    raises ValueError."""
+    if math.isnan(margin_se):
+        raise ValueError("margin is NaN: no verdict")
     if margin_se < -VERDICT_BAND_SES:
         return VIOLATED
     if abs(margin_se) <= VERDICT_BAND_SES:

@@ -1,9 +1,16 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 import noisestab.cli as cli
-from noisestab import ComparisonResult, Estimate
+from noisestab import ComparisonResult, Estimate, seeding
+from noisestab.config import load_config
 from noisestab.report import report_fingerprint
 from noisestab.verify import ExperimentOutput, VIOLATED
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 PARALLEL_DOC = """
 [experiment]
@@ -97,6 +104,18 @@ class TestExitCodes:
                                                         "rho = -0.3"))
         assert cli.cli_main(["verify-main", "--config", cfg]) == 1
         assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    @pytest.mark.parametrize("kind, name", [("exit-time", "exit_ball"),
+                                            ("occupation",
+                                             "occupation_balls")])
+    def test_nonfinite_horizon_exit_one(self, tmp_path, capsys, tau, kind,
+                                        name):
+        code = cli.cli_main([kind, "--config", str(CONFIGS / f"{name}.cfg"),
+                             "--tau", tau, "--paths", "2000", "--steps", "4",
+                             "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "horizon must be finite" in capsys.readouterr().err
 
     def test_violated_exit_two_with_report(self, tmp_path, monkeypatch,
                                            capsys):
@@ -207,3 +226,54 @@ class TestDeterminism:
         assert set(row) >= {"name", "lhs", "rhs", "margin_se", "verdict"}
         assert set(row["lhs"]) == {"value", "se", "samples", "seed",
                                    "cap_hit"}
+
+
+class TestShippedConfigs:
+    """Each shipped config, run through the CLI at its own seed, gives a
+    pinned report for one worker and for two. Sizes are the shipped ones
+    except for the flags beside each digest, which keep a run under a
+    second."""
+
+    CASES = {
+        "ball_vs_bound": (
+            ["--samples", "100000"],
+            "207f912deb96ff4c22bcac5c0d201dce597e279e5fbd4ca3b39a5defe900b3b2"),
+        "condition": (
+            [],
+            "a42c7c9ae129bad3c68441037cb6a0d06df168df40617dfecebac6a41b309733"),
+        "equality_diag": (
+            [],
+            "ca51317467dc2c93e2071f215f90bd93d57181fbf51d5c5f72ea6bde1c932b19"),
+        "exit_ball": (
+            ["--paths", "4000"],
+            "0c8653b8f989d08a6abbf69faecdd5ddf43cfd6faa12bad47036cdfea71bbf34"),
+        "k2grid": (
+            [],
+            "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
+        "noise_ball": (
+            ["--samples", "100000"],
+            "57f2058db631ab7f2dbd6c225c8bb6ed537ead77f820ca53ec351e54cc805ac4"),
+        "occupation_balls": (
+            ["--paths", "4000"],
+            "f9c64c4e87368f660989e782ec8c1b93600616c555163f695d93f93fca54a347"),
+        "parallel": (
+            ["--samples", "100000"],
+            "21e8fd7f939d82e1e53cb92be302e7de990566227cb8f5bf7a5ca7f165117e32"),
+    }
+
+    def test_every_config_pinned(self):
+        assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(
+            self.CASES)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_fingerprint(self, name, workers, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(seeding, "WORKERS", workers)
+        path = CONFIGS / f"{name}.cfg"
+        flags, want = self.CASES[name]
+        assert cli.cli_main([load_config(str(path)).kind, "--config",
+                             str(path), "--quiet", "--out", "report.json"]
+                            + flags) == 0
+        report = json.loads(Path("report.json").read_text())
+        assert hashlib.sha256(report_fingerprint(report)).hexdigest() == want

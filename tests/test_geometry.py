@@ -15,7 +15,6 @@ from noisestab import (
     UnsupportedRegion,
     boundary_distance,
     contains,
-    enlarge,
     gaussian_measure,
     heat_flow,
     parallel_halfspaces,
@@ -497,59 +496,6 @@ class TestParallelHalfspaces:
     def test_rejects_bad_measures(self):
         with pytest.raises(ValueError):
             parallel_halfspaces([1.5], np.array([1.0, 0.0]))
-
-
-class TestEnlarge:
-    def test_halfspace(self):
-        hs = enlarge(HalfSpace(np.array([1.0, 0.0]), 0.0), 0.1)
-        assert hs.offset == 0.1
-
-    def test_halfspace_scaled_normal(self):
-        # eps acts in euclidean distance, so after canonicalization
-        hs = enlarge(HalfSpace(np.array([2.0, 0.0]), 0.0), 0.1)
-        assert hs.offset == 0.1
-
-    def test_ball(self):
-        b = enlarge(Ball(np.zeros(2), 1.0), 0.5)
-        assert b.radius == 1.5
-
-    def test_zero_identity(self):
-        b0 = Ball(np.array([1.0, 2.0]), 1.0)
-        b = enlarge(b0, 0.0)
-        assert b.radius == b0.radius and np.array_equal(b.center, b0.center)
-
-    def test_union_distributes(self):
-        u = enlarge(Union((Ball(np.zeros(2), 1.0),
-                           HalfSpace(np.array([1.0, 0.0]), 0.0))), 0.2)
-        assert u.parts[0].radius == 1.2
-        assert u.parts[1].offset == 0.2
-
-    def test_unsupported_nodes(self):
-        hs = HalfSpace(np.array([1.0, 0.0]), 0.0)
-        for bad in (Complement(hs), Intersection((hs, hs)),
-                    AxisBox(np.zeros(2), np.ones(2))):
-            with pytest.raises(UnsupportedRegion):
-                enlarge(bad, 0.1)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            enlarge(Ball(np.zeros(2), 1.0), -0.1)
-
-    def test_measure_monotone_in_eps(self):
-        prev = -1.0
-        for eps in (0.0, 0.05, 0.1, 0.2, 0.4):
-            v = gaussian_measure(enlarge(Ball(np.zeros(2), 1.0), eps)).value
-            assert v >= prev
-            prev = v
-
-    def test_contains_grows(self):
-        rng = np.random.default_rng(16)
-        s = Union((Ball(np.array([0.3, -0.2]), 0.9),
-                   HalfSpace(np.array([1.0, 1.0]), -0.5)))
-        big = enlarge(s, 0.3)
-        pts = rng.standard_normal((2000, 2))
-        inside = contains(s, pts)
-        assert np.all(contains(big, pts)[inside])
 
 
 class TestSetSystem:

@@ -10,6 +10,7 @@ from noisestab import (
     orthant_mc,
     orthant_qmc,
 )
+from noisestab import orthant
 from noisestab.orthant import orthant_qmc_shift_means
 
 
@@ -164,8 +165,9 @@ class TestQmc:
         assert est.std_error <= 5e-6
         assert not est.cap_hit
 
-    def test_sample_cap_reported(self):
-        est = orthant_qmc(_biv_query(0.5), 1e-12, 13, sample_cap=20_000)
+    def test_sample_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(orthant, "DEFAULT_SAMPLE_CAP", 20_000)
+        est = orthant_qmc(_biv_query(0.5), 1e-12, 13)
         assert est.cap_hit
         assert est.std_error > 1e-12
 
@@ -193,10 +195,6 @@ class TestQmc:
     def test_rejects_high_dimension(self):
         with pytest.raises(ValueError):
             orthant_qmc(OrthantQuery(np.zeros(13), np.eye(13)), 1e-4, 1)
-
-    def test_rejects_few_shifts(self):
-        with pytest.raises(ValueError):
-            orthant_qmc(_biv_query(0.0), 1e-4, 1, n_shifts=4)
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(60)
@@ -226,3 +224,15 @@ class TestShiftMeans:
         d = a - b
         assert np.abs(d).max() < 1e-4
         assert d.std(ddof=1) < 1e-6
+
+
+class TestNextPrime:
+    def test_matches_brute_force(self):
+        def is_prime(m):
+            return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+        want = next(m for m in range(10_000, 20_000) if is_prime(m))
+        for n in range(10_000, -1, -1):
+            if is_prime(n):
+                want = n
+            assert orthant._next_prime(n) == want

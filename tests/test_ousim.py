@@ -12,7 +12,6 @@ from noisestab import (
     HalfSpace,
     Intersection,
     KroneckerSampler,
-    enlarge,
     exit_survival,
     exit_survival_pair,
     exit_survival_refined,
@@ -22,10 +21,8 @@ from noisestab import (
     occupation,
     occupation_pair,
     ou_covariance,
-    sample_joint,
     semigroup_apply,
     semigroup_halfspace_closed,
-    simulate_path,
     std_normal_cdf,
 )
 import noisestab.ousim as ousim
@@ -37,49 +34,78 @@ HS0 = HalfSpace(np.array([1.0, 0.0]), 0.0)
 FULL = HalfSpace(np.array([1.0, 0.0]), np.inf)
 
 
+def _walk(count, n, tau, steps, seed):
+    """States of ``count`` stationary OU paths at the ``steps + 1`` grid
+    times of [0, tau], advanced by ``ousim._step`` as the scans do: an
+    array of shape (steps + 1, count, n)."""
+    _, _, decay, scale = ousim._grid_params(tau, steps)
+    rng = seeding.derive_rng(seed, "exit", 0)
+    states = rng.standard_normal((count, n))
+    noise = np.empty_like(states)
+    out = [states.copy()]
+    for _ in range(steps):
+        ousim._step(rng, states, noise, decay, scale)
+        out.append(states.copy())
+    return np.array(out)
+
+
 class TestSimulatePath:
+    """The exact-transition law of the scans' step ``ousim._step``."""
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            simulate_path(2, [0.5, 1.0], 1)  # must start at 0
+            ousim._grid_params(-0.5, 4)
         with pytest.raises(ValueError):
-            simulate_path(2, [0.0, 0.5, 0.4], 1)
+            ousim._grid_params(0.5, 0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_horizon_rejected(self, tau):
+        msg = "horizon must be finite and nonnegative"
+        with pytest.raises(ValueError, match=msg):
+            ousim._grid_params(tau, 4)
+        with pytest.raises(ValueError, match=msg):
+            exit_survival(HALF_BALL, tau, 4, 100, 1)
+        with pytest.raises(ValueError, match=msg):
+            exit_survival_pair(HALF_BALL, HS0, tau, 4, 100, 1)
+        with pytest.raises(ValueError, match=msg):
+            occupation(HALF_BALL, HALF_BALL, tau, 4, 100, 1)
 
     def test_repeated_time_identical_state(self):
-        p = simulate_path(2, [0.0, 0.3, 0.3, 0.6], 3)
-        assert np.array_equal(p.states[1], p.states[2])
+        # a zero step has decay 1 and scale 0, so the state is kept
+        p = _walk(50, 2, 0.0, 3, 3)
+        assert np.array_equal(p[0], p[3])
 
     def test_shapes(self):
-        p = simulate_path(3, [0.0, 0.1, 0.2], 4)
-        assert p.states.shape == (3, 3)
-        assert p.times.shape == (3,)
+        p = _walk(5, 3, 0.2, 2, 4)
+        assert p.shape == (3, 5, 3)
+        # after compaction the noise buffer is longer than the live rows
+        states = p[-1, :2].copy()
+        ousim._step(seeding.derive_rng(4, "exit", 0), states,
+                    np.empty((5, 3)), 0.5, 0.5)
+        assert states.shape == (2, 3)
 
     def test_stationarity_moments(self):
-        pooled = np.concatenate([
-            simulate_path(2, [0.0, 0.4, 0.8, 1.2], seed).states.ravel()
-            for seed in range(800)])
+        pooled = _walk(800, 2, 1.2, 3, 5).ravel()
         n = pooled.size
         assert abs(pooled.mean()) <= 4.0 / math.sqrt(n)
         assert abs(pooled.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
 
     def test_markov_correlation(self):
         t = 0.6
-        pairs = np.array([simulate_path(1, [0.0, t], seed).states[:, 0]
-                          for seed in range(6000)])
+        pairs = _walk(6000, 1, t, 1, 6)[:, :, 0].T
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         # Fisher-style bound, 4 standard errors
         se = (1.0 - math.exp(-2 * t)) / math.sqrt(pairs.shape[0])
         assert abs(corr - math.exp(-t)) <= 4 * se
 
     def test_reproducible(self):
-        a = simulate_path(2, [0.0, 0.5, 1.0], 9)
-        b = simulate_path(2, [0.0, 0.5, 1.0], 9)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(_walk(10, 2, 1.0, 2, 9), _walk(10, 2, 1.0, 2, 9))
 
 
 class TestSampleJoint:
     def test_identity_shape(self):
-        x = sample_joint(CorrelationMatrix.identity(3), 4, 1)
-        assert x.shape == (3, 4)
+        x = KroneckerSampler(CorrelationMatrix.identity(3), 4).sample(1, 1)
+        assert x[0].shape == (3, 4)
 
     def test_empirical_kronecker_covariance(self):
         m = ou_covariance([0.0, 0.7])
@@ -97,8 +123,7 @@ class TestSampleJoint:
         m = CorrelationMatrix.equicorrelated(2, math.exp(-t))
         draws = KroneckerSampler(m, 1).sample(100_000, 3)
         joint_freq = np.mean((draws[:, 0, 0] <= 0) & (draws[:, 1, 0] <= 0))
-        paths = np.array([simulate_path(1, [0.0, t], 10_000 + s).states[:, 0]
-                          for s in range(20_000)])
+        paths = _walk(20_000, 1, t, 1, 10_000)[:, :, 0].T
         path_freq = np.mean((paths[:, 0] <= 0) & (paths[:, 1] <= 0))
         comb = math.hypot(math.sqrt(0.25 / 100_000), math.sqrt(0.25 / 20_000))
         assert abs(joint_freq - path_freq) <= 3 * comb
@@ -246,8 +271,8 @@ class TestExitSurvival:
         prev_value = None
         last_diff = None
         for eps in (0.2, 0.1, 0.05, 0.02):
-            est = exit_survival(enlarge(HS0, eps), 0.5, 128, 30_000,
-                                9).survival
+            est = exit_survival(HalfSpace(HS0.normal, HS0.offset + eps),
+                                0.5, 128, 30_000, 9).survival
             if prev_value is not None:
                 assert est.value <= prev_value + 3 * est.std_error
             prev_value = est.value

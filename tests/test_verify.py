@@ -72,6 +72,10 @@ class TestVerdictRule:
         else:
             assert verdict == HOLDS
 
+    def test_nan_has_no_verdict(self):
+        with pytest.raises(ValueError):
+            classify_margin(math.nan)
+
     def test_compare_floor(self):
         # two exact values: the band floor keeps the margin finite
         c = compare("x", _est(0.2), _est(0.2 + 1e-7))
