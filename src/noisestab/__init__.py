@@ -70,6 +70,7 @@ from .ousim import (
     exit_survival,
     exit_survival_pair,
     exit_survival_refined,
+    halfspace_occupation,
     halfspace_survival,
     occupation,
     occupation_pair,

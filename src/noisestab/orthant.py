@@ -30,6 +30,10 @@ MAX_QMC_DIM = 12
 DEFAULT_SAMPLE_CAP = 10**8
 # Random shifts of every lattice round; the standard error is their spread.
 MIN_SHIFTS = 12
+# The shift spread cannot resolve an error below rounding: when a chain's
+# conditional ndtr saturates, the shift means agree to the last bits. The
+# reported standard error is at least this many ulps of the value.
+SE_FLOOR_ULPS = 8
 
 _QMC_START_POINTS = 1021  # prime
 
@@ -265,7 +269,8 @@ def orthant_qmc(q: OrthantQuery, target_se: float, seed: int) -> Estimate:
 
     Doubles the lattice size until the shift-spread standard error drops
     to ``target_se`` or the cumulative point budget reaches
-    ``DEFAULT_SAMPLE_CAP`` (reported via ``cap_hit``).
+    ``DEFAULT_SAMPLE_CAP`` (reported via ``cap_hit``). The standard error
+    is floored at ``SE_FLOOR_ULPS`` ulps of the value.
     """
     seed = check_seed(seed)
     if not target_se > 0.0:
@@ -281,7 +286,8 @@ def orthant_qmc(q: OrthantQuery, target_se: float, seed: int) -> Estimate:
                             samples=0, seed=seed)
         total += n_used * MIN_SHIFTS
         value = float(means.mean())
-        se = float(means.std(ddof=1) / np.sqrt(MIN_SHIFTS))
+        se = max(float(means.std(ddof=1) / np.sqrt(MIN_SHIFTS)),
+                 SE_FLOOR_ULPS * float(np.finfo(float).eps) * abs(value))
         if se <= target_se or total >= DEFAULT_SAMPLE_CAP:
             return Estimate(value=float(np.clip(value, 0.0, 1.0)),
                             std_error=se, samples=n_used * MIN_SHIFTS,

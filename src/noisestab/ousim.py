@@ -9,16 +9,20 @@ sqrt(d); it is kept as the oracle (``exit_survival_refined``). The exit
 estimators that feed verdicts weight each step by the probability that
 the bridge between the two grid states stays inside (Broadie, Glasserman
 & Kou 1997; Gobet 2000), which is exact for half-spaces through the
-origin and leaves an O(d) bias elsewhere. The occupation scan is still
-the raw grid functional.
+origin and leaves an O(d) bias elsewhere. The occupation scan is the
+raw grid functional.
 
-Survival in a half-space {nu.x <= c} depends on the 1-d OU process
-nu.X alone, and ``halfspace_survival`` computes it exactly from one
-parabolic equation. ``exit_survival_pair`` takes that value for every
-half-space arm and scans only the other arm. Two arms that are both not
-half-spaces reuse identical trajectories per path index (common random
-numbers), and so do the arms of ``exit_dominance_refined`` and
-``occupation_pair``; their margins carry a paired standard error.
+Survival in a half-space {nu.x <= c}, and the occupation of parallel
+half-spaces {nu.x <= c1}, {nu.x <= c2}, depend on the 1-d OU process
+nu.X alone. ``halfspace_survival`` and ``halfspace_occupation`` compute
+them exactly from one diagonalised parabolic equation
+(``_halfspace_generator``). ``exit_survival_pair`` takes the survival for
+every half-space arm and scans only the other arm; ``occupation_pair``
+takes the occupation for every pair of half-spaces with one normal and
+scans only the other pair. Two arms or pairs that are both scanned reuse
+identical trajectories per path index (common random numbers), and so do
+the arms of ``exit_dominance_refined``; their margins carry a paired
+standard error. ``occupation`` stays the raw grid scan, the oracle.
 
 Once fewer than 7/8 of a batch's paths are live, the scans drop the ones
 whose result is fixed and draw normals for the rest only. Batch i still
@@ -304,27 +308,30 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
 # extrapolation over _HALFSPACE_NODES and twice as many nodes stays within
 # 2e-7 of an 800/1600-node solve for c = Phi^-1(p), p in [1e-6, 1 - 1e-6],
 # and tau in [1e-4, 50], and within 4e-8 of asin(e^{-tau}) / pi at c = 0.
+# The occupation stays within 3e-6 of a 400/800-node solve for c1 in
+# [0.3, 2], c1 - c2 in [1e-3, 2] and tau = 0.5, and within 3e-8 of its
+# closed form at c1 = c2 = 0.
 _HALFSPACE_WIDTH = 9.0
 _HALFSPACE_LAYER = 12.0
 _HALFSPACE_NODES = 100
 
 
-def _halfspace_grid_exit(c: float, tau: float, width: float,
-                         nodes: int) -> float:
-    """Exit probability by time tau of the finite-difference OU chain on
-    ``nodes`` nodes spaced h = width / nodes below c: the trapezoid rule
-    for the integral of phi (1 - u(tau)) over (c - width, c].
+def _halfspace_generator(c: float, width: float, nodes: int):
+    """The finite-difference OU chain on ``nodes`` nodes x spaced
+    h = width / nodes below c, killed at c, diagonalised once.
 
     The generator f'' - x f' = (phi f')' / phi is taken in flux form,
     (L f)_i = [phi_{i+1/2} (f_{i+1} - f_i) - phi_{i-1/2} (f_i - f_{i-1})]
     / (h w_i phi_i), with trapezoid weights w_i. The node c is absorbing
-    (u = 0 there, so its term is (h/2) phi(c)) and the left end is
-    reflecting (phi_{-1/2} = 0). D = diag(sqrt(w phi)) makes
-    D L D^-1 = V diag(lam) V^T symmetric, so
-    sum_i w_i phi_i (1 - e^{tau L} 1)_i
-    = sum_k (1 - e^{tau lam_k}) (V^T D 1)_k^2, exact in time. On a
-    uniform grid phi_{i+1/2} / sqrt(phi_i phi_{i+1}) is e^{h^2/8}, so no
-    ratio of phi values under- or overflows.
+    (u = 0 there) and the left end is reflecting (phi_{-1/2} = 0).
+    D = diag(sqrt(w phi)) makes D L D^-1 = V diag(lam) V^T symmetric, so
+    the survival u(t) = e^{tL} 1 from the nodes is D^-1 V e^{t lam} V^T D 1,
+    exact in time. On a uniform grid phi_{i+1/2} / sqrt(phi_i phi_{i+1})
+    is e^{h^2/8}, so no ratio of phi values under- or overflows.
+
+    Returns (x, lam, V, d1, x0): d1 is D 1 scaled by sqrt(phi) at the
+    node nearest 0, where x^2 = x0, so sums of d1 products times
+    e^{-x0/2} / sqrt(2 pi) are Gaussian masses.
     """
     h = width / nodes
     x = c - h * np.arange(nodes, 0, -1)
@@ -338,12 +345,72 @@ def _halfspace_grid_exit(c: float, tau: float, width: float,
     idx = np.arange(nodes - 1)
     gen[idx, idx + 1] = gen[idx + 1, idx] = off
     lam, vec = np.linalg.eigh(gen)
-    # D 1 = sqrt(w phi), scaled by sqrt(phi) at the node nearest 0
     x0 = float(np.min(x * x))
-    proj = vec.T @ (np.sqrt(w) * np.exp(-0.25 * (x * x - x0)))
+    return x, lam, vec, np.sqrt(w) * np.exp(-0.25 * (x * x - x0)), x0
+
+
+def _halfspace_grid_exit(c: float, tau: float, width: float,
+                         nodes: int) -> float:
+    """Exit probability by time tau of the chain of
+    ``_halfspace_generator``: the trapezoid rule for the integral of
+    phi (1 - u(tau)) over (c - width, c], which is
+    (h/2) phi(c) + sum_k (1 - e^{tau lam_k}) (V^T D 1)_k^2.
+    """
+    h = width / nodes
+    _, lam, vec, d1, x0 = _halfspace_generator(c, width, nodes)
+    proj = vec.T @ d1
     inner = float(-np.expm1(tau * lam) @ (proj * proj))
     return (0.5 * h * math.exp(-0.5 * c * c)
             + inner * math.exp(-0.5 * x0)) / math.sqrt(2.0 * math.pi)
+
+
+def _target_weights(x: np.ndarray, h: float, c2: float) -> np.ndarray:
+    """Weights f, relative to the trapezoid weights w phi of the nodes
+    ``x`` below the absorbing node x[-1] + h, such that
+    sum_i w_i phi_i f_i u_i integrates phi u over {y <= c2}.
+
+    Nodes whose intervals lie below c2 weigh 1. On the interval
+    [x_j, x_j + h] that c2 cuts, phi is integrated against the linear
+    interpolant of u (Simpson's rule on the cut part, exact to O(h^5)),
+    so c2 need not lie on a node. The cut adds an error of O(h^3) that
+    depends on where c2 falls and so survives the Richardson step; a
+    node-mass share would add O(h^2). u is 0 at the absorbing node, so
+    its share is dropped.
+    """
+    f = np.zeros(x.size)
+    j = int(np.searchsorted(x, c2, side="right")) - 1  # x_j <= c2
+    if j < 0:
+        return f
+    f[:j] = 1.0
+    s = np.array([0.0, 0.5, 1.0]) * (c2 - x[j])  # y - x_j, Simpson's nodes
+    r = np.exp(-0.5 * s * (2.0 * x[j] + s))  # phi(y) / phi(x_j)
+    simpson = s[2] / 6.0 * np.array([1.0, 4.0, 1.0])
+    # int phi and int (y - x_j) phi over [x_j, c2], in units of phi(x_j)
+    m0, m1 = float(simpson @ r), float(simpson @ (s * r))
+    left = 0.5 * h if j else 0.0  # the trapezoid half of [x_j - h, x_j]
+    f[j] = (left + m0 - m1 / h) / (left + 0.5 * h)
+    if j + 1 < x.size:
+        f[j + 1] = m1 / (h * h) * math.exp(0.5 * h * (x[j] + x[j + 1]))
+    return f
+
+
+def _halfspace_grid_occupation(c1: float, c2: float, tau: float,
+                               width: float, nodes: int) -> float:
+    """Occupation of {y <= c2} before the kill at c1, by time tau, of the
+    chain of ``_halfspace_generator`` started from phi on
+    (c1 - width, c1]: the integral of phi times int_0^tau u(t) dt over
+    {y <= c2}, which is sum_k (V^T D 1)_k (V^T D f)_k g_k with
+    g_k = expm1(tau lam_k) / lam_k and f from ``_target_weights``.
+    """
+    h = width / nodes
+    x, lam, vec, d1, x0 = _halfspace_generator(c1, width, nodes)
+    f = np.ones(nodes) if c2 >= c1 else _target_weights(x, h, c2)
+    # for c1 >= 8 the top eigenvalue is rounding noise of either sign
+    # (|lam| ~ 1e-13), where g_k is tau; an exact 0 must not divide
+    g = np.divide(np.expm1(tau * lam), lam, out=np.full(nodes, tau),
+                  where=lam != 0.0)
+    inner = float(((vec.T @ d1) * (vec.T @ (d1 * f))) @ g)
+    return inner * math.exp(-0.5 * x0) / math.sqrt(2.0 * math.pi)
 
 
 def halfspace_survival(offset: float, tau: float) -> float:
@@ -374,6 +441,39 @@ def halfspace_survival(offset: float, tau: float) -> float:
                     for nodes in (_HALFSPACE_NODES, 2 * _HALFSPACE_NODES))
     # far below the origin nearly all of Phi(c) exits; keep rounding >= 0
     return max(float(special.ndtr(c)) - (4.0 * fine - coarse) / 3.0, 0.0)
+
+
+def halfspace_occupation(c1: float, c2: float, tau: float) -> float:
+    """Expected time E int_0^{min(tau, T)} 1{Y_t <= c2} dt that a
+    stationary 1-d OU process Y spends in {y <= c2} before T, its first
+    exit from {y <= c1}: the occupation of parallel half-spaces
+    {nu.x <= c1}, {nu.x <= c2} with |nu| = 1.
+
+    The stationary process is reversible, so this is the integral of
+    phi(y) int_0^tau u(y, t) dt over {y <= c2}, with u the survival from y
+    of ``halfspace_survival``; the grid and the Richardson extrapolation
+    are the same (``_halfspace_grid_occupation``). A path started below
+    the grid survives to tau (see ``_HALFSPACE_WIDTH``) and adds
+    tau Phi(min(c2, c1 - width)). c2 >= c1 gives the integral of the
+    survival over [0, tau]; c1 = +inf gives tau Phi(c2), and c1 = -inf,
+    c2 = -inf or tau = 0 give 0. At c1 = c2 = 0 the exact value is the
+    integral of asin(e^{-t}) / pi over [0, tau].
+    """
+    c1, c2, tau = float(c1), float(c2), float(tau)
+    if math.isnan(c1) or math.isnan(c2):
+        raise ValueError("offsets must not be NaN")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {tau}")
+    c2 = min(c2, c1)
+    if tau == 0.0 or c2 == -math.inf:
+        return 0.0
+    if c1 == math.inf:
+        return tau * float(special.ndtr(c2))
+    width = min(_HALFSPACE_WIDTH, _HALFSPACE_LAYER * math.sqrt(tau))
+    coarse, fine = (_halfspace_grid_occupation(c1, c2, tau, width, nodes)
+                    for nodes in (_HALFSPACE_NODES, 2 * _HALFSPACE_NODES))
+    below = tau * float(special.ndtr(min(c2, c1 - width)))
+    return max(below + (4.0 * fine - coarse) / 3.0, 0.0)
 
 
 def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
@@ -546,16 +646,59 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
     return OccupationEstimate(horizon=float(tau), sets=(a1, a2), value=est)
 
 
+def _parallel(pair) -> bool:
+    """Whether an (A_1, A_2) pair is two half-spaces with one normal."""
+    a1, a2 = pair
+    return (isinstance(a1, HalfSpace) and isinstance(a2, HalfSpace)
+            and np.array_equal(a1.normal, a2.normal))
+
+
 def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
-    """Occupation of two set pairs on identical trajectories, with the
-    paired standard error of the difference (B minus A)."""
-    acc = _occupation_scan([pair_a, pair_b], tau, steps, paths, seed)
-    est_a, est_b, diff = (_occupation_estimate(acc, key, tau, steps, paths,
-                                               seed)
-                          for key in (("count", 0), ("count", 1), "pair"))
-    return (OccupationEstimate(float(tau), tuple(pair_a), est_a),
-            OccupationEstimate(float(tau), tuple(pair_b), est_b),
-            diff.std_error)
+    """Occupation of two set pairs: exact for two half-spaces with one
+    normal (``halfspace_occupation``, with std_error 0 and samples 0),
+    and the grid scan of ``occupation`` for any other pair.
+
+    Returns (estimate_a, estimate_b, paired_se). When both pairs are
+    scanned, they share trajectories and paired_se is the standard error
+    of the mean per-path difference (B minus A) under common random
+    numbers. Otherwise the scan carries the other pair alone, so its rows
+    drop as soon as that pair's paths leave A_1, and paired_se is that
+    pair's standard error (0 when both pairs are exact).
+    """
+    tau, steps, _, _ = _grid_params(tau, steps)
+    paths = int(paths)
+    seed = check_seed(seed)
+    pairs = (pair_a, pair_b)
+    # The exact pairs go first. The BLAS threads that their eigh wakes
+    # keep spinning for a while after it, so they then overlap this
+    # call's scan and not the caller's next call.
+    exact = [halfspace_occupation(p[0].offset, p[1].offset, tau)
+             if _parallel(p) else None for p in pairs]
+    scanned = [p for p, value in zip(pairs, exact) if value is None]
+    if len(scanned) == 2:
+        acc = _occupation_scan(scanned, tau, steps, paths, seed)
+        est_a, est_b, diff = (_occupation_estimate(acc, key, tau, steps,
+                                                   paths, seed)
+                              for key in (("count", 0), ("count", 1),
+                                          "pair"))
+        return (OccupationEstimate(tau, tuple(pair_a), est_a),
+                OccupationEstimate(tau, tuple(pair_b), est_b),
+                diff.std_error)
+    acc = (_occupation_scan(scanned, tau, steps, paths, seed) if scanned
+           else None)
+
+    def arm(pair, value):
+        if value is None:
+            est = _occupation_estimate(acc, ("count", 0), tau, steps, paths,
+                                       seed)
+        else:
+            est = Estimate(value=value, std_error=0.0, samples=0, seed=seed)
+        return OccupationEstimate(tau, tuple(pair), est)
+
+    occ_a, occ_b = (arm(p, value) for p, value in zip(pairs, exact))
+    # an exact pair adds nothing: hypot(se, 0) is se
+    return (occ_a, occ_b,
+            math.hypot(occ_a.value.std_error, occ_b.value.std_error))
 
 
 # ---------------------------------------------------------------------------

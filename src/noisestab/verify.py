@@ -25,7 +25,8 @@ from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
     hessian_top_eigenvalue, j_grad, j_value, kernel_diagnostic
 from .orthant import Estimate
 from .ousim import KroneckerSampler, exit_survival_pair, \
-    halfspace_survival, occupation_pair, semigroup_apply
+    halfspace_occupation, halfspace_survival, occupation_pair, \
+    semigroup_apply
 from .seeding import batches, check_seed, derive_rng, fan_out, subseed
 
 # Verdict band: three combined standard errors with an absolute floor.
@@ -192,19 +193,19 @@ def verify_noise_stability(a1: SetExpr, a2: SetExpr, t: float,
     return [compare(f"noise-stability[t={t:g}]", lhs, rhs)]
 
 
-# Step of the central difference that takes dS/dc from the exact
-# half-space survival; its O(step^2) error is far below any standard error.
+# Step of the central difference that takes dV/dc from an exact
+# half-space value V; its O(step^2) error is far below any standard error.
 OFFSET_STEP = 1e-3
 
 
-def _offset_se(c: float, tau: float, measure_se: float) -> float:
+def _offset_se(value_at, c: float, measure_se: float) -> float:
     """Standard error that a Monte Carlo measure mu passes to the exact
-    survival S(c) of the matched half-space at c = Phi^{-1}(mu), to
-    first order: |dS/dc| se(mu) / phi(c). Exact measures pass none."""
+    value ``value_at(c)`` of a matched half-space at c = Phi^{-1}(mu), to
+    first order: |dV/dc| se(mu) / phi(c). Exact measures pass none."""
     if measure_se == 0.0:
         return 0.0
-    slope = (halfspace_survival(c + OFFSET_STEP, tau)
-             - halfspace_survival(c - OFFSET_STEP, tau)) / (2.0 * OFFSET_STEP)
+    slope = (value_at(c + OFFSET_STEP)
+             - value_at(c - OFFSET_STEP)) / (2.0 * OFFSET_STEP)
     return abs(slope) * measure_se / std_normal_pdf(c)
 
 
@@ -223,8 +224,9 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     def horizon(tau):
         est_a, est_b, _ = exit_survival_pair(a, b, tau, cfg.grid.steps,
                                              s.paths, s.seed)
-        rhs = replace(est_b.survival,
-                      std_error=_offset_se(b.offset, tau, mu.std_error))
+        se = _offset_se(lambda c: halfspace_survival(c, tau), b.offset,
+                        mu.std_error)
+        rhs = replace(est_b.survival, std_error=se)
         return compare(f"exit-dominance[tau={tau:g}]", est_a.survival, rhs)
 
     return fan_out(horizon, taus)
@@ -232,19 +234,27 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
 
 def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
                       cfg: ExperimentConfig) -> list[ComparisonResult]:
-    """Occupation of (A_1, A_2) against matched parallel half-spaces, per
-    horizon, each horizon an independent scan at the same seed."""
+    """Scanned occupation of (A_1, A_2) against the exact occupation of
+    the matched parallel half-spaces, per horizon, each horizon an
+    independent scan at the same seed. Monte Carlo measures make the
+    matched offsets noisy; that noise reaches the rhs standard error
+    through each offset (``_offset_se``; the measures are independent),
+    and the margin combines both sides in quadrature."""
     s = cfg.sampling
     mus = [gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
            for i, a in enumerate((a1, a2))]
     b1, b2 = _matched_halfspaces(SetSystem((a1, a2)), mus)
 
     def horizon(tau):
-        occ_a, occ_b, paired = occupation_pair((a1, a2), (b1, b2), tau,
-                                               cfg.grid.steps, s.paths,
-                                               s.seed)
-        return compare(f"occupation[tau={tau:g}]", occ_a.value, occ_b.value,
-                       paired_se=max(paired, 0.0))
+        occ_a, occ_b, _ = occupation_pair((a1, a2), (b1, b2), tau,
+                                          cfg.grid.steps, s.paths, s.seed)
+        se = math.hypot(
+            _offset_se(lambda c: halfspace_occupation(c, b2.offset, tau),
+                       b1.offset, mus[0].std_error),
+            _offset_se(lambda c: halfspace_occupation(b1.offset, c, tau),
+                       b2.offset, mus[1].std_error))
+        rhs = replace(occ_b.value, std_error=se)
+        return compare(f"occupation[tau={tau:g}]", occ_a.value, rhs)
 
     return fan_out(horizon, taus)
 

@@ -255,7 +255,7 @@ class TestShippedConfigs:
             "57f2058db631ab7f2dbd6c225c8bb6ed537ead77f820ca53ec351e54cc805ac4"),
         "occupation_balls": (
             ["--paths", "4000"],
-            "f9c64c4e87368f660989e782ec8c1b93600616c555163f695d93f93fca54a347"),
+            "79096c5b35b2201b9b6790f381a0188e7bad203e775dc5ccc2739ddb59011219"),
         "parallel": (
             ["--samples", "100000"],
             "21e8fd7f939d82e1e53cb92be302e7de990566227cb8f5bf7a5ca7f165117e32"),

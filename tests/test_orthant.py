@@ -105,6 +105,16 @@ class TestQmc:
         # closed form for this symmetric case: 1/4
         assert abs(est.value - 0.25) <= max(3 * est.std_error, 1e-5)
 
+    @pytest.mark.parametrize("seed", [1, 5, 8, 13])
+    def test_se_not_below_rounding(self, seed):
+        # the conditional ndtr saturates here, so the shift means agree to
+        # the last bits; scipy's Genz value is 0.5560650288285746
+        q = _biv_query(0.822, limits=(0.141, 4.577))
+        est = orthant_qmc(q, 1e-7, seed)
+        assert est.std_error >= orthant.SE_FLOOR_ULPS * np.finfo(float).eps \
+            * est.value
+        assert abs(est.value - 0.5560650288285746) <= 3 * est.std_error
+
     def test_agrees_with_mc_corpus(self):
         rng = np.random.default_rng(43)
         mc_samples = 100_000

@@ -17,6 +17,7 @@ from noisestab import (
     exit_survival_refined,
     gaussian_measure,
     gradient_bound_check,
+    halfspace_occupation,
     halfspace_survival,
     occupation,
     occupation_pair,
@@ -382,6 +383,101 @@ class TestHalfspaceSurvival:
         assert results == sequential
 
 
+def _integrated_survival(c, tau, nodes=40):
+    """int_0^tau halfspace_survival(c, t) dt by Gauss-Legendre in s, with
+    t = s^2: S(t) has a sqrt(t) term at 0, S(s^2) is smooth in s."""
+    s, w = np.polynomial.legendre.leggauss(nodes)
+    root = math.sqrt(tau)
+    s = 0.5 * root * (s + 1.0)
+    return 0.5 * root * sum(wi * 2.0 * si * halfspace_survival(c, si * si)
+                            for si, wi in zip(s, w))
+
+
+class TestHalfspaceOccupation:
+    """The exact occupation of parallel half-spaces, which
+    ``occupation_pair`` takes for every such pair."""
+
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 1.0, 5.0])
+    def test_origin_closed_form(self, tau):
+        exact = integrate.quad(lambda t: math.asin(math.exp(-t)) / math.pi,
+                               0.0, tau, epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(halfspace_occupation(0.0, 0.0, tau) - exact) <= 1e-7
+
+    @pytest.mark.parametrize("c1", [-1.0, 0.3, 1.5])
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_target_above_offset_is_integrated_survival(self, c1, tau):
+        want = _integrated_survival(c1, tau)
+        for c2 in (c1, c1 + 2.0, np.inf):
+            assert abs(halfspace_occupation(c1, c2, tau) - want) <= 1e-7
+
+    def test_limits(self):
+        assert halfspace_occupation(np.inf, 0.3, 2.0) == \
+            2.0 * special.ndtr(0.3)
+        assert halfspace_occupation(np.inf, np.inf, 2.0) == 2.0
+        assert halfspace_occupation(-np.inf, 0.3, 2.0) == 0.0
+        assert halfspace_occupation(0.3, -np.inf, 2.0) == 0.0
+        assert halfspace_occupation(0.3, 0.1, 0.0) == 0.0
+        # a target below the grid: those paths survive to tau
+        low = halfspace_occupation(0.0, -12.0, 1.0)
+        assert 0.0 < low == special.ndtr(-12.0)
+        for c in (-40.0, -10.0, 10.0, 40.0):
+            assert 0.0 <= halfspace_occupation(c, c - 0.5, 1.0) \
+                <= special.ndtr(c - 0.5)
+
+    def test_rejects_bad_arguments(self):
+        for args in ((math.nan, 0.0, 0.5), (0.0, math.nan, 0.5),
+                     (0.0, 0.0, math.nan), (0.0, 0.0, -0.1),
+                     (0.0, 0.0, math.inf)):
+            with pytest.raises(ValueError):
+                halfspace_occupation(*args)
+
+    def test_monotone(self):
+        values = [[halfspace_occupation(0.5, c2, tau)
+                   for tau in (0.1, 0.5, 2.0)] for c2 in (-1.0, 0.0, 0.4)]
+        assert all(a < b for row in values for a, b in zip(row, row[1:]))
+        assert all(a < b for col in zip(*values) for a, b in zip(col, col[1:]))
+
+    def test_matches_fine_grid(self):
+        # the 0.6/0.3 pair: c2 cuts a grid interval, whose share is
+        # integrated against the linear interpolant of the survival
+        c1, c2, tau = HS_06.offset, HS_03.offset, 0.5
+        width = min(ousim._HALFSPACE_WIDTH,
+                    ousim._HALFSPACE_LAYER * math.sqrt(tau))
+        coarse, fine = (ousim._halfspace_grid_occupation(c1, c2, tau, width,
+                                                         nodes)
+                        for nodes in (800, 1600))
+        ref = (tau * special.ndtr(min(c2, c1 - width))
+               + (4.0 * fine - coarse) / 3.0)
+        assert abs(halfspace_occupation(c1, c2, tau) - ref) <= 2e-6
+
+    def test_matches_raw_scan(self):
+        est = occupation(HS_06, HS_03, 0.5, 2048, 40_000, 41).value
+        exact = halfspace_occupation(HS_06.offset, HS_03.offset, 0.5)
+        assert abs(est.value - exact) <= 3 * est.std_error
+
+    def test_pair_takes_parallel_pairs_exactly(self):
+        balls, halves = (BALL_06, BALL_03), (HS_06, HS_03)
+        exact = halfspace_occupation(HS_06.offset, HS_03.offset, 0.5)
+        # the ball pair is scanned alone, as occupation scans it
+        alone = occupation(*balls, 0.5, 32, 20_000, 15)
+        for a, b in ((balls, halves), (halves, balls)):
+            occ_a, occ_b, paired = occupation_pair(a, b, 0.5, 32, 20_000, 15)
+            held, scanned = (occ_a, occ_b) if a is halves else (occ_b, occ_a)
+            assert held.value.value == exact
+            assert (held.value.std_error, held.value.samples) == (0.0, 0)
+            assert scanned == alone
+            assert paired == scanned.value.std_error
+        occ_a, occ_b, paired = occupation_pair(halves, halves, 0.5, 32,
+                                               20_000, 15)
+        assert occ_a.value == occ_b.value and paired == 0.0
+
+    def test_crossed_normals_are_scanned(self):
+        crossed = (HS_06, HalfSpace(np.array([0.0, 1.0]), HS_03.offset))
+        occ_a, _, _ = occupation_pair(crossed, (HS_06, HS_03), 0.5, 32,
+                                      5_000, 16)
+        assert occ_a.value.samples == 5_000 and occ_a.value.std_error > 0.0
+
+
 class TestOccupation:
     def test_empty_target(self):
         empty = Intersection((Ball(np.array([5.0, 5.0]), 0.5),
@@ -573,7 +669,8 @@ HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
 
 
 def _occupation_case():
-    a, b, paired = occupation_pair((BALL_06, BALL_03), (HS_06, HS_03), 0.5,
+    # two scanned pairs (two half-spaces with one normal would be exact)
+    a, b, paired = occupation_pair((BALL_06, BALL_03), (BALL_06, HS_03), 0.5,
                                    32, 70_000, 21)
     return (a.value.value, a.value.std_error, b.value.value,
             b.value.std_error, paired)
@@ -596,11 +693,11 @@ class TestWorkerCount:
     # 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10739174107142857, 0.0005995895222957735, 0.13544665178571427,
-            0.0007173996896094337, 0.001043042142794477),
+            0.10893683035714286, 0.0006047087973441686, 0.035832142857142854,
+            0.00029249726239031864, 0.0005829865162642497),
         ("occupation_pair", 7000): (
-            0.10870200892857143, 0.0006012011959830103, 0.1354234375,
-            0.0007190791113502751, 0.0010480101587609985),
+            0.10938616071428571, 0.0006032440288910809, 0.03584553571428571,
+            0.00029261552048299284, 0.0005799700868821539),
         ("exit_dominance_refined", seeding.BATCH): (
             0.07728469870250138, 0.20891371022527833, 0.0018868454200417972,
             0.0003691125365078266, 0.00019908093361759938,

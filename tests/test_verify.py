@@ -23,6 +23,7 @@ from noisestab import (
     exit_code_for,
     gaussian_measure,
     gradient_bound_check,
+    halfspace_occupation,
     halfspace_survival,
     heat_flow,
     joint_containment,
@@ -326,6 +327,40 @@ class TestOccupation:
         (comp,) = verify_occupation(HS0, empty, [0.5], cfg)
         assert comp.lhs.value == 0.0
         assert comp.verdict in (HOLDS, EQUALITY_BAND)
+
+    def test_measure_noise_reaches_rhs(self):
+        # a one-part union has a Monte Carlo measure, so its matched offset
+        # is noisy: rhs se^2 sums (|dV/dc_i| se(mu_i) / phi(c_i))^2
+        cfg = parse_config("[sampling]\nsamples = 100000\npaths = 5000\n"
+                           "seed = 13\n[grid]\nsteps = 32\n")
+        ball_06 = Ball(np.zeros(2), 1.353728726055671)
+        ball_03 = Ball(np.zeros(2), 0.8446004309005916)
+        h, tau = OFFSET_STEP, 0.5
+
+        def propagated(a1, a2):
+            mu1, mu2 = (gaussian_measure(a, 100_000, subseed(13, "measure", i))
+                        for i, a in enumerate((a1, a2)))
+            c1, c2 = (std_normal_quantile(mu.value) for mu in (mu1, mu2))
+            d1 = (halfspace_occupation(c1 + h, c2, tau)
+                  - halfspace_occupation(c1 - h, c2, tau)) / (2 * h)
+            d2 = (halfspace_occupation(c1, c2 + h, tau)
+                  - halfspace_occupation(c1, c2 - h, tau)) / (2 * h)
+            return math.hypot(abs(d1) * mu1.std_error / std_normal_pdf(c1),
+                              abs(d2) * mu2.std_error / std_normal_pdf(c2))
+
+        for a1, a2 in ((Union((ball_06,)), ball_03),
+                       (ball_06, Union((ball_03,))),
+                       (Union((ball_06,)), Union((ball_03,)))):
+            (comp,) = verify_occupation(a1, a2, [tau], cfg)
+            assert comp.rhs.std_error > 0.0
+            assert comp.rhs.std_error == pytest.approx(propagated(a1, a2),
+                                                       rel=1e-12)
+            combined = math.hypot(comp.lhs.std_error, comp.rhs.std_error)
+            assert comp.margin_se == pytest.approx(
+                (comp.rhs.value - comp.lhs.value) / combined, rel=1e-12)
+        # leaf measures are exact, and so is the rhs
+        (comp,) = verify_occupation(ball_06, ball_03, [tau], cfg)
+        assert (comp.rhs.std_error, comp.rhs.samples) == (0.0, 0)
 
     def test_each_horizon_reported(self):
         doc = ("[experiment]\nkind = occupation\nn = 2\n[sets]\n"
