@@ -12,7 +12,7 @@ import time
 
 from . import __version__
 from .config import ConfigError, EXPERIMENT_KINDS, ExperimentConfig, \
-    apply_overrides, load_config
+    _floats, apply_overrides, load_config
 from .report import build_report, write_csv, write_json
 from .verify import exit_code_for, run_experiment
 
@@ -79,9 +79,9 @@ def cli_main(argv) -> int:
             cfg = load_config(args.config)
         else:
             cfg = ExperimentConfig()
-        taus = None
-        if args.tau:
-            taus = [float(tok) for tok in args.tau.split(",") if tok.strip()]
+        taus = None if args.tau is None else _floats(args.tau, "--tau")
+        if taus == ():
+            raise ConfigError("--tau: expected at least one horizon")
         cfg = apply_overrides(cfg, seed=args.seed, samples=args.samples,
                               paths=args.paths, steps=args.steps, taus=taus,
                               kind=args.command,

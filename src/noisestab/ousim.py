@@ -22,11 +22,16 @@ takes the occupation for every pair of half-spaces with one normal and
 scans only the other pair. Two arms or pairs that are both scanned reuse
 identical trajectories per path index (common random numbers), and so do
 the arms of ``exit_dominance_refined``; their margins carry a paired
-standard error. ``occupation`` stays the raw grid scan, the oracle.
+standard error. ``_combine`` joins the exact and the scanned arms of
+both pair calls under one rule. ``occupation`` stays the raw grid scan,
+the oracle.
 
-Once fewer than 7/8 of a batch's paths are live, the scans drop the ones
-whose result is fixed and draw normals for the rest only. Batch i still
-draws from the stream keyed ("exit", i); when rows drop depends only on
+Both scans run on one batch loop (``_scan``). Batch i draws its paths
+from the stream keyed ("exit", i). Once fewer than 7/8 of a batch's
+paths are live, the loop drops the ones whose result is fixed and
+draws normals for the rest only. A dropped exit path adds 0 to every
+sum, so it is discarded; the occupation scan passes ``retire``, which
+tallies a dropped path's counts first. When rows drop depends only on
 the seed, the sizes and the sets. The batches run side by side on the
 shared thread pool (``seeding.fan_out``) and their sums are merged in
 batch order, so results do not depend on the number of workers.
@@ -191,6 +196,46 @@ def _merge(parts):
     return acc
 
 
+def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
+    """The batch loop of the OU grid scans: ``paths`` stationary paths
+    in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau].
+
+    Batch i draws from the stream keyed ("exit", i). ``start(states)``
+    returns the scan's per-path arrays, one column per path, with the
+    liveness rows ``alive`` first; ``update(i, states, *arrays)`` updates
+    them in place after step i; ``tally(acc, *arrays)`` adds their
+    per-path moments to ``acc`` at the end. Once fewer than
+    ``_LIVE_SHARE`` of the columns have a live row, the dead ones are
+    dropped, after ``retire(acc, *dead)`` when given; a batch stops when
+    none is left. Returns the batch sums merged in batch order.
+    """
+    _, steps, decay, scale = _grid_params(tau, steps)
+    seed = check_seed(seed)
+
+    def batch(part):
+        chunk_index, c = part
+        rng = derive_rng(seed, "exit", chunk_index)
+        states = rng.standard_normal((c, dim))
+        noise = np.empty_like(states)
+        arrays = start(states)
+        acc: dict = {}
+        for i in range(1, steps + 1):
+            live = arrays[0].any(axis=0)
+            if np.count_nonzero(live) < _LIVE_SHARE * live.size:
+                if retire is not None:
+                    retire(acc, *(x.compress(~live, 1) for x in arrays))
+                states = states[live]
+                arrays = [x.compress(live, 1) for x in arrays]
+                if not len(states):
+                    break
+            _step(rng, states, noise, decay, scale)
+            update(i, states, *arrays)
+        tally(acc, *arrays)
+        return acc
+
+    return _merge(fan_out(batch, batches(paths)))
+
+
 def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     """Shared-trajectory exit scan for one or two regions at once.
 
@@ -201,7 +246,7 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     (``_bridge_monitor``). Returns a dict of per-path sums and sums of
     squares, keyed by quantity and region index i:
 
-    - ``("w", i)``: coarse corrected weight of region i;
+    - ``("v", i)``: coarse corrected weight of region i;
     - ``("change", i)``: coarse minus fine corrected weight;
     - ``"pair"``: coarse weight of region 1 minus region 0;
     - ``"margin"``: ``pair`` on the coarse grid minus the same on the
@@ -212,49 +257,34 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     Differences are taken per path because the corrected fine event no
     longer nests inside the coarse one; identical regions give exactly
     zero. A path whose raw indicators have all died (each region, fine
-    and coarse grid) adds 0 to every sum, so it may be dropped.
+    and coarse grid) adds 0 to every sum, so it is dropped untallied.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     refine = int(refine)
-    fine_steps = steps * refine
-    _, _, decay, scale = _grid_params(tau, fine_steps)
-    inv_fine = _inv_sinh(tau / fine_steps)
+    inv_fine = _inv_sinh(tau / (steps * refine))
     inv_coarse = _inv_sinh(tau / steps)
-    seed = check_seed(seed)
     r = len(regions)
 
-    def batch(part):
-        chunk_index, c = part
-        rng = derive_rng(seed, "exit", chunk_index)
-        states = rng.standard_normal((c, regions[0].dim))
-        noise = np.empty_like(states)
+    def start(states):
         # rows: each region on the fine grid, then on the coarse grid
         last = np.array([boundary_distance(reg, states)
                          for reg in regions] * min(refine, 2))
-        alive = last >= 0.0
-        weight = np.ones_like(last)
-        for i in range(1, fine_steps + 1):
-            live = alive.any(axis=0)
-            if np.count_nonzero(live) < _LIVE_SHARE * live.size:
-                states = states[live]
-                last, alive, weight = (x.compress(live, 1)
-                                       for x in (last, alive, weight))
-                if not len(states):
-                    break
-            _step(rng, states, noise, decay, scale)
-            on_coarse = refine > 1 and i % refine == 0
-            for idx, reg in enumerate(regions):
-                a1 = boundary_distance(reg, states)
-                rows = (idx, r + idx) if on_coarse else (idx,)
-                for row, inv in zip(rows, (inv_fine, inv_coarse)):
-                    _bridge_monitor(alive[row], weight[row], last[row], a1,
-                                    inv)
-                    last[row] = a1
-        acc: dict = {}
+        return last >= 0.0, np.ones_like(last), last
+
+    def update(i, states, alive, weight, last):
+        on_coarse = refine > 1 and i % refine == 0
+        for idx, reg in enumerate(regions):
+            a1 = boundary_distance(reg, states)
+            rows = (idx, r + idx) if on_coarse else (idx,)
+            for row, inv in zip(rows, (inv_fine, inv_coarse)):
+                _bridge_monitor(alive[row], weight[row], last[row], a1, inv)
+                last[row] = a1
+
+    def tally(acc, alive, weight, last):
         w = np.where(alive, weight, 0.0)
         wf, wc = w[:r], w[-r:]
         for idx in range(r):
-            _add(acc, ("w", idx), wc[idx])
+            _add(acc, ("v", idx), wc[idx])
             _add(acc, ("change", idx), wc[idx] - wf[idx])
             _add(acc, ("raw", idx), alive[-r + idx].astype(float))
             _add(acc, ("raw_fine", idx), alive[idx].astype(float))
@@ -262,9 +292,9 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
             pair_c = wc[1] - wc[0]
             _add(acc, "pair", pair_c)
             _add(acc, "margin", pair_c - (wf[1] - wf[0]))
-        return acc
 
-    return _merge(fan_out(batch, batches(paths)))
+    return _scan(regions[0].dim, tau, steps * refine, paths, seed, start,
+                 update, tally)
 
 
 def _mean_se(moments, paths: int) -> tuple[float, float]:
@@ -276,11 +306,30 @@ def _mean_se(moments, paths: int) -> tuple[float, float]:
     return float(mean), math.sqrt(var / paths)
 
 
-def _survival_estimate(acc, idx, tau, steps, paths, seed) -> ExitTimeEstimate:
-    value, se = _mean_se(acc[("w", idx)], paths)
-    return ExitTimeEstimate(horizon=float(tau), steps=int(steps),
-                            survival=Estimate(value=value, std_error=se,
-                                              samples=paths, seed=seed))
+def _estimate(acc, key, scale, paths, seed) -> Estimate:
+    """``scale`` times the mean of the per-path quantity ``key`` of a
+    scan over ``paths`` paths, with its standard error."""
+    mean, se = _mean_se(acc[key], paths)
+    return Estimate(value=scale * mean, std_error=scale * se, samples=paths,
+                    seed=seed)
+
+
+def _combine(exact, estimate, seed):
+    """The two arms of a comparison and the standard error of their
+    difference (b minus a). ``exact`` holds each arm's exact value, or
+    None for a scanned arm; ``estimate(key)`` reads the scan. Two scanned
+    arms share trajectories, so their SE is that of the mean per-path
+    difference (``"pair"``) under common random numbers. Otherwise the
+    scan carried one arm as ``("v", 0)``, an exact arm has std_error 0
+    and samples 0, and the SE is the hypot of the two.
+    """
+    if all(value is None for value in exact):
+        return (estimate(("v", 0)), estimate(("v", 1)),
+                estimate("pair").std_error)
+    est_a, est_b = (estimate(("v", 0)) if value is None else
+                    Estimate(value=value, std_error=0.0, samples=0, seed=seed)
+                    for value in exact)
+    return est_a, est_b, math.hypot(est_a.std_error, est_b.std_error)
 
 
 def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
@@ -298,7 +347,9 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     paths = int(paths)
     seed = check_seed(seed)
     acc = _survival_scan([s], tau, steps, paths, seed)
-    return _survival_estimate(acc, 0, tau, steps, paths, seed)
+    return ExitTimeEstimate(horizon=float(tau), steps=int(steps),
+                            survival=_estimate(acc, ("v", 0), 1.0, paths,
+                                               seed))
 
 
 # The half-space oracle solves on (c - width, c], width = min(9, 12
@@ -499,39 +550,26 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
 
 def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
     """Survival over [0, tau] of two sets: exact for a half-space arm
-    (``halfspace_survival``, with std_error 0 and samples 0), and the
+    (``halfspace_survival``, std_error 0 and samples 0), and the
     bridge-corrected estimate of ``exit_survival`` for any other arm.
-
-    Returns (estimate_a, estimate_b, paired_se). When neither arm is a
-    half-space, both are scanned on identical trajectories and paired_se
-    is the standard error of the mean per-path weight difference (b
-    minus a) under common random numbers; it is exactly zero for
-    identical sets. Otherwise the scan carries the other arm alone, so
-    its rows drop as soon as that arm's paths die, and paired_se is that
-    arm's standard error (0 when both arms are half-spaces).
+    Returns (estimate_a, estimate_b, paired_se), paired_se the SE of b
+    minus a (``_combine``): from per-path differences under common random
+    numbers when both arms are scanned (0 for identical sets), else the
+    hypot of the two SEs. The scan carries the scanned arms only.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
     scanned = [s for s in (a, b) if not isinstance(s, HalfSpace)]
-    if len(scanned) == 2:
-        acc = _survival_scan([a, b], tau, steps, paths, seed)
-        return (_survival_estimate(acc, 0, tau, steps, paths, seed),
-                _survival_estimate(acc, 1, tau, steps, paths, seed),
-                _mean_se(acc["pair"], paths)[1])
     acc = _survival_scan(scanned, tau, steps, paths, seed) if scanned else None
-
-    def arm(s):
-        if not isinstance(s, HalfSpace):
-            return _survival_estimate(acc, 0, tau, steps, paths, seed)
-        exact = Estimate(value=halfspace_survival(s.offset, tau),
-                         std_error=0.0, samples=0, seed=seed)
-        return ExitTimeEstimate(tau, steps, exact)
-
-    est_a, est_b = arm(a), arm(b)
-    # an exact arm adds nothing: hypot(se, 0) is se
-    return (est_a, est_b,
-            math.hypot(est_a.survival.std_error, est_b.survival.std_error))
+    # The exact arms go after the scan: the BLAS threads that their eigh
+    # wakes keep spinning, and would slow the other horizon's scan.
+    exact = [halfspace_survival(s.offset, tau) if isinstance(s, HalfSpace)
+             else None for s in (a, b)]
+    est_a, est_b, paired = _combine(
+        exact, lambda key: _estimate(acc, key, 1.0, paths, seed), seed)
+    return (ExitTimeEstimate(tau, steps, est_a),
+            ExitTimeEstimate(tau, steps, est_b), paired)
 
 
 @dataclass(frozen=True)
@@ -563,6 +601,7 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
                            refine: int = 2) -> DominanceRefinement:
     """One coupled pass evaluating both arms at ``steps`` and at
     ``steps * refine`` on the same trajectories."""
+    tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
     acc = _survival_scan([a, b], tau, steps, paths, seed, refine=refine)
@@ -570,12 +609,15 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
     ch_b, ch_b_se = _mean_se(acc[("change", 1)], paths)
     margin, margin_se = _mean_se(acc["margin"], paths)
 
+    def arm(idx):
+        return ExitTimeEstimate(tau, steps,
+                                _estimate(acc, ("v", idx), 1.0, paths, seed))
+
     def raw_drop(idx):
         return (acc[("raw", idx)][0] - acc[("raw_fine", idx)][0]) / paths
 
     return DominanceRefinement(
-        est_a=_survival_estimate(acc, 0, tau, steps, paths, seed),
-        est_b=_survival_estimate(acc, 1, tau, steps, paths, seed),
+        est_a=arm(0), est_b=arm(1),
         paired_se=_mean_se(acc["pair"], paths)[1],
         change_a=ch_a, change_a_se=ch_a_se,
         change_b=ch_b, change_b_se=ch_b_se,
@@ -583,55 +625,30 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
         raw_drop_a=raw_drop(0), raw_drop_b=raw_drop(1))
 
 
-def _add_counts(acc, counts):
-    """Add occupation step counts (a row per pair) and their difference."""
-    for idx, row in enumerate(counts):
-        _add(acc, ("count", idx), row)
-    if len(counts) >= 2:
-        _add(acc, "pair", counts[1] - counts[0])
-
-
 def _occupation_scan(pairs, tau, steps, paths, seed):
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
     on shared trajectories. Returns per-path sums and sums of squares
-    keyed ``("count", i)`` for pair i and, with two pairs, ``"pair"``
-    for the count difference (pair 1 minus pair 0). A path that has left
-    every A_1 may be dropped; its integer counts are added when it is.
+    keyed ``("v", i)`` for pair i and, with two pairs, ``"pair"`` for
+    the count difference (pair 1 minus pair 0). A path that has left
+    every A_1 is dropped; ``retire`` adds its integer counts first.
     """
-    tau, steps, decay, scale = _grid_params(tau, steps)
-    seed = check_seed(seed)
-
-    def batch(part):
-        chunk_index, c = part
-        rng = derive_rng(seed, "exit", chunk_index)
-        states = rng.standard_normal((c, pairs[0][0].dim))
-        noise = np.empty_like(states)
+    def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
-        counts = np.zeros((len(pairs), c), dtype=np.int64)
-        acc: dict = {}
-        for _ in range(steps):
-            live = alive.any(axis=0)
-            if np.count_nonzero(live) < _LIVE_SHARE * live.size:
-                _add_counts(acc, counts.compress(~live, axis=1))
-                states = states[live]
-                alive, counts = (x.compress(live, 1) for x in (alive, counts))
-                if not len(states):
-                    break
-            _step(rng, states, noise, decay, scale)
-            for idx, (a1, a2) in enumerate(pairs):
-                counts[idx] += alive[idx] & contains(a2, states)
-                alive[idx] &= contains(a1, states)
-        _add_counts(acc, counts)
-        return acc
+        return alive, np.zeros(alive.shape, dtype=np.int64)
 
-    return _merge(fan_out(batch, batches(paths)))
+    def update(i, states, alive, counts):
+        for idx, (a1, a2) in enumerate(pairs):
+            counts[idx] += alive[idx] & contains(a2, states)
+            alive[idx] &= contains(a1, states)
 
+    def tally(acc, alive, counts):
+        for idx, row in enumerate(counts):
+            _add(acc, ("v", idx), row)
+        if len(counts) >= 2:
+            _add(acc, "pair", counts[1] - counts[0])
 
-def _occupation_estimate(acc, key, tau, steps, paths, seed) -> Estimate:
-    dt = float(tau) / int(steps)
-    mean_c, se_c = _mean_se(acc[key], int(paths))
-    return Estimate(value=float(dt * mean_c), std_error=float(dt * se_c),
-                    samples=int(paths), seed=check_seed(seed))
+    return _scan(pairs[0][0].dim, tau, steps, paths, seed, start, update,
+                 tally, retire=tally)
 
 
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
@@ -641,9 +658,12 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
 
     Faithful to the raw functional: A_2 is not forced inside A_1.
     """
+    tau, steps, _, _ = _grid_params(tau, steps)
+    paths = int(paths)
+    seed = check_seed(seed)
     acc = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
-    est = _occupation_estimate(acc, ("count", 0), tau, steps, paths, seed)
-    return OccupationEstimate(horizon=float(tau), sets=(a1, a2), value=est)
+    est = _estimate(acc, ("v", 0), tau / steps, paths, seed)
+    return OccupationEstimate(horizon=tau, sets=(a1, a2), value=est)
 
 
 def _parallel(pair) -> bool:
@@ -655,15 +675,11 @@ def _parallel(pair) -> bool:
 
 def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     """Occupation of two set pairs: exact for two half-spaces with one
-    normal (``halfspace_occupation``, with std_error 0 and samples 0),
-    and the grid scan of ``occupation`` for any other pair.
-
-    Returns (estimate_a, estimate_b, paired_se). When both pairs are
-    scanned, they share trajectories and paired_se is the standard error
-    of the mean per-path difference (B minus A) under common random
-    numbers. Otherwise the scan carries the other pair alone, so its rows
-    drop as soon as that pair's paths leave A_1, and paired_se is that
-    pair's standard error (0 when both pairs are exact).
+    normal (``halfspace_occupation``, std_error 0 and samples 0), and the
+    grid scan of ``occupation`` for any other pair. Returns (estimate_a,
+    estimate_b, paired_se), paired_se the SE of B minus A as in
+    ``exit_survival_pair`` (``_combine``). The scan carries the scanned
+    pairs only.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
@@ -675,30 +691,13 @@ def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     exact = [halfspace_occupation(p[0].offset, p[1].offset, tau)
              if _parallel(p) else None for p in pairs]
     scanned = [p for p, value in zip(pairs, exact) if value is None]
-    if len(scanned) == 2:
-        acc = _occupation_scan(scanned, tau, steps, paths, seed)
-        est_a, est_b, diff = (_occupation_estimate(acc, key, tau, steps,
-                                                   paths, seed)
-                              for key in (("count", 0), ("count", 1),
-                                          "pair"))
-        return (OccupationEstimate(tau, tuple(pair_a), est_a),
-                OccupationEstimate(tau, tuple(pair_b), est_b),
-                diff.std_error)
     acc = (_occupation_scan(scanned, tau, steps, paths, seed) if scanned
            else None)
-
-    def arm(pair, value):
-        if value is None:
-            est = _occupation_estimate(acc, ("count", 0), tau, steps, paths,
-                                       seed)
-        else:
-            est = Estimate(value=value, std_error=0.0, samples=0, seed=seed)
-        return OccupationEstimate(tau, tuple(pair), est)
-
-    occ_a, occ_b = (arm(p, value) for p, value in zip(pairs, exact))
-    # an exact pair adds nothing: hypot(se, 0) is se
-    return (occ_a, occ_b,
-            math.hypot(occ_a.value.std_error, occ_b.value.std_error))
+    est_a, est_b, paired = _combine(
+        exact, lambda key: _estimate(acc, key, tau / steps, paths, seed),
+        seed)
+    return (OccupationEstimate(tau, tuple(pair_a), est_a),
+            OccupationEstimate(tau, tuple(pair_b), est_b), paired)
 
 
 # ---------------------------------------------------------------------------

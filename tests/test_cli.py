@@ -117,6 +117,20 @@ class TestExitCodes:
         assert code == 1
         assert "horizon must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", [",", " , "])
+    @pytest.mark.parametrize("kind, name", [("exit-time", "exit_ball"),
+                                            ("occupation",
+                                             "occupation_balls")])
+    def test_empty_horizon_list_exit_one(self, tmp_path, capsys, tau, kind,
+                                         name):
+        code = cli.cli_main([kind, "--config", str(CONFIGS / f"{name}.cfg"),
+                             "--tau", tau, "--paths", "2000", "--steps", "4",
+                             "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "--tau: expected at least one horizon" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_violated_exit_two_with_report(self, tmp_path, monkeypatch,
                                            capsys):
         # the inequality cannot be honestly violated at test scale, so a

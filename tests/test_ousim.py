@@ -676,6 +676,18 @@ def _occupation_case():
             b.value.std_error, paired)
 
 
+def _exit_case():
+    # one scanned region: the scan drops dead paths untallied
+    est = exit_survival(HALF_BALL, 0.5, 32, 70_000, 23)
+    return est.survival.value, est.survival.std_error
+
+
+def _single_occupation_case():
+    # one scanned pair: the scan tallies dropped paths as it goes
+    est = occupation(BALL_06, BALL_03, 0.5, 32, 70_000, 24)
+    return est.value.value, est.value.std_error
+
+
 def _dominance_case():
     r = exit_dominance_refined(HALF_BALL, HS0, 0.5, 32, 70_000, 22)
     return (r.est_a.survival.value, r.est_b.survival.value, r.paired_se,
@@ -688,7 +700,9 @@ class TestWorkerCount:
     and equal those of the sequential scans (pinned here)."""
 
     CASES = {"occupation_pair": _occupation_case,
-             "exit_dominance_refined": _dominance_case}
+             "exit_dominance_refined": _dominance_case,
+             "exit_survival": _exit_case,
+             "occupation": _single_occupation_case}
     # 70,000 paths are two batches at the default batch size and ten at
     # 7,000, where the order of the float sums matters
     PINNED = {
@@ -706,6 +720,14 @@ class TestWorkerCount:
             0.07519022938013442, 0.2064133472338548, 0.001871416751814838,
             3.7123524945555236e-05, 0.00013143131264031644,
             9.430778769476109e-05, 0.0002672852577411519),
+        ("exit_survival", seeding.BATCH): (
+            0.07649762948375215, 0.0009366153836724777),
+        ("exit_survival", 7000): (
+            0.07698744506747188, 0.0009399713720414331),
+        ("occupation", seeding.BATCH): (
+            0.10948125, 0.0006041630511928532),
+        ("occupation", 7000): (
+            0.10905892857142857, 0.0006030768920298947),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))
