@@ -19,7 +19,6 @@ from .gaussian import (
     inverse_offdiag_nonpositive,
     isoperimetric_profile,
     laplacian_quadratic_form,
-    max_eigenvalue,
     ou_covariance,
     semigroup_slope,
     std_normal_cdf,
@@ -63,9 +62,7 @@ from .jfunc import (
 )
 from .ousim import (
     DominanceRefinement,
-    ExitTimeEstimate,
     KroneckerSampler,
-    OccupationEstimate,
     exit_dominance_refined,
     exit_survival,
     exit_survival_pair,
@@ -75,11 +72,9 @@ from .ousim import (
     occupation,
     occupation_pair,
     semigroup_apply,
-    semigroup_halfspace_closed,
 )
 from .verify import (
     ComparisonResult,
-    EqualityDiagnostic,
     GradientBoundResult,
     classify_margin,
     compare,

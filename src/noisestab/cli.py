@@ -11,8 +11,8 @@ import sys
 import time
 
 from . import __version__
-from .config import ConfigError, EXPERIMENT_KINDS, ExperimentConfig, \
-    _floats, apply_overrides, load_config
+from .config import ConfigError, EXPERIMENT_KINDS, _floats, \
+    apply_overrides, load_config, parse_config
 from .report import build_report, write_csv, write_json
 from .verify import exit_code_for, run_experiment
 
@@ -75,10 +75,7 @@ def cli_main(argv) -> int:
         return 1
 
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        else:
-            cfg = ExperimentConfig()
+        cfg = load_config(args.config) if args.config else parse_config("")
         taus = None if args.tau is None else _floats(args.tau, "--tau")
         if taus == ():
             raise ConfigError("--tau: expected at least one horizon")

@@ -368,6 +368,8 @@ def _with(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
 
 
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
+    """Parse a config document. A document without ``[sampling] seed``
+    takes the seed from NOISESTAB_SEED when that is set."""
     # ';' stays available inside values (explicit matrix rows use it).
     cp = configparser.ConfigParser(comment_prefixes=("#",),
                                    inline_comment_prefixes=None,
@@ -393,6 +395,10 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
 
     values = {f: f.parse(cp[f.section][f.key], f"[{f.section}] {f.key}")
               for f in FIELDS if cp.has_option(f.section, f.key)}
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed and not cp.has_option("sampling", "seed"):
+        seed = next(f for f in FIELDS if f.key == "seed")
+        values[seed] = seed.parse(env_seed, f"${SEED_ENV_VAR}")
     # an empty list keeps its default
     cfg = _with(ExperimentConfig(), {f: v for f, v in values.items()
                                      if v != ()})
@@ -421,17 +427,13 @@ def load_config(path: str) -> ExperimentConfig:
 def apply_overrides(cfg: ExperimentConfig, *, seed=None, samples=None,
                     paths=None, steps=None, taus=None, out=None,
                     kind=None) -> ExperimentConfig:
-    """Resolve command-line flags and the seed environment variable.
+    """Resolve command-line flags.
 
     Each keyword sets the field whose ``flag`` it is in :data:`FIELDS`,
-    converted to that field's type. Precedence for the seed: flag,
-    config value, then the environment default NOISESTAB_SEED if the
-    config kept the built-in 0.
+    converted to that field's type, so a ``seed`` flag beats both the
+    config and NOISESTAB_SEED (which ``parse_config`` resolves).
     """
     flags = dict(locals())            # keyword name -> value
-    if seed is None and cfg.sampling.seed == 0 \
-            and os.environ.get(SEED_ENV_VAR):
-        flags["seed"] = _int(os.environ[SEED_ENV_VAR], f"${SEED_ENV_VAR}")
     return _with(cfg, {f: type(_get(cfg, f))(flags[f.flag]) for f in FIELDS
                        if flags.get(f.flag) is not None})
 

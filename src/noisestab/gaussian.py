@@ -271,9 +271,3 @@ def laplacian_quadratic_form(a, v) -> float:
     iu, ju = np.triu_indices(k, 1)
     diff = vv[iu] - vv[ju]
     return float(-np.sum(am[iu, ju] * diff * diff))
-
-
-def max_eigenvalue(m) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
-    a = _check_symmetric(m)
-    return float(np.linalg.eigvalsh(a)[-1])

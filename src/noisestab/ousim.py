@@ -23,8 +23,9 @@ scans only the other pair. Two arms or pairs that are both scanned reuse
 identical trajectories per path index (common random numbers), and so do
 the arms of ``exit_dominance_refined``; their margins carry a paired
 standard error. ``_combine`` joins the exact and the scanned arms of
-both pair calls under one rule. ``occupation`` stays the raw grid scan,
-the oracle.
+both pair calls under one rule and returns (estimate_a, estimate_b,
+paired_se). ``occupation`` stays the raw grid scan, the oracle. Every
+estimator returns ``Estimate``s.
 
 Both scans run on one batch loop (``_scan``). Batch i draws its paths
 from the stream keyed ("exit", i). Once fewer than 7/8 of a batch's
@@ -48,8 +49,7 @@ import numpy as np
 from scipy import special
 
 from .gaussian import CorrelationMatrix, cholesky
-from .geometry import HalfSpace, SetExpr, boundary_distance, contains, \
-    heat_flow
+from .geometry import HalfSpace, SetExpr, boundary_distance, contains
 from .orthant import Estimate
 from .seeding import batches, check_seed, derive_rng, fan_out
 
@@ -105,23 +105,6 @@ class KroneckerSampler:
                 for j in range(1, i + 1):
                     out += np.multiply(zb[:, j], q[i, j], out=term[:r])
         return mixed.transpose(1, 0, 2)
-
-
-@dataclass(frozen=True)
-class ExitTimeEstimate:
-    """Survival probability Pr(X_t in A for all t in [0, horizon]),
-    estimated on a grid of ``steps`` steps."""
-    horizon: float
-    steps: int
-    survival: Estimate
-
-
-@dataclass(frozen=True)
-class OccupationEstimate:
-    """Expected time in A_2 before leaving A_1, truncated at the horizon."""
-    horizon: float
-    sets: tuple[SetExpr, SetExpr]
-    value: Estimate
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +316,7 @@ def _combine(exact, estimate, seed):
 
 
 def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
-                  seed: int) -> ExitTimeEstimate:
+                  seed: int) -> Estimate:
     """Bridge-corrected estimate of Pr(X_t in ``s`` for all t in [0, tau]).
 
     Each path's weight is the product over grid steps of the probability
@@ -347,9 +330,7 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     paths = int(paths)
     seed = check_seed(seed)
     acc = _survival_scan([s], tau, steps, paths, seed)
-    return ExitTimeEstimate(horizon=float(tau), steps=int(steps),
-                            survival=_estimate(acc, ("v", 0), 1.0, paths,
-                                               seed))
+    return _estimate(acc, ("v", 0), 1.0, paths, seed)
 
 
 # The half-space oracle solves on (c - width, c], width = min(9, 12
@@ -479,8 +460,8 @@ def halfspace_survival(offset: float, tau: float) -> float:
     """
     c = float(offset)
     tau = float(tau)
-    if not tau >= 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {tau}")
     if math.isnan(c):
         raise ValueError("offset must not be NaN")
     if tau == 0.0:
@@ -543,9 +524,7 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
     coarse, fine = acc[("raw", 0)][0], acc[("raw_fine", 0)][0]
     ce, fe, drop = (Estimate.binomial(count, paths, seed)
                     for count in (coarse, fine, coarse - fine))
-    return (ExitTimeEstimate(float(tau), int(steps), ce),
-            ExitTimeEstimate(float(tau), int(steps) * refine, fe),
-            drop.value, drop.std_error)
+    return ce, fe, drop.value, drop.std_error
 
 
 def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
@@ -566,10 +545,8 @@ def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
     # wakes keep spinning, and would slow the other horizon's scan.
     exact = [halfspace_survival(s.offset, tau) if isinstance(s, HalfSpace)
              else None for s in (a, b)]
-    est_a, est_b, paired = _combine(
-        exact, lambda key: _estimate(acc, key, 1.0, paths, seed), seed)
-    return (ExitTimeEstimate(tau, steps, est_a),
-            ExitTimeEstimate(tau, steps, est_b), paired)
+    return _combine(exact, lambda key: _estimate(acc, key, 1.0, paths, seed),
+                    seed)
 
 
 @dataclass(frozen=True)
@@ -584,8 +561,8 @@ class DominanceRefinement:
     ``raw_drop_a/b`` are the drops of the raw grid monitor, which are
     nonnegative pathwise.
     """
-    est_a: ExitTimeEstimate
-    est_b: ExitTimeEstimate
+    est_a: Estimate
+    est_b: Estimate
     paired_se: float
     change_a: float
     change_a_se: float
@@ -609,15 +586,12 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
     ch_b, ch_b_se = _mean_se(acc[("change", 1)], paths)
     margin, margin_se = _mean_se(acc["margin"], paths)
 
-    def arm(idx):
-        return ExitTimeEstimate(tau, steps,
-                                _estimate(acc, ("v", idx), 1.0, paths, seed))
-
     def raw_drop(idx):
         return (acc[("raw", idx)][0] - acc[("raw_fine", idx)][0]) / paths
 
     return DominanceRefinement(
-        est_a=arm(0), est_b=arm(1),
+        est_a=_estimate(acc, ("v", 0), 1.0, paths, seed),
+        est_b=_estimate(acc, ("v", 1), 1.0, paths, seed),
         paired_se=_mean_se(acc["pair"], paths)[1],
         change_a=ch_a, change_a_se=ch_a_se,
         change_b=ch_b, change_b_se=ch_b_se,
@@ -652,7 +626,7 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
 
 
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
-               seed: int) -> OccupationEstimate:
+               seed: int) -> Estimate:
     """Time-discretized occupation: (tau/steps) * sum over grid times of
     the frequency of {inside A_1 strictly before, inside A_2 now}.
 
@@ -662,8 +636,7 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
     paths = int(paths)
     seed = check_seed(seed)
     acc = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
-    est = _estimate(acc, ("v", 0), tau / steps, paths, seed)
-    return OccupationEstimate(horizon=tau, sets=(a1, a2), value=est)
+    return _estimate(acc, ("v", 0), tau / steps, paths, seed)
 
 
 def _parallel(pair) -> bool:
@@ -693,11 +666,9 @@ def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     scanned = [p for p, value in zip(pairs, exact) if value is None]
     acc = (_occupation_scan(scanned, tau, steps, paths, seed) if scanned
            else None)
-    est_a, est_b, paired = _combine(
+    return _combine(
         exact, lambda key: _estimate(acc, key, tau / steps, paths, seed),
         seed)
-    return (OccupationEstimate(tau, tuple(pair_a), est_a),
-            OccupationEstimate(tau, tuple(pair_b), est_b), paired)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +702,3 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
         hits += int(contains(s, pts).sum())
     return Estimate.binomial(hits, samples, seed)
 
-
-def semigroup_halfspace_closed(c: float, t: float, u: float) -> float:
-    """Exact heat flow Phi((c - e^{-t} u) / sqrt(1 - e^{-2t})) on a
-    half-space {x : nu.x <= c} at a point with projection u = nu.x: the
-    ``heat_flow`` of the 1-d half-space {y <= c} at y = u."""
-    return heat_flow(HalfSpace(np.ones(1), c), t, np.array([float(u)]))

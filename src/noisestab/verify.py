@@ -222,12 +222,12 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     b = _matched_halfspaces(SetSystem((a,)), [mu])[0]
 
     def horizon(tau):
-        est_a, est_b, _ = exit_survival_pair(a, b, tau, cfg.grid.steps,
-                                             s.paths, s.seed)
+        lhs, rhs, _ = exit_survival_pair(a, b, tau, cfg.grid.steps, s.paths,
+                                         s.seed)
         se = _offset_se(lambda c: halfspace_survival(c, tau), b.offset,
                         mu.std_error)
-        rhs = replace(est_b.survival, std_error=se)
-        return compare(f"exit-dominance[tau={tau:g}]", est_a.survival, rhs)
+        return compare(f"exit-dominance[tau={tau:g}]", lhs,
+                       replace(rhs, std_error=se))
 
     return fan_out(horizon, taus)
 
@@ -246,15 +246,15 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
     b1, b2 = _matched_halfspaces(SetSystem((a1, a2)), mus)
 
     def horizon(tau):
-        occ_a, occ_b, _ = occupation_pair((a1, a2), (b1, b2), tau,
-                                          cfg.grid.steps, s.paths, s.seed)
+        lhs, rhs, _ = occupation_pair((a1, a2), (b1, b2), tau,
+                                      cfg.grid.steps, s.paths, s.seed)
         se = math.hypot(
             _offset_se(lambda c: halfspace_occupation(c, b2.offset, tau),
                        b1.offset, mus[0].std_error),
             _offset_se(lambda c: halfspace_occupation(b1.offset, c, tau),
                        b2.offset, mus[1].std_error))
-        rhs = replace(occ_b.value, std_error=se)
-        return compare(f"occupation[tau={tau:g}]", occ_a.value, rhs)
+        return compare(f"occupation[tau={tau:g}]", lhs,
+                       replace(rhs, std_error=se))
 
     return fan_out(horizon, taus)
 
@@ -299,29 +299,18 @@ def _in_band(flows: np.ndarray | None, count: int, lo: float, hi: float,
     return np.ones(count, dtype=bool)
 
 
-@dataclass(frozen=True)
-class EqualityDiagnostic:
+def equality_diagnostic_run(sets: SetSystem, t: float,
+                            cfg: ExperimentConfig) -> list[dict]:
     """Linearity diagnostic of the quantile-transformed heat flow.
 
-    For each set: fitted direction, offset, RMS nonlinearity residual,
-    fitted slope magnitude, the probes fitted and how many of them had a
-    clipped flow, and how its heat flow was made (``flows``: ``exact``
-    for leaves, ``monte_carlo`` for composites); plus pairwise cosines
-    between directions. Parallel half-spaces give residuals near zero,
-    aligned directions, and slope equal to the semigroup slope.
+    One row per set: fitted direction, offset, RMS nonlinearity residual,
+    fitted slope magnitude and its ratio to the semigroup slope, the
+    probes fitted and how many of them had a clipped flow, and how its
+    heat flow was made (``flow``: ``exact`` for leaves, ``monte_carlo``
+    for composites); then one row of pairwise cosines between directions.
+    Parallel half-spaces give residuals near zero, aligned directions, and
+    slope equal to the semigroup slope.
     """
-    directions: np.ndarray
-    offsets: np.ndarray
-    residuals: np.ndarray
-    slopes: np.ndarray
-    cosines: np.ndarray
-    probes_used: np.ndarray
-    clipped: np.ndarray
-    flows: tuple[str, ...]
-
-
-def equality_diagnostic_run(sets: SetSystem, t: float,
-                            cfg: ExperimentConfig) -> EqualityDiagnostic:
     t = float(t)
     if not t > 0.0:
         raise ConfigError("[experiment] t: equality diagnostic needs t > 0")
@@ -337,33 +326,35 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
             raise ConfigError(f"[sets] a{i + 1}: measure must be interior "
                               "to (0, 1) for the diagnostic")
     probes = derive_rng(s.seed, "diagnostic").standard_normal((s.probes, n))
+    kt = semigroup_slope(t)
 
-    directions = np.zeros((sets.k, n))
-    offsets = np.zeros(sets.k)
-    residuals = np.zeros(sets.k)
-    slopes = np.zeros(sets.k)
-    used = np.zeros(sets.k, dtype=int)
-    clipped = np.zeros(sets.k, dtype=int)
-    flows = []
+    rows = []
+    directions = []
     for i, a in enumerate(sets.sets):
         w, vals, flow = _quantile_flows(
             a, t, probes, s.samples, lambda j: subseed(s.seed, "flow", j))
         # the fit has n + 1 coefficients, so on fewer than n + 2 probes
         # its residual is 0 by construction
         keep = _in_band(vals, len(probes), 0.01, 0.99, n + 2)
-        if vals is not None:
-            clipped[i] = np.count_nonzero(
-                keep & ((vals < FLOW_CLIP) | (vals > 1.0 - FLOW_CLIP)))
+        clipped = 0 if vals is None else int(np.count_nonzero(
+            keep & ((vals < FLOW_CLIP) | (vals > 1.0 - FLOW_CLIP))))
         w, pts = w[keep], probes[keep]
         design = np.hstack([pts, np.ones((pts.shape[0], 1))])
         coef, *_ = np.linalg.lstsq(design, w, rcond=None)
         fit = design @ coef
-        directions[i] = coef[:n]
-        offsets[i] = coef[n]
-        residuals[i] = math.sqrt(float(np.mean((w - fit) ** 2)))
-        slopes[i] = float(np.linalg.norm(coef[:n]))
-        used[i] = int(keep.sum())
-        flows.append(flow)
+        slope = float(np.linalg.norm(coef[:n]))
+        directions.append(coef[:n])
+        rows.append({
+            "name": f"equality-diagnostic[a{i + 1}]",
+            "direction": [float(v) for v in coef[:n]],
+            "offset": float(coef[n]),
+            "residual": math.sqrt(float(np.mean((w - fit) ** 2))),
+            "slope": slope,
+            "slope_over_kt": slope / kt,
+            "probes_used": int(keep.sum()),
+            "clipped": clipped,
+            "flow": flow,
+        })
 
     cosines = np.eye(sets.k)
     for i in range(sets.k):
@@ -372,10 +363,11 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
             c = float(directions[i] @ directions[j] / (ni * nj)) \
                 if ni > 0 and nj > 0 else 0.0
             cosines[i, j] = cosines[j, i] = c
-    return EqualityDiagnostic(directions=directions, offsets=offsets,
-                              residuals=residuals, slopes=slopes,
-                              cosines=cosines, probes_used=used,
-                              clipped=clipped, flows=tuple(flows))
+    rows.append({
+        "name": "equality-diagnostic[cosines]",
+        "cosines": [[float(v) for v in row] for row in cosines],
+    })
+    return rows
 
 
 @dataclass(frozen=True)
@@ -563,25 +555,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     if kind == "equality-diagnostic":
         if not cfg.sets:
             raise ConfigError("[sets]: equality-diagnostic needs at least a1")
-        diag = equality_diagnostic_run(SetSystem(tuple(cfg.sets)), cfg.t, cfg)
-        kt = semigroup_slope(cfg.t)
-        results = []
-        for i in range(len(cfg.sets)):
-            results.append({
-                "name": f"equality-diagnostic[a{i + 1}]",
-                "direction": [float(v) for v in diag.directions[i]],
-                "offset": float(diag.offsets[i]),
-                "residual": float(diag.residuals[i]),
-                "slope": float(diag.slopes[i]),
-                "slope_over_kt": float(diag.slopes[i] / kt),
-                "probes_used": int(diag.probes_used[i]),
-                "clipped": int(diag.clipped[i]),
-                "flow": diag.flows[i],
-            })
-        results.append({
-            "name": "equality-diagnostic[cosines]",
-            "cosines": [[float(v) for v in row] for row in diag.cosines],
-        })
+        results = equality_diagnostic_run(SetSystem(tuple(cfg.sets)), cfg.t,
+                                          cfg)
         columns = ["name", "residual", "slope", "slope_over_kt"]
         csv_rows = [[r["name"], r["residual"], r["slope"], r["slope_over_kt"]]
                     for r in results if "residual" in r]

@@ -24,6 +24,7 @@ from noisestab import (
     compare,
     gradient_bound_check,
     hadamard_hessian,
+    heat_flow,
     hessian_top_eigenvalue,
     inverse_offdiag_nonpositive,
     j_diag_second,
@@ -37,7 +38,6 @@ from noisestab import (
     ou_covariance,
     parallel_halfspaces,
     semigroup_apply,
-    semigroup_halfspace_closed,
     stability_bound,
 )
 from noisestab.ousim import exit_dominance_refined
@@ -231,13 +231,13 @@ def test_criterion_6_exit_time_dominance():
     changes = []
     for tau in taus:
         r = exit_dominance_refined(HALF_BALL, HS0, tau, steps, paths, 606)
-        margin_se = (r.est_b.survival.value - r.est_a.survival.value) / \
+        margin_se = (r.est_b.value - r.est_a.value) / \
             max(r.paired_se, 1e-12)
         margins.append(round(margin_se, 1))
         if margin_se < -3.0:
             dominance_ok = False
-        ca = r.change_a / max(r.est_a.survival.std_error, 1e-12)
-        cb = r.change_b / max(r.est_b.survival.std_error, 1e-12)
+        ca = r.change_a / max(r.est_a.std_error, 1e-12)
+        cb = r.change_b / max(r.est_b.std_error, 1e-12)
         changes.append((round(ca, 2), round(cb, 2)))
         if ca >= 1.0 or cb >= 1.0:
             refinement_ok = False
@@ -265,11 +265,11 @@ def test_criterion_7_occupation_bound():
     b1, b2 = parallel_halfspaces([0.6, 0.3], np.array([1.0, 0.0]))
     occ_a, occ_b, paired = occupation_pair((a1, a2), (b1, b2), tau, steps,
                                            paths, 707)
-    ball_comp = compare("balls", occ_a.value, occ_b.value,
+    ball_comp = compare("balls", occ_a, occ_b,
                         paired_se=max(paired, 0.0))
     occ_pa, occ_pb, paired_p = occupation_pair((b1, b2), (b1, b2), tau,
                                                steps, paths, 708)
-    par_comp = compare("parallel", occ_pa.value, occ_pb.value,
+    par_comp = compare("parallel", occ_pa, occ_pb,
                        paired_se=max(paired_p, 0.0))
     elapsed = time.perf_counter() - start
     ok = (ball_comp.verdict == "holds"
@@ -291,7 +291,7 @@ def test_criterion_8_semigroup_closed_form():
         x = rng.standard_normal(2)
         t = float(rng.uniform(0.1, 2.0))
         mc = semigroup_apply(hs, t, x, 200_000, 80_000 + trial)
-        exact = semigroup_halfspace_closed(hs.offset, t, float(x @ hs.normal))
+        exact = heat_flow(hs, t, x)
         if abs(mc.value - exact) > 3 * max(mc.std_error, 1e-6):
             closed_ok = False
     ghs = gradient_bound_check(HS0, 0.5, 8, 909)

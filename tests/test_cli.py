@@ -216,6 +216,15 @@ steps = 16
         data = json.loads(report.read_text())
         assert data["config"]["sampling"]["seed"] == 777
 
+    def test_config_seed_zero_beats_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NOISESTAB_SEED", "777")
+        report = tmp_path / "r.json"
+        cfg = _write_cfg(tmp_path, PARALLEL_DOC.replace("seed = 7", "seed = 0"),
+                         report=str(report))
+        assert cli.cli_main(["verify-main", "--config", cfg, "--quiet"]) == 0
+        data = json.loads(report.read_text())
+        assert data["config"]["sampling"]["seed"] == 0
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -244,9 +253,9 @@ class TestDeterminism:
 
 class TestShippedConfigs:
     """Each shipped config, run through the CLI at its own seed, gives a
-    pinned report for one worker and for two. Sizes are the shipped ones
-    except for the flags beside each digest, which keep a run under a
-    second."""
+    pinned report, and a pinned CSV where it sets ``[output] csv``, for
+    one worker and for two. Sizes are the shipped ones except for the
+    flags beside each digest, which keep a run under a second."""
 
     CASES = {
         "ball_vs_bound": (
@@ -275,9 +284,23 @@ class TestShippedConfigs:
             "21e8fd7f939d82e1e53cb92be302e7de990566227cb8f5bf7a5ca7f165117e32"),
     }
 
+    # sha256 of the CSV written to the config's [output] csv
+    CSV = {
+        "condition":
+            "af672a4b88516aec358e06066ce98a47702b8bc4755ae76e1a5f802945b3ea1f",
+        "equality_diag":
+            "d89964e43a4db336cae28b2006e2cffe94ff7e338d521457146cfc17397c4c0f",
+        "exit_ball":
+            "3e870dc99e1f042653931443bed7f0a76ed29389c8df2451c9f8dab23812d942",
+        "k2grid":
+            "6f89ff0ca36b681b9fdee0c8f3c9c46f3de94392a480c9173827291c63f87e0d",
+    }
+
     def test_every_config_pinned(self):
-        assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(
-            self.CASES)
+        configs = sorted(CONFIGS.glob("*.cfg"))
+        assert [p.stem for p in configs] == sorted(self.CASES)
+        assert [p.stem for p in configs
+                if load_config(str(p)).output.csv] == sorted(self.CSV)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -291,3 +314,7 @@ class TestShippedConfigs:
                             + flags) == 0
         report = json.loads(Path("report.json").read_text())
         assert hashlib.sha256(report_fingerprint(report)).hexdigest() == want
+        csv = load_config(str(path)).output.csv
+        if csv:
+            assert hashlib.sha256(Path(csv).read_bytes()).hexdigest() \
+                == self.CSV[name]

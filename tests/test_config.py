@@ -400,6 +400,12 @@ class TestOverrides:
         cfg = apply_overrides(parse_config("[sampling]\nseed = 5\n"))
         assert cfg.sampling.seed == 5
 
+    def test_env_seed_loses_to_config_zero(self, monkeypatch):
+        # the config sets the seed, so the environment does not apply
+        monkeypatch.setenv("NOISESTAB_SEED", "4242")
+        cfg = apply_overrides(parse_config("[sampling]\nseed = 0\n"))
+        assert cfg.sampling.seed == 0
+
     def test_env_seed_loses_to_flag(self, monkeypatch):
         monkeypatch.setenv("NOISESTAB_SEED", "4242")
         cfg = apply_overrides(parse_config(""), seed=9)

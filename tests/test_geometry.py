@@ -19,7 +19,6 @@ from noisestab import (
     heat_flow,
     parallel_halfspaces,
     semigroup_apply,
-    semigroup_halfspace_closed,
     std_normal_cdf,
 )
 
@@ -361,7 +360,7 @@ class TestMeasureIsFlowAtInfinity:
             c = float(rng.choice([rng.normal(0.0, 2.0), np.inf, -np.inf]))
             t = float(rng.choice([rng.uniform(1e-4, 3.0), 40.0]))
             u = float(rng.normal(0.0, 3.0))
-            assert semigroup_halfspace_closed(c, t, u) \
+            assert heat_flow(HalfSpace(np.ones(1), c), t, np.array([u])) \
                 == _old_halfspace_closed(c, t, u)
 
     def test_centred_ball_flow_at_zero_noncentrality(self):
@@ -423,7 +422,7 @@ class TestClosedForms:
         hs = HalfSpace(np.array([0.6, -0.8]), 0.3)
         pts = rng.standard_normal((50, 2))
         flow = heat_flow(hs, 0.7, pts)
-        want = [semigroup_halfspace_closed(hs.offset, 0.7, u)
+        want = [_old_halfspace_closed(hs.offset, 0.7, u)
                 for u in pts @ hs.normal]
         assert np.max(np.abs(flow - want)) <= 1e-15
 

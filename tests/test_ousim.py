@@ -19,11 +19,11 @@ from noisestab import (
     gradient_bound_check,
     halfspace_occupation,
     halfspace_survival,
+    heat_flow,
     occupation,
     occupation_pair,
     ou_covariance,
     semigroup_apply,
-    semigroup_halfspace_closed,
     std_normal_cdf,
 )
 import noisestab.ousim as ousim
@@ -204,33 +204,31 @@ class TestKroneckerBlocks:
 class TestExitSurvival:
     def test_full_space(self):
         est = exit_survival(FULL, 1.0, 16, 2000, 1)
-        assert est.survival.value == 1.0
+        assert est.value == 1.0
 
     def test_tiny_horizon_is_measure(self):
         est = exit_survival(HALF_BALL, 1e-9, 1, 100_000, 2)
         mu = gaussian_measure(HALF_BALL).value
-        assert abs(est.survival.value - mu) <= 3 * est.survival.std_error
+        assert abs(est.value - mu) <= 3 * est.std_error
 
     def test_zero_horizon(self):
         est = exit_survival(HS0, 0.0, 4, 50_000, 3)
-        assert abs(est.survival.value - 0.5) <= 3 * est.survival.std_error
+        assert abs(est.value - 0.5) <= 3 * est.std_error
 
     def test_monotone_in_horizon_shared_paths(self):
         prev = None
         for tau in (0.2, 0.5, 0.8):
             est = exit_survival(HALF_BALL, tau, 128, 20_000, 4)
             if prev is not None:
-                comb = math.hypot(est.survival.std_error,
-                                  prev.survival.std_error)
-                assert est.survival.value <= prev.survival.value + 3 * comb
+                comb = math.hypot(est.std_error, prev.std_error)
+                assert est.value <= prev.value + 3 * comb
             prev = est
 
     def test_refinement_never_increases(self):
         coarse, fine, change, change_se = exit_survival_refined(
             HALF_BALL, 0.5, 64, 20_000, 5)
         assert change >= 0.0
-        assert coarse.survival.value >= fine.survival.value
-        assert fine.steps == 128
+        assert coarse.value >= fine.value
 
     def test_fine_grid_consistency(self):
         # one coupled pass at 8x resolution bounds the discretization gap
@@ -241,8 +239,8 @@ class TestExitSurvival:
     def test_independent_fine_grid_oracle(self):
         # independent runs at 512 vs 4096 steps agree within the band
         # plus the sqrt(step)-scale discretization allowance
-        a = exit_survival(HS0, 0.5, 512, 20_000, 61).survival
-        b = exit_survival(HS0, 0.5, 4096, 20_000, 62).survival
+        a = exit_survival(HS0, 0.5, 512, 20_000, 61)
+        b = exit_survival(HS0, 0.5, 4096, 20_000, 62)
         comb = math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) <= 3 * comb + 0.01
         # one-sided: the coarse grid can only overshoot
@@ -251,29 +249,29 @@ class TestExitSurvival:
     def test_reproducible(self):
         a = exit_survival(HALF_BALL, 0.4, 32, 10_000, 7)
         b = exit_survival(HALF_BALL, 0.4, 32, 10_000, 7)
-        assert a.survival == b.survival
+        assert a == b
 
     def test_pair_shares_paths(self):
         est_a, est_b, paired = exit_survival_pair(HS0, HS0, 0.4, 32,
                                                   20_000, 8)
-        assert est_a.survival.value == est_b.survival.value
+        assert est_a.value == est_b.value
         assert paired == 0.0
 
     @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0])
     def test_halfspace_closed_form(self, tau):
         # stationary OU stays in {x_1 <= 0} over [0, tau] with probability
         # asin(e^{-tau}) / pi; the raw grid monitor misses it by 3-9 SE
-        est = exit_survival(HS0, tau, 512, 100_000, 12).survival
+        est = exit_survival(HS0, tau, 512, 100_000, 12)
         exact = math.asin(math.exp(-tau)) / math.pi
         assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_epsilon_enlargement_converges(self):
-        base = exit_survival(HS0, 0.5, 128, 30_000, 9).survival
+        base = exit_survival(HS0, 0.5, 128, 30_000, 9)
         prev_value = None
         last_diff = None
         for eps in (0.2, 0.1, 0.05, 0.02):
             est = exit_survival(HalfSpace(HS0.normal, HS0.offset + eps),
-                                0.5, 128, 30_000, 9).survival
+                                0.5, 128, 30_000, 9)
             if prev_value is not None:
                 assert est.value <= prev_value + 3 * est.std_error
             prev_value = est.value
@@ -298,7 +296,7 @@ class TestHalfspaceSurvival:
         # at 2048 steps
         c = float(special.ndtri(p))
         hs = HalfSpace(np.array([0.6, -0.8]), c)
-        est = exit_survival(hs, 0.5, 2048, 100_000, 40).survival
+        est = exit_survival(hs, 0.5, 2048, 100_000, 40)
         assert abs(est.value - halfspace_survival(c, 0.5)) \
             <= 3 * est.std_error
 
@@ -319,10 +317,10 @@ class TestHalfspaceSurvival:
         assert all(a < b for col in zip(*values) for a, b in zip(col, col[1:]))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            halfspace_survival(0.0, -0.1)
-        with pytest.raises(ValueError):
-            halfspace_survival(float("nan"), 0.5)
+        for args in ((0.0, -0.1), (float("nan"), 0.5), (0.0, math.nan),
+                     (0.0, math.inf)):
+            with pytest.raises(ValueError):
+                halfspace_survival(*args)
 
     def test_pair_takes_halfspace_arms_exactly(self):
         hs = HalfSpace(np.array([0.0, 2.0]), 0.6)  # x_2 <= 0.3
@@ -330,20 +328,18 @@ class TestHalfspaceSurvival:
             est_a, est_b, paired = exit_survival_pair(a, b, 0.5, 32, 20_000,
                                                       14)
             exact, scanned = (est_a, est_b) if a is hs else (est_b, est_a)
-            assert exact.survival.value == halfspace_survival(0.3, 0.5)
-            assert (exact.survival.std_error, exact.survival.samples) == \
-                (0.0, 0)
+            assert exact.value == halfspace_survival(0.3, 0.5)
+            assert (exact.std_error, exact.samples) == (0.0, 0)
             # the other arm is scanned alone, as exit_survival scans it
             assert scanned == exit_survival(HALF_BALL, 0.5, 32, 20_000, 14)
-            assert paired == scanned.survival.std_error
+            assert paired == scanned.std_error
 
     def test_pair_without_halfspace_unchanged(self):
         # two scanned arms keep common random numbers; pinned before the
         # half-space arms became exact
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
-        assert (a.survival.value, a.survival.std_error, b.survival.value,
-                b.survival.std_error, paired) == (
+        assert (a.value, a.std_error, b.value, b.std_error, paired) == (
             0.07580512123583859, 0.0009328205873876181, 0.15536956322475515,
             0.001298882714055576, 0.0008540896990839787)
 
@@ -356,8 +352,8 @@ class TestHalfspaceSurvival:
         for workers in (1, 2):
             monkeypatch.setattr(seeding, "WORKERS", workers)
             got = seeding.fan_out(lambda c: exit_survival_pair(*c), cases)
-            assert [g[0].survival.value for g in got] == sequential
-            assert [g[1].survival.value for g in got] == sequential
+            assert [g[0].value for g in got] == sequential
+            assert [g[1].value for g in got] == sequential
             assert all(g[2] == 0.0 for g in got)
 
     def test_concurrent_threads_equal_sequential(self):
@@ -451,7 +447,7 @@ class TestHalfspaceOccupation:
         assert abs(halfspace_occupation(c1, c2, tau) - ref) <= 2e-6
 
     def test_matches_raw_scan(self):
-        est = occupation(HS_06, HS_03, 0.5, 2048, 40_000, 41).value
+        est = occupation(HS_06, HS_03, 0.5, 2048, 40_000, 41)
         exact = halfspace_occupation(HS_06.offset, HS_03.offset, 0.5)
         assert abs(est.value - exact) <= 3 * est.std_error
 
@@ -463,19 +459,19 @@ class TestHalfspaceOccupation:
         for a, b in ((balls, halves), (halves, balls)):
             occ_a, occ_b, paired = occupation_pair(a, b, 0.5, 32, 20_000, 15)
             held, scanned = (occ_a, occ_b) if a is halves else (occ_b, occ_a)
-            assert held.value.value == exact
-            assert (held.value.std_error, held.value.samples) == (0.0, 0)
+            assert held.value == exact
+            assert (held.std_error, held.samples) == (0.0, 0)
             assert scanned == alone
-            assert paired == scanned.value.std_error
+            assert paired == scanned.std_error
         occ_a, occ_b, paired = occupation_pair(halves, halves, 0.5, 32,
                                                20_000, 15)
-        assert occ_a.value == occ_b.value and paired == 0.0
+        assert occ_a == occ_b and paired == 0.0
 
     def test_crossed_normals_are_scanned(self):
         crossed = (HS_06, HalfSpace(np.array([0.0, 1.0]), HS_03.offset))
         occ_a, _, _ = occupation_pair(crossed, (HS_06, HS_03), 0.5, 32,
                                       5_000, 16)
-        assert occ_a.value.samples == 5_000 and occ_a.value.std_error > 0.0
+        assert occ_a.samples == 5_000 and occ_a.std_error > 0.0
 
 
 class TestOccupation:
@@ -483,26 +479,26 @@ class TestOccupation:
         empty = Intersection((Ball(np.array([5.0, 5.0]), 0.5),
                               Ball(np.array([-5.0, -5.0]), 0.5)))
         est = occupation(FULL, empty, 0.5, 32, 5000, 1)
-        assert est.value.value == 0.0
+        assert est.value == 0.0
 
     def test_full_everything_gives_horizon(self):
         est = occupation(FULL, FULL, 0.75, 32, 2000, 2)
-        assert abs(est.value.value - 0.75) <= 1e-12
+        assert abs(est.value - 0.75) <= 1e-12
 
     def test_value_bounded_by_horizon(self):
         est = occupation(HS0, HALF_BALL, 0.5, 64, 10_000, 3)
-        assert 0.0 <= est.value.value <= 0.5
+        assert 0.0 <= est.value <= 0.5
 
     def test_fine_grid_consistency(self):
         a = occupation(HS0, HS0, 0.5, 128, 40_000, 4)
         b = occupation(HS0, HS0, 0.5, 512, 40_000, 5)
-        comb = math.hypot(a.value.std_error, b.value.std_error)
-        assert abs(a.value.value - b.value.value) <= 3 * comb + 0.01
+        comb = math.hypot(a.std_error, b.std_error)
+        assert abs(a.value - b.value) <= 3 * comb + 0.01
 
     def test_pair_identical_sets_zero_margin(self):
         occ_a, occ_b, paired = occupation_pair((HS0, HS0), (HS0, HS0),
                                                0.5, 64, 10_000, 6)
-        assert occ_a.value.value == occ_b.value.value
+        assert occ_a.value == occ_b.value
         assert paired == 0.0
 
 
@@ -531,22 +527,20 @@ class TestSemigroup:
             x = rng.standard_normal(2)
             t = float(rng.uniform(0.1, 1.5))
             mc = semigroup_apply(hs, t, x, 200_000, 100 + trial)
-            exact = semigroup_halfspace_closed(hs.offset, t,
-                                               float(x @ hs.normal))
+            exact = heat_flow(hs, t, x)
             assert abs(mc.value - exact) <= 3 * max(mc.std_error, 1e-5)
 
     def test_closed_form_values(self):
-        assert semigroup_halfspace_closed(0.0, 1.0, 0.0) == 0.5
-        # stationary limit
-        assert abs(semigroup_halfspace_closed(0.7, 40.0, 5.0)
-                   - float(std_normal_cdf(0.7))) <= 1e-12
-        # unit slope at t = ln sqrt(2): coefficient of u is -1
-        v = semigroup_halfspace_closed(0.0, math.log(math.sqrt(2.0)), 1.0)
-        assert abs(v - 0.15865525393145707) <= 1e-12
+        # the flow of {y <= c} in 1-d at the point y = u
+        def flow(c, t, u):
+            return heat_flow(HalfSpace(np.ones(1), c), t, np.array([u]))
 
-    def test_closed_form_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            semigroup_halfspace_closed(0.0, 0.0, 0.0)
+        assert flow(0.0, 1.0, 0.0) == 0.5
+        # stationary limit
+        assert abs(flow(0.7, 40.0, 5.0) - float(std_normal_cdf(0.7))) <= 1e-12
+        # unit slope at t = ln sqrt(2): coefficient of u is -1
+        v = flow(0.0, math.log(math.sqrt(2.0)), 1.0)
+        assert abs(v - 0.15865525393145707) <= 1e-12
 
 
 class TestGradientBound:
@@ -570,7 +564,7 @@ class TestGradientBound:
 class TestDominanceRefined:
     def test_equal_sets_zero_everything(self):
         r = exit_dominance_refined(HS0, HS0, 0.4, 32, 10_000, 1)
-        assert r.est_a.survival.value == r.est_b.survival.value
+        assert r.est_a.value == r.est_b.value
         assert r.paired_se == 0.0
         assert r.margin_change == 0.0
 
@@ -606,25 +600,25 @@ class TestCompaction:
     POINT = Ball(np.zeros(2), 0.0)  # every path starts outside
 
     def test_dead_at_start_exit(self, draws):
-        est = exit_survival(self.POINT, 0.5, 64, 3000, 1).survival
+        est = exit_survival(self.POINT, 0.5, 64, 3000, 1)
         assert est.value == 0.0 and est.std_error == 0.0
         assert draws == [(3000, 2)]
 
     def test_dead_at_start_refined(self, draws):
         r = exit_dominance_refined(self.POINT, self.POINT, 0.5, 64, 3000, 1)
-        assert r.est_a.survival.value == r.est_b.survival.value == 0.0
+        assert r.est_a.value == r.est_b.value == 0.0
         assert r.change_a == r.margin_change == r.raw_drop_a == 0.0
         assert draws == [(3000, 2)]
 
     def test_dead_at_start_occupation(self, draws):
-        est = occupation(self.POINT, FULL, 0.5, 64, 3000, 1).value
+        est = occupation(self.POINT, FULL, 0.5, 64, 3000, 1)
         assert est.value == 0.0 and est.std_error == 0.0
         assert draws == [(3000, 2)]
 
     def test_no_exit_draws_every_path(self, draws):
         # nothing leaves A_1, so nothing is dropped: the value is the
         # one the scan gave before paths were ever dropped
-        est = occupation(FULL, HALF_BALL, 0.5, 64, 3000, 11).value
+        est = occupation(FULL, HALF_BALL, 0.5, 64, 3000, 11)
         assert draws == [(3000, 2)] * 65
         assert est.value == 0.2504296875
         assert est.std_error == 0.003300080233539377
@@ -634,7 +628,7 @@ class TestCompaction:
         # of the survival asin(e^{-t})/pi, which the raw grid overshoots
         # (+0.020 at 256 steps); losing the counts of dropped paths would
         # undershoot it by 0.08
-        est = occupation(HS0, HS0, 1.0, 256, 20_000, 13).value
+        est = occupation(HS0, HS0, 1.0, 256, 20_000, 13)
         exact = integrate.quad(lambda t: math.asin(math.exp(-t)) / math.pi,
                                0.0, 1.0)[0]
         assert exact - 3 * est.std_error <= est.value <= exact + 0.03
@@ -656,7 +650,7 @@ class TestCompaction:
             HALF_BALL, 0.5, 16, 40_000, 31, refine=2)
         alone, _, _, _ = exit_survival_refined(HALF_BALL, 0.5, 16, 40_000,
                                                32, refine=1)
-        a, b = coarse.survival, alone.survival
+        a, b = coarse, alone
         assert drop > 0.0
         assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error,
                                                         b.std_error)
@@ -672,25 +666,24 @@ def _occupation_case():
     # two scanned pairs (two half-spaces with one normal would be exact)
     a, b, paired = occupation_pair((BALL_06, BALL_03), (BALL_06, HS_03), 0.5,
                                    32, 70_000, 21)
-    return (a.value.value, a.value.std_error, b.value.value,
-            b.value.std_error, paired)
+    return a.value, a.std_error, b.value, b.std_error, paired
 
 
 def _exit_case():
     # one scanned region: the scan drops dead paths untallied
     est = exit_survival(HALF_BALL, 0.5, 32, 70_000, 23)
-    return est.survival.value, est.survival.std_error
+    return est.value, est.std_error
 
 
 def _single_occupation_case():
     # one scanned pair: the scan tallies dropped paths as it goes
     est = occupation(BALL_06, BALL_03, 0.5, 32, 70_000, 24)
-    return est.value.value, est.value.std_error
+    return est.value, est.std_error
 
 
 def _dominance_case():
     r = exit_dominance_refined(HALF_BALL, HS0, 0.5, 32, 70_000, 22)
-    return (r.est_a.survival.value, r.est_b.survival.value, r.paired_se,
+    return (r.est_a.value, r.est_b.value, r.paired_se,
             r.change_a, r.change_b, r.margin_change, r.margin_change_se)
 
 

@@ -382,19 +382,19 @@ class TestEqualityDiagnostic:
         cfg = parse_config("[sampling]\nprobes = 64\nseed = 13\n")
         sets = SetSystem((HalfSpace(np.array([0.6, 0.8]), 0.0),
                           HalfSpace(np.array([0.6, 0.8]), 0.7)))
-        d = equality_diagnostic_run(sets, 0.5, cfg)
-        assert np.all(d.residuals <= 0.02)
-        assert d.cosines[0, 1] >= 0.999
+        *rows, cosines = equality_diagnostic_run(sets, 0.5, cfg)
+        assert all(r["residual"] <= 0.02 for r in rows)
+        assert cosines["cosines"][0][1] >= 0.999
         kt = semigroup_slope(0.5)
-        assert np.all(np.abs(d.slopes - kt) <= 0.02)
+        assert all(abs(r["slope"] - kt) <= 0.02 for r in rows)
 
     def test_ball_breaks_linearity(self):
         cfg = parse_config(
             "[sampling]\nprobes = 48\nsamples = 40000\nseed = 14\n")
         sets = SetSystem((HS0, HALF_BALL))
-        d = equality_diagnostic_run(sets, 0.5, cfg)
-        assert d.residuals[0] <= 0.02
-        assert d.residuals[1] > 0.02
+        rows = equality_diagnostic_run(sets, 0.5, cfg)
+        assert rows[0]["residual"] <= 0.02
+        assert rows[1]["residual"] > 0.02
 
     def test_rotation_invariance_of_cosines(self):
         cfg = parse_config("[sampling]\nprobes = 64\nseed = 15\n")
@@ -405,9 +405,9 @@ class TestEqualityDiagnostic:
                         [math.sin(theta), math.cos(theta)]])
         base = SetSystem((HalfSpace(a, 0.1), HalfSpace(b, -0.2)))
         turned = SetSystem((HalfSpace(rot @ a, 0.1), HalfSpace(rot @ b, -0.2)))
-        d1 = equality_diagnostic_run(base, 0.5, cfg)
-        d2 = equality_diagnostic_run(turned, 0.5, cfg)
-        assert abs(d1.cosines[0, 1] - d2.cosines[0, 1]) <= 1e-9
+        c1 = equality_diagnostic_run(base, 0.5, cfg)[-1]["cosines"]
+        c2 = equality_diagnostic_run(turned, 0.5, cfg)[-1]["cosines"]
+        assert abs(c1[0][1] - c2[0][1]) <= 1e-9
 
     def test_rejects_degenerate_measure(self):
         cfg = parse_config("[sampling]\nprobes = 16\nseed = 16\n")
@@ -426,23 +426,24 @@ class TestEqualityDiagnostic:
 
     def test_fewest_probes_give_a_residual(self):
         cfg = parse_config("[sampling]\nprobes = 4\nseed = 16\n")
-        d = equality_diagnostic_run(SetSystem((HS0, HALF_BALL)), 0.5, cfg)
-        assert np.all(np.isfinite(d.residuals))
-        assert list(d.probes_used) == [4, 4]
-        assert d.residuals[1] > 0.0
+        rows = equality_diagnostic_run(SetSystem((HS0, HALF_BALL)), 0.5,
+                                       cfg)[:2]
+        assert all(math.isfinite(r["residual"]) for r in rows)
+        assert [r["probes_used"] for r in rows] == [4, 4]
+        assert rows[1]["residual"] > 0.0
 
     def test_too_few_kept_probes_fit_on_all(self):
         # only 2 of the 200 flows lie in [0.01, 0.99]: a fit on them alone
         # would read residual 0; fewer than n + 2 kept means all probes
         cfg = parse_config("[sampling]\nprobes = 200\nseed = 3\n")
         far = SetSystem((Ball(np.array([2.5, 0.0]), 0.15),))
-        d = equality_diagnostic_run(far, 0.05, cfg)
-        assert list(d.probes_used) == [200]
+        row = equality_diagnostic_run(far, 0.05, cfg)[0]
+        assert row["probes_used"] == 200
         # 4 kept probes are enough for a residual and stay the fit
         wider = SetSystem((Ball(np.array([2.5, 0.0]), 0.2),))
-        d = equality_diagnostic_run(wider, 0.05, cfg)
-        assert list(d.probes_used) == [4]
-        assert d.residuals[0] > 0.1
+        row = equality_diagnostic_run(wider, 0.05, cfg)[0]
+        assert row["probes_used"] == 4
+        assert row["residual"] > 0.1
 
     def test_fallback_reports_clipped_flows(self):
         # the all-probe fit of the far ball sees 153 flows below 1e-9,
@@ -472,14 +473,14 @@ class TestEqualityDiagnostic:
         cfg = parse_config(
             "[sampling]\nprobes = 40\nsamples = 2000\nseed = 5\n")
         far = Union((Ball(np.array([2.5, 0.0]), 0.15),))
-        d = equality_diagnostic_run(SetSystem((far,)), 0.1, cfg)
+        row = equality_diagnostic_run(SetSystem((far,)), 0.1, cfg)[0]
         probes = derive_rng(5, "diagnostic").standard_normal((40, 2))
         flows = np.array([semigroup_apply(far, 0.1, p, 2000,
                                           subseed(5, "flow", j)).value
                           for j, p in enumerate(probes)])
         assert np.count_nonzero((flows >= 0.01) & (flows <= 0.99)) < 4
-        assert list(d.probes_used) == [40]
-        assert list(d.clipped) == [np.count_nonzero(flows == 0.0)] == [36]
+        assert row["probes_used"] == 40
+        assert row["clipped"] == np.count_nonzero(flows == 0.0) == 36
 
     def test_flow_reported_per_row(self):
         doc = ("[experiment]\nkind = equality-diagnostic\nn = 2\nt = 0.5\n"
@@ -503,11 +504,11 @@ class TestEqualityDiagnostic:
         cfg = parse_config(
             "[sampling]\nprobes = 32\nsamples = 100000\nseed = 18\n")
         ball = Ball(np.array([0.3, 0.0]), 1.2)
-        d = equality_diagnostic_run(SetSystem((ball, Union((ball,)))), 0.5,
-                                    cfg)
-        assert d.flows == ("exact", "monte_carlo")
-        assert d.cosines[0, 1] >= 0.999
-        assert abs(d.slopes[0] - d.slopes[1]) <= 0.05
+        exact, mc, cosines = equality_diagnostic_run(
+            SetSystem((ball, Union((ball,)))), 0.5, cfg)
+        assert (exact["flow"], mc["flow"]) == ("exact", "monte_carlo")
+        assert cosines["cosines"][0][1] >= 0.999
+        assert abs(exact["slope"] - mc["slope"]) <= 0.05
 
     def test_composite_probes_independent_of_workers(self, monkeypatch):
         cfg = parse_config(
@@ -520,10 +521,8 @@ class TestEqualityDiagnostic:
             monkeypatch.setattr(seeding, "WORKERS", workers)
             runs.append(equality_diagnostic_run(sets, 0.5, cfg))
         one, two = runs
-        assert one.flows == two.flows == ("exact", "monte_carlo")
-        for field in ("directions", "offsets", "residuals", "slopes",
-                      "cosines", "probes_used"):
-            assert np.array_equal(getattr(one, field), getattr(two, field))
+        assert [r["flow"] for r in one[:2]] == ["exact", "monte_carlo"]
+        assert one == two
 
 
 class TestGradientBound:
