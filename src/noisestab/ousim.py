@@ -679,12 +679,12 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
                     seed: int) -> Estimate:
     """Heat-flow average Pr(e^{-t} x + sqrt(1-e^{-2t}) Y in s), Y standard.
 
-    t = 0 returns exact membership; negative t is rejected. This Monte
-    Carlo route serves composites and is the oracle for the closed form
-    ``geometry.heat_flow`` on leaves.
+    t = 0 returns exact membership; a negative or NaN t is rejected. This
+    Monte Carlo route serves composites and is the oracle for the closed
+    form ``geometry.heat_flow`` on leaves.
     """
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be nonnegative")
     pt = np.asarray(x, dtype=float)
     if pt.shape != (s.dim,):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,23 @@ class TestDeterminism:
                                    "cap_hit"}
 
 
+class TestImportCost:
+    # each of these would add to every CLI start: scipy.stats about 0.85 s,
+    # scipy.integrate about 0.3 s, scipy.linalg about 6 MB of resident
+    # memory
+    HEAVY = ("scipy.stats", "scipy.integrate", "scipy.linalg")
+
+    def test_cli_import_skips_heavy_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, noisestab.cli\n"
+                f"print(sorted(set({self.HEAVY!r}) & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[]"
+
+
 class TestShippedConfigs:
     """Each shipped config, run through the CLI at its own seed, gives a
     pinned report, and a pinned CSV where it sets ``[output] csv``, for
@@ -260,7 +280,7 @@ class TestShippedConfigs:
     CASES = {
         "ball_vs_bound": (
             ["--samples", "100000"],
-            "207f912deb96ff4c22bcac5c0d201dce597e279e5fbd4ca3b39a5defe900b3b2"),
+            "1c2d8e0f9de3f1ac15e681d58e860cddc49460703ccd3cf481f6400afd4d55fe"),
         "condition": (
             [],
             "a42c7c9ae129bad3c68441037cb6a0d06df168df40617dfecebac6a41b309733"),
@@ -275,13 +295,13 @@ class TestShippedConfigs:
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
         "noise_ball": (
             ["--samples", "100000"],
-            "57f2058db631ab7f2dbd6c225c8bb6ed537ead77f820ca53ec351e54cc805ac4"),
+            "6a1f04df5c5a481aec6966b2f9f567d036e54bfe27eba30e7d081f0897ae039f"),
         "occupation_balls": (
             ["--paths", "4000"],
             "79096c5b35b2201b9b6790f381a0188e7bad203e775dc5ccc2739ddb59011219"),
         "parallel": (
             ["--samples", "100000"],
-            "21e8fd7f939d82e1e53cb92be302e7de990566227cb8f5bf7a5ca7f165117e32"),
+            "d13e553bc2bc4adf9153cf956e7f63c011503562a7d9a351a20dcbd49d75d925"),
     }
 
     # sha256 of the CSV written to the config's [output] csv

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from noisestab import (
     bivariate_orthant_closed,
     orthant_mc,
     orthant_qmc,
+    std_normal_cdf,
 )
 from noisestab import orthant
 from noisestab.orthant import orthant_qmc_shift_means
@@ -16,6 +19,14 @@ from noisestab.orthant import orthant_qmc_shift_means
 
 def _biv_query(rho, limits=(0.0, 0.0)):
     return OrthantQuery(np.array(limits), [[1.0, rho], [rho, 1.0]])
+
+
+# Two coordinates are exact, so the lattice tests use three.
+_TRI_COV = [[1.0, 0.25, 0.4], [0.25, 1.0, 0.1], [0.4, 0.1, 1.0]]
+
+
+def _tri_query(limits=(0.1, -0.6, 0.4)):
+    return OrthantQuery(np.array(limits), _TRI_COV)
 
 
 class TestClosedForm:
@@ -106,14 +117,21 @@ class TestQmc:
         assert abs(est.value - 0.25) <= max(3 * est.std_error, 1e-5)
 
     @pytest.mark.parametrize("seed", [1, 5, 8, 13])
-    def test_se_not_below_rounding(self, seed):
-        # the conditional ndtr saturates here, so the shift means agree to
-        # the last bits; scipy's Genz value is 0.5560650288285746
-        q = _biv_query(0.822, limits=(0.141, 4.577))
+    def test_se_not_below_rounding(self, seed, monkeypatch):
+        # both conditional ndtrs saturate here, so the shift means agree to
+        # the last bits. Pr(X3 > 9) is 1e-19, so the value is the bivariate
+        # one of the first two coordinates: scipy's Genz value is
+        # 0.5560650288285746
+        cov = [[1.0, 0.822, 0.3], [0.822, 1.0, 0.3], [0.3, 0.3, 1.0]]
+        q = OrthantQuery([0.141, 4.577, 9.0], cov)
         est = orthant_qmc(q, 1e-7, seed)
-        assert est.std_error >= orthant.SE_FLOOR_ULPS * np.finfo(float).eps \
-            * est.value
+        floor = orthant.SE_FLOOR_ULPS * np.finfo(float).eps * est.value
+        assert est.samples > 0
+        assert est.std_error >= floor
         assert abs(est.value - 0.5560650288285746) <= 3 * est.std_error
+        # the floor binds: the shift spread alone is below it
+        monkeypatch.setattr(orthant, "SE_FLOOR_ULPS", 0)
+        assert orthant_qmc(q, 1e-7, seed).std_error < floor
 
     def test_agrees_with_mc_corpus(self):
         rng = np.random.default_rng(43)
@@ -171,13 +189,14 @@ class TestQmc:
                 prev = est
 
     def test_target_se_honored(self):
-        est = orthant_qmc(_biv_query(0.5), 5e-6, 13)
+        est = orthant_qmc(_tri_query(), 5e-6, 13)
+        assert est.samples > 0
         assert est.std_error <= 5e-6
         assert not est.cap_hit
 
     def test_sample_cap_reported(self, monkeypatch):
         monkeypatch.setattr(orthant, "DEFAULT_SAMPLE_CAP", 20_000)
-        est = orthant_qmc(_biv_query(0.5), 1e-12, 13)
+        est = orthant_qmc(_tri_query(), 1e-12, 13)
         assert est.cap_hit
         assert est.std_error > 1e-12
 
@@ -219,21 +238,88 @@ class TestShiftMeans:
     def test_matching_randomness(self):
         # same dimension, points, seed -> same lattice and shifts, so a
         # null difference is exactly zero
-        q = _biv_query(0.25, limits=(0.1, -0.6))
+        q = _tri_query()
         a, na = orthant_qmc_shift_means(q, 4093, 99)
         b, nb = orthant_qmc_shift_means(q, 4093, 99)
-        assert na == nb and np.array_equal(a, b)
+        assert na == nb > 0 and np.array_equal(a, b)
 
     def test_coupled_difference_is_smooth(self):
         # coupled evaluations of nearby queries differ by far less than
         # independent noise would allow
-        qa = _biv_query(0.25, limits=(0.1, -0.6))
-        qb = _biv_query(0.25, limits=(0.1 + 1e-4, -0.6))
-        a, _ = orthant_qmc_shift_means(qa, 4093, 99)
+        qa = _tri_query()
+        qb = _tri_query(limits=(0.1 + 1e-4, -0.6, 0.4))
+        a, na = orthant_qmc_shift_means(qa, 4093, 99)
         b, _ = orthant_qmc_shift_means(qb, 4093, 99)
+        assert na > 0
         d = a - b
         assert np.abs(d).max() < 1e-4
         assert d.std(ddof=1) < 1e-6
+
+
+class TestExactBivariate:
+    """Two coordinates take Owen's T form of the bivariate normal CDF."""
+
+    @staticmethod
+    def _exact(limits, cov):
+        est = orthant_qmc(OrthantQuery(limits, cov), 1e-4, 1)
+        assert est.std_error == 0.0 and est.samples == 0
+        return est.value
+
+    def test_matches_scipy(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(70)
+        for trial in range(320):
+            rho = rng.uniform(-0.95, 0.95)
+            # every other query has a non-unit diagonal, as a conditional
+            # covariance does
+            sd = rng.uniform(0.3, 3.0, 2) if trial % 2 else np.ones(2)
+            cov = np.array([[1.0, rho], [rho, 1.0]]) * np.outer(sd, sd)
+            limits = 1.5 * sd * rng.standard_normal(2)
+            want = stats.multivariate_normal(cov=cov).cdf(
+                limits, rng=np.random.default_rng(trial))
+            assert abs(self._exact(limits, cov) - want) <= 1e-15
+
+    def test_arcsine_at_origin(self):
+        for rho in np.linspace(-0.99, 0.99, 23):
+            cov = [[1.0, rho], [rho, 1.0]]
+            want = 0.25 + math.asin(rho) / (2.0 * math.pi)
+            for limits in ([0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0]):
+                assert self._exact(limits, cov) == want
+            # limits of opposite sign whose product underflows to -0.0
+            for limits in ([1e-200, -1e-200], [-1e-200, 1e-200]):
+                assert abs(self._exact(limits, cov) - want) <= 1e-15
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.4, 0.85])
+    @pytest.mark.parametrize("other", [-1.7, -0.2, 0.6, 2.5])
+    def test_one_zero_limit(self, zero, rho, other):
+        # the limit form at one zero limit is continuous with the general
+        # form on both sides of it
+        cov = [[1.0, rho], [rho, 1.0]]
+        for pair in ([zero, other], [other, zero]):
+            v = self._exact(pair, cov)
+            for eps in (1e-9, -1e-9):
+                near = [eps if x == 0.0 else x for x in pair]
+                assert abs(self._exact(near, cov) - v) <= 1e-9
+
+    def test_independent_product(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            h, k = 2.0 * rng.standard_normal(2)
+            want = std_normal_cdf(h) * std_normal_cdf(k)
+            assert abs(self._exact([h, k], np.eye(2)) - want) <= 1e-15
+
+    def test_saturated_case(self):
+        # on the lattice this query's shift means agree to the last bits;
+        # scipy's Genz value
+        v = self._exact([0.141, 4.577], [[1.0, 0.822], [0.822, 1.0]])
+        assert abs(v - 0.5560650288285746) <= 4 * np.spacing(v)
+
+    def test_deep_tail_clipped(self):
+        # Owen's form rounds to -2.7e-17 here; the value is about 1e-25
+        v = self._exact([-1.26, -7.6], [[1.0, -0.57], [-0.57, 1.0]])
+        assert 0.0 <= v <= 1e-16
 
 
 class TestNextPrime:

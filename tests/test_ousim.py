@@ -507,6 +507,11 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             semigroup_apply(HS0, -0.1, np.zeros(2), 100, 1)
 
+    def test_rejects_nan_time(self):
+        # NaN draws lie in no set, which would read as 0.0 +- 0.0
+        with pytest.raises(ValueError):
+            semigroup_apply(HS0, float("nan"), np.zeros(2), 100, 1)
+
     def test_zero_time_exact_membership(self):
         est = semigroup_apply(HS0, 0.0, np.array([-1.0, 0.0]), 100, 1)
         assert est.value == 1.0 and est.std_error == 0.0
