@@ -200,6 +200,9 @@ class MatrixSpec:
 
     def build(self) -> CorrelationMatrix:
         if self.kind == "equicorrelated":
+            if self.k < 1:
+                raise ConfigError(f"[matrix] k: {self.k}, but a correlation "
+                                  "matrix needs k >= 1")
             return CorrelationMatrix.equicorrelated(self.k, self.rho)
         if self.kind == "ou-times":
             if not self.times:

@@ -45,7 +45,8 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 
 def _check_symmetric(m, name: str = "matrix") -> np.ndarray:
     a = _as_square(m, name)
-    if not np.all(np.abs(a - a.T) <= 1e-12 * max(1.0, np.abs(a).max())):
+    scale = max(1.0, np.abs(a).max(initial=0.0))
+    if not np.all(np.abs(a - a.T) <= 1e-12 * scale):
         raise ValueError(f"{name} is not symmetric")
     return 0.5 * (a + a.T)
 

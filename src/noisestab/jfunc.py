@@ -15,6 +15,9 @@ where A has offdiagonal m_ij * J_ij and zero row sums. With nonnegative
 m_ij this is negative semidefinite by construction (diagonal dominance),
 so the estimator certifies the stability inequality's Hessian condition
 with the statistical content confined to the J_ij values themselves.
+``hadamard_hessian`` computes only those; the value and the gradient
+(``j_value``, ``j_grad``) serve the half-space bound and its error
+propagation.
 """
 from __future__ import annotations
 
@@ -63,22 +66,17 @@ class JQuery:
 
 @dataclass(frozen=True, eq=False)
 class JEvaluation:
-    """Value, gradient, pair interactions and the assembled Hessian data.
+    """Pair interactions and the Hessian data assembled from them.
 
     ``mixed`` holds the pair interactions J_ij (zero diagonal), not the
     raw second derivatives; ``a_matrix`` is the zero-row-sum coupling
     matrix m_ij * J_ij; ``hadamard_hessian`` is stored as the exact
     congruence D A D with D = diag(iota), so the factorization identity
     holds by construction. Every statistical entry carries a first-order
-    propagated standard error. ``cap_hit``: some QMC run stopped on its cap.
+    propagated standard error. ``cap_hit``: some pair interaction's QMC
+    run stopped on its cap.
     """
-    x: np.ndarray
     m: CorrelationMatrix
-    seed: int
-    value: float
-    value_se: float
-    grad: np.ndarray
-    grad_se: np.ndarray
     mixed: np.ndarray
     mixed_se: np.ndarray
     a_matrix: np.ndarray
@@ -218,8 +216,8 @@ def j_diag_second(q: JQuery, i: int, target_se: float, seed: int) -> Estimate:
 
 
 def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
-    """Full evaluation: value, gradient, pair interactions, coupling
-    matrix and the Hadamard-weighted Hessian D A D.
+    """Pair interactions, coupling matrix and the Hadamard-weighted
+    Hessian D A D: everything the negativity certificate reads.
 
     Every J_ij is computed once and shared between the mixed and the
     repeated second derivatives, so the stored factorization holds
@@ -230,18 +228,14 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
     if not q.m.nonnegative:
         raise ValueError("the Hessian negativity certificate needs an "
                          "entrywise-nonnegative correlation matrix")
+    # k = 2 makes no QMC query and _pair_interaction clips the inner
+    # target, so no query downstream would reject a bad target_se
+    if not target_se > 0.0:
+        raise ValueError("target_se must be positive")
     seed = check_seed(seed)
     k = q.k
 
-    val = j_value(q, target_se, subseed(seed, "value"))
-    cap_hit = val.cap_hit
-    grad = np.zeros(k)
-    grad_se = np.zeros(k)
-    for i in range(k):
-        g = j_grad(q, i, target_se, subseed(seed, "grad", i))
-        grad[i], grad_se[i] = g.value, g.std_error
-        cap_hit |= g.cap_hit
-
+    cap_hit = False
     mixed = np.zeros((k, k))
     mixed_se = np.zeros((k, k))
     for i in range(k):
@@ -264,10 +258,7 @@ def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:
     hess_se = np.sqrt(a_var) * (iota[:, None] * iota[None, :])
 
     return JEvaluation(
-        x=q.x, m=q.m, seed=seed,
-        value=val.value, value_se=val.std_error,
-        grad=_readonly(grad), grad_se=_readonly(grad_se),
-        mixed=_readonly(mixed), mixed_se=_readonly(mixed_se),
+        m=q.m, mixed=_readonly(mixed), mixed_se=_readonly(mixed_se),
         a_matrix=_readonly(a), iota=_readonly(iota),
         hadamard_hessian=_readonly(hess), hessian_se=_readonly(hess_se),
         cap_hit=cap_hit,

@@ -124,7 +124,7 @@ def joint_containment(sets: SetSystem, m: CorrelationMatrix, samples: int,
 
 
 def stability_bound(sets: SetSystem, m: CorrelationMatrix, samples: int,
-                    target_se: float, seed: int) -> tuple[Estimate, list[Estimate]]:
+                    target_se: float, seed: int) -> Estimate:
     """The half-space bound J(measures; M), with measure noise propagated
     through the gradient to first order."""
     measures = [gaussian_measure(s, samples, subseed(seed, "measure", i))
@@ -141,9 +141,8 @@ def stability_bound(sets: SetSystem, m: CorrelationMatrix, samples: int,
                 g = j_grad(interior, i, target_se, subseed(seed, "propag", i))
                 var += (g.value * mu.std_error) ** 2
                 cap_hit |= g.cap_hit
-    rhs = Estimate(value=est.value, std_error=math.sqrt(var),
-                   samples=est.samples, seed=seed, cap_hit=cap_hit)
-    return rhs, measures
+    return Estimate(value=est.value, std_error=math.sqrt(var),
+                    samples=est.samples, seed=seed, cap_hit=cap_hit)
 
 
 def _require_hypothesis(m: CorrelationMatrix):
@@ -175,7 +174,7 @@ def verify_main_inequality(cfg: ExperimentConfig) -> list[ComparisonResult]:
                           "matrix")
     s = cfg.sampling
     lhs = joint_containment(sets, m, s.samples, s.seed)
-    rhs, _ = stability_bound(sets, m, s.samples, s.target_se, s.seed)
+    rhs = stability_bound(sets, m, s.samples, s.target_se, s.seed)
     return [compare("main-inequality", lhs, rhs)]
 
 
@@ -189,7 +188,7 @@ def verify_noise_stability(a1: SetExpr, a2: SetExpr, t: float,
     sets = SetSystem((a1, a2))
     s = cfg.sampling
     lhs = joint_containment(sets, m, s.samples, s.seed)
-    rhs, _ = stability_bound(sets, m, s.samples, s.target_se, s.seed)
+    rhs = stability_bound(sets, m, s.samples, s.target_se, s.seed)
     return [compare(f"noise-stability[t={t:g}]", lhs, rhs)]
 
 
@@ -419,7 +418,7 @@ def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
     if cfg.matrix.kind == "equicorrelated" and cfg.sweep.rhos:
         for rho in cfg.sweep.rhos:
             matrices.append((f"equicorrelated(k={cfg.matrix.k}, rho={rho:g})",
-                             CorrelationMatrix.equicorrelated(cfg.matrix.k, rho)))
+                             replace(cfg.matrix, rho=rho).build()))
     else:
         m = cfg.matrix.build()
         matrices.append((cfg.matrix.kind, m))

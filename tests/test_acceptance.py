@@ -201,14 +201,14 @@ def test_criterion_5_joint_containment_bound():
             m = CorrelationMatrix.equicorrelated(k, float(rng.uniform(0.1, 0.8)))
         system = SetSystem(tuple(_random_set(rng, n) for _ in range(k)))
         lhs = joint_containment(system, m, samples, 60_000 + trial)
-        rhs, _ = stability_bound(system, m, samples, 1e-4, 61_000 + trial)
+        rhs = stability_bound(system, m, samples, 1e-4, 61_000 + trial)
         verdicts.append(compare(f"system-{trial}", lhs, rhs).verdict)
     # parallel half-spaces must land in the equality band
     m = CorrelationMatrix.equicorrelated(2, 0.5)
     system = SetSystem(tuple(parallel_halfspaces([0.4, 0.65],
                                                  np.array([1.0, 0.0]))))
     lhs = joint_containment(system, m, samples, 62_000)
-    rhs, _ = stability_bound(system, m, samples, 1e-4, 62_001)
+    rhs = stability_bound(system, m, samples, 1e-4, 62_001)
     parallel_verdict = compare("parallel", lhs, rhs).verdict
     elapsed = time.perf_counter() - start
     ok = (VIOLATED not in verdicts

@@ -94,6 +94,23 @@ class TestExitCodes:
         assert cli.cli_main(["hessian-sweep", "--config", cfg]) == 1
         assert "[sweep] random_x: -3 is negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("target_se", ["-1", "0", "nan"])
+    def test_bad_sweep_target_se_exit_one(self, tmp_path, capsys, target_se,
+                                          k):
+        cfg = _write_cfg(tmp_path, "[experiment]\nkind = hessian-sweep\n"
+                         f"[matrix]\ntype = equicorrelated\nk = {k}\n"
+                         "rho = 0.5\n[sweep]\nx = 0.5\n"
+                         f"[sampling]\ntarget_se = {target_se}\n")
+        assert cli.cli_main(["hessian-sweep", "--config", cfg]) == 1
+        assert "target_se must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_empty_matrix_exit_one(self, tmp_path, capsys, k):
+        cfg = _write_cfg(tmp_path, PARALLEL_DOC.replace("k = 2", f"k = {k}"))
+        assert cli.cli_main(["verify-main", "--config", cfg]) == 1
+        assert f"[matrix] k: {k}, but" in capsys.readouterr().err
+
     def test_equality_case_exit_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         cfg = _write_cfg(tmp_path, PARALLEL_DOC, report=str(report))

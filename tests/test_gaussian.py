@@ -224,6 +224,10 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             CorrelationMatrix([[1.0, 0.3], [0.2, 1.0]])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            CorrelationMatrix(np.zeros((0, 0)))
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite):
             CorrelationMatrix([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8],

@@ -616,11 +616,16 @@ rhos = 0.2, 0.8
         rows = hessian_sweep(cfg)
         assert len(rows) == 8
 
-    @pytest.mark.parametrize("capped_dims", [(), (3,), (2,), (1,)])
+    SWEEP_K3 = ("[experiment]\nkind = hessian-sweep\n"
+                "[matrix]\ntype = equicorrelated\nk = 3\n"
+                "rho = 0.5\n[sweep]\nx = 0.4, 0.6\n"
+                "[sampling]\nseed = 4\ntarget_se = 0.001\n")
+
+    @pytest.mark.parametrize("capped_dims", [(), (1,)])
     def test_capped_qmc_reaches_rows(self, monkeypatch, tmp_path,
                                      capped_dims):
-        # at k = 3, dimension 3 is the value J, dimension 2 the gradient
-        # and dimension 1 the inner orthant of a pair interaction
+        # at k = 3 the only orthant queries are the 1-d inner orthants
+        # of the pair interactions
         real = jfunc.orthant_qmc
 
         def capped(q, *args, **kwargs):
@@ -629,10 +634,7 @@ rhos = 0.2, 0.8
 
         monkeypatch.setattr(jfunc, "orthant_qmc", capped)
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("[experiment]\nkind = hessian-sweep\n"
-                       "[matrix]\ntype = equicorrelated\nk = 3\n"
-                       "rho = 0.5\n[sweep]\nx = 0.4, 0.6\n"
-                       "[sampling]\nseed = 4\ntarget_se = 0.001\n")
+        cfg.write_text(self.SWEEP_K3)
         report, table = tmp_path / "rows.json", tmp_path / "rows.csv"
         for out, fmt in ((report, "json"), (table, "csv")):
             assert cli.cli_main(["hessian-sweep", "--config", str(cfg),
@@ -645,6 +647,22 @@ rhos = 0.2, 0.8
         assert lines[0].split(",")[-1] == "cap_hit"
         flag = "true" if capped_dims else "false"
         assert {line.split(",")[-1] for line in lines[1:]} == {flag}
+
+    def test_k3_sweep_queries_only_pair_interactions(self, monkeypatch):
+        # a row reads only the pair interactions, whose inner orthants
+        # are 1-d at k = 3: no J value (3-d) or gradient (2-d) is computed
+        real = jfunc.orthant_qmc
+        dims = []
+
+        def counted(q, *args, **kwargs):
+            dims.append(q.k)
+            return real(q, *args, **kwargs)
+
+        monkeypatch.setattr(jfunc, "orthant_qmc", counted)
+        rows = hessian_sweep(parse_config(self.SWEEP_K3))
+        assert len(rows) == 8
+        # three pairs per row
+        assert dims == [1] * 24
 
     def test_refuses_hypothesis_violation(self):
         cfg = parse_config("[matrix]\ntype = equicorrelated\nk = 2\n"
