@@ -621,11 +621,13 @@ rhos = 0.2, 0.8
                 "rho = 0.5\n[sweep]\nx = 0.4, 0.6\n"
                 "[sampling]\nseed = 4\ntarget_se = 0.001\n")
 
-    @pytest.mark.parametrize("capped_dims", [(), (1,)])
+    @pytest.mark.parametrize("capped_dims", [(), (3,), (2,), (1,)])
     def test_capped_qmc_reaches_rows(self, monkeypatch, tmp_path,
                                      capped_dims):
         # at k = 3 the only orthant queries are the 1-d inner orthants
-        # of the pair interactions
+        # of the pair interactions; a cap on dimension 3 (the value J)
+        # or 2 (its gradient) must not flag a row, as neither is computed
+        expected = 1 in capped_dims
         real = jfunc.orthant_qmc
 
         def capped(q, *args, **kwargs):
@@ -642,10 +644,10 @@ rhos = 0.2, 0.8
                                  "--out", str(out)]) == 0
         rows = json.loads(report.read_text())["results"]
         assert len(rows) == 8
-        assert {r["cap_hit"] for r in rows} == {bool(capped_dims)}
+        assert {r["cap_hit"] for r in rows} == {expected}
         lines = table.read_text().strip().splitlines()
         assert lines[0].split(",")[-1] == "cap_hit"
-        flag = "true" if capped_dims else "false"
+        flag = "true" if expected else "false"
         assert {line.split(",")[-1] for line in lines[1:]} == {flag}
 
     def test_k3_sweep_queries_only_pair_interactions(self, monkeypatch):
