@@ -6,11 +6,13 @@ vectorized, as is a signed distance to the boundary. Heat flow has a
 closed form for every leaf, in any dimension, in ``heat_flow``, the only
 place with leaf formulas: the heat flow at a point is the measure of an
 affine image of the set, and a leaf's image is a leaf of the same kind.
-A leaf's Gaussian measure is its heat flow at t = inf; composites are
-Monte Carlo.
+A leaf's Gaussian measure is its heat flow at t = inf. A composite's
+is exact in the plane, integrated along vertical chords
+(``_plane_measure``), and Monte Carlo in other dimensions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +20,28 @@ import numpy as np
 from scipy import special
 
 from .orthant import Estimate
-from .gaussian import std_normal_quantile
+from .gaussian import std_normal_pdf, std_normal_quantile
 from .seeding import batches, check_seed, derive_rng
 
 DEFAULT_MEASURE_SAMPLES = 10**6
+
+# The exact measure of 2-d composites integrates over [-L, L]^2 with
+# L = PLANE_HALF_WIDTH, whose complement has Gaussian mass below 5e-19,
+# on pieces of x_1 at most PLANE_PIECE wide with PLANE_NODES
+# Gauss-Legendre nodes each; pieces graded towards a ball's extreme stop
+# PLANE_GRADE_MIN from it.
+PLANE_HALF_WIDTH = 9.0
+PLANE_PIECE = 1.0
+PLANE_NODES = 24
+PLANE_GRADE_MIN = 1e-12
+
+# ``special.chndtr`` returns nan once its arguments pass about 1e11, as a
+# ball's do at small times; above this bound on either argument the
+# ball's heat flow takes ``_ball_flow_far`` on CHNDTR_FAR_NODES nodes.
+# At the bound the two forms agree to 7e-13, about what an ulp of the
+# arguments moves either by.
+CHNDTR_MAX = 1e8
+CHNDTR_FAR_NODES = 32
 
 
 class UnsupportedRegion(ValueError):
@@ -295,6 +315,32 @@ def boundary_distance(s: SetExpr, x) -> float | np.ndarray:
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
+def _ball_flow_far(radius: float, dist: np.ndarray, n: int) -> np.ndarray:
+    """Pr(|d + Y| <= radius) for Y standard in R^n and |d| = ``dist``
+    (one value per entry), where ``special.chndtr`` would take arguments
+    above CHNDTR_MAX. Split Y along d and across it: with W = |Y_perp|^2
+    chi-square of n - 1 degrees of freedom, the value is the mean over W
+    of Phi(sqrt(radius^2 - W) - dist) - Phi(-sqrt(radius^2 - W) - dist),
+    taken on a generalized Gauss-Laguerre rule in W/2. The integrand moves
+    on the scale of radius in W, so the rule is exact to rounding however
+    small the time; the upper argument is written as radius - dist minus
+    a term of size W/radius, so it keeps its digits near the sphere."""
+    if n == 1:
+        y, w = np.zeros(1), np.ones(1)
+    else:
+        y, w = special.roots_genlaguerre(CHNDTR_FAR_NODES, 0.5 * (n - 1) - 1.0)
+        w = w / special.gamma(0.5 * (n - 1))
+    rho = np.sqrt(np.maximum(radius * radius - 2.0 * y, 0.0))
+    inner = np.minimum(2.0 * y / (rho + radius), radius)
+    hi = (radius - dist)[:, None] - inner
+    lo = -rho - dist[:, None]
+    mass = np.where(lo > 0.0, special.ndtr(-lo) - special.ndtr(-hi),
+                    special.ndtr(hi) - special.ndtr(lo)) @ w
+    # above a half, one minus the mass outside keeps the last digits
+    return np.where(mass > 0.5,
+                    1.0 - (special.ndtr(lo) + special.ndtr(-hi)) @ w, mass)
+
+
 def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
     """Exact heat flow P_t 1_s(x) = Pr(e^{-t} x + sqrt(1-e^{-2t}) Y in s),
     Y standard, for a leaf in any dimension. Accepts one point (n,) or a
@@ -304,11 +350,13 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
     Phi((offset - e^{-t} normal.x) / sigma); a ball gives the noncentral
     chi-square CDF at (radius/sigma)^2 with n degrees of freedom and
     noncentrality |center - e^{-t} x|^2 / sigma^2, which is the
-    regularized incomplete gamma function where the noncentrality is 0;
+    regularized incomplete gamma function where the noncentrality is 0
+    and ``_ball_flow_far`` where an argument passes CHNDTR_MAX (small t);
     a box gives the product of Phi differences of its bounds shifted by
     e^{-t} x and scaled by 1/sigma. t = inf gives e^{-t} = 0 and
     sigma = 1, so the flow there is the Gaussian measure. Composites
-    raise UnsupportedRegion (``ousim.semigroup_apply`` estimates them);
+    raise UnsupportedRegion (``ousim.semigroup_apply`` estimates them;
+    their measure is ``gaussian_measure``);
     t <= 0 raises ValueError.
     """
     t = float(t)
@@ -325,6 +373,9 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
         r2 = (s.radius / scale) ** 2
         out = np.where(nc == 0.0, special.gammainc(s.dim / 2.0, 0.5 * r2),
                        special.chndtr(r2, s.dim, nc))
+        far = (nc != 0.0) & (np.maximum(nc, r2) > CHNDTR_MAX)
+        if far.any():
+            out[far] = _ball_flow_far(math.sqrt(r2), np.sqrt(nc[far]), s.dim)
     elif isinstance(s, AxisBox):
         base = decay * pts
         lo, hi = (s.lower - base) / scale, (s.upper - base) / scale
@@ -338,23 +389,183 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
+def _cosine_rule(breaks, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a rule for integrals over [-L, L], L =
+    PLANE_HALF_WIDTH. The breakpoints (clipped to it) split the interval,
+    each part is cut into equal pieces at most PLANE_PIECE wide, and each
+    piece [m - h, m + h] takes ``nodes`` Gauss-Legendre points in theta
+    under u = m - h cos(theta), which turns square-root behaviour at
+    either end of the piece into a smooth integrand."""
+    half_width = PLANE_HALF_WIDTH
+    edges = np.unique(np.clip(np.append(breaks, (-half_width, half_width)),
+                              -half_width, half_width))
+    spans = np.diff(edges)
+    counts = np.ceil(spans / PLANE_PIECE).astype(int)
+    width = np.repeat(spans / counts, counts)
+    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+    half = 0.5 * width
+    mid = np.repeat(edges[:-1], counts) + index * width + half
+    cos, sin_weight = _cosine_legendre(nodes)
+    u = mid[:, None] - half[:, None] * cos
+    return u.ravel(), (half[:, None] * sin_weight).ravel()
+
+
+@functools.cache
+def _cosine_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and the weights times sin(theta) of the Gauss-Legendre
+    rule on [0, pi] with ``nodes`` nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.5 * math.pi * (x + 1.0)
+    return np.cos(theta), 0.5 * math.pi * w * np.sin(theta)
+
+
+def _leaves(s: SetExpr) -> list[SetExpr]:
+    if isinstance(s, Complement):
+        return _leaves(s.inner)
+    if isinstance(s, (Intersection, Union)):
+        return [leaf for p in s.parts for leaf in _leaves(p)]
+    return [s]
+
+
+def _plane_breaks(leaves) -> np.ndarray:
+    """The x_1 at which the chords of 2-d leaves stop being smooth in x_1:
+    vertical boundary lines, the ends of each ball, and every crossing of
+    two boundary curves. A curve is a circle, or a line a x_1 + b x_2 = c
+    with unit (a, b): an oblique half-space boundary, a horizontal box
+    edge, or a level x_2 = j for the integers |j| <= L. The levels put
+    a breakpoint where a chord end is clipped at +-L, and keep a steep
+    chord end from crossing more than one unit of Phi's scale within a
+    piece. A breakpoint that the true boundary does not have (a box edge
+    met outside the box) only splits a smooth piece."""
+    half_width = PLANE_HALF_WIDTH
+    xs, circles = [], []
+    lines = [(0.0, 1.0, float(j)) for j in range(-int(half_width),
+                                                 int(half_width) + 1)]
+    for s in leaves:
+        if isinstance(s, HalfSpace):
+            a, b = (float(v) for v in s.normal)
+            if math.isinf(s.offset):
+                continue
+            if b == 0.0:
+                xs.append(s.offset / a)
+            else:
+                lines.append((a, b, s.offset))
+        elif isinstance(s, Ball):
+            circles.append((*(float(v) for v in s.center), s.radius))
+        else:
+            xs += [float(v) for v in (s.lower[0], s.upper[0])
+                   if math.isfinite(v)]
+            lines += [(0.0, 1.0, float(v)) for v in (s.lower[1], s.upper[1])
+                      if math.isfinite(v)]
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det != 0.0:
+                xs.append((c1 * b2 - c2 * b1) / det)
+    for i, (x0, y0, r) in enumerate(circles):
+        xs += [x0 - r, x0 + r]
+        for a, b, c in lines:
+            gap = c - a * x0 - b * y0
+            if abs(gap) <= r:
+                h = math.sqrt(r * r - gap * gap)
+                xs += [x0 + gap * a - h * b, x0 + gap * a + h * b]
+        for x1, y1, q in circles[i + 1:]:
+            dx, dy = x1 - x0, y1 - y0
+            dist = math.hypot(dx, dy)
+            if 0.0 < dist <= r + q and dist >= abs(r - q):
+                along = (r * r - q * q + dist * dist) / (2.0 * dist)
+                h = math.sqrt(max(r * r - along * along, 0.0))
+                xs += [x0 + (along * dx - h * dy) / dist,
+                       x0 + (along * dx + h * dy) / dist]
+    # a chord end has a square root at a ball's extreme; where another
+    # breakpoint lies a gap g < PLANE_PIECE from it, the piece beyond
+    # would end next to that root, so points at PLANE_PIECE 4^-j from the
+    # extreme, on the side of g and down to |g|, grade the pieces there
+    xs = np.asarray(xs, dtype=float)
+    graded = [xs]
+    for x0, _, r in circles:
+        for extreme in (x0 - r, x0 + r):
+            gaps = xs[np.abs(xs - extreme) < PLANE_PIECE] - extreme
+            for gap in gaps[gaps != 0.0]:
+                depth = math.ceil(math.log(
+                    PLANE_PIECE / max(abs(gap), PLANE_GRADE_MIN), 4.0))
+                graded.append(extreme + math.copysign(PLANE_PIECE, gap)
+                              * 4.0 ** -np.arange(1.0, depth))
+    return np.concatenate(graded)
+
+
+def _chord_ends(leaves, u: np.ndarray) -> np.ndarray:
+    """(len(u), m) x_2 at which the vertical line x_1 = u may cross the
+    boundary of a leaf, clipped to [-L, L]. A ball that the line misses
+    gives its centre twice, which only splits a segment."""
+    cols = []
+    with np.errstate(over="ignore"):
+        for s in leaves:
+            if isinstance(s, HalfSpace):
+                a, b = s.normal
+                if b != 0.0 and not math.isinf(s.offset):
+                    cols.append((s.offset - a * u) / b)
+            elif isinstance(s, Ball):
+                x0, y0 = s.center
+                h = np.sqrt(np.maximum(s.radius ** 2 - (u - x0) ** 2, 0.0))
+                cols += [y0 - h, y0 + h]
+            else:
+                cols += [np.full_like(u, v) for v in (s.lower[1], s.upper[1])
+                         if math.isfinite(v)]
+    ends = np.column_stack(cols) if cols else np.empty((len(u), 0))
+    return np.clip(ends, -PLANE_HALF_WIDTH, PLANE_HALF_WIDTH)
+
+
+def _plane_measure(s: SetExpr, nodes: int = PLANE_NODES) -> float:
+    """Standard Gaussian measure of a 2-d set expression by chords.
+
+    The vertical line x_1 = u meets each leaf in an interval, so it meets
+    the set in a union of segments between the sorted chord ends; each
+    segment is in or out as a whole, which ``_contains`` decides at its
+    midpoint. The measure is the integral over u of phi(u) times the
+    Phi differences of the inside segments, on ``_cosine_rule`` with the
+    breakpoints of ``_plane_breaks``. Mass beyond |x_i| = L is dropped.
+    """
+    leaves = _leaves(s)
+    u, weight = _cosine_rule(_plane_breaks(leaves), nodes)
+    ends = np.sort(_chord_ends(leaves, u), axis=1)
+    rim = np.full((len(u), 1), PLANE_HALF_WIDTH)
+    edges = np.hstack([-rim, ends, rim])
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    mid = 0.5 * (lo + hi)
+    inside = _contains(s, np.column_stack(
+        [np.repeat(u, mid.shape[1]), mid.ravel()])).reshape(mid.shape)
+    # the upper-tail form above 0, as for boxes in ``heat_flow``
+    below, above = special.ndtr(edges), special.ndtr(-edges)
+    mass = np.where(lo > 0.0, above[:, :-1] - above[:, 1:],
+                    below[:, 1:] - below[:, :-1])
+    chords = np.sum(mass, axis=1, where=inside)
+    return float(np.clip(weight @ (std_normal_pdf(u) * chords), 0.0, 1.0))
+
+
 def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
                      seed: int = 0) -> Estimate:
     """Standard Gaussian measure of a set expression.
 
-    Leaves are exact (std_error 0, samples 0): the measure is the heat
-    flow at t = inf, taken from ``heat_flow`` at the origin. Composites
-    are a Monte Carlo indicator average.
+    Leaves in any dimension and composites in the plane are exact
+    (std_error 0, samples 0): a leaf's measure is its heat flow at
+    t = inf, taken from ``heat_flow`` at the origin, and a 2-d composite
+    is integrated along vertical chords (``_plane_measure``). Composites
+    in other dimensions are a Monte Carlo indicator average of
+    ``samples`` draws.
     """
     seed = check_seed(seed)
     try:
         value = heat_flow(s, math.inf, np.zeros(s.dim))
     except UnsupportedRegion:
-        rng = derive_rng(seed, "gaussian_measure", 0)
-        hits = 0
-        for _, n in batches(samples):
-            hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
-        return Estimate.binomial(hits, samples, seed)
+        if s.dim != 2:
+            rng = derive_rng(seed, "gaussian_measure", 0)
+            hits = 0
+            for _, n in batches(samples):
+                hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
+            return Estimate.binomial(hits, samples, seed)
+        value = _plane_measure(s)
     return Estimate(value=value, std_error=0.0, samples=0, seed=seed)
 
 

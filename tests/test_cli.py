@@ -298,6 +298,9 @@ class TestShippedConfigs:
         "ball_vs_bound": (
             ["--samples", "100000"],
             "1c2d8e0f9de3f1ac15e681d58e860cddc49460703ccd3cf481f6400afd4d55fe"),
+        "composite_main": (
+            ["--samples", "100000"],
+            "f1092b3591be7082b94139a1a667dbaa1f6ebc4123065000b00b6f9fc85b65df"),
         "condition": (
             [],
             "a42c7c9ae129bad3c68441037cb6a0d06df168df40617dfecebac6a41b309733"),

@@ -342,6 +342,8 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs")
 PINNED_RESOLVED = {
     "ball_vs_bound.cfg":
         "090cc79033bc1a995ff65aad4aec37a3bb82cdaba4b443d72b1c734f92fab066",
+    "composite_main.cfg":
+        "848340a7ddc3409bc2d2f7ebb67cf888b3bbf24de000573a45e679a1f5492e19",
     "condition.cfg":
         "3b4eb96091e0fc63a8aa27964065e8a1e730e6e32d4d233182a22fc0e63355b1",
     "equality_diag.cfg":

@@ -17,10 +17,14 @@ from noisestab import (
     contains,
     gaussian_measure,
     heat_flow,
+    orthant_qmc,
+    OrthantQuery,
     parallel_halfspaces,
     semigroup_apply,
     std_normal_cdf,
 )
+from noisestab.geometry import CHNDTR_MAX, PLANE_NODES, _ball_flow_far, \
+    _plane_measure
 
 HALF_BALL_RADIUS = math.sqrt(2.0 * math.log(2.0))  # measure 1/2 in R^2
 
@@ -223,9 +227,10 @@ class TestGaussianMeasure:
         assert est.value == 0.0
 
     def test_mc_branch_used_for_offcenter_ball(self):
-        # the off-centre ball is exact; a one-part union keeps the Monte
-        # Carlo route, which must agree with it
-        ball = Ball(np.array([1.0, 0.0]), 1.0)
+        # the off-centre ball is exact; a one-part union in n = 3 keeps the
+        # Monte Carlo route (2-d composites are exact), which must agree
+        # with it
+        ball = Ball(np.array([1.0, 0.0, 0.0]), 1.0)
         exact = gaussian_measure(ball, samples=50_000, seed=1)
         assert exact.samples == 0 and exact.std_error == 0.0
         est = gaussian_measure(Union((ball,)), samples=50_000, seed=1)
@@ -235,14 +240,14 @@ class TestGaussianMeasure:
     def test_analytic_vs_mc_agreement(self):
         rng = np.random.default_rng(14)
         for trial in range(50):
-            n = int(rng.integers(2, 4))
+            n = int(rng.integers(3, 5))
             if trial % 2 == 0:
                 direction = rng.standard_normal(n)
                 s = HalfSpace(direction, float(rng.uniform(-1.5, 1.5)))
             else:
                 s = Ball(np.zeros(n), float(rng.uniform(0.5, 2.5)))
             exact = gaussian_measure(s).value
-            # wrapping in a one-part union forces the MC branch
+            # wrapping in a one-part union forces the MC branch in n >= 3
             mc = gaussian_measure(Union((s,)), samples=100_000,
                                   seed=500 + trial)
             assert abs(mc.value - exact) <= 3 * max(mc.std_error, 1e-5)
@@ -250,9 +255,10 @@ class TestGaussianMeasure:
     def test_measure_sandwich(self):
         rng = np.random.default_rng(15)
         for trial in range(10):
-            parts = (Ball(rng.standard_normal(2) * 0.5,
+            # in n = 3, where composites are Monte Carlo
+            parts = (Ball(rng.standard_normal(3) * 0.5,
                           float(rng.uniform(0.8, 1.6))),
-                     HalfSpace(rng.standard_normal(2),
+                     HalfSpace(rng.standard_normal(3),
                                float(rng.uniform(-0.5, 1.0))))
             mus = [gaussian_measure(Union((p,)), samples=100_000,
                                     seed=700 + trial).value for p in parts]
@@ -265,10 +271,11 @@ class TestGaussianMeasure:
             assert union >= max(mus) - se
 
     def test_reproducible(self):
-        s = Union((Ball(np.array([0.5, 0.5]), 1.0),))
+        # a composite in n = 3, so the Monte Carlo route
+        s = Union((Ball(np.array([0.5, 0.5, 0.0]), 1.0),))
         a = gaussian_measure(s, samples=40_000, seed=5)
         b = gaussian_measure(s, samples=40_000, seed=5)
-        assert a == b
+        assert a == b and a.samples == 40_000
 
 
 def _poisson_mixture(r2, n, lam, terms=120):
@@ -383,13 +390,14 @@ class TestClosedForms:
             assert abs(est.value - want) <= 1e-14
 
     def test_far_tail_box(self):
-        box = AxisBox(np.array([6.0, -np.inf]), np.array([7.0, np.inf]))
+        box = AxisBox(np.array([6.0, -np.inf, -np.inf]),
+                      np.array([7.0, np.inf, np.inf]))
         want = 0.5 * (math.erfc(6.0 / math.sqrt(2.0))
                       - math.erfc(7.0 / math.sqrt(2.0)))
         est = gaussian_measure(box)
         assert est.samples == 0
         assert abs(est.value - want) <= 1e-12 * want
-        # Monte Carlo sees nothing this far out
+        # Monte Carlo (a one-part union in n = 3) sees nothing this far out
         assert gaussian_measure(Union((box,)), samples=100_000,
                                 seed=2).value == 0.0
 
@@ -456,6 +464,163 @@ class TestClosedForms:
     def test_nonpositive_time_rejected(self, t):
         with pytest.raises(ValueError):
             heat_flow(Ball(np.zeros(2), 1.0), t, np.zeros(2))
+
+
+def _plane_leaf(rng):
+    """A random 2-d leaf: an off-centre ball, a box with up to two
+    infinite sides, an oblique or an axis half-space."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return Ball(rng.standard_normal(2) * 0.8, float(rng.uniform(0.3, 2.0)))
+    if kind == 1:
+        lo = rng.uniform(-2.0, 0.5, 2)
+        hi = lo + rng.uniform(0.5, 3.0, 2)
+        for side in rng.choice(4, size=int(rng.integers(3)), replace=False):
+            (lo if side < 2 else hi)[side % 2] = -np.inf if side < 2 \
+                else np.inf
+        return AxisBox(lo, hi)
+    if kind == 2:
+        return HalfSpace(rng.standard_normal(2), float(rng.uniform(-1.5, 1.5)))
+    normal = np.zeros(2)
+    normal[rng.integers(2)] = rng.choice([-1.0, 1.0])
+    return HalfSpace(normal, float(rng.uniform(-1.5, 1.5)))
+
+
+def _plane_set(rng, depth):
+    """A random 2-d composite of nested complements, intersections and
+    unions of ``_plane_leaf`` leaves."""
+    kind = rng.integers(3)
+    if depth == 0:
+        return _plane_leaf(rng)
+    if kind == 0:
+        return Complement(_plane_set(rng, depth - 1))
+    parts = tuple(_plane_set(rng, int(rng.integers(depth)))
+                  for _ in range(int(rng.integers(2, 4))))
+    return Intersection(parts) if kind == 1 else Union(parts)
+
+
+class TestPlaneMeasure:
+    LEAVES = (
+        Ball(np.array([0.5, -0.3]), 1.2),
+        Ball(np.array([3.0, 1.0]), 0.4),
+        Ball(np.array([-2.0, 0.5]), 3.0),
+        Ball(np.array([0.0, 8.5]), 1.0),
+        AxisBox(np.array([-1.0, -np.inf]), np.array([2.0, 0.5])),
+        AxisBox(np.array([-np.inf, 0.3]), np.array([np.inf, 1.0])),
+        AxisBox(np.array([6.0, -np.inf]), np.array([7.0, np.inf])),
+        AxisBox(np.array([-0.5, -2.0]), np.array([0.25, 3.0])),
+        HalfSpace(np.array([0.6, -0.8]), 0.3),
+        HalfSpace(np.array([-0.28, 0.96]), -1.1),
+        HalfSpace(np.array([1.0, 0.0]), 0.2),
+        HalfSpace(np.array([0.0, -1.0]), 0.4),
+        HalfSpace(np.array([1.0, 1e-9]), 0.1),
+        HalfSpace(np.array([-1.0, 1e-9]), -0.7),
+    )
+
+    @pytest.mark.parametrize("leaf", LEAVES, ids=repr)
+    def test_leaves_match_heat_flow(self, leaf):
+        want = heat_flow(leaf, math.inf, np.zeros(2))
+        assert abs(_plane_measure(leaf) - want) <= 1e-13
+
+    def test_halfspace_pair_is_bivariate_orthant(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            a, b = (HalfSpace(rng.standard_normal(2),
+                              float(rng.uniform(-1.5, 1.5))) for _ in range(2))
+            rho = float(a.normal @ b.normal)
+            est = orthant_qmc(OrthantQuery(np.array([a.offset, b.offset]),
+                                           np.array([[1.0, rho],
+                                                     [rho, 1.0]])),
+                              1e-6, 1)
+            assert est.std_error == 0.0
+            got = gaussian_measure(Intersection((a, b)))
+            assert abs(got.value - est.value) <= 1e-13
+
+    def test_inclusion_exclusion_and_complement(self):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            a, b = _plane_set(rng, 1), _plane_set(rng, 1)
+            mu_a, mu_b = _plane_measure(a), _plane_measure(b)
+            both = _plane_measure(Union((a, b))) \
+                + _plane_measure(Intersection((a, b)))
+            assert abs(both - (mu_a + mu_b)) <= 1e-13
+            assert abs(_plane_measure(Complement(a)) - (1.0 - mu_a)) <= 1e-13
+
+    def test_doubling_the_nodes_changes_nothing(self):
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            s = _plane_set(rng, 3)
+            assert abs(_plane_measure(s, 2 * PLANE_NODES)
+                       - _plane_measure(s)) <= 1e-13
+
+    def test_random_composites_against_monte_carlo(self):
+        # the Monte Carlo runs through ``contains``, not the measure code
+        rng = np.random.default_rng(34)
+        draws, far = 400_000, []
+        for trial in range(100):
+            s = _plane_set(rng, 3)
+            est = gaussian_measure(s, samples=10, seed=trial + 1)
+            assert (est.std_error, est.samples) == (0.0, 0)
+            pts = np.random.default_rng(3400 + trial).standard_normal(
+                (draws, 2))
+            freq = np.count_nonzero(contains(s, pts)) / draws
+            se = math.sqrt(est.value * (1.0 - est.value) / draws)
+            gap = abs(freq - est.value)
+            assert gap <= 4.0 * se
+            far.append(gap > 3.0 * se)
+        assert sum(far) <= 1  # at most 1%
+
+    def test_disjoint_balls_exactly_zero(self):
+        s = Intersection((Ball(np.array([-1.0, 0.0]), 0.9),
+                          Ball(np.array([1.0, 0.0]), 0.9)))
+        assert gaussian_measure(s).value == 0.0
+
+    def test_mc_sets_union(self):
+        s = Union((Ball(np.zeros(2), 1.0),
+                   AxisBox(np.array([-1.0, -np.inf]), np.array([1.0, 0.0]))))
+        est = gaussian_measure(s)
+        assert (est.std_error, est.samples) == (0.0, 0)
+        assert abs(est.value - 0.53807942) <= 1e-8
+
+
+class TestBallSmallTime:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("t", [1e-12, 1e-20, 1e-50, 1e-100, 1e-200])
+    def test_inside_outside_boundary(self, n, t):
+        e = np.zeros(n)
+        e[0] = 1.0
+        ball = Ball(np.zeros(n), 1.0)
+        assert heat_flow(ball, t, 0.5 * e) == 1.0
+        assert heat_flow(ball, t, 1.5 * e) == 0.0
+        rim = heat_flow(ball, t, e)
+        if n == 1:
+            # the interval's flow is a Phi difference, a little above 1/2
+            # while e^{-t} < 1 moves the mean inside; an ulp of the unit
+            # inputs moves it by about 1e-16 / scale
+            decay = math.exp(-t)
+            scale = math.sqrt(-math.expm1(-2.0 * t))
+            want = special.ndtr((1.0 - decay) / scale) \
+                - special.ndtr(-(1.0 + decay) / scale)
+            assert abs(rim - want) <= 1e-15 / scale
+        else:
+            assert 0.49 < rim <= 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_forms_agree_at_threshold(self, n):
+        radius = math.sqrt(CHNDTR_MAX)
+        dist = np.concatenate([radius + np.linspace(-8.0, 8.0, 33),
+                               np.linspace(0.5, radius - 8.0, 50)])
+        far = _ball_flow_far(radius, dist, n)
+        near = special.chndtr(CHNDTR_MAX, n, dist * dist)
+        assert np.max(np.abs(far - near)) <= 1e-10
+
+    def test_small_time_flow_is_finite(self):
+        rng = np.random.default_rng(35)
+        ball = Ball(np.array([0.3, -0.2]), 1.1)
+        pts = ball.center + rng.uniform(-2.0, 2.0, (200, 2))
+        for t in (1e-8, 1e-12, 1e-30):
+            flow = heat_flow(ball, t, pts)
+            assert np.all((flow >= 0.0) & (flow <= 1.0))
 
 
 class TestParallelHalfspaces:

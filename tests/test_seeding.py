@@ -54,7 +54,7 @@ class TestIndicatorStreams:
 
     ESTIMATORS = {
         "gaussian_measure": lambda: gaussian_measure(
-            Union((Ball(np.array([0.3, -0.2]), 1.1),)), 5000, 31),
+            Union((Ball(np.array([0.3, -0.2, 0.1]), 1.1),)), 5000, 31),
         "orthant_mc": lambda: orthant_mc(
             OrthantQuery(np.array([0.2, -0.1]),
                          np.array([[1.0, 0.4], [0.4, 1.0]])), 5000, 32),

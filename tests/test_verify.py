@@ -40,6 +40,7 @@ from noisestab import (
 )
 import noisestab.cli as cli
 import noisestab.jfunc as jfunc
+import noisestab.verify as verify
 from noisestab import seeding
 from noisestab.seeding import derive_rng, subseed
 from noisestab.config import ConfigError, ExperimentConfig, load_config, \
@@ -201,7 +202,8 @@ class TestMainInequality:
                                        capped_dims):
         # dimension 2 is the bound J itself, dimension 1 the gradients
         # that propagate the Monte Carlo measure noise of the one-part
-        # union (a bare ball would be measured exactly)
+        # union in n = 3 (a bare ball, or a composite in n = 2, would be
+        # measured exactly)
         real = jfunc.orthant_qmc
 
         def capped(q, *args, **kwargs):
@@ -210,14 +212,27 @@ class TestMainInequality:
 
         monkeypatch.setattr(jfunc, "orthant_qmc", capped)
         cfg = tmp_path / "main.cfg"
-        cfg.write_text(MAIN_DOC.replace("a1 = halfspace([1, 0], 0.0)",
-                                        "a1 = union(ball([0.3, 0], 1.2))"))
+        cfg.write_text(MAIN_DOC.replace("n = 2", "n = 3").replace(
+            "a1 = halfspace([1, 0], 0.0)",
+            "a1 = union(ball([0.3, 0, 0], 1.2))").replace(
+            "a2 = halfspace([1, 0], ", "a2 = halfspace([1, 0, 0], "))
         out = tmp_path / "report.json"
         assert cli.cli_main(["verify-main", "--config", str(cfg), "--quiet",
                              "--out", str(out)]) == 0
         (row,) = json.loads(out.read_text())["results"]
         assert row["rhs"]["cap_hit"] is True
         assert row["lhs"]["cap_hit"] is False
+
+    def test_plane_composite_bound_is_exact(self, monkeypatch):
+        # a 2-d composite's measure is exact, so no measure noise goes
+        # through j_grad, and at k = 2 the J value is exact too
+        monkeypatch.setattr(verify, "j_grad", None)
+        sets = SetSystem((Union((Ball(np.zeros(2), 1.0),
+                                 AxisBox(np.array([-1.0, -np.inf]),
+                                         np.array([1.0, 0.0])))), HS0))
+        rhs = verify.stability_bound(
+            sets, CorrelationMatrix.equicorrelated(2, 0.5), 1000, 1e-4, 5)
+        assert (rhs.std_error, rhs.samples) == (0.0, 0)
 
     def test_negative_entry_refused(self):
         cfg = parse_config(MAIN_DOC.replace("rho = 0.5", "rho = -0.2"))
@@ -276,11 +291,12 @@ class TestExitDominance:
         assert abs(comp.rhs.value - 0.5) <= 1e-15
 
     def test_measure_noise_reaches_rhs(self):
-        # a one-part union has a Monte Carlo measure, so the matched
-        # offset c is noisy: rhs se = |dS/dc| se(mu) / phi(c)
+        # a one-part union in n = 3 has a Monte Carlo measure, so the
+        # matched offset c is noisy: rhs se = |dS/dc| se(mu) / phi(c)
         cfg = parse_config("[sampling]\nsamples = 100000\npaths = 5000\n"
                            "seed = 12\n[grid]\nsteps = 32\n")
-        noisy = Union((HALF_BALL,))
+        half_ball = Ball(np.zeros(3), 1.5381722544550522)
+        noisy = Union((half_ball,))
         taus = [0.0, 0.3, 1.0]
         comps = verify_exit_dominance(noisy, taus, cfg)
         mu = gaussian_measure(noisy, 100_000, subseed(12, "measure", 0))
@@ -298,9 +314,11 @@ class TestExitDominance:
         # at tau = 0 the rhs is Phi(c) = mu, so it carries se(mu)
         assert comps[0].rhs.std_error == pytest.approx(mu.std_error,
                                                        rel=1e-5)
-        # a leaf's measure is exact, and so is its rhs
-        leaf = verify_exit_dominance(HALF_BALL, taus, cfg)
-        assert [comp.rhs.std_error for comp in leaf] == [0.0] * 3
+        # a leaf's measure is exact, and so is its rhs; so is a 2-d
+        # composite's
+        for exact in (half_ball, Union((HALF_BALL,))):
+            comps = verify_exit_dominance(exact, taus, cfg)
+            assert [comp.rhs.std_error for comp in comps] == [0.0] * 3
 
     def test_ball_dominated(self):
         cfg = parse_config(
@@ -329,12 +347,13 @@ class TestOccupation:
         assert comp.verdict in (HOLDS, EQUALITY_BAND)
 
     def test_measure_noise_reaches_rhs(self):
-        # a one-part union has a Monte Carlo measure, so its matched offset
-        # is noisy: rhs se^2 sums (|dV/dc_i| se(mu_i) / phi(c_i))^2
+        # a one-part union in n = 3 has a Monte Carlo measure, so its
+        # matched offset is noisy: rhs se^2 sums
+        # (|dV/dc_i| se(mu_i) / phi(c_i))^2
         cfg = parse_config("[sampling]\nsamples = 100000\npaths = 5000\n"
                            "seed = 13\n[grid]\nsteps = 32\n")
-        ball_06 = Ball(np.zeros(2), 1.353728726055671)
-        ball_03 = Ball(np.zeros(2), 0.8446004309005916)
+        ball_06 = Ball(np.zeros(3), 1.716439941594797)
+        ball_03 = Ball(np.zeros(3), 1.1931689918177055)
         h, tau = OFFSET_STEP, 0.5
 
         def propagated(a1, a2):
