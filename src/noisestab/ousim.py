@@ -27,15 +27,22 @@ both pair calls under one rule and returns (estimate_a, estimate_b,
 paired_se). ``occupation`` stays the raw grid scan, the oracle. Every
 estimator returns ``Estimate``s.
 
-Both scans run on one batch loop (``_scan``). Batch i draws its paths
-from the stream keyed ("exit", i). Once fewer than 7/8 of a batch's
-paths are live, the loop drops the ones whose result is fixed and
-draws normals for the rest only. A dropped exit path adds 0 to every
-sum, so it is discarded; the occupation scan passes ``retire``, which
-tallies a dropped path's counts first. When rows drop depends only on
-the seed, the sizes and the sets. The batches run side by side on the
-shared thread pool (``seeding.fan_out``) and their sums are merged in
-batch order, so results do not depend on the number of workers.
+Both scans run on one shard loop (``_scan``). A scan splits its paths
+into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
+paths, else two per ``BATCH`` paths or part of it, so a scan of any
+useful size keeps every CPU busy. Shard i draws its paths from the
+stream keyed ("exit", i). Once fewer than 7/8 of a shard's paths are
+live, the loop drops the ones whose result is fixed and draws normals
+for the rest only. A dropped exit path adds 0 to every sum, so it is
+discarded; the occupation scan passes ``retire``, which tallies a
+dropped path's counts first. When rows drop depends only on the seed,
+the sizes and the sets. The shards run side by side on the shared
+thread pool (``seeding.fan_out``) and their sums are merged in shard
+order, so results do not depend on the number of workers.
+
+The exact half-space arms keep off OpenBLAS's thread pool: a pooled
+BLAS call leaves its threads spinning for about 0.1 s of CPU after it
+returns, time the scans' shards would otherwise have.
 
 ``semigroup_apply`` is the Monte Carlo heat flow of composites and the
 oracle of ``geometry.heat_flow``; the gradient check is in ``verify``.
@@ -48,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from . import seeding
 from .gaussian import CorrelationMatrix, cholesky
 from .geometry import HalfSpace, SetExpr, boundary_distance, contains
 from .orthant import Estimate
@@ -111,7 +119,7 @@ class KroneckerSampler:
 # streaming grid scans
 # ---------------------------------------------------------------------------
 
-# A scan gathers a batch's live rows (with ``compress``, which keeps them
+# A scan gathers a shard's live rows (with ``compress``, which keeps them
 # C-contiguous) once fewer than this share of its rows is live.
 _LIVE_SHARE = 7 / 8
 
@@ -163,14 +171,28 @@ def _step(rng, states, noise, decay, scale):
 
 
 def _add(acc, key, x):
-    """Add the sum and the sum of squares of per-path values ``x``."""
+    """Add the sum and the sum of squares of per-path values ``x``. The
+    squares are summed by ``einsum``, not a BLAS dot, which would leave
+    OpenBLAS's threads spinning."""
     s, s2 = acc.get(key, (0.0, 0.0))
-    acc[key] = (s + float(x.sum()), s2 + float(x @ x))
+    acc[key] = (s + float(x.sum()), s2 + float(np.einsum("i,i->", x, x)))
+
+
+def _shards(paths: int) -> list[tuple[int, int]]:
+    """(index, count) of each shard of a ``paths``-path scan, in order:
+    one shard below ``seeding.BATCH / 4`` paths, else twice as many as
+    ``seeding.batches`` has batches. Counts differ by at most one and
+    sum to ``paths``; ``batches`` rejects ``paths < 1``."""
+    halves = 2 * sum(1 for _ in batches(paths))
+    paths = int(paths)
+    count = halves if 4 * paths >= seeding.BATCH else 1
+    size, extra = divmod(paths, count)
+    return [(i, size + (i < extra)) for i in range(count)]
 
 
 def _merge(parts):
-    """Sum per-batch moment dicts in batch order, so each total has the
-    float association of one sequential pass over the batches."""
+    """Sum per-shard moment dicts in shard order, so each total has the
+    float association of one sequential pass over the shards."""
     acc: dict = {}
     for part in parts:
         for key, (s, s2) in part.items():
@@ -180,24 +202,25 @@ def _merge(parts):
 
 
 def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
-    """The batch loop of the OU grid scans: ``paths`` stationary paths
+    """The shard loop of the OU grid scans: ``paths`` stationary paths
     in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau].
 
-    Batch i draws from the stream keyed ("exit", i). ``start(states)``
-    returns the scan's per-path arrays, one column per path, with the
-    liveness rows ``alive`` first; ``update(i, states, *arrays)`` updates
-    them in place after step i; ``tally(acc, *arrays)`` adds their
-    per-path moments to ``acc`` at the end. Once fewer than
+    Shard i of ``_shards(paths)`` draws from the stream keyed
+    ("exit", i). ``start(states)`` returns the scan's per-path arrays,
+    one column per path, with the liveness rows ``alive`` first;
+    ``update(i, states, *arrays)`` updates them in place after step i;
+    ``tally(acc, *arrays)`` adds their per-path moments to ``acc`` at
+    the end. Once fewer than
     ``_LIVE_SHARE`` of the columns have a live row, the dead ones are
-    dropped, after ``retire(acc, *dead)`` when given; a batch stops when
-    none is left. Returns the batch sums merged in batch order.
+    dropped, after ``retire(acc, *dead)`` when given; a shard stops when
+    none is left. Returns the shard sums merged in shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
 
-    def batch(part):
-        chunk_index, c = part
-        rng = derive_rng(seed, "exit", chunk_index)
+    def shard(part):
+        index, c = part
+        rng = derive_rng(seed, "exit", index)
         states = rng.standard_normal((c, dim))
         noise = np.empty_like(states)
         arrays = start(states)
@@ -216,7 +239,7 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
         tally(acc, *arrays)
         return acc
 
-    return _merge(fan_out(batch, batches(paths)))
+    return _merge(fan_out(shard, _shards(paths)))
 
 
 def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
@@ -373,10 +396,12 @@ def _halfspace_generator(c: float, width: float, nodes: int):
     down = np.exp(0.5 * h * x - h * h / 8.0)  # phi_{i-1/2} / phi_i
     down[0] = 0.0
     off = math.exp(h * h / 8.0) / (h * np.sqrt(w[:-1] * w[1:]))
-    gen = np.diag(-(up + down) / (h * w))
-    idx = np.arange(nodes - 1)
-    gen[idx, idx + 1] = gen[idx + 1, idx] = off
-    lam, vec = np.linalg.eigh(gen)
+    # imported here, so that importing the package loads no scipy.linalg;
+    # unlike numpy's eigh and the default driver, stemr leaves no OpenBLAS
+    # thread spinning after it returns
+    from scipy.linalg import eigh_tridiagonal
+    lam, vec = eigh_tridiagonal(-(up + down) / (h * w), off,
+                                lapack_driver="stemr")
     x0 = float(np.min(x * x))
     return x, lam, vec, np.sqrt(w) * np.exp(-0.25 * (x * x - x0)), x0
 
@@ -541,8 +566,6 @@ def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
     seed = check_seed(seed)
     scanned = [s for s in (a, b) if not isinstance(s, HalfSpace)]
     acc = _survival_scan(scanned, tau, steps, paths, seed) if scanned else None
-    # The exact arms go after the scan: the BLAS threads that their eigh
-    # wakes keep spinning, and would slow the other horizon's scan.
     exact = [halfspace_survival(s.offset, tau) if isinstance(s, HalfSpace)
              else None for s in (a, b)]
     return _combine(exact, lambda key: _estimate(acc, key, 1.0, paths, seed),
@@ -658,9 +681,6 @@ def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     paths = int(paths)
     seed = check_seed(seed)
     pairs = (pair_a, pair_b)
-    # The exact pairs go first. The BLAS threads that their eigh wakes
-    # keep spinning for a while after it, so they then overlap this
-    # call's scan and not the caller's next call.
     exact = [halfspace_occupation(p[0].offset, p[1].offset, tau)
              if _parallel(p) else None for p in pairs]
     scanned = [p for p, value in zip(pairs, exact) if value is None]

@@ -4,8 +4,9 @@ Every estimator in this package derives its generators through
 :func:`derive_rng` so that a (seed, purpose, shard) triple always maps to
 the same stream, independent of how work is scheduled. Chunked samplers
 walk :func:`batches`, so a result depends only on the seed and the sample
-count. The OU scans key batch ``i`` by ``i``, since each batch draws its
-paths step by step. The Monte Carlo indicator averages (``orthant_mc``,
+count. The OU scans split their paths into near-equal shards sized from
+:data:`BATCH` (``ousim._shards``) and key shard ``i`` by ``i``, since
+each shard draws its paths step by step. The Monte Carlo indicator averages (``orthant_mc``,
 ``gaussian_measure`` on a composite outside the plane,
 ``semigroup_apply``) draw every batch from the one stream keyed
 ``(purpose, 0)``, so their numbers do not depend on
@@ -13,10 +14,9 @@ paths step by step. The Monte Carlo indicator averages (``orthant_mc``,
 reports made when these estimators drew 2^19 or 2^20 points per batch
 keep their numbers up to that many draws.
 
-Independent pieces of work (the batches of an OU scan, the horizons of
-an exit-time or occupation run, the probes of a composite set in the
-equality diagnostic, the batches of the joint-containment frequency) go
-through :func:`fan_out`, which runs them on one thread per CPU this
+Independent pieces of work (the shards of an OU scan, the probes of a
+composite set in the equality diagnostic, the batches of the
+joint-containment frequency) go through :func:`fan_out`, which runs them on one thread per CPU this
 process may use. There is no setting: each piece draws from its own
 keyed stream and the results are combined in item order, so reports do
 not depend on the number of workers.
@@ -30,8 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Points per batch of every chunked sampler (Monte Carlo draws and OU
-# paths alike).
+# Points per batch of every chunked sampler; the OU scans split their
+# paths into two shards per batch.
 BATCH = 1 << 16
 
 # Threads of the shared pool: one per CPU this process may use. A module
@@ -107,7 +107,10 @@ def fan_out(fn, items) -> list:
     One item, one worker, or a call from a pool thread runs inline on
     the calling thread, so nested use neither deadlocks nor
     oversubscribes the CPUs. Numpy's generators and ufuncs release the
-    interpreter lock, so the threads overlap in the array work.
+    interpreter lock, so the threads overlap in the array work. Callers
+    fan out the innermost independent pieces, such as the shards of one
+    OU scan, not the horizons of a run, so that the pieces of one call
+    share the CPUs and the interpreter lock only with each other.
     """
     items = list(items)
     if len(items) < 2 or WORKERS < 2 or getattr(_pool_thread, "active",

@@ -214,8 +214,7 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     matched half-space, per horizon. A Monte Carlo measure of A makes
     the matched offset noisy; that noise reaches the rhs standard error
     (``_offset_se``), and the margin combines both sides in quadrature.
-    The horizons are independent scans and run side by side
-    (``fan_out``)."""
+    The horizons run one after another, each scan on every CPU."""
     s = cfg.sampling
     mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", 0))
     b = _matched_halfspaces(SetSystem((a,)), [mu])[0]
@@ -228,17 +227,18 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
         return compare(f"exit-dominance[tau={tau:g}]", lhs,
                        replace(rhs, std_error=se))
 
-    return fan_out(horizon, taus)
+    return [horizon(tau) for tau in taus]
 
 
 def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
                       cfg: ExperimentConfig) -> list[ComparisonResult]:
     """Scanned occupation of (A_1, A_2) against the exact occupation of
     the matched parallel half-spaces, per horizon, each horizon an
-    independent scan at the same seed. Monte Carlo measures make the
-    matched offsets noisy; that noise reaches the rhs standard error
-    through each offset (``_offset_se``; the measures are independent),
-    and the margin combines both sides in quadrature."""
+    independent scan at the same seed, run one after another, each scan
+    on every CPU. Monte Carlo measures make the matched offsets noisy;
+    that noise reaches the rhs standard error through each offset
+    (``_offset_se``; the measures are independent), and the margin
+    combines both sides in quadrature."""
     s = cfg.sampling
     mus = [gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
            for i, a in enumerate((a1, a2))]
@@ -255,7 +255,7 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
         return compare(f"occupation[tau={tau:g}]", lhs,
                        replace(rhs, std_error=se))
 
-    return fan_out(horizon, taus)
+    return [horizon(tau) for tau in taus]
 
 
 EXACT_FLOW = "exact"

@@ -309,7 +309,7 @@ class TestShippedConfigs:
             "ca51317467dc2c93e2071f215f90bd93d57181fbf51d5c5f72ea6bde1c932b19"),
         "exit_ball": (
             ["--paths", "4000"],
-            "0c8653b8f989d08a6abbf69faecdd5ddf43cfd6faa12bad47036cdfea71bbf34"),
+            "5f8e70fcc84ceda3de2ec363c0d210524c020001f142cd9a0508bd130d7d5a60"),
         "k2grid": (
             [],
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
@@ -318,7 +318,7 @@ class TestShippedConfigs:
             "6a1f04df5c5a481aec6966b2f9f567d036e54bfe27eba30e7d081f0897ae039f"),
         "occupation_balls": (
             ["--paths", "4000"],
-            "79096c5b35b2201b9b6790f381a0188e7bad203e775dc5ccc2739ddb59011219"),
+            "cb29aeec933e844aaf0d27bae7fc5e53f4b59067c35f1a8ba8b8d17ec2e8214f"),
         "parallel": (
             ["--samples", "100000"],
             "d13e553bc2bc4adf9153cf956e7f63c011503562a7d9a351a20dcbd49d75d925"),
@@ -331,7 +331,7 @@ class TestShippedConfigs:
         "equality_diag":
             "d89964e43a4db336cae28b2006e2cffe94ff7e338d521457146cfc17397c4c0f",
         "exit_ball":
-            "3e870dc99e1f042653931443bed7f0a76ed29389c8df2451c9f8dab23812d942",
+            "103dbcd358b2f964bbe93b15c483f58c5fa2bdf502a82f94610f8aa1207d3e9c",
         "k2grid":
             "6f89ff0ca36b681b9fdee0c8f3c9c46f3de94392a480c9173827291c63f87e0d",
     }

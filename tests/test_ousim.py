@@ -1,6 +1,8 @@
 import math
+import resource
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -335,13 +337,12 @@ class TestHalfspaceSurvival:
             assert paired == scanned.std_error
 
     def test_pair_without_halfspace_unchanged(self):
-        # two scanned arms keep common random numbers; pinned before the
-        # half-space arms became exact
+        # two scanned arms keep common random numbers
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
         assert (a.value, a.std_error, b.value, b.std_error, paired) == (
-            0.07580512123583859, 0.0009328205873876181, 0.15536956322475515,
-            0.001298882714055576, 0.0008540896990839787)
+            0.07556209498624514, 0.0009325256202445993, 0.154579518240423,
+            0.0012952718081987232, 0.0008506724184069206)
 
     def test_equal_for_one_and_two_workers(self, monkeypatch):
         # the horizons run on pool threads, each diagonalising its grids
@@ -474,6 +475,50 @@ class TestHalfspaceOccupation:
         assert occ_a.samples == 5_000 and occ_a.std_error > 0.0
 
 
+class TestHalfspaceSolver:
+    """The tridiagonal eigensolver behind both exact half-space arms."""
+
+    OFFSETS = [float(special.ndtri(p)) for p in
+               (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999, 1 - 1e-6)]
+    TAUS = (1e-4, 1e-2, 0.1, 0.5, 1.0, 5.0, 17.9, 50.0)
+
+    def _values(self):
+        survival = [halfspace_survival(c, tau) for c in self.OFFSETS
+                    for tau in self.TAUS]
+        occupation = [halfspace_occupation(c1, c2, tau) / max(1.0, tau)
+                      for c1 in self.OFFSETS for c2 in self.OFFSETS[::4]
+                      for tau in self.TAUS]
+        return np.array(survival), np.array(occupation)
+
+    def test_matches_dense_eigh(self, monkeypatch):
+        import scipy.linalg
+
+        def dense(diag, off, lapack_driver=None):
+            return np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                  + np.diag(off, -1))
+
+        survival, occupation = self._values()
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", dense)
+        dense_survival, dense_occupation = self._values()
+        assert np.abs(survival - dense_survival).max() <= 1e-10
+        # occupations reach tau, so they are compared per unit of time
+        assert np.abs(occupation - dense_occupation).max() <= 2e-11
+
+    def test_leaves_no_blas_thread_spinning(self):
+        # a pooled OpenBLAS call leaves its threads spinning for about
+        # 0.13 s of CPU after it returns, which the OU scans' shards
+        # would otherwise have; the first sleep lets any earlier spin end
+        def cpu_s():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+
+        time.sleep(0.3)
+        halfspace_survival(0.3, 0.5)
+        before = cpu_s()
+        time.sleep(0.3)
+        assert cpu_s() - before < 0.03
+
+
 class TestOccupation:
     def test_empty_target(self):
         empty = Intersection((Ball(np.array([5.0, 5.0]), 0.5),
@@ -601,6 +646,40 @@ def draws(monkeypatch):
     return shapes
 
 
+class TestShards:
+    @pytest.mark.parametrize("paths", [1, 2, 16_383, 16_384, 16_385, 65_535,
+                                       65_536, 70_000, 1_000_000])
+    def test_near_equal_split(self, paths):
+        shards = ousim._shards(paths)
+        sizes = [size for _, size in shards]
+        assert [index for index, _ in shards] == list(range(len(shards)))
+        assert sum(sizes) == paths and max(sizes) - min(sizes) <= 1
+        if 4 * paths < seeding.BATCH:
+            assert len(shards) == 1
+        else:
+            assert len(shards) == 2 * math.ceil(paths / seeding.BATCH)
+
+    def test_batch_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(seeding, "BATCH", 7000)
+        assert len(ousim._shards(70_000)) == 20
+        assert ousim._shards(1749) == [(0, 1749)]
+        assert len(ousim._shards(1750)) == 2
+
+    def test_split_ignores_workers(self, monkeypatch):
+        splits = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            splits.append([ousim._shards(p) for p in (3000, 25_000, 70_000)])
+        assert splits[0] == splits[1] == splits[2]
+
+    @pytest.mark.parametrize("paths", [0, -5])
+    def test_rejects_no_paths(self, paths):
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            ousim._shards(paths)
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            exit_survival(HALF_BALL, 0.5, 8, paths, 1)
+
+
 class TestCompaction:
     POINT = Ball(np.zeros(2), 0.0)  # every path starts outside
 
@@ -693,39 +772,39 @@ def _dominance_case():
 
 
 class TestWorkerCount:
-    """The batches of a scan run on the thread pool and their sums are
-    merged in batch order, so results do not depend on the worker count
+    """The shards of a scan run on the thread pool and their sums are
+    merged in shard order, so results do not depend on the worker count
     and equal those of the sequential scans (pinned here)."""
 
     CASES = {"occupation_pair": _occupation_case,
              "exit_dominance_refined": _dominance_case,
              "exit_survival": _exit_case,
              "occupation": _single_occupation_case}
-    # 70,000 paths are two batches at the default batch size and ten at
-    # 7,000, where the order of the float sums matters
+    # 70,000 paths are four shards at the default batch size and twenty
+    # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10893683035714286, 0.0006047087973441686, 0.035832142857142854,
-            0.00029249726239031864, 0.0005829865162642497),
+            0.10933325892857143, 0.0006034230066861466, 0.03583415178571429,
+            0.00029182173316425955, 0.0005809942635962284),
         ("occupation_pair", 7000): (
-            0.10938616071428571, 0.0006032440288910809, 0.03584553571428571,
-            0.00029261552048299284, 0.0005799700868821539),
+            0.11021830357142857, 0.0006033683261911618, 0.03592857142857143,
+            0.0002926905334697986, 0.0005803096029366175),
         ("exit_dominance_refined", seeding.BATCH): (
-            0.07728469870250138, 0.20891371022527833, 0.0018868454200417972,
-            0.0003691125365078266, 0.00019908093361759938,
-            -0.00017003160289022717, 0.0002684911200689418),
+            0.07654700131578154, 0.20667975544946265, 0.001877412881834101,
+            -7.566092418207599e-05, -0.0002608667013970058,
+            -0.00018520577721492976, 0.00026345069515666696),
         ("exit_dominance_refined", 7000): (
-            0.07519022938013442, 0.2064133472338548, 0.001871416751814838,
-            3.7123524945555236e-05, 0.00013143131264031644,
-            9.430778769476109e-05, 0.0002672852577411519),
+            0.07608077334458895, 0.20745887854710962, 0.0018781705793529718,
+            -0.00013695744385805206, 7.774854949320178e-05,
+            0.00021470599335125386, 0.00025807103123536034),
         ("exit_survival", seeding.BATCH): (
-            0.07649762948375215, 0.0009366153836724777),
+            0.07624570719635078, 0.0009359245086905315),
         ("exit_survival", 7000): (
-            0.07698744506747188, 0.0009399713720414331),
+            0.07767008386343208, 0.0009444813490762622),
         ("occupation", seeding.BATCH): (
-            0.10948125, 0.0006041630511928532),
+            0.10796875, 0.0006005506000316225),
         ("occupation", 7000): (
-            0.10905892857142857, 0.0006030768920298947),
+            0.10899888392857143, 0.0006038311746128828),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))

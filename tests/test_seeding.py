@@ -125,7 +125,7 @@ class TestFanOut:
             fan_out(fail_on_two, range(4))
 
 
-# A two-horizon exit-time run of 70,000 paths: two batches per scan.
+# A two-horizon exit-time run of 70,000 paths: four shards per scan.
 EXIT_CFG = """[experiment]
 kind = exit-time
 n = 2
@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.17082034381363462, 0.0013734281656006158, 0.28417173094549575, 0.0,
-     82.53171878289774),
-    (0.07684970895259752, 0.0009403470641802083, 0.20743930276399708, 0.0,
-     138.8738251926667),
+    (0.17168272958453543, 0.00137743752640556, 0.28417173094549586, 0.0,
+     81.66541073880995),
+    (0.07620328308088112, 0.0009359587855871641, 0.20743930276397543, 0.0,
+     140.21559678054066),
 ]
 
 
