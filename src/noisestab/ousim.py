@@ -36,9 +36,14 @@ live, the loop drops the ones whose result is fixed and draws normals
 for the rest only. A dropped exit path adds 0 to every sum, so it is
 discarded; the occupation scan passes ``retire``, which tallies a
 dropped path's counts first. When rows drop depends only on the seed,
-the sizes and the sets. The shards run side by side on the shared
-thread pool (``seeding.fan_out``) and their sums are merged in shard
-order, so results do not depend on the number of workers.
+the sizes and the sets. A shard advances a block of steps per round of
+numpy calls (about ``_BLOCK_NORMALS`` normals, drawn ahead) and keeps
+the steps up to the first after which rows would drop; the block's
+unused normals serve the next round. So every number is the one a
+loop of single steps gives, bit for bit. The shards run side by side
+on the shared thread pool (``seeding.fan_out``) and their sums are
+merged in shard order, so results do not depend on the number of
+workers.
 
 The exact half-space arms keep off OpenBLAS's thread pool: a pooled
 BLAS call leaves its threads spinning for about 0.1 s of CPU after it
@@ -123,6 +128,11 @@ class KroneckerSampler:
 # C-contiguous) once fewer than this share of its rows is live.
 _LIVE_SHARE = 7 / 8
 
+# Normals a shard draws and advances per round of numpy calls: a round
+# takes min(steps left, _BLOCK_NORMALS // (rows * dim)) steps, at least
+# one. At 2^15 a round's states take 256 kB.
+_BLOCK_NORMALS = 1 << 15
+
 
 def _grid_params(tau: float, steps: int):
     tau = float(tau)
@@ -135,39 +145,106 @@ def _grid_params(tau: float, steps: int):
     return tau, steps, math.exp(-d), math.sqrt(max(0.0, -math.expm1(-2.0 * d)))
 
 
-def _bridge_monitor(alive, weight, a0, a1, inv_sinh):
-    """One grid step of the bridge-corrected exit monitor.
+def _bridge_monitor(weight, last, a1, alive, inv_sinh):
+    """The bridge-corrected exit monitor over m grid steps of a block.
 
-    ``alive`` (the raw grid indicator) loses the paths whose new boundary
-    distance ``a1`` is negative; each surviving path's weight is
-    multiplied by the probability that the OU bridge between the two
-    grid states does not cross the boundary, 1 - exp(-a0 a1 / sinh(d)).
-    Through the Lamperti change X_t = e^{-t} W(e^{2t}) this is exact for
-    a half-space through the origin and the tangent-half-space
-    approximation, accurate to O(d), for every other boundary. Both
-    arrays are updated in place; ``weight`` is meaningful only where
-    ``alive`` holds.
+    ``a1`` (m, paths) holds each path's boundary distance after each
+    step, ``last`` the distance before the first, and ``alive`` the raw
+    grid indicator after each step. Each step multiplies the weight of a
+    path still alive by the probability that the OU bridge between its
+    two grid states does not cross the boundary, 1 - exp(-a0 a1 /
+    sinh(d)), in step order (``np.multiply.at`` applies a repeated
+    index in turn). Through the Lamperti change X_t = e^{-t} W(e^{2t})
+    this is exact for a half-space through the origin and the
+    tangent-half-space approximation, accurate to O(d), for every other
+    boundary.
+    ``weight`` and ``last`` are updated in place; ``weight`` is
+    meaningful only where the path is alive.
     """
-    alive &= a1 >= 0.0
-    if inv_sinh is None:  # zero step: no time for an excursion
+    if not len(a1):
         return
-    x = a0 * a1
-    x *= -inv_sinh
-    # deeper inside, 1 - exp(x) rounds to 1 in double precision
-    near = np.flatnonzero(alive & (x > -40.0))
-    weight[near] *= -np.expm1(x[near])
+    if inv_sinh is not None:  # a zero step leaves no time for an excursion
+        x = np.empty_like(a1)
+        np.multiply(last, a1[0], out=x[0])
+        np.multiply(a1[:-1], a1[1:], out=x[1:])
+        x *= -inv_sinh
+        # deeper inside, 1 - exp(x) rounds to 1 in double precision
+        near = (alive & (x > -40.0)).ravel().nonzero()[0]
+        factor = -np.expm1(x.ravel()[near])
+        if len(a1) == 1:
+            # one step repeats no path, and plain indexing holds up the
+            # other shards' threads less than ufunc.at does
+            weight[near] *= factor
+        else:
+            np.multiply.at(weight, near % len(weight), factor)
+    last[...] = a1[-1]
 
 
 def _inv_sinh(d: float):
     return 1.0 / math.sinh(d) if d > 0.0 else None
 
 
-def _step(rng, states, noise, decay, scale):
-    """One exact-transition step of ``states``, in place."""
-    z = rng.standard_normal(out=noise[:len(states)])
-    states *= decay
-    z *= scale
-    states += z
+def _advance(states, z, decay, scale):
+    """Exact-transition steps from ``states`` (rows, dim) driven by the
+    raw normals ``z`` (b, rows, dim): the (b, rows, dim) states after
+    each step, each ``s * decay + z * scale`` rounded as written. ``z``
+    is scaled out of place, so it stays raw."""
+    out = np.multiply(z, scale)
+    prev = states
+    for row in out:
+        row += prev * decay
+        prev = row
+    return out
+
+
+class _Lookahead:
+    """The standard normals of a stream, drawn ahead into one flat buffer
+    and handed out in stream order. PCG64 makes each normal from whole
+    64-bit words, so draws of any sizes concatenate to one draw of their
+    total."""
+
+    def __init__(self, rng, size: int):
+        self.rng, self.buf, self.pos, self.end = rng, np.empty(size), 0, 0
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` normals, drawing only the ones not drawn yet."""
+        left = self.end - self.pos
+        if left < n:
+            self.buf[:left] = self.buf[self.pos:self.end]
+            self.rng.standard_normal(out=self.buf[left:n])
+            self.pos, self.end = 0, n
+        return self.buf[self.pos:self.pos + n]
+
+    def take(self, n: int):
+        """Mark the first ``n`` normals of the last ``peek`` used."""
+        self.pos += n
+
+
+def _dropping(live):
+    """``live``, each path's liveness, when fewer than ``_LIVE_SHARE`` of
+    the paths are live, so that a scan drops the rest; else None."""
+    return live if np.count_nonzero(live) < _LIVE_SHARE * live.size else None
+
+
+def _commit(inside, alive):
+    """Turn ``inside`` (rows, b, paths), each liveness row's membership
+    after each step of a block, into liveness in place: a row is live
+    after step j if it is in ``alive`` and inside after steps 0..j.
+
+    Returns (k, drop): k steps to keep, up to the first step after which
+    fewer than ``_LIVE_SHARE`` of the paths have a live row, else all b;
+    and ``_dropping`` of the paths' liveness after step k.
+    """
+    inside[:, 0] &= alive
+    for j in range(1, inside.shape[1]):
+        inside[:, j] &= inside[:, j - 1]
+    # paths only ever leave, so the live count falls step by step
+    drop = _dropping(np.logical_or.reduce(inside[:, -1]))
+    if drop is None:
+        return inside.shape[1], None
+    live = np.logical_or.reduce(inside).sum(axis=1)
+    k = int(np.argmax(live < _LIVE_SHARE * inside.shape[2])) + 1
+    return k, np.logical_or.reduce(inside[:, k - 1])
 
 
 def _add(acc, key, x):
@@ -207,13 +284,19 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
 
     Shard i of ``_shards(paths)`` draws from the stream keyed
     ("exit", i). ``start(states)`` returns the scan's per-path arrays,
-    one column per path, with the liveness rows ``alive`` first;
-    ``update(i, states, *arrays)`` updates them in place after step i;
-    ``tally(acc, *arrays)`` adds their per-path moments to ``acc`` at
-    the end. Once fewer than
-    ``_LIVE_SHARE`` of the columns have a live row, the dead ones are
-    dropped, after ``retire(acc, *dead)`` when given; a shard stops when
-    none is left. Returns the shard sums merged in shard order.
+    one column per path, with the liveness rows ``alive`` first. The
+    loop advances a block of steps per round (``_BLOCK_NORMALS``
+    normals, drawn ahead by ``_Lookahead``); ``update(i, block,
+    *arrays)`` gets the (b, paths, dim) states after steps i + 1 to
+    i + b, finds with ``_commit`` how many steps k to keep, updates the
+    arrays in place for those and returns ``_commit``'s (k, drop). The
+    rest of the block's normals stay drawn for the next round. So every
+    step sees the rows, the normals and the float operations of a loop
+    that stepped one at a time: once fewer than ``_LIVE_SHARE`` of the
+    columns have a live row, the dead ones are dropped, after
+    ``retire(acc, *dead)`` when given, and a shard stops when none is
+    left. ``tally(acc, *arrays)`` adds the per-path moments to ``acc``
+    at the end. Returns the shard sums merged in shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
@@ -222,20 +305,31 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
         index, c = part
         rng = derive_rng(seed, "exit", index)
         states = rng.standard_normal((c, dim))
-        noise = np.empty_like(states)
+        normals = _Lookahead(rng, max(_BLOCK_NORMALS, states.size))
         arrays = start(states)
         acc: dict = {}
-        for i in range(1, steps + 1):
-            live = arrays[0].any(axis=0)
-            if np.count_nonzero(live) < _LIVE_SHARE * live.size:
+        drop = _dropping(arrays[0].any(axis=0))
+        i = 0
+        while i < steps:
+            if drop is not None:
                 if retire is not None:
-                    retire(acc, *(x.compress(~live, 1) for x in arrays))
-                states = states[live]
-                arrays = [x.compress(live, 1) for x in arrays]
+                    retire(acc, *(x.compress(~drop, 1) for x in arrays))
+                states = states[drop]
+                arrays = [x.compress(drop, 1) for x in arrays]
                 if not len(states):
                     break
-            _step(rng, states, noise, decay, scale)
-            update(i, states, *arrays)
+            # numpy takes a one-row product with a half-space normal
+            # through a dot, whose last bits differ from those of a
+            # batched product, so a last live row steps alone
+            b = (min(steps - i, max(1, _BLOCK_NORMALS // states.size))
+                 if len(states) > 1 else 1)
+            z = normals.peek(b * states.size).reshape(b, *states.shape)
+            block = _advance(states, z, decay, scale)
+            del states  # frees the last round's block during the update
+            k, drop = update(i, block, *arrays)
+            normals.take(k * block[0].size)
+            states = block[k - 1]
+            i += k
         tally(acc, *arrays)
         return acc
 
@@ -249,8 +343,9 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     on the full fine grid and on the coarse subgrid (every
     ``refine``-th point, including t=0), two ways: the raw grid
     indicator and the bridge-corrected per-path survival weight
-    (``_bridge_monitor``). Returns a dict of per-path sums and sums of
-    squares, keyed by quantity and region index i:
+    (``_bridge_monitor``). ``refine`` must be an integer >= 1. Returns a
+    dict of per-path sums and sums of squares, keyed by quantity and
+    region index i:
 
     - ``("v", i)``: coarse corrected weight of region i;
     - ``("change", i)``: coarse minus fine corrected weight;
@@ -266,6 +361,8 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     and coarse grid) adds 0 to every sum, so it is dropped untallied.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
+    if not (refine >= 1 and float(refine).is_integer()):
+        raise ValueError(f"refine must be an integer >= 1, got {refine}")
     refine = int(refine)
     inv_fine = _inv_sinh(tau / (steps * refine))
     inv_coarse = _inv_sinh(tau / steps)
@@ -277,14 +374,30 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
                          for reg in regions] * min(refine, 2))
         return last >= 0.0, np.ones_like(last), last
 
-    def update(i, states, alive, weight, last):
-        on_coarse = refine > 1 and i % refine == 0
-        for idx, reg in enumerate(regions):
-            a1 = boundary_distance(reg, states)
-            rows = (idx, r + idx) if on_coarse else (idx,)
-            for row, inv in zip(rows, (inv_fine, inv_coarse)):
-                _bridge_monitor(alive[row], weight[row], last[row], a1, inv)
-                last[row] = a1
+    def update(i, block, alive, weight, last):
+        b, cols, dim = block.shape
+        pts = block.reshape(-1, dim)
+        dist = [boundary_distance(reg, pts).reshape(b, cols)
+                for reg in regions]
+        # block step j is grid step i + 1 + j; coarse where refine divides it
+        coarse = (-1 - i) % refine
+        inside = np.empty((len(alive), b, cols), dtype=bool)
+        for idx, a in enumerate(dist):
+            np.greater_equal(a, 0.0, out=inside[idx])
+        if refine > 1:  # coarse rows hold between coarse steps
+            inside[r:] = True
+            inside[r:, coarse::refine] = inside[:r, coarse::refine]
+        k, drop = _commit(inside, alive)
+        grids = [(0, slice(0, k), inv_fine)]
+        if refine > 1 and coarse < k:
+            grids.append((r, slice(coarse, k, refine), inv_coarse))
+        for base, sel, inv in grids:
+            for idx, a in enumerate(dist):
+                row = base + idx
+                _bridge_monitor(weight[row], last[row], a[sel],
+                                inside[row, sel], inv)
+        alive[...] = inside[:, k - 1]
+        return k, drop
 
     def tally(acc, alive, weight, last):
         w = np.where(alive, weight, 0.0)
@@ -633,10 +746,21 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
         return alive, np.zeros(alive.shape, dtype=np.int64)
 
-    def update(i, states, alive, counts):
-        for idx, (a1, a2) in enumerate(pairs):
-            counts[idx] += alive[idx] & contains(a2, states)
-            alive[idx] &= contains(a1, states)
+    def update(i, block, alive, counts):
+        b, cols, dim = block.shape
+        pts = block.reshape(-1, dim)
+        inside = np.empty((len(pairs), b, cols), dtype=bool)
+        for idx, (a1, _) in enumerate(pairs):
+            inside[idx] = contains(a1, pts).reshape(b, cols)
+        k, drop = _commit(inside, alive)
+        # a step counts if the path was inside A_1 before it and is in A_2
+        for idx, (_, a2) in enumerate(pairs):
+            hit = contains(a2, pts[:k * cols]).reshape(k, cols)
+            hit[0] &= alive[idx]
+            hit[1:] &= inside[idx, :k - 1]
+            counts[idx] += hit.sum(axis=0)
+        alive[...] = inside[:, k - 1]
+        return k, drop
 
     def tally(acc, alive, counts):
         for idx, row in enumerate(counts):

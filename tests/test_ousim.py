@@ -29,6 +29,7 @@ from noisestab import (
     std_normal_cdf,
 )
 import noisestab.ousim as ousim
+from noisestab.geometry import boundary_distance, contains
 from noisestab import seeding
 from noisestab.ousim import exit_dominance_refined
 
@@ -39,21 +40,18 @@ FULL = HalfSpace(np.array([1.0, 0.0]), np.inf)
 
 def _walk(count, n, tau, steps, seed):
     """States of ``count`` stationary OU paths at the ``steps + 1`` grid
-    times of [0, tau], advanced by ``ousim._step`` as the scans do: an
-    array of shape (steps + 1, count, n)."""
+    times of [0, tau], advanced by ``ousim._advance`` as the scans do,
+    from the stream of shard 0: an array of shape (steps + 1, count, n)."""
     _, _, decay, scale = ousim._grid_params(tau, steps)
     rng = seeding.derive_rng(seed, "exit", 0)
     states = rng.standard_normal((count, n))
-    noise = np.empty_like(states)
-    out = [states.copy()]
-    for _ in range(steps):
-        ousim._step(rng, states, noise, decay, scale)
-        out.append(states.copy())
-    return np.array(out)
+    z = rng.standard_normal((steps, count, n))
+    return np.concatenate([states[None], ousim._advance(states, z, decay,
+                                                        scale)])
 
 
 class TestSimulatePath:
-    """The exact-transition law of the scans' step ``ousim._step``."""
+    """The exact-transition law of the scans' advance ``ousim._advance``."""
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -81,11 +79,19 @@ class TestSimulatePath:
     def test_shapes(self):
         p = _walk(5, 3, 0.2, 2, 4)
         assert p.shape == (3, 5, 3)
-        # after compaction the noise buffer is longer than the live rows
-        states = p[-1, :2].copy()
-        ousim._step(seeding.derive_rng(4, "exit", 0), states,
-                    np.empty((5, 3)), 0.5, 0.5)
-        assert states.shape == (2, 3)
+        # a block of four steps of two rows leaves its normals raw
+        z = seeding.derive_rng(4, "exit", 0).standard_normal((4, 2, 3))
+        raw = z.copy()
+        out = ousim._advance(p[-1, :2], z, 0.5, 0.5)
+        assert out.shape == (4, 2, 3) and np.array_equal(z, raw)
+
+    def test_block_is_steps_in_turn(self):
+        # each state is s * decay + z * scale, rounded as written
+        _, _, decay, scale = ousim._grid_params(0.7, 9)
+        p = _walk(40, 2, 0.7, 9, 12)
+        z = seeding.derive_rng(12, "exit", 0).standard_normal((10, 40, 2))
+        for j in range(1, 10):
+            assert np.array_equal(p[j], p[j - 1] * decay + z[j] * scale)
 
     def test_stationarity_moments(self):
         pooled = _walk(800, 2, 1.2, 3, 5).ravel()
@@ -618,6 +624,14 @@ class TestDominanceRefined:
         assert r.paired_se == 0.0
         assert r.margin_change == 0.0
 
+    @pytest.mark.parametrize("refine", [0, -1, 1.7, math.nan])
+    def test_rejects_bad_refine(self, refine):
+        msg = "refine must be an integer >= 1"
+        with pytest.raises(ValueError, match=msg):
+            exit_survival_refined(HALF_BALL, 0.5, 8, 100, 1, refine=refine)
+        with pytest.raises(ValueError, match=msg):
+            exit_dominance_refined(HALF_BALL, HS0, 0.5, 8, 100, 1, refine)
+
     def test_changes_nonnegative(self):
         # the raw grid monitor nests pathwise; the corrected changes are
         # signed and carry their own standard errors
@@ -644,6 +658,28 @@ def draws(monkeypatch):
     monkeypatch.setattr(ousim, "derive_rng",
                         lambda *key: _CountingRng(real(*key), shapes))
     return shapes
+
+
+@pytest.fixture
+def step_rows(monkeypatch):
+    """The rows of every step a scan commits, in order."""
+    rows = []
+    real = ousim._commit
+
+    def commit(inside, alive):
+        k, drop = real(inside, alive)
+        rows.extend([inside.shape[2]] * k)
+        return k, drop
+
+    monkeypatch.setattr(ousim, "_commit", commit)
+    return rows
+
+
+def _normals(shapes, dim, step_rows):
+    """(drawn, consumed) normals of a one-shard scan: the draws recorded
+    by ``draws``, and the start plus every committed step."""
+    drawn = sum(math.prod(shape) for shape in shapes)
+    return drawn, dim * (shapes[0][0] + sum(step_rows))
 
 
 class TestShards:
@@ -683,27 +719,30 @@ class TestShards:
 class TestCompaction:
     POINT = Ball(np.zeros(2), 0.0)  # every path starts outside
 
-    def test_dead_at_start_exit(self, draws):
+    def test_dead_at_start_exit(self, draws, step_rows):
         est = exit_survival(self.POINT, 0.5, 64, 3000, 1)
         assert est.value == 0.0 and est.std_error == 0.0
-        assert draws == [(3000, 2)]
+        assert draws == [(3000, 2)] and step_rows == []
 
-    def test_dead_at_start_refined(self, draws):
+    def test_dead_at_start_refined(self, draws, step_rows):
         r = exit_dominance_refined(self.POINT, self.POINT, 0.5, 64, 3000, 1)
         assert r.est_a.value == r.est_b.value == 0.0
         assert r.change_a == r.margin_change == r.raw_drop_a == 0.0
-        assert draws == [(3000, 2)]
+        assert draws == [(3000, 2)] and step_rows == []
 
-    def test_dead_at_start_occupation(self, draws):
+    def test_dead_at_start_occupation(self, draws, step_rows):
         est = occupation(self.POINT, FULL, 0.5, 64, 3000, 1)
         assert est.value == 0.0 and est.std_error == 0.0
-        assert draws == [(3000, 2)]
+        assert draws == [(3000, 2)] and step_rows == []
 
-    def test_no_exit_draws_every_path(self, draws):
+    def test_no_exit_draws_every_path(self, draws, step_rows):
         # nothing leaves A_1, so nothing is dropped: the value is the
-        # one the scan gave before paths were ever dropped
+        # one the scan gave before paths were ever dropped, and no block
+        # is cut, so every normal drawn is used
         est = occupation(FULL, HALF_BALL, 0.5, 64, 3000, 11)
-        assert draws == [(3000, 2)] * 65
+        assert draws[0] == (3000, 2) and step_rows == [3000] * 64
+        drawn, consumed = _normals(draws, 2, step_rows)
+        assert drawn == consumed
         assert est.value == 0.2504296875
         assert est.std_error == 0.003300080233539377
 
@@ -717,12 +756,16 @@ class TestCompaction:
                                0.0, 1.0)[0]
         assert exact - 3 * est.std_error <= est.value <= exact + 0.03
 
-    def test_draws_shrink_with_survivors(self, draws):
+    def test_draws_shrink_with_survivors(self, draws, step_rows):
         exit_survival(HALF_BALL, 1.0, 128, 3000, 2)
-        rows = [shape[0] for shape in draws]
+        rows = [draws[0][0]] + step_rows
         assert rows[0] == 3000 and len(rows) <= 129
         assert all(b <= a for a, b in zip(rows, rows[1:]))
         assert rows[-1] < 3000 * ousim._LIVE_SHARE
+        # the normals a cut block left unused are the next round's: no
+        # more than one block is ever drawn ahead
+        drawn, consumed = _normals(draws, 2, step_rows)
+        assert consumed <= drawn <= consumed + ousim._BLOCK_NORMALS
 
     def test_coarse_monitor_kept_alive(self):
         # with refine=2 a path that left on the fine grid may still be
@@ -744,6 +787,166 @@ BALL_06 = Ball(np.zeros(2), 1.353728726055671)
 BALL_03 = Ball(np.zeros(2), 0.8446004309005916)
 HS_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
 HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
+
+
+def _stepped_scan(dim, tau, steps, paths, seed, start, update, tally,
+                  retire=None):
+    """The shard loop as it ran before blocks: one step per round, the
+    normals of each step drawn when it is taken."""
+    _, steps, decay, scale = ousim._grid_params(tau, steps)
+
+    def shard(part):
+        index, c = part
+        rng = seeding.derive_rng(seed, "exit", index)
+        states = rng.standard_normal((c, dim))
+        arrays = start(states)
+        acc = {}
+        for i in range(1, steps + 1):
+            live = arrays[0].any(axis=0)
+            if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
+                if retire is not None:
+                    retire(acc, *(x.compress(~live, 1) for x in arrays))
+                states = states[live]
+                arrays = [x.compress(live, 1) for x in arrays]
+                if not len(states):
+                    break
+            z = rng.standard_normal(states.shape)
+            states *= decay
+            z *= scale
+            states += z
+            update(i, states, *arrays)
+        tally(acc, *arrays)
+        return acc
+
+    return ousim._merge(shard(part) for part in ousim._shards(paths))
+
+
+def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
+    """``ousim._survival_scan`` stepped one step at a time."""
+    tau, steps, _, _ = ousim._grid_params(tau, steps)
+    inv_fine = ousim._inv_sinh(tau / (steps * refine))
+    inv_coarse = ousim._inv_sinh(tau / steps)
+    r = len(regions)
+
+    def start(states):
+        last = np.array([boundary_distance(reg, states)
+                         for reg in regions] * min(refine, 2))
+        return last >= 0.0, np.ones_like(last), last
+
+    def monitor(alive, weight, a0, a1, inv):
+        alive &= a1 >= 0.0
+        if inv is not None:
+            x = a0 * a1
+            x *= -inv
+            near = np.flatnonzero(alive & (x > -40.0))
+            weight[near] *= -np.expm1(x[near])
+
+    def update(i, states, alive, weight, last):
+        on_coarse = refine > 1 and i % refine == 0
+        for idx, reg in enumerate(regions):
+            a1 = boundary_distance(reg, states)
+            rows = (idx, r + idx) if on_coarse else (idx,)
+            for row, inv in zip(rows, (inv_fine, inv_coarse)):
+                monitor(alive[row], weight[row], last[row], a1, inv)
+                last[row] = a1
+
+    def tally(acc, alive, weight, last):
+        w = np.where(alive, weight, 0.0)
+        wf, wc = w[:r], w[-r:]
+        for idx in range(r):
+            ousim._add(acc, ("v", idx), wc[idx])
+            ousim._add(acc, ("change", idx), wc[idx] - wf[idx])
+            ousim._add(acc, ("raw", idx), alive[-r + idx].astype(float))
+            ousim._add(acc, ("raw_fine", idx), alive[idx].astype(float))
+        if r >= 2:
+            ousim._add(acc, "pair", wc[1] - wc[0])
+            ousim._add(acc, "margin", (wc[1] - wc[0]) - (wf[1] - wf[0]))
+
+    return _stepped_scan(regions[0].dim, tau, steps * refine, paths, seed,
+                         start, update, tally)
+
+
+def _stepped_occupation(pairs, tau, steps, paths, seed):
+    """``ousim._occupation_scan`` stepped one step at a time."""
+    def start(states):
+        alive = np.array([contains(a1, states) for a1, _ in pairs])
+        return alive, np.zeros(alive.shape, dtype=np.int64)
+
+    def update(i, states, alive, counts):
+        for idx, (a1, a2) in enumerate(pairs):
+            counts[idx] += alive[idx] & contains(a2, states)
+            alive[idx] &= contains(a1, states)
+
+    def tally(acc, alive, counts):
+        for idx, row in enumerate(counts):
+            ousim._add(acc, ("v", idx), row)
+        if len(counts) >= 2:
+            ousim._add(acc, "pair", counts[1] - counts[0])
+
+    return _stepped_scan(pairs[0][0].dim, tau, steps, paths, seed, start,
+                         update, tally, retire=tally)
+
+
+# a half-space that every path leaves by tau = 3, the last one alone, and
+# a ball whose few starting paths all leave in the first step of a block
+LEAVING = HalfSpace(np.array([0.6, 0.8]), -1.2)
+TINY = Ball(np.zeros(2), 0.05)
+SLANTED = HalfSpace(np.array([0.6, 0.8]), 0.8)
+
+
+class TestBlocksMatchSteps:
+    """The blocked scans return exactly the moment sums of the scan that
+    stepped one step at a time: the same rows, normals and float
+    operations at every step."""
+
+    EXIT = {
+        "one region": ([HALF_BALL], 0.5, 37, 1),
+        "two regions": ([HALF_BALL, HS0], 0.5, 37, 1),
+        "refine 2": ([HALF_BALL, HS0], 0.5, 37, 2),
+        "refine 3": ([HS0], 0.4, 13, 3),
+        "zero horizon": ([HALF_BALL, HS0], 0.0, 37, 2),
+        "last row alone": ([LEAVING], 3.0, 151, 1),
+        "dead mid-block": ([TINY], 3.0, 7, 1),
+    }
+    OCCUPATION = {
+        "one pair": ([(BALL_06, BALL_03)], 0.5, 37),
+        "two pairs": ([(BALL_06, BALL_03), (BALL_06, HS_03)], 0.5, 37),
+        "zero horizon": ([(BALL_06, BALL_03)], 0.0, 37),
+        "last row alone": ([(LEAVING, HS0)], 3.0, 151),
+        "dead mid-block": ([(TINY, TINY)], 3.0, 7),
+    }
+
+    @pytest.mark.parametrize("paths", [3000, 40_000])
+    @pytest.mark.parametrize("case", sorted(EXIT))
+    def test_exit(self, case, paths):
+        regions, tau, steps, refine = self.EXIT[case]
+        args = (regions, tau, steps, paths, 3)
+        assert (ousim._survival_scan(*args, refine=refine)
+                == _stepped_survival(*args, refine=refine))
+
+    @pytest.mark.parametrize("paths", [3000, 40_000])
+    @pytest.mark.parametrize("case", sorted(OCCUPATION))
+    def test_occupation(self, case, paths):
+        pairs, tau, steps = self.OCCUPATION[case]
+        args = (pairs, tau, steps, paths, 3)
+        assert ousim._occupation_scan(*args) == _stepped_occupation(*args)
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_single_path(self, seed):
+        # numpy takes a one-row product with the normal through a dot,
+        # whose last bits differ from a batched product's in about a
+        # third of the points here, so a lone live row steps alone
+        args = ([SLANTED], 2.0, 4, 1, seed)
+        assert ousim._survival_scan(*args) == _stepped_survival(*args)
+
+    def test_cases_reach_their_edges(self, step_rows):
+        # the last live row steps alone, and the tiny ball loses every
+        # path in the first step of a seven-step block
+        ousim._survival_scan([LEAVING], 3.0, 151, 3000, 3)
+        assert step_rows[-1] == 1 and len(step_rows) < 151
+        step_rows.clear()
+        ousim._occupation_scan([(TINY, TINY)], 3.0, 7, 3000, 3)
+        assert step_rows == [3]
 
 
 def _occupation_case():
