@@ -146,38 +146,41 @@ def _grid_params(tau: float, steps: int):
 
 
 def _bridge_monitor(weight, last, a1, alive, inv_sinh):
-    """The bridge-corrected exit monitor over m grid steps of a block.
+    """The bridge-corrected exit monitor of g rows over m grid steps of a
+    block.
 
-    ``a1`` (m, paths) holds each path's boundary distance after each
-    step, ``last`` the distance before the first, and ``alive`` the raw
-    grid indicator after each step. Each step multiplies the weight of a
-    path still alive by the probability that the OU bridge between its
-    two grid states does not cross the boundary, 1 - exp(-a0 a1 /
-    sinh(d)), in step order (``np.multiply.at`` applies a repeated
-    index in turn). Through the Lamperti change X_t = e^{-t} W(e^{2t})
-    this is exact for a half-space through the origin and the
-    tangent-half-space approximation, accurate to O(d), for every other
-    boundary.
-    ``weight`` and ``last`` are updated in place; ``weight`` is
-    meaningful only where the path is alive.
+    ``a1`` (g, m, paths) holds each row's boundary distance after each
+    step, ``last`` (g, paths) the distance before the first, and
+    ``alive`` (g, m, paths) the raw grid indicator after each step. Each
+    step multiplies the weight of a path still alive by the probability
+    that the OU bridge between its two grid states does not cross the
+    boundary, 1 - exp(-a0 a1 / sinh(d)), in step order
+    (``np.multiply.at`` applies a repeated index in turn). Through the
+    Lamperti change X_t = e^{-t} W(e^{2t}) this is exact for a
+    half-space through the origin and the tangent-half-space
+    approximation, accurate to O(d), for every other boundary.
+    ``weight`` (g, paths, C-contiguous) and ``last`` are updated in
+    place; ``weight`` is meaningful only where the path is alive.
     """
-    if not len(a1):
+    _, m, cols = a1.shape
+    if not m:
         return
     if inv_sinh is not None:  # a zero step leaves no time for an excursion
         x = np.empty_like(a1)
-        np.multiply(last, a1[0], out=x[0])
-        np.multiply(a1[:-1], a1[1:], out=x[1:])
+        np.multiply(last, a1[:, 0], out=x[:, 0])
+        np.multiply(a1[:, :-1], a1[:, 1:], out=x[:, 1:])
         x *= -inv_sinh
         # deeper inside, 1 - exp(x) rounds to 1 in double precision
         near = (alive & (x > -40.0)).ravel().nonzero()[0]
         factor = -np.expm1(x.ravel()[near])
-        if len(a1) == 1:
+        if m == 1:
             # one step repeats no path, and plain indexing holds up the
             # other shards' threads less than ufunc.at does
-            weight[near] *= factor
-        else:
-            np.multiply.at(weight, near % len(weight), factor)
-    last[...] = a1[-1]
+            weight.ravel()[near] *= factor
+        else:  # the index of (row, step, path) in weight is (row, path)
+            row, rest = np.divmod(near, m * cols)
+            np.multiply.at(weight.ravel(), row * cols + rest % cols, factor)
+    last[...] = a1[:, -1]
 
 
 def _inv_sinh(d: float):
@@ -377,25 +380,24 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     def update(i, block, alive, weight, last):
         b, cols, dim = block.shape
         pts = block.reshape(-1, dim)
-        dist = [boundary_distance(reg, pts).reshape(b, cols)
-                for reg in regions]
+        dist = [boundary_distance(reg, pts) for reg in regions]
+        dist = (dist[0] if r == 1 else np.stack(dist)).reshape(r, b, cols)
         # block step j is grid step i + 1 + j; coarse where refine divides it
         coarse = (-1 - i) % refine
         inside = np.empty((len(alive), b, cols), dtype=bool)
-        for idx, a in enumerate(dist):
-            np.greater_equal(a, 0.0, out=inside[idx])
+        np.greater_equal(dist, 0.0, out=inside[:r])
         if refine > 1:  # coarse rows hold between coarse steps
             inside[r:] = True
             inside[r:, coarse::refine] = inside[:r, coarse::refine]
         k, drop = _commit(inside, alive)
-        grids = [(0, slice(0, k), inv_fine)]
+        # fine rows at every step, coarse rows at the coarse steps
+        grids = [(slice(0, r), slice(0, k), inv_fine)]
         if refine > 1 and coarse < k:
-            grids.append((r, slice(coarse, k, refine), inv_coarse))
-        for base, sel, inv in grids:
-            for idx, a in enumerate(dist):
-                row = base + idx
-                _bridge_monitor(weight[row], last[row], a[sel],
-                                inside[row, sel], inv)
+            grids.append((slice(r, None), slice(coarse, k, refine),
+                          inv_coarse))
+        for rows, sel, inv in grids:
+            _bridge_monitor(weight[rows], last[rows], dist[:, sel],
+                            inside[rows, sel], inv)
         alive[...] = inside[:, k - 1]
         return k, drop
 
