@@ -21,7 +21,7 @@ from scipy import special
 
 from .orthant import Estimate
 from .gaussian import std_normal_pdf, std_normal_quantile
-from .seeding import batches, check_seed, derive_rng
+from .seeding import check_seed, indicator_hits
 
 DEFAULT_MEASURE_SAMPLES = 10**6
 
@@ -247,15 +247,11 @@ def _contains(s: SetExpr, pts: np.ndarray) -> np.ndarray:
         return _box_contains(s, pts)
     if isinstance(s, Complement):
         return ~_contains(s.inner, pts)
-    if isinstance(s, Intersection):
+    if isinstance(s, (Intersection, Union)):
+        join = np.logical_and if isinstance(s, Intersection) else np.logical_or
         out = _contains(s.parts[0], pts)
         for p in s.parts[1:]:
-            out &= _contains(p, pts)
-        return out
-    if isinstance(s, Union):
-        out = _contains(s.parts[0], pts)
-        for p in s.parts[1:]:
-            out |= _contains(p, pts)
+            join(out, _contains(p, pts), out=out)
         return out
     raise TypeError(f"not a set expression: {type(s).__name__}")
 
@@ -560,10 +556,8 @@ def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
         value = heat_flow(s, math.inf, np.zeros(s.dim))
     except UnsupportedRegion:
         if s.dim != 2:
-            rng = derive_rng(seed, "gaussian_measure", 0)
-            hits = 0
-            for _, n in batches(samples):
-                hits += int(_contains(s, rng.standard_normal((n, s.dim))).sum())
+            hits = indicator_hits(seed, "gaussian_measure", samples, s.dim,
+                                  lambda z: _contains(s, z))
             return Estimate.binomial(hits, samples, seed)
         value = _plane_measure(s)
     return Estimate(value=value, std_error=0.0, samples=0, seed=seed)

@@ -24,7 +24,7 @@ from scipy import special
 
 from .gaussian import PD_TOL, PSD_TOL, SingularMatrix, _check_symmetric, _readonly, \
     cholesky, std_normal_quantile
-from .seeding import batches, check_seed, derive_rng
+from .seeding import check_seed, derive_rng, indicator_hits
 
 MAX_QMC_DIM = 12
 # Lattice points over all rounds after which orthant_qmc stops short of
@@ -113,11 +113,8 @@ def orthant_mc(q: OrthantQuery, samples: int, seed: int) -> Estimate:
     """
     seed = check_seed(seed)
     factor = cholesky(q.cov)
-    rng = derive_rng(seed, "orthant_mc", 0)
-    hits = 0
-    for _, n in batches(samples):
-        z = rng.standard_normal((n, q.k))
-        hits += int(np.all(z @ factor.T <= q.limits, axis=1).sum())
+    hits = indicator_hits(seed, "orthant_mc", samples, q.k,
+                          lambda z: np.all(z @ factor.T <= q.limits, axis=1))
     return Estimate.binomial(hits, samples, seed)
 
 

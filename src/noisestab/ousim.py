@@ -15,17 +15,18 @@ raw grid functional.
 Survival in a half-space {nu.x <= c}, and the occupation of parallel
 half-spaces {nu.x <= c1}, {nu.x <= c2}, depend on the 1-d OU process
 nu.X alone. ``halfspace_survival`` and ``halfspace_occupation`` compute
-them exactly from one diagonalised parabolic equation
-(``_halfspace_generator``). ``exit_survival_pair`` takes the survival for
-every half-space arm and scans only the other arm; ``occupation_pair``
-takes the occupation for every pair of half-spaces with one normal and
-scans only the other pair. Two arms or pairs that are both scanned reuse
-identical trajectories per path index (common random numbers), and so do
-the arms of ``exit_dominance_refined``; their margins carry a paired
-standard error. ``_combine`` joins the exact and the scanned arms of
-both pair calls under one rule and returns (estimate_a, estimate_b,
-paired_se). ``occupation`` stays the raw grid scan, the oracle. Every
-estimator returns ``Estimate``s.
+them exactly by one spectral sum, sum_k p_k q_k g(lam_k), of one
+diagonalised parabolic equation (``_halfspace_solve``); they differ only
+in g and the absorbing node's share. ``exit_survival_pair`` takes the
+survival for every half-space arm and scans only the other arm;
+``occupation_pair`` takes the occupation for every pair of half-spaces
+with one normal and scans only the other pair. Two arms or pairs that
+are both scanned reuse identical trajectories per path index (common
+random numbers), and so do the arms of ``exit_dominance_refined``; their
+margins carry a paired standard error. ``_combine`` joins the exact and
+the scanned arms of both pair calls under one rule and returns
+(estimate_a, estimate_b, paired_se). ``occupation`` stays the raw grid
+scan, the oracle. Every estimator returns ``Estimate``s.
 
 Both scans run on one shard loop (``_scan``). A scan splits its paths
 into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
@@ -134,11 +135,16 @@ _LIVE_SHARE = 7 / 8
 _BLOCK_NORMALS = 1 << 15
 
 
-def _grid_params(tau: float, steps: int):
+def _horizon(tau: float) -> float:
     tau = float(tau)
-    steps = int(steps)
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {tau}")
+    return tau
+
+
+def _grid_params(tau: float, steps: int):
+    tau = _horizon(tau)
+    steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     d = tau / steps
@@ -521,21 +527,6 @@ def _halfspace_generator(c: float, width: float, nodes: int):
     return x, lam, vec, np.sqrt(w) * np.exp(-0.25 * (x * x - x0)), x0
 
 
-def _halfspace_grid_exit(c: float, tau: float, width: float,
-                         nodes: int) -> float:
-    """Exit probability by time tau of the chain of
-    ``_halfspace_generator``: the trapezoid rule for the integral of
-    phi (1 - u(tau)) over (c - width, c], which is
-    (h/2) phi(c) + sum_k (1 - e^{tau lam_k}) (V^T D 1)_k^2.
-    """
-    h = width / nodes
-    _, lam, vec, d1, x0 = _halfspace_generator(c, width, nodes)
-    proj = vec.T @ d1
-    inner = float(-np.expm1(tau * lam) @ (proj * proj))
-    return (0.5 * h * math.exp(-0.5 * c * c)
-            + inner * math.exp(-0.5 * x0)) / math.sqrt(2.0 * math.pi)
-
-
 def _target_weights(x: np.ndarray, h: float, c2: float) -> np.ndarray:
     """Weights f, relative to the trapezoid weights w phi of the nodes
     ``x`` below the absorbing node x[-1] + h, such that
@@ -566,23 +557,44 @@ def _target_weights(x: np.ndarray, h: float, c2: float) -> np.ndarray:
     return f
 
 
-def _halfspace_grid_occupation(c1: float, c2: float, tau: float,
-                               width: float, nodes: int) -> float:
-    """Occupation of {y <= c2} before the kill at c1, by time tau, of the
-    chain of ``_halfspace_generator`` started from phi on
-    (c1 - width, c1]: the integral of phi times int_0^tau u(t) dt over
-    {y <= c2}, which is sum_k (V^T D 1)_k (V^T D f)_k g_k with
-    g_k = expm1(tau lam_k) / lam_k and f from ``_target_weights``.
-    """
+def _exited(tau: float, lam: np.ndarray) -> np.ndarray:
+    """g of the exit probability by tau: 1 - e^{tau lam}."""
+    return -np.expm1(tau * lam)
+
+
+def _occupied(tau: float, lam: np.ndarray) -> np.ndarray:
+    """g of the occupation: expm1(tau lam) / lam, and tau where the top
+    eigenvalue, rounding noise of either sign for c1 >= 8, is exactly 0."""
+    return np.divide(np.expm1(tau * lam), lam, out=np.full(lam.size, tau),
+                     where=lam != 0.0)
+
+
+def _halfspace_grid(c1: float, c2: float, tau: float, width: float,
+                    nodes: int, g, edge: float = 0.0) -> float:
+    """Both exact half-space arms on one grid of ``_halfspace_generator``
+    below c1: sum_k p_k q_k g(tau, lam_k) e^{-x0/2} / sqrt(2 pi) with
+    p = V^T D 1, q = V^T D f (f = 1 where c2 >= c1, else
+    ``_target_weights``), plus the absorbing node's share (h/2) edge /
+    sqrt(2 pi). ``_exited`` with edge e^{-c1^2/2} gives the exit
+    probability by tau; ``_occupied`` the occupation of {y <= c2}."""
     h = width / nodes
     x, lam, vec, d1, x0 = _halfspace_generator(c1, width, nodes)
-    f = np.ones(nodes) if c2 >= c1 else _target_weights(x, h, c2)
-    # for c1 >= 8 the top eigenvalue is rounding noise of either sign
-    # (|lam| ~ 1e-13), where g_k is tau; an exact 0 must not divide
-    g = np.divide(np.expm1(tau * lam), lam, out=np.full(nodes, tau),
-                  where=lam != 0.0)
-    inner = float(((vec.T @ d1) * (vec.T @ (d1 * f))) @ g)
-    return inner * math.exp(-0.5 * x0) / math.sqrt(2.0 * math.pi)
+    p = vec.T @ d1
+    q = p if c2 >= c1 else vec.T @ (d1 * _target_weights(x, h, c2))
+    inner = float((p * q) @ g(tau, lam))
+    return (0.5 * h * edge
+            + inner * math.exp(-0.5 * x0)) / math.sqrt(2.0 * math.pi)
+
+
+def _halfspace_solve(c1: float, c2: float, tau: float, g,
+                     edge: float = 0.0) -> tuple[float, float]:
+    """(width, value) of ``_halfspace_grid`` on the width of
+    ``_HALFSPACE_WIDTH``, Richardson-extrapolated (the grid error is
+    O(h^2)) from ``_HALFSPACE_NODES`` and twice as many nodes."""
+    width = min(_HALFSPACE_WIDTH, _HALFSPACE_LAYER * math.sqrt(tau))
+    coarse, fine = (_halfspace_grid(c1, c2, tau, width, nodes, g, edge)
+                    for nodes in (_HALFSPACE_NODES, 2 * _HALFSPACE_NODES))
+    return width, (4.0 * fine - coarse) / 3.0
 
 
 def halfspace_survival(offset: float, tau: float) -> float:
@@ -592,27 +604,21 @@ def halfspace_survival(offset: float, tau: float) -> float:
 
     Phi(offset) minus the exit probability, which solves the backward
     equation u_t = u_xx - x u_x, killed at the offset, on a
-    finite-difference grid diagonalised once (``_halfspace_grid_exit``).
-    Two grids of ``_HALFSPACE_NODES`` and twice as many nodes are
-    extrapolated (Richardson; the grid error is O(h^2)). tau = 0 returns
-    Phi(offset); an offset of +inf or -inf returns 1 or 0. At offset 0
-    the exact value is asin(e^{-tau}) / pi.
+    finite-difference grid diagonalised once (``_halfspace_solve`` with
+    ``_exited``). tau = 0 returns Phi(offset); an offset of +inf or -inf
+    returns 1 or 0. At offset 0 the exact value is asin(e^{-tau}) / pi.
     """
     c = float(offset)
-    tau = float(tau)
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got {tau}")
+    tau = _horizon(tau)
     if math.isnan(c):
         raise ValueError("offset must not be NaN")
     if tau == 0.0:
         return float(special.ndtr(c))
     if math.isinf(c):
         return float(c > 0.0)
-    width = min(_HALFSPACE_WIDTH, _HALFSPACE_LAYER * math.sqrt(tau))
-    coarse, fine = (_halfspace_grid_exit(c, tau, width, nodes)
-                    for nodes in (_HALFSPACE_NODES, 2 * _HALFSPACE_NODES))
+    _, exited = _halfspace_solve(c, c, tau, _exited, math.exp(-0.5 * c * c))
     # far below the origin nearly all of Phi(c) exits; keep rounding >= 0
-    return max(float(special.ndtr(c)) - (4.0 * fine - coarse) / 3.0, 0.0)
+    return max(float(special.ndtr(c)) - exited, 0.0)
 
 
 def halfspace_occupation(c1: float, c2: float, tau: float) -> float:
@@ -624,28 +630,25 @@ def halfspace_occupation(c1: float, c2: float, tau: float) -> float:
     The stationary process is reversible, so this is the integral of
     phi(y) int_0^tau u(y, t) dt over {y <= c2}, with u the survival from y
     of ``halfspace_survival``; the grid and the Richardson extrapolation
-    are the same (``_halfspace_grid_occupation``). A path started below
-    the grid survives to tau (see ``_HALFSPACE_WIDTH``) and adds
-    tau Phi(min(c2, c1 - width)). c2 >= c1 gives the integral of the
+    are the same (``_halfspace_solve`` with ``_occupied``). A path
+    started below the grid survives to tau (see ``_HALFSPACE_WIDTH``) and
+    adds tau Phi(min(c2, c1 - width)). c2 >= c1 gives the integral of the
     survival over [0, tau]; c1 = +inf gives tau Phi(c2), and c1 = -inf,
     c2 = -inf or tau = 0 give 0. At c1 = c2 = 0 the exact value is the
     integral of asin(e^{-t}) / pi over [0, tau].
     """
-    c1, c2, tau = float(c1), float(c2), float(tau)
+    c1, c2 = float(c1), float(c2)
     if math.isnan(c1) or math.isnan(c2):
         raise ValueError("offsets must not be NaN")
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, got {tau}")
+    tau = _horizon(tau)
     c2 = min(c2, c1)
     if tau == 0.0 or c2 == -math.inf:
         return 0.0
     if c1 == math.inf:
         return tau * float(special.ndtr(c2))
-    width = min(_HALFSPACE_WIDTH, _HALFSPACE_LAYER * math.sqrt(tau))
-    coarse, fine = (_halfspace_grid_occupation(c1, c2, tau, width, nodes)
-                    for nodes in (_HALFSPACE_NODES, 2 * _HALFSPACE_NODES))
+    width, occupied = _halfspace_solve(c1, c2, tau, _occupied)
     below = tau * float(special.ndtr(min(c2, c1 - width)))
-    return max(below + (4.0 * fine - coarse) / 3.0, 0.0)
+    return max(below + occupied, 0.0)
 
 
 def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
@@ -841,10 +844,7 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
                         samples=0, seed=seed)
     base = math.exp(-t) * pt
     scale = math.sqrt(-math.expm1(-2.0 * t))
-    rng = derive_rng(seed, "semigroup", 0)
-    hits = 0
-    for _, c in batches(samples):
-        pts = base + scale * rng.standard_normal((c, s.dim))
-        hits += int(contains(s, pts).sum())
+    hits = seeding.indicator_hits(seed, "semigroup", samples, s.dim,
+                                  lambda z: contains(s, base + scale * z))
     return Estimate.binomial(hits, samples, seed)
 

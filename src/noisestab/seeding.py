@@ -6,20 +6,17 @@ the same stream, independent of how work is scheduled. Chunked samplers
 walk :func:`batches`, so a result depends only on the seed and the sample
 count. The OU scans split their paths into near-equal shards sized from
 :data:`BATCH` (``ousim._shards``) and key shard ``i`` by ``i``, since
-each shard draws its paths step by step. The Monte Carlo indicator averages (``orthant_mc``,
-``gaussian_measure`` on a composite outside the plane,
-``semigroup_apply``) draw every batch from the one stream keyed
-``(purpose, 0)``, so their numbers do not depend on
-:data:`BATCH` at all. Key 0 is the one their first batch always had, so
-reports made when these estimators drew 2^19 or 2^20 points per batch
-keep their numbers up to that many draws.
+each shard draws its paths step by step. The Monte Carlo indicator
+averages (``orthant_mc``, ``gaussian_measure`` on a composite outside
+the plane, ``semigroup_apply``) share one loop, :func:`indicator_hits`,
+whose counts do not depend on :data:`BATCH` at all.
 
 Independent pieces of work (the shards of an OU scan, the probes of a
 composite set in the equality diagnostic, the batches of the
-joint-containment frequency) go through :func:`fan_out`, which runs them on one thread per CPU this
-process may use. There is no setting: each piece draws from its own
-keyed stream and the results are combined in item order, so reports do
-not depend on the number of workers.
+joint-containment frequency) go through :func:`fan_out`, which runs
+them on one thread per CPU this process may use. There is no setting:
+each piece draws from its own keyed stream and the results are combined
+in item order, so reports do not depend on the number of workers.
 """
 from __future__ import annotations
 
@@ -41,13 +38,8 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
 
 
 def _key_parts(parts: tuple) -> tuple[int, ...]:
-    out = []
-    for p in parts:
-        if isinstance(p, str):
-            out.append(zlib.crc32(p.encode("utf-8")))
-        else:
-            out.append(int(p))
-    return tuple(out)
+    return tuple(zlib.crc32(p.encode("utf-8")) if isinstance(p, str)
+                 else int(p) for p in parts)
 
 
 def check_seed(seed: int) -> int:
@@ -79,6 +71,19 @@ def batches(samples: int):
         raise ValueError(f"sample count must be >= 1, got {samples}")
     return ((index, min(BATCH, samples - start))
             for index, start in enumerate(range(0, samples, BATCH)))
+
+
+def indicator_hits(seed: int, purpose: str, samples: int, dim: int,
+                   predicate) -> int:
+    """How many of ``samples`` standard normal points in R^dim satisfy
+    ``predicate``, which maps an (n, dim) batch to n booleans. Every
+    batch comes from the one stream keyed ``(purpose, 0)``, so the count
+    does not depend on :data:`BATCH`. ``verify.joint_containment`` keeps
+    a stream per batch, so that its batches run side by side on the
+    pool; its numbers depend on :data:`BATCH` by design."""
+    rng = derive_rng(seed, purpose, 0)
+    return sum(int(predicate(rng.standard_normal((n, dim))).sum())
+               for _, n in batches(samples))
 
 
 _pools: dict[int, ThreadPoolExecutor] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, SamplingSpec
 from .gaussian import CorrelationMatrix, inverse_offdiag_nonpositive, \
     ou_covariance, semigroup_slope, std_normal_pdf, std_normal_quantile
 from .geometry import HalfSpace, SetExpr, SetSystem, UnsupportedRegion, \
@@ -123,12 +123,17 @@ def joint_containment(sets: SetSystem, m: CorrelationMatrix, samples: int,
     return Estimate.binomial(hits, samples, seed)
 
 
+def _measures(sets, samples: int, seed: int) -> list[Estimate]:
+    """The Gaussian measure of set i, on the sub-seed ("measure", i)."""
+    return [gaussian_measure(s, samples, subseed(seed, "measure", i))
+            for i, s in enumerate(sets)]
+
+
 def stability_bound(sets: SetSystem, m: CorrelationMatrix, samples: int,
                     target_se: float, seed: int) -> Estimate:
     """The half-space bound J(measures; M), with measure noise propagated
     through the gradient to first order."""
-    measures = [gaussian_measure(s, samples, subseed(seed, "measure", i))
-                for i, s in enumerate(sets.sets)]
+    measures = _measures(sets.sets, samples, seed)
     x = np.array([mu.value for mu in measures])
     jq = JQuery(np.clip(x, 0.0, 1.0), m)
     est = j_value(jq, target_se, subseed(seed, "bound"))
@@ -152,10 +157,16 @@ def _require_hypothesis(m: CorrelationMatrix):
             "is only claimed for entrywise-nonnegative matrices")
 
 
-def _matched_halfspaces(sets: SetSystem, measures) -> list[HalfSpace]:
-    direction = np.zeros(sets.dim)
-    direction[0] = 1.0
-    return parallel_halfspaces([mu.value for mu in measures], direction)
+def _joint_comparison(name: str, sets: SetSystem, m: CorrelationMatrix,
+                      s: SamplingSpec) -> list[ComparisonResult]:
+    """Joint containment of ``sets`` under M against the J bound."""
+    return [compare(name, joint_containment(sets, m, s.samples, s.seed),
+                    stability_bound(sets, m, s.samples, s.target_se, s.seed))]
+
+
+def _matched_halfspaces(measures, dim: int) -> list[HalfSpace]:
+    """Parallel half-spaces {x_1 <= c_i} with the given measures."""
+    return parallel_halfspaces([mu.value for mu in measures], np.eye(dim)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +183,7 @@ def verify_main_inequality(cfg: ExperimentConfig) -> list[ComparisonResult]:
     if sets.k != m.k:
         raise ConfigError(f"[sets]: {sets.k} sets for a {m.k}-dimensional "
                           "matrix")
-    s = cfg.sampling
-    lhs = joint_containment(sets, m, s.samples, s.seed)
-    rhs = stability_bound(sets, m, s.samples, s.target_se, s.seed)
-    return [compare("main-inequality", lhs, rhs)]
+    return _joint_comparison("main-inequality", sets, m, cfg.sampling)
 
 
 def verify_noise_stability(a1: SetExpr, a2: SetExpr, t: float,
@@ -185,11 +193,8 @@ def verify_noise_stability(a1: SetExpr, a2: SetExpr, t: float,
         raise ConfigError("[experiment] t: noise stability needs t > 0")
     rho = math.exp(-float(t))
     m = CorrelationMatrix.equicorrelated(2, rho)
-    sets = SetSystem((a1, a2))
-    s = cfg.sampling
-    lhs = joint_containment(sets, m, s.samples, s.seed)
-    rhs = stability_bound(sets, m, s.samples, s.target_se, s.seed)
-    return [compare(f"noise-stability[t={t:g}]", lhs, rhs)]
+    return _joint_comparison(f"noise-stability[t={t:g}]", SetSystem((a1, a2)),
+                             m, cfg.sampling)
 
 
 # Step of the central difference that takes dV/dc from an exact
@@ -216,8 +221,8 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     (``_offset_se``), and the margin combines both sides in quadrature.
     The horizons run one after another, each scan on every CPU."""
     s = cfg.sampling
-    mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", 0))
-    b = _matched_halfspaces(SetSystem((a,)), [mu])[0]
+    (mu,) = _measures((a,), s.samples, s.seed)
+    (b,) = _matched_halfspaces([mu], a.dim)
 
     def horizon(tau):
         lhs, rhs, _ = exit_survival_pair(a, b, tau, cfg.grid.steps, s.paths,
@@ -240,9 +245,8 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
     (``_offset_se``; the measures are independent), and the margin
     combines both sides in quadrature."""
     s = cfg.sampling
-    mus = [gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
-           for i, a in enumerate((a1, a2))]
-    b1, b2 = _matched_halfspaces(SetSystem((a1, a2)), mus)
+    mus = _measures((a1, a2), s.samples, s.seed)
+    b1, b2 = _matched_halfspaces(mus, a1.dim)
 
     def horizon(tau):
         lhs, rhs, _ = occupation_pair((a1, a2), (b1, b2), tau,
@@ -319,8 +323,7 @@ def equality_diagnostic_run(sets: SetSystem, t: float,
         raise ConfigError(f"[sampling] probes: {s.probes}, but the linear fit "
                           f"has {n + 1} coefficients in n = {n}, so its "
                           f"residual needs at least {n + 2} probes")
-    for i, a in enumerate(sets.sets):
-        mu = gaussian_measure(a, s.samples, subseed(s.seed, "measure", i))
+    for i, mu in enumerate(_measures(sets.sets, s.samples, s.seed)):
         if not 0.0 < mu.value < 1.0:
             raise ConfigError(f"[sets] a{i + 1}: measure must be interior "
                               "to (0, 1) for the diagnostic")

@@ -446,8 +446,8 @@ class TestHalfspaceOccupation:
         c1, c2, tau = HS_06.offset, HS_03.offset, 0.5
         width = min(ousim._HALFSPACE_WIDTH,
                     ousim._HALFSPACE_LAYER * math.sqrt(tau))
-        coarse, fine = (ousim._halfspace_grid_occupation(c1, c2, tau, width,
-                                                         nodes)
+        coarse, fine = (ousim._halfspace_grid(c1, c2, tau, width, nodes,
+                                              ousim._occupied)
                         for nodes in (800, 1600))
         ref = (tau * special.ndtr(min(c2, c1 - width))
                + (4.0 * fine - coarse) / 3.0)
@@ -479,6 +479,41 @@ class TestHalfspaceOccupation:
         occ_a, _, _ = occupation_pair(crossed, (HS_06, HS_03), 0.5, 32,
                                       5_000, 16)
         assert occ_a.samples == 5_000 and occ_a.std_error > 0.0
+
+
+class TestHalfspacePins:
+    """Both exact arms bit for bit, at points that reach every branch of
+    their shared spectral sum: the width 12 sqrt(tau) (tau < 0.5625) and
+    9, unit target weights (c2 >= c1) and a c2 that cuts a grid cell,
+    offsets of 8 and more, where the top eigenvalue is rounding noise,
+    and a survival far below the origin that clips to 0."""
+
+    SURVIVAL = [
+        ((0.3, 0.3), 0.376755912930131),
+        ((0.3, 0.9), 0.21941587081086178),
+        ((-0.4, 4.0), 0.0008698212674018158),
+        ((1.7, 0.05), 0.9276436522562569),
+        ((8.5, 0.3), 0.999999999999996),
+        ((-9.0, 0.05), 5.720956322598531e-21),
+        ((-6.0, 1.0), 0.0),  # Phi(c) minus the exit is -2.7e-14 here
+    ]
+    OCCUPATION = [
+        ((0.3, 1.2, 0.3), 0.1370561809235332),
+        ((-0.7, -0.7, 4.0), 0.08756039366371327),
+        ((0.25, -0.5, 0.3), 0.08714052626081496),
+        ((0.6, 0.3, 0.9), 0.3997620106503558),
+        ((-3.0, -3.4, 0.05), 1.5946961093750933e-05),
+        ((8.5, 8.5, 0.9), 0.9000000099362963),
+        ((9.0, 7.3, 4.0), 3.9999999999997993),
+    ]
+
+    @pytest.mark.parametrize("args,value", SURVIVAL)
+    def test_survival(self, args, value):
+        assert halfspace_survival(*args) == value
+
+    @pytest.mark.parametrize("args,value", OCCUPATION)
+    def test_occupation(self, args, value):
+        assert halfspace_occupation(*args) == value
 
 
 class TestHalfspaceSolver:
