@@ -27,7 +27,7 @@ from __future__ import annotations
 import configparser
 import os
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # set-expression DSL
 # ---------------------------------------------------------------------------
-
-_CONSTRUCTORS = ("halfspace", "ball", "box", "complement", "intersection",
-                 "union")
-
 
 class _Tokens:
     def __init__(self, text: str, where: str):
@@ -105,12 +101,18 @@ class _Tokens:
             raise self.error(f"expected a number, got {token!r}")
 
 
-def _parse_vector(tk: _Tokens) -> list[float]:
-    tk.expect("[")
-    out = [tk.number()]
+def _items(tk: _Tokens, item) -> list:
+    """One or more ``item(tk)`` separated by commas."""
+    out = [item(tk)]
     while tk.peek() == ",":
         tk.expect(",")
-        out.append(tk.number())
+        out.append(item(tk))
+    return out
+
+
+def _parse_vector(tk: _Tokens) -> np.ndarray:
+    tk.expect("[")
+    out = np.array(_items(tk, _Tokens.number))
     tk.expect("]")
     return out
 
@@ -120,40 +122,17 @@ def _parse_expr(tk: _Tokens) -> SetExpr:
     if name not in _CONSTRUCTORS:
         raise tk.error(f"unknown set constructor {name!r} "
                        f"(expected one of {', '.join(_CONSTRUCTORS)})")
+    cls, kinds = _CONSTRUCTORS[name]
     tk.expect("(")
+    args = []
+    for i, (parse, _) in enumerate(kinds):
+        if i:
+            tk.expect(",")
+        args.append(parse(tk))
+    tk.expect(")")
     try:
-        if name == "halfspace":
-            normal = _parse_vector(tk)
-            tk.expect(",")
-            offset = tk.number()
-            tk.expect(")")
-            return HalfSpace(np.array(normal), offset)
-        if name == "ball":
-            center = _parse_vector(tk)
-            tk.expect(",")
-            radius = tk.number()
-            tk.expect(")")
-            return Ball(np.array(center), radius)
-        if name == "box":
-            lo = _parse_vector(tk)
-            tk.expect(",")
-            hi = _parse_vector(tk)
-            tk.expect(")")
-            return AxisBox(np.array(lo), np.array(hi))
-        if name == "complement":
-            inner = _parse_expr(tk)
-            tk.expect(")")
-            return Complement(inner)
-        parts = [_parse_expr(tk)]
-        while tk.peek() == ",":
-            tk.expect(",")
-            parts.append(_parse_expr(tk))
-        tk.expect(")")
-        return Intersection(tuple(parts)) if name == "intersection" \
-            else Union(tuple(parts))
+        return cls(*args)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise tk.error(str(exc))
 
 
@@ -169,21 +148,33 @@ def parse_set_expr(text: str, where: str = "set expression") -> SetExpr:
 
 def emit_set_expr(s: SetExpr) -> str:
     """Canonical DSL text; round-trips through :func:`parse_set_expr`."""
-    def vec(a):
-        return "[" + ", ".join(repr(float(v)) for v in a) + "]"
-    if isinstance(s, HalfSpace):
-        return f"halfspace({vec(s.normal)}, {s.offset!r})"
-    if isinstance(s, Ball):
-        return f"ball({vec(s.center)}, {s.radius!r})"
-    if isinstance(s, AxisBox):
-        return f"box({vec(s.lower)}, {vec(s.upper)})"
-    if isinstance(s, Complement):
-        return f"complement({emit_set_expr(s.inner)})"
-    if isinstance(s, Intersection):
-        return "intersection(" + ", ".join(emit_set_expr(p) for p in s.parts) + ")"
-    if isinstance(s, Union):
-        return "union(" + ", ".join(emit_set_expr(p) for p in s.parts) + ")"
+    for name, (cls, kinds) in _CONSTRUCTORS.items():
+        if isinstance(s, cls):
+            args = (emit(getattr(s, f.name))
+                    for (_, emit), f in zip(kinds, fields(s)))
+            return f"{name}({', '.join(args)})"
     raise TypeError(f"not a set expression: {type(s).__name__}")
+
+
+# The kinds of constructor argument, as (parse, emit) pairs.
+_VECTOR = (_parse_vector,
+           lambda a: "[" + ", ".join(repr(float(v)) for v in a) + "]")
+_NUMBER = (_Tokens.number, repr)
+_SET = (_parse_expr, emit_set_expr)
+_SETS = (lambda tk: tuple(_items(tk, _parse_expr)),
+         lambda parts: ", ".join(map(emit_set_expr, parts)))
+
+# One entry per DSL constructor: its set class and the kinds of its
+# arguments, in the order of the class's fields. Parsing and
+# emit_set_expr both read it.
+_CONSTRUCTORS = {
+    "halfspace": (HalfSpace, (_VECTOR, _NUMBER)),
+    "ball": (Ball, (_VECTOR, _NUMBER)),
+    "box": (AxisBox, (_VECTOR, _VECTOR)),
+    "complement": (Complement, (_SET,)),
+    "intersection": (Intersection, (_SETS,)),
+    "union": (Union, (_SETS,)),
+}
 
 
 # ---------------------------------------------------------------------------

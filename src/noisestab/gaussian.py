@@ -88,18 +88,10 @@ def std_normal_quantile(p):
 def isoperimetric_profile(x):
     """Gaussian isoperimetric profile: density evaluated at the quantile.
 
-    Vanishes at 0 and 1 and is symmetric about 1/2.
+    Vanishes at 0 and 1, where the quantile is infinite, and is symmetric
+    about 1/2. Rejects NaN and x outside [0, 1].
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(np.isnan(arr)) or np.any((arr < 0.0) | (arr > 1.0)):
-        raise ValueError("profile argument must lie in [0, 1]")
-    if interior.any():
-        out[interior] = std_normal_pdf(std_normal_quantile(arr[interior]))
-    return float(out[0]) if scalar else out
+    return std_normal_pdf(std_normal_quantile(x))
 
 
 def semigroup_slope(t: float) -> float:

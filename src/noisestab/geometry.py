@@ -163,13 +163,15 @@ class Complement(SetExpr):
 
 
 @dataclass(frozen=True, eq=False)
-class Intersection(SetExpr):
+class _Join(SetExpr):
+    """One or more parts in a common ambient dimension."""
     parts: tuple[SetExpr, ...]
 
     def __post_init__(self):
         parts = tuple(self.parts)
         if not parts:
-            raise ValueError("intersection needs at least one part")
+            raise ValueError(f"{type(self).__name__.lower()} needs at least "
+                             "one part")
         _common_dim(parts)
         object.__setattr__(self, "parts", parts)
 
@@ -179,19 +181,13 @@ class Intersection(SetExpr):
 
 
 @dataclass(frozen=True, eq=False)
-class Union(SetExpr):
-    parts: tuple[SetExpr, ...]
+class Intersection(_Join):
+    """The points in every part."""
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if not parts:
-            raise ValueError("union needs at least one part")
-        _common_dim(parts)
-        object.__setattr__(self, "parts", parts)
 
-    @property
-    def dim(self) -> int:
-        return self.parts[0].dim
+@dataclass(frozen=True, eq=False)
+class Union(_Join):
+    """The points in some part."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +243,7 @@ def _contains(s: SetExpr, pts: np.ndarray) -> np.ndarray:
         return _box_contains(s, pts)
     if isinstance(s, Complement):
         return ~_contains(s.inner, pts)
-    if isinstance(s, (Intersection, Union)):
+    if isinstance(s, _Join):
         join = np.logical_and if isinstance(s, Intersection) else np.logical_or
         out = _contains(s.parts[0], pts)
         for p in s.parts[1:]:
@@ -266,7 +262,7 @@ def _distance(s: SetExpr, pts: np.ndarray) -> np.ndarray:
         return np.minimum(pts - s.lower, s.upper - pts).min(axis=1)
     if isinstance(s, Complement):
         return -_distance(s.inner, pts)
-    if isinstance(s, (Intersection, Union)):
+    if isinstance(s, _Join):
         combine = np.minimum if isinstance(s, Intersection) else np.maximum
         out = _distance(s.parts[0], pts)
         for p in s.parts[1:]:
@@ -419,7 +415,7 @@ def _cosine_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _leaves(s: SetExpr) -> list[SetExpr]:
     if isinstance(s, Complement):
         return _leaves(s.inner)
-    if isinstance(s, (Intersection, Union)):
+    if isinstance(s, _Join):
         return [leaf for p in s.parts for leaf in _leaves(p)]
     return [s]
 
@@ -560,7 +556,7 @@ def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
                                   lambda z: _contains(s, z))
             return Estimate.binomial(hits, samples, seed)
         value = _plane_measure(s)
-    return Estimate(value=value, std_error=0.0, samples=0, seed=seed)
+    return Estimate.exact(value, seed)
 
 
 def parallel_halfspaces(measures, direction) -> list[HalfSpace]:

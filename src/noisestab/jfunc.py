@@ -137,8 +137,7 @@ def j_grad(q: JQuery, i: int, target_se: float, seed: int) -> Estimate:
     if not 0 <= i < q.k:
         raise IndexError(f"index {i} out of range for dimension {q.k}")
     if q.k == 1:
-        return Estimate(value=1.0, std_error=0.0, samples=0,
-                        seed=check_seed(seed))
+        return Estimate.exact(1.0, check_seed(seed))
     limits, cov = _reduced_system(q, i)
     return orthant_qmc(OrthantQuery(limits, cov), target_se, seed)
 
@@ -165,8 +164,7 @@ def _pair_interaction(q: JQuery, i: int, j: int, target_se: float,
     dens = std_normal_pdf(limits[pos] / sigma) / sigma
     coef = isoperimetric_profile(q.x[i]) * dens
     if q.k == 2:
-        return Estimate(value=float(coef), std_error=0.0, samples=0,
-                        seed=check_seed(seed))
+        return Estimate.exact(coef, check_seed(seed))
     coef_row, reduced = conditional_reduction(cov, pos)
     inner_limits = np.delete(limits, pos) - coef_row * limits[pos]
     inner_target = float(np.clip(target_se / max(coef, 1e-12), 1e-8, 0.5))

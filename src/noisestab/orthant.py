@@ -71,8 +71,9 @@ class Estimate:
     """A Monte-Carlo value with its standard error and provenance.
 
     ``samples == 0`` together with ``std_error == 0`` marks an analytic
-    (exact) branch. ``cap_hit`` records that an adaptive estimator stopped
-    on its sample cap instead of the requested precision.
+    (exact) branch, which :meth:`exact` builds. ``cap_hit`` records that
+    an adaptive estimator stopped on its sample cap instead of the
+    requested precision.
     """
     value: float
     std_error: float
@@ -88,6 +89,11 @@ class Estimate:
         se = math.sqrt(max(value * (1.0 - value), 0.0) / samples)
         return cls(value=float(value), std_error=se, samples=int(samples),
                    seed=seed)
+
+    @classmethod
+    def exact(cls, value, seed: int) -> "Estimate":
+        """An analytic value: no standard error and no samples."""
+        return cls(value=float(value), std_error=0.0, samples=0, seed=seed)
 
 
 def bivariate_orthant_closed(rho: float) -> float:
@@ -311,8 +317,7 @@ def orthant_qmc(q: OrthantQuery, target_se: float, seed: int) -> Estimate:
         means, n_used = orthant_qmc_shift_means(q, n_pts, seed,
                                                 round_index=round_index)
         if n_used == 0:
-            return Estimate(value=float(means[0]), std_error=0.0,
-                            samples=0, seed=seed)
+            return Estimate.exact(means[0], seed)
         total += n_used * MIN_SHIFTS
         value = float(means.mean())
         se = max(float(means.std(ddof=1) / np.sqrt(MIN_SHIFTS)),

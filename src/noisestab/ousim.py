@@ -454,8 +454,7 @@ def _combine(exact, estimate, seed):
         return (estimate(("v", 0)), estimate(("v", 1)),
                 estimate("pair").std_error)
     est_a, est_b = (estimate(("v", 0)) if value is None else
-                    Estimate(value=value, std_error=0.0, samples=0, seed=seed)
-                    for value in exact)
+                    Estimate.exact(value, seed) for value in exact)
     return est_a, est_b, math.hypot(est_a.std_error, est_b.std_error)
 
 
@@ -617,8 +616,10 @@ def halfspace_survival(offset: float, tau: float) -> float:
     if math.isinf(c):
         return float(c > 0.0)
     _, exited = _halfspace_solve(c, c, tau, _exited, math.exp(-0.5 * c * c))
-    # far below the origin nearly all of Phi(c) exits; keep rounding >= 0
-    return max(float(special.ndtr(c)) - exited, 0.0)
+    # far below the origin nearly all of Phi(c) exits, far above nearly
+    # none does: keep the Richardson residual inside [0, Phi(c)]
+    start = float(special.ndtr(c))
+    return min(max(start - exited, 0.0), start)
 
 
 def halfspace_occupation(c1: float, c2: float, tau: float) -> float:
@@ -648,7 +649,9 @@ def halfspace_occupation(c1: float, c2: float, tau: float) -> float:
         return tau * float(special.ndtr(c2))
     width, occupied = _halfspace_solve(c1, c2, tau, _occupied)
     below = tau * float(special.ndtr(min(c2, c1 - width)))
-    return max(below + occupied, 0.0)
+    # no path spends more than tau in {y <= c2}, which holds Phi(c2) of
+    # them at each time; keep the Richardson residual inside that range
+    return min(max(below + occupied, 0.0), tau * float(special.ndtr(c2)))
 
 
 def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
@@ -840,8 +843,7 @@ def semigroup_apply(s: SetExpr, t: float, x, samples: int,
         raise ValueError(f"point must have shape ({s.dim},)")
     seed = check_seed(seed)
     if t == 0.0:
-        return Estimate(value=float(contains(s, pt)), std_error=0.0,
-                        samples=0, seed=seed)
+        return Estimate.exact(contains(s, pt), seed)
     base = math.exp(-t) * pt
     scale = math.sqrt(-math.expm1(-2.0 * t))
     hits = seeding.indicator_hits(seed, "semigroup", samples, s.dim,

@@ -160,6 +160,21 @@ class TestSetExprDsl:
         with pytest.raises(ConfigError):
             parse_set_expr("ball([0,0], -1)")
 
+    @pytest.mark.parametrize("text,message", [
+        ("halfspace([1, 0])", "expected ',' at column 17"),
+        ("ball(1.0, [0, 0])", "expected '[' at column 6"),
+        ("box([0, 0], 1)", "expected '[' at column 13"),
+        ("complement(ball([0, 0], 1), ball([0, 0], 2))",
+         "expected ')' at column 27"),
+        ("union()", "expected a name at column 7"),
+        ("intersection(ball([0,0],1),)", "expected a name at column 28"),
+    ])
+    def test_argument_error_text(self, text, message):
+        """Each constructor's arity and argument-kind errors, in full."""
+        with pytest.raises(ConfigError) as err:
+            parse_set_expr(text, where="[sets] a1")
+        assert str(err.value) == f"[sets] a1: {message}"
+
     @pytest.mark.parametrize("text", ["box([nan, 0], [1, 1])",
                                       "box([0, 0], [1, NaN])",
                                       "halfspace([1, 0], nan)",

@@ -662,6 +662,19 @@ class TestParallelHalfspaces:
             parallel_halfspaces([1.5], np.array([1.0, 0.0]))
 
 
+class TestJoins:
+    @pytest.mark.parametrize("cls", [Intersection, Union])
+    def test_rejects_no_parts(self, cls):
+        with pytest.raises(ValueError,
+                           match=f"^{cls.__name__.lower()} needs at least"):
+            cls(())
+
+    @pytest.mark.parametrize("cls", [Intersection, Union])
+    def test_rejects_mixed_dimensions(self, cls):
+        with pytest.raises(ValueError, match=r"mixed ambient dimensions \[1, 2\]"):
+            cls((Ball(np.zeros(2), 1.0), Ball(np.zeros(1), 1.0)))
+
+
 class TestSetSystem:
     def test_basic(self):
         sys = SetSystem((Ball(np.zeros(2), 1.0),

@@ -58,6 +58,13 @@ class TestQueryValidation:
             OrthantQuery([0.0], np.eye(2))
 
 
+class TestEstimate:
+    def test_exact(self):
+        est = Estimate.exact(np.float64(0.25), 3)
+        assert est == Estimate(0.25, 0.0, 0, 3)
+        assert type(est.value) is float and not est.cap_hit
+
+
 class TestMonteCarlo:
     def test_all_infinite(self):
         est = orthant_mc(OrthantQuery([np.inf, np.inf], np.eye(2)), 1000, 1)

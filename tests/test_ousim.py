@@ -481,12 +481,36 @@ class TestHalfspaceOccupation:
         assert occ_a.samples == 5_000 and occ_a.std_error > 0.0
 
 
+class TestHalfspaceRange:
+    """Both exact arms stay in their physical ranges at large offsets,
+    where the Richardson residual is of either sign: a survival lies in
+    [0, Phi(c)], Pr(Y_0 <= c), and an occupation of {y <= c2} in
+    [0, tau Phi(min(c1, c2))], the time a stationary path spends there."""
+
+    OFFSETS = 5.0 + 0.125 * np.arange(57)  # 5 to 12
+    TAUS = (0.01, 0.1, 0.5, 0.9, 2.0, 4.0, 10.0, 17.9, 50.0)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_survival(self, tau):
+        for c in self.OFFSETS:
+            assert 0.0 <= halfspace_survival(c, tau) <= special.ndtr(c)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_occupation(self, tau):
+        # c2 = c1 - 0.3 cuts a grid cell; every fourth offset keeps it quick
+        for c1, c2 in [(c, c) for c in self.OFFSETS] + \
+                [(c, c - 0.3) for c in self.OFFSETS[::4]]:
+            assert 0.0 <= halfspace_occupation(c1, c2, tau) \
+                <= tau * special.ndtr(c2)
+
+
 class TestHalfspacePins:
     """Both exact arms bit for bit, at points that reach every branch of
     their shared spectral sum: the width 12 sqrt(tau) (tau < 0.5625) and
     9, unit target weights (c2 >= c1) and a c2 that cuts a grid cell,
-    offsets of 8 and more, where the top eigenvalue is rounding noise,
-    and a survival far below the origin that clips to 0."""
+    offsets of 8 and more, where the top eigenvalue is rounding noise
+    and the occupation clips to tau Phi(c2), and a survival far below the
+    origin that clips to 0."""
 
     SURVIVAL = [
         ((0.3, 0.3), 0.376755912930131),
@@ -503,8 +527,8 @@ class TestHalfspacePins:
         ((0.25, -0.5, 0.3), 0.08714052626081496),
         ((0.6, 0.3, 0.9), 0.3997620106503558),
         ((-3.0, -3.4, 0.05), 1.5946961093750933e-05),
-        ((8.5, 8.5, 0.9), 0.9000000099362963),
-        ((9.0, 7.3, 4.0), 3.9999999999997993),
+        ((8.5, 8.5, 0.9), 0.9),  # clipped to tau Phi(c2)
+        ((9.0, 7.3, 4.0), 3.9999999999994245),  # clipped to tau Phi(c2)
     ]
 
     @pytest.mark.parametrize("args,value", SURVIVAL)
