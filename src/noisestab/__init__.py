@@ -54,9 +54,7 @@ from .jfunc import (
     KernelDiagnostic,
     hadamard_hessian,
     hessian_top_eigenvalue,
-    j_diag_second,
     j_grad,
-    j_mixed_second,
     j_value,
     kernel_diagnostic,
 )

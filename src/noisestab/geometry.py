@@ -224,6 +224,17 @@ def _square_distance(s: Ball, pts: np.ndarray) -> np.ndarray:
     return sum(sq[1:2], sq[0])
 
 
+def _project(s: HalfSpace, pts: np.ndarray) -> np.ndarray:
+    """x . normal column by column, left to right, so a point gets the
+    same bits alone as in a batch (numpy's matrix product takes one row
+    through a dot and a batch through gemv, whose last bits differ)."""
+    out = pts[:, 0] * s.normal[0]
+    term = np.empty_like(out)
+    for j in range(1, s.dim):
+        out += np.multiply(pts[:, j], s.normal[j], out=term)
+    return out
+
+
 def _box_contains(s: AxisBox, pts: np.ndarray) -> np.ndarray:
     """lower <= x <= upper column by column, with no (N, n) temporary."""
     out = np.ones(len(pts), dtype=bool)
@@ -236,7 +247,7 @@ def _box_contains(s: AxisBox, pts: np.ndarray) -> np.ndarray:
 
 def _contains(s: SetExpr, pts: np.ndarray) -> np.ndarray:
     if isinstance(s, HalfSpace):
-        return pts @ s.normal <= s.offset
+        return _project(s, pts) <= s.offset
     if isinstance(s, Ball):
         return _square_distance(s, pts) <= s.radius * s.radius
     if isinstance(s, AxisBox):
@@ -254,7 +265,7 @@ def _contains(s: SetExpr, pts: np.ndarray) -> np.ndarray:
 
 def _distance(s: SetExpr, pts: np.ndarray) -> np.ndarray:
     if isinstance(s, HalfSpace):
-        return s.offset - pts @ s.normal
+        return s.offset - _project(s, pts)
     if isinstance(s, Ball):
         sq = _square_distance(s, pts)
         return s.radius - np.sqrt(sq, out=sq)
@@ -358,7 +369,7 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
     decay = math.exp(-t)
     scale = math.sqrt(-math.expm1(-2.0 * t))
     if isinstance(s, HalfSpace):
-        out = special.ndtr((s.offset - decay * (pts @ s.normal)) / scale)
+        out = special.ndtr((s.offset - decay * _project(s, pts)) / scale)
     elif isinstance(s, Ball):
         d = (s.center - decay * pts) / scale
         nc = np.einsum("ij,ij->i", d, d)

@@ -15,9 +15,9 @@ where A has offdiagonal m_ij * J_ij and zero row sums. With nonnegative
 m_ij this is negative semidefinite by construction (diagonal dominance),
 so the estimator certifies the stability inequality's Hessian condition
 with the statistical content confined to the J_ij values themselves.
-``hadamard_hessian`` computes only those; the value and the gradient
-(``j_value``, ``j_grad``) serve the half-space bound and its error
-propagation.
+``hadamard_hessian`` computes only those, and every second derivative
+is read off its evaluation (``JEvaluation``); ``j_value`` and ``j_grad``
+serve the half-space bound and its error propagation.
 """
 from __future__ import annotations
 
@@ -75,6 +75,11 @@ class JEvaluation:
     holds by construction. Every statistical entry carries a first-order
     propagated standard error. ``cap_hit``: some pair interaction's QMC
     run stopped on its cap.
+
+    Second derivatives of J are read off it: d^2 J / dx_i dx_j =
+    iota_i iota_j ``mixed[i, j]`` (SE iota_i iota_j ``mixed_se[i, j]``)
+    for i != j, and d^2 J / dx_i^2 = ``hadamard_hessian[i, i]`` (SE
+    ``hessian_se[i, i]``), since m_ii = 1.
     """
     m: CorrelationMatrix
     mixed: np.ndarray
@@ -150,11 +155,8 @@ def _pair_interaction(q: JQuery, i: int, j: int, target_se: float,
     Evaluated literally in the stated (i, j) order -- condition on i,
     differentiate the limit of j -- so that comparing against the
     swapped order is a genuine numerical check of the symmetry identity.
+    Callers have checked that x is interior, M strictly PD and i != j.
     """
-    _require_interior(q)
-    _require_strict_pd(q)
-    if i == j:
-        raise ValueError("pair interaction needs distinct indices")
     limits, cov = _reduced_system(q, i)
     pos = j - 1 if j > i else j
     var = cov[pos, pos]
@@ -173,44 +175,6 @@ def _pair_interaction(q: JQuery, i: int, j: int, target_se: float,
                     std_error=float(coef * inner.std_error),
                     samples=inner.samples, seed=inner.seed,
                     cap_hit=inner.cap_hit)
-
-
-def j_mixed_second(q: JQuery, i: int, j: int, target_se: float,
-                   seed: int) -> Estimate:
-    """Mixed second derivative d^2 J / dx_i dx_j = J_ij / (I(x_i) I(x_j))."""
-    pair = _pair_interaction(q, i, j, target_se, seed)
-    scale = 1.0 / (isoperimetric_profile(q.x[i]) * isoperimetric_profile(q.x[j]))
-    return Estimate(value=pair.value * scale,
-                    std_error=pair.std_error * scale,
-                    samples=pair.samples, seed=pair.seed, cap_hit=pair.cap_hit)
-
-
-def j_diag_second(q: JQuery, i: int, target_se: float, seed: int) -> Estimate:
-    """Repeated second derivative
-    d^2 J / dx_i^2 = -(1/I(x_i)^2) * sum_{j!=i} m_ij J_ij."""
-    _require_interior(q)
-    _require_strict_pd(q)
-    if not 0 <= i < q.k:
-        raise IndexError(f"index {i} out of range for dimension {q.k}")
-    total = 0.0
-    var = 0.0
-    samples = 0
-    cap_hit = False
-    for j in range(q.k):
-        if j == i:
-            continue
-        mij = q.m.entries[i, j]
-        if mij == 0.0:
-            continue
-        pair = _pair_interaction(q, i, j, target_se,
-                                 subseed(seed, "diag", i, j))
-        total += mij * pair.value
-        var += (mij * pair.std_error) ** 2
-        samples += pair.samples
-        cap_hit |= pair.cap_hit
-    scale = 1.0 / isoperimetric_profile(q.x[i]) ** 2
-    return Estimate(value=-scale * total, std_error=scale * np.sqrt(var),
-                    samples=samples, seed=check_seed(seed), cap_hit=cap_hit)
 
 
 def hadamard_hessian(q: JQuery, target_se: float, seed: int) -> JEvaluation:

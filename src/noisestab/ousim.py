@@ -327,11 +327,7 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
                 arrays = [x.compress(drop, 1) for x in arrays]
                 if not len(states):
                     break
-            # numpy takes a one-row product with a half-space normal
-            # through a dot, whose last bits differ from those of a
-            # batched product, so a last live row steps alone
-            b = (min(steps - i, max(1, _BLOCK_NORMALS // states.size))
-                 if len(states) > 1 else 1)
+            b = min(steps - i, max(1, _BLOCK_NORMALS // states.size))
             z = normals.peek(b * states.size).reshape(b, *states.shape)
             block = _advance(states, z, decay, scale)
             del states  # frees the last round's block during the update

@@ -20,7 +20,7 @@ from .config import ConfigError, ExperimentConfig, SamplingSpec
 from .gaussian import CorrelationMatrix, inverse_offdiag_nonpositive, \
     ou_covariance, semigroup_slope, std_normal_pdf, std_normal_quantile
 from .geometry import HalfSpace, SetExpr, SetSystem, UnsupportedRegion, \
-    contains, gaussian_measure, heat_flow, parallel_halfspaces
+    _project, contains, gaussian_measure, heat_flow, parallel_halfspaces
 from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
     hessian_top_eigenvalue, j_grad, j_value, kernel_diagnostic
 from .orthant import Estimate
@@ -278,7 +278,7 @@ def _quantile_flows(s: SetExpr, t: float, pts: np.ndarray, samples: int,
     [FLOW_CLIP, 1 - FLOW_CLIP] before the quantile."""
     if isinstance(s, HalfSpace):
         scale = math.sqrt(-math.expm1(-2.0 * t))
-        w = (s.offset - math.exp(-t) * (pts @ s.normal)) / scale
+        w = (s.offset - math.exp(-t) * _project(s, pts)) / scale
         return w, None, EXACT_FLOW
     try:
         flows, kind = heat_flow(s, t, pts), EXACT_FLOW
@@ -417,8 +417,11 @@ def hessian_sweep(cfg: ExperimentConfig) -> list[dict]:
     s = cfg.sampling
     if cfg.sweep.random_x < 0:
         raise ConfigError(f"[sweep] random_x: {cfg.sweep.random_x} is negative")
+    if cfg.sweep.rhos and cfg.matrix.kind != "equicorrelated":
+        raise ConfigError(f"[sweep] rhos: needs [matrix] type = "
+                          f"equicorrelated, not {cfg.matrix.kind}")
     matrices = []
-    if cfg.matrix.kind == "equicorrelated" and cfg.sweep.rhos:
+    if cfg.sweep.rhos:
         for rho in cfg.sweep.rhos:
             matrices.append((f"equicorrelated(k={cfg.matrix.k}, rho={rho:g})",
                              replace(cfg.matrix, rho=rho).build()))

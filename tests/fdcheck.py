@@ -57,6 +57,16 @@ def fd_diag(x, m, i, seed, h=1e-3, points=FD_POINTS):
     return _summary(d)
 
 
+def second_derivative(ev, i, j):
+    """d^2 J / dx_i dx_j and its standard error, read off a
+    ``JEvaluation``: iota_i iota_j J_ij off the diagonal, the weighted
+    Hessian's entry on it (m_ii = 1)."""
+    if i == j:
+        return float(ev.hadamard_hessian[i, i]), float(ev.hessian_se[i, i])
+    scale = ev.iota[i] * ev.iota[j]
+    return float(scale * ev.mixed[i, j]), float(scale * ev.mixed_se[i, j])
+
+
 def agrees(closed_value, closed_se, fd_value, fd_se,
            rel=1e-3, band_ses=3.0) -> bool:
     scale = max(abs(closed_value), abs(fd_value))

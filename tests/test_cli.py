@@ -94,6 +94,15 @@ class TestExitCodes:
         assert cli.cli_main(["hessian-sweep", "--config", cfg]) == 1
         assert "[sweep] random_x: -3 is negative" in capsys.readouterr().err
 
+    def test_rhos_with_explicit_matrix_exit_one(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[experiment]\nkind = hessian-sweep\n"
+                         "[matrix]\ntype = explicit\n"
+                         "rows = 1, 0.3; 0.3, 1\n"
+                         "[sweep]\nrhos = 0.2, 0.8\n")
+        assert cli.cli_main(["hessian-sweep", "--config", cfg]) == 1
+        assert ("[sweep] rhos: needs [matrix] type = equicorrelated, "
+                "not explicit") in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("target_se", ["-1", "0", "nan"])
     def test_bad_sweep_target_se_exit_one(self, tmp_path, capsys, target_se,

@@ -201,6 +201,22 @@ class TestBoundaryDistance:
         with pytest.raises(ValueError):
             boundary_distance(Ball(np.zeros(2), 1.0), np.zeros(3))
 
+class TestHalfspaceBatchInvariance:
+    """A point gets the same bits alone as in a batch, for an oblique
+    normal and points on the boundary up to rounding, so no point
+    changes side with the size of its batch."""
+
+    def test_single_point_matches_batch_row(self):
+        hs = HalfSpace(np.array([0.6, 0.8]), 0.8)
+        pts = np.random.default_rng(11).standard_normal((3000, 2))
+        pts[::2] += np.outer(hs.offset - pts[::2] @ hs.normal, hs.normal)
+        for f in (boundary_distance, contains,
+                  lambda s, x: heat_flow(s, 0.5, x)):
+            batch = f(hs, pts)
+            single = np.array([f(hs, p) for p in pts])
+            assert single.tobytes() == batch.tobytes()
+
+
 class TestGaussianMeasure:
     def test_halfspace_exact(self):
         est = gaussian_measure(HalfSpace(np.array([1.0, 0.0]), 0.0))

@@ -11,9 +11,8 @@ from noisestab import (
     JQuery,
     hadamard_hessian,
     hessian_top_eigenvalue,
-    j_diag_second,
+    isoperimetric_profile,
     j_grad,
-    j_mixed_second,
     j_value,
     kernel_diagnostic,
     laplacian_quadratic_form,
@@ -93,46 +92,58 @@ class TestGrad:
             j_grad(JQuery([0.5, 0.5], biv(0.2)), 5, 1e-5, 1)
 
 
+def second(q, i, j, target_se, seed):
+    """d^2 J / dx_i dx_j and its standard error off one evaluation."""
+    return fdcheck.second_derivative(hadamard_hessian(q, target_se, seed), i, j)
+
+
+def swapped_pair(q, i, j, target_se, seed):
+    """The pair interaction in the stated (i, j) order, scaled to the
+    mixed second derivative iota_i iota_j J_ij, with its standard error."""
+    pair = _pair_interaction(q, i, j, target_se, seed)
+    iota = 1.0 / isoperimetric_profile(q.x)
+    scale = iota[i] * iota[j]
+    return pair.value * scale, pair.std_error * scale
+
+
 class TestMixedSecond:
     def test_independent_unit(self):
-        est = j_mixed_second(JQuery([0.5, 0.5], biv(0.0)), 0, 1, 1e-5, 1)
-        assert abs(est.value - 1.0) <= 1e-12
+        value, _ = second(JQuery([0.5, 0.5], biv(0.0)), 0, 1, 1e-5, 1)
+        assert abs(value - 1.0) <= 1e-12
 
     def test_half_correlation(self):
-        est = j_mixed_second(JQuery([0.5, 0.5], biv(0.5)), 0, 1, 1e-5, 2)
-        assert abs(est.value - 1.0 / math.sqrt(0.75)) <= 1e-12
+        value, _ = second(JQuery([0.5, 0.5], biv(0.5)), 0, 1, 1e-5, 2)
+        assert abs(value - 1.0 / math.sqrt(0.75)) <= 1e-12
 
     def test_swap_symmetric_exact_case(self):
         # k = 3 inner systems are one-dimensional, hence analytic: the
         # i<->j identity shows up as a pure float agreement
         m = ou_covariance([0.0, 0.4, 1.1])
         q = JQuery([0.3, 0.6, 0.45], m)
-        a = j_mixed_second(q, 0, 2, 1e-5, 3)
-        b = j_mixed_second(q, 2, 0, 1e-5, 4)
-        assert a.std_error == 0.0 and b.std_error == 0.0
-        assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
+        a, a_se = swapped_pair(q, 0, 2, 1e-5, 3)
+        b, b_se = swapped_pair(q, 2, 0, 1e-5, 4)
+        assert a_se == 0.0 and b_se == 0.0
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_swap_symmetric_statistical_case(self):
-        rng = np.random.default_rng(31)
-        m = random_nonneg_correlation(rng, 4)
-        q = JQuery(random_interior_x(rng, 4), m)
-        a = j_mixed_second(q, 1, 3, 2e-5, 5)
-        b = j_mixed_second(q, 3, 1, 2e-5, 6)
-        comb = max(np.hypot(a.std_error, b.std_error), 1e-9)
-        assert abs(a.value - b.value) <= max(3 * comb,
-                                             1e-3 * abs(a.value))
+        # the inner orthant of a pair has k - 2 coordinates: exact up to
+        # two (k = 4), a QMC estimate with a standard error from three
+        for k in (4, 5):
+            rng = np.random.default_rng(31)
+            m = random_nonneg_correlation(rng, k)
+            q = JQuery(random_interior_x(rng, k), m)
+            a, a_se = swapped_pair(q, 1, 3, 2e-5, 5)
+            b, b_se = swapped_pair(q, 3, 1, 2e-5, 6)
+            assert (a_se > 0.0 and b_se > 0.0) == (k == 5)
+            comb = max(np.hypot(a_se, b_se), 1e-9)
+            assert abs(a - b) <= max(3 * comb, 1e-3 * abs(a))
 
     def test_matches_finite_difference(self):
         m = ou_covariance([0.0, 0.5, 1.2])
         x = np.array([0.4, 0.65, 0.3])
-        q = JQuery(x, m)
-        cf = j_mixed_second(q, 0, 1, 1e-5, 7)
+        cf, cf_se = second(JQuery(x, m), 0, 1, 1e-5, 7)
         fd, fd_se = fdcheck.fd_mixed(x, m, 0, 1, 207)
-        assert fdcheck.agrees(cf.value, cf.std_error, fd, fd_se)
-
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            j_mixed_second(JQuery([0.5, 0.5], biv(0.2)), 1, 1, 1e-5, 1)
+        assert fdcheck.agrees(cf, cf_se, fd, fd_se)
 
     def test_nonnegative_under_nonneg_matrix(self):
         rng = np.random.default_rng(32)
@@ -145,22 +156,22 @@ class TestMixedSecond:
 
 class TestDiagSecond:
     def test_independence_zero(self):
-        est = j_diag_second(JQuery([0.3, 0.7], CorrelationMatrix.identity(2)),
-                            0, 1e-5, 1)
-        assert est.value == 0.0
+        value, _ = second(JQuery([0.3, 0.7], CorrelationMatrix.identity(2)),
+                          0, 0, 1e-5, 1)
+        assert value == 0.0
 
     def test_half_correlation(self):
-        est = j_diag_second(JQuery([0.5, 0.5], biv(0.5)), 0, 1e-5, 2)
-        assert abs(est.value - (-0.5 / math.sqrt(0.75))) <= 1e-12
+        value, _ = second(JQuery([0.5, 0.5], biv(0.5)), 0, 0, 1e-5, 2)
+        assert abs(value - (-0.5 / math.sqrt(0.75))) <= 1e-12
 
     def test_matches_finite_difference(self):
         m = ou_covariance([0.0, 0.5, 1.2])
         x = np.array([0.4, 0.65, 0.3])
-        q = JQuery(x, m)
+        ev = hadamard_hessian(JQuery(x, m), 1e-5, 10)
         for i in range(3):
-            cf = j_diag_second(q, i, 1e-5, 10 + i)
+            cf, cf_se = fdcheck.second_derivative(ev, i, i)
             fd, fd_se = fdcheck.fd_diag(x, m, i, 210 + i)
-            assert fdcheck.agrees(cf.value, cf.std_error, fd, fd_se)
+            assert fdcheck.agrees(cf, cf_se, fd, fd_se)
 
 
 class TestHadamardHessian:
@@ -206,19 +217,29 @@ class TestHadamardHessian:
             assert abs(np.linalg.eigvalsh(ev.hadamard_hessian)[-1] - lam) <= 1e-12
 
     def test_matches_finite_difference_hessian(self):
-        # every entry: hessian = m_ij * d2J/dx_i dx_j from coupled stencils
-        m = ou_covariance([0.0, 0.55, 1.15])
-        x = np.array([0.45, 0.7, 0.25])
-        ev = hadamard_hessian(JQuery(x, m), 1e-5, 6)
-        for i in range(3):
-            fd, se = fdcheck.fd_diag(x, m, i, 300 + i)
-            assert fdcheck.agrees(ev.hadamard_hessian[i, i],
-                                  ev.hessian_se[i, i], fd, se)
-            for j in range(i + 1, 3):
-                fd, se = fdcheck.fd_mixed(x, m, i, j, 310 + 3 * i + j)
-                w = m.entries[i, j]
-                assert fdcheck.agrees(ev.hadamard_hessian[i, j],
-                                      ev.hessian_se[i, j], w * fd, w * se)
+        # every entry: hessian = m_ij * d2J/dx_i dx_j from coupled stencils;
+        # the pair interactions are exact at k = 3 and QMC estimates with
+        # a standard error at k = 5
+        rng = np.random.default_rng(36)
+        m5 = random_nonneg_correlation(rng, 5)
+        cases = [(ou_covariance([0.0, 0.55, 1.15]),
+                  np.array([0.45, 0.7, 0.25]), 6, 300),
+                 (m5, random_interior_x(rng, 5), 7, 400)]
+        for m, x, seed, fd_seed in cases:
+            k = x.size
+            ev = hadamard_hessian(JQuery(x, m), 1e-5, seed)
+            off = ~np.eye(k, dtype=bool)
+            assert np.all(ev.mixed_se[off] > 0.0) == (k == 5)
+            for i in range(k):
+                fd, se = fdcheck.fd_diag(x, m, i, fd_seed + i)
+                assert fdcheck.agrees(ev.hadamard_hessian[i, i],
+                                      ev.hessian_se[i, i], fd, se)
+                for j in range(i + 1, k):
+                    fd, se = fdcheck.fd_mixed(x, m, i, j,
+                                              fd_seed + 10 + k * i + j)
+                    w = m.entries[i, j]
+                    assert fdcheck.agrees(ev.hadamard_hessian[i, j],
+                                          ev.hessian_se[i, j], w * fd, w * se)
 
     def test_rejects_negative_entries(self):
         m = CorrelationMatrix([[1.0, -0.3], [-0.3, 1.0]])
@@ -302,19 +323,19 @@ class TestFiniteDifferenceSweep:
             cf = j_grad(q, i, 1e-5, 800 + trial)
             fd, fd_se = fdcheck.fd_grad(x, m, i, 900 + trial)
             assert fdcheck.agrees(cf.value, cf.std_error, fd, fd_se)
-            cf2 = j_mixed_second(q, i, j, 1e-5, 810 + trial)
+            cf2, cf2_se = second(q, i, j, 1e-5, 810 + trial)
             fd2, fd2_se = fdcheck.fd_mixed(x, m, i, j, 910 + trial)
-            assert fdcheck.agrees(cf2.value, cf2.std_error, fd2, fd2_se)
+            assert fdcheck.agrees(cf2, cf2_se, fd2, fd2_se)
 
 
 class TestCapHit:
     def test_diag_second_carries_pair_cap(self, monkeypatch):
         q = JQuery([0.3, 0.5, 0.6], CorrelationMatrix.equicorrelated(3, 0.5))
-        assert not j_diag_second(q, 0, 1e-3, 1).cap_hit
+        assert not hadamard_hessian(q, 1e-3, 1).cap_hit
         real = jfunc.orthant_qmc
 
         def capped(*args, **kwargs):
             return dataclasses.replace(real(*args, **kwargs), cap_hit=True)
 
         monkeypatch.setattr(jfunc, "orthant_qmc", capped)
-        assert j_diag_second(q, 0, 1e-3, 1).cap_hit
+        assert hadamard_hessian(q, 1e-3, 1).cap_hit

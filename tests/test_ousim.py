@@ -994,12 +994,13 @@ class TestBlocksMatchSteps:
     def test_single_path(self, seed):
         # numpy takes a one-row product with the normal through a dot,
         # whose last bits differ from a batched product's in about a
-        # third of the points here, so a lone live row steps alone
+        # third of the points here; the projection sums the columns in
+        # a fixed order instead, so a lone live row may take a block
         args = ([SLANTED], 2.0, 4, 1, seed)
         assert ousim._survival_scan(*args) == _stepped_survival(*args)
 
     def test_cases_reach_their_edges(self, step_rows):
-        # the last live row steps alone, and the tiny ball loses every
+        # the scan ends on one live row, and the tiny ball loses every
         # path in the first step of a seven-step block
         ousim._survival_scan([LEAVING], 3.0, 151, 3000, 3)
         assert step_rows[-1] == 1 and len(step_rows) < 151
