@@ -9,6 +9,7 @@ affine image of the set, and a leaf's image is a leaf of the same kind.
 A leaf's Gaussian measure is its heat flow at t = inf. A composite's
 is exact in the plane, integrated along vertical chords
 (``_plane_measure``), and Monte Carlo in other dimensions.
+``exact_measure`` is the one place that says which measures are exact.
 """
 from __future__ import annotations
 
@@ -547,26 +548,32 @@ def _plane_measure(s: SetExpr, nodes: int = PLANE_NODES) -> float:
     return float(np.clip(weight @ (std_normal_pdf(u) * chords), 0.0, 1.0))
 
 
+def exact_measure(s: SetExpr) -> float | None:
+    """Standard Gaussian measure of ``s`` where it is exact, else None.
+
+    A leaf's measure in any dimension is its heat flow at t = inf, taken
+    from ``heat_flow`` at the origin; a composite in the plane is
+    integrated along vertical chords (``_plane_measure``). Composites in
+    other dimensions have no exact measure here.
+    """
+    try:
+        return float(heat_flow(s, math.inf, np.zeros(s.dim)))
+    except UnsupportedRegion:
+        return _plane_measure(s) if s.dim == 2 else None
+
+
 def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,
                      seed: int = 0) -> Estimate:
-    """Standard Gaussian measure of a set expression.
-
-    Leaves in any dimension and composites in the plane are exact
-    (std_error 0, samples 0): a leaf's measure is its heat flow at
-    t = inf, taken from ``heat_flow`` at the origin, and a 2-d composite
-    is integrated along vertical chords (``_plane_measure``). Composites
-    in other dimensions are a Monte Carlo indicator average of
-    ``samples`` draws.
+    """Standard Gaussian measure of a set expression: exact (std_error 0,
+    samples 0) where ``exact_measure`` is, else a Monte Carlo indicator
+    average of ``samples`` draws.
     """
     seed = check_seed(seed)
-    try:
-        value = heat_flow(s, math.inf, np.zeros(s.dim))
-    except UnsupportedRegion:
-        if s.dim != 2:
-            hits = indicator_hits(seed, "gaussian_measure", samples, s.dim,
-                                  lambda z: _contains(s, z))
-            return Estimate.binomial(hits, samples, seed)
-        value = _plane_measure(s)
+    value = exact_measure(s)
+    if value is None:
+        hits = indicator_hits(seed, "gaussian_measure", samples, s.dim,
+                              lambda z: _contains(s, z))
+        return Estimate.binomial(hits, samples, seed)
     return Estimate.exact(value, seed)
 
 

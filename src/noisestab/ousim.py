@@ -23,25 +23,47 @@ survival for every half-space arm and scans only the other arm;
 with one normal and scans only the other pair. Two arms or pairs that
 are both scanned reuse identical trajectories per path index (common
 random numbers), and so do the arms of ``exit_dominance_refined``; their
-margins carry a paired standard error. ``_combine`` joins the exact and
-the scanned arms of both pair calls under one rule and returns
-(estimate_a, estimate_b, paired_se). ``occupation`` stays the raw grid
+margins carry a paired standard error. ``occupation`` stays the raw grid
 scan, the oracle. Every estimator returns ``Estimate``s.
+
+The scanned estimates are post-stratified on the start set (Glasserman,
+*Monte Carlo Methods in Financial Engineering*, 2004, 4.3). An exit
+weight or occupation count is exactly 0 for a path that starts outside
+the scanned set A (or A_1), and the Gaussian measure mu(A) is exact for
+every leaf and every 2-d composite (``geometry.exact_measure``). So a
+scan estimates mu(A) sum(v) / n_in over the n_in paths that start in A.
+Given n_in those paths are iid draws from A, so the estimate is exactly
+unbiased, and it needs no extra draws. Its standard error comes from the
+per-path residual (mu / m)(v - q 1_A), with m = n_in / N and
+q = sum(v) / n_in. A set whose measure is Monte Carlo keeps the plain
+mean sum(v) / N: the same formula with mu replaced by m, whose variance
+the residual then includes. A scan in which no path starts in A gives
+0 +- 0. The raw-grid oracles (``exit_survival_refined`` and the raw
+drops) stay binomial frequencies.
+
+A scan tallies per-path columns (each arm's start indicator and its
+values) as column sums and cross-products (``_moments``). Every
+estimate, paired SE, refinement change and margin change is a linear
+combination of per-path residuals, read off those moments
+(``_Moments``, ``_Linear``); ``_compare`` joins the exact and the
+scanned arms of both pair calls under one rule and returns
+(estimate_a, estimate_b, paired_se). The columns of the arms of one
+block sit side by side, so two identical arms give a residual
+difference whose terms cancel in pairs: its standard error is exactly
+0.
 
 Both scans run on one shard loop (``_scan``). A scan splits its paths
 into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
 paths, else two per ``BATCH`` paths or part of it, so a scan of any
 useful size keeps every CPU busy. Shard i draws its paths from the
 stream keyed ("exit", i). Once fewer than 7/8 of a shard's paths are
-live, the loop drops the ones whose result is fixed and draws normals
-for the rest only. A dropped exit path adds 0 to every sum, so it is
-discarded; the occupation scan passes ``retire``, which tallies a
-dropped path's counts first. When rows drop depends only on the seed,
-the sizes and the sets. A shard advances a block of steps per round of
-numpy calls (about ``_BLOCK_NORMALS`` normals, drawn ahead) and keeps
-the steps up to the first after which rows would drop; the block's
-unused normals serve the next round. So every number is the one a
-loop of single steps gives, bit for bit. The shards run side by side
+live, the loop tallies the ones whose result is fixed, drops them and
+draws normals for the rest only. When rows drop depends only on the
+seed, the sizes and the sets. A shard advances a block of steps per
+round of numpy calls (about ``_BLOCK_NORMALS`` normals, drawn ahead)
+and keeps the steps up to the first after which rows would drop; the
+block's unused normals serve the next round. So every number is the one
+a loop of single steps gives, bit for bit. The shards run side by side
 on the shared thread pool (``seeding.fan_out``) and their sums are
 merged in shard order, so results do not depend on the number of
 workers.
@@ -63,7 +85,8 @@ from scipy import special
 
 from . import seeding
 from .gaussian import CorrelationMatrix, cholesky
-from .geometry import HalfSpace, SetExpr, boundary_distance, contains
+from .geometry import (HalfSpace, SetExpr, boundary_distance, contains,
+                       exact_measure)
 from .orthant import Estimate
 from .seeding import batches, check_seed, derive_rng, fan_out
 
@@ -256,14 +279,6 @@ def _commit(inside, alive):
     return k, np.logical_or.reduce(inside[:, k - 1])
 
 
-def _add(acc, key, x):
-    """Add the sum and the sum of squares of per-path values ``x``. The
-    squares are summed by ``einsum``, not a BLAS dot, which would leave
-    OpenBLAS's threads spinning."""
-    s, s2 = acc.get(key, (0.0, 0.0))
-    acc[key] = (s + float(x.sum()), s2 + float(np.einsum("i,i->", x, x)))
-
-
 def _shards(paths: int) -> list[tuple[int, int]]:
     """(index, count) of each shard of a ``paths``-path scan, in order:
     one shard below ``seeding.BATCH / 4`` paths, else twice as many as
@@ -276,18 +291,15 @@ def _shards(paths: int) -> list[tuple[int, int]]:
     return [(i, size + (i < extra)) for i in range(count)]
 
 
-def _merge(parts):
-    """Sum per-shard moment dicts in shard order, so each total has the
-    float association of one sequential pass over the shards."""
-    acc: dict = {}
-    for part in parts:
-        for key, (s, s2) in part.items():
-            t, t2 = acc.get(key, (0.0, 0.0))
-            acc[key] = (t + s, t2 + s2)
-    return acc
+def _moments(cols: np.ndarray):
+    """(sums, cross): the sum of each per-path column of ``cols``
+    (columns, paths) and of each product of two columns. Both are summed
+    by ``einsum``, not a BLAS product, which would leave OpenBLAS's
+    threads spinning."""
+    return np.einsum("ip->i", cols), np.einsum("ip,jp->ij", cols, cols)
 
 
-def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
+def _scan(dim, tau, steps, paths, seed, start, update, columns):
     """The shard loop of the OU grid scans: ``paths`` stationary paths
     in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau].
 
@@ -302,10 +314,11 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
     rest of the block's normals stay drawn for the next round. So every
     step sees the rows, the normals and the float operations of a loop
     that stepped one at a time: once fewer than ``_LIVE_SHARE`` of the
-    columns have a live row, the dead ones are dropped, after
-    ``retire(acc, *dead)`` when given, and a shard stops when none is
-    left. ``tally(acc, *arrays)`` adds the per-path moments to ``acc``
-    at the end. Returns the shard sums merged in shard order.
+    paths have a live row, the dead ones are dropped, and a shard stops
+    when none is left. ``columns(*arrays)`` gives the per-path columns
+    (columns, paths) of the paths it is passed: of the dropped ones when
+    they drop and of the rest at the end. Returns their ``_moments``,
+    summed per shard in that order and over the shards in shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
@@ -316,13 +329,13 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
         states = rng.standard_normal((c, dim))
         normals = _Lookahead(rng, max(_BLOCK_NORMALS, states.size))
         arrays = start(states)
-        acc: dict = {}
+        parts = []
         drop = _dropping(arrays[0].any(axis=0))
         i = 0
         while i < steps:
             if drop is not None:
-                if retire is not None:
-                    retire(acc, *(x.compress(~drop, 1) for x in arrays))
+                parts.append(_moments(columns(
+                    *(x.compress(~drop, 1) for x in arrays))))
                 states = states[drop]
                 arrays = [x.compress(drop, 1) for x in arrays]
                 if not len(states):
@@ -335,35 +348,109 @@ def _scan(dim, tau, steps, paths, seed, start, update, tally, retire=None):
             normals.take(k * block[0].size)
             states = block[k - 1]
             i += k
-        tally(acc, *arrays)
-        return acc
+        parts.append(_moments(columns(*arrays)))
+        return parts
 
-    return _merge(fan_out(shard, _shards(paths)))
+    sums = cross = 0.0
+    for parts in fan_out(shard, _shards(paths)):
+        for s, q in parts:
+            sums, cross = sums + s, cross + q
+    return sums, cross
 
 
-def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
+@dataclass(frozen=True, eq=False)
+class _Linear:
+    """An estimate read off a scan's column moments: its value, and the
+    weights on the scan's columns of its per-path residual, whose mean
+    is the estimate's error to first order. An exact value has weights
+    None. Differences of estimates of one scan are ``_Linear`` too."""
+    value: float
+    weights: np.ndarray | None = None
+
+    def __sub__(self, other: "_Linear") -> "_Linear":
+        a, b = self.weights, other.weights
+        return _Linear(self.value - other.value,
+                       a if b is None else -b if a is None else a - b)
+
+
+@dataclass(frozen=True, eq=False)
+class _Moments:
+    """The column moments of a scan over ``paths`` paths: ``sums`` and
+    ``cross`` of ``_moments``. The columns come in blocks of one column
+    per scanned arm (a region or an (A_1, A_2) pair); ``blocks`` maps a
+    block's name to its place, and two names may share one. The block
+    "start" holds each arm's start indicator: 1 for a path that starts
+    in the arm's scanned set (A or A_1), outside of which every value
+    column is 0."""
+    paths: int
+    sums: np.ndarray
+    cross: np.ndarray
+    blocks: dict
+    arms: int
+
+    def column(self, block: str, arm: int) -> int:
+        return self.blocks[block] * self.arms + arm
+
+    def total(self, block: str, arm: int) -> float:
+        return float(self.sums[self.column(block, arm)])
+
+    def mean(self, block: str, arm: int, measure: float | None,
+             scale: float = 1.0) -> _Linear:
+        """``scale`` times the mean of column (``block``, ``arm``),
+        post-stratified on the arm's start set A when its ``measure`` mu
+        is exact: mu q, q = sum(v) / n_in, with residual
+        (mu / m)(v - q 1_A), m = n_in / N; 0 with weights 0 when no path
+        starts in A. A Monte Carlo measure (None) puts m for mu, which
+        gives the plain mean sum(v) / N with residual v - sum(v) / N."""
+        v, s = self.column(block, arm), self.column("start", arm)
+        w = np.zeros(self.sums.size)
+        if measure is None:
+            w[v] = scale
+            return _Linear(float(scale * (self.sums[v] / self.paths)), w)
+        inside = self.sums[s]
+        if not inside:
+            return _Linear(0.0, w)
+        q = float(self.sums[v] / inside)
+        f = scale * measure * self.paths / inside
+        w[v], w[s] = f, -f * q
+        return _Linear(scale * measure * q, w)
+
+    def std_error(self, est: _Linear) -> float:
+        """Standard error of the mean per-path residual of ``est``."""
+        w = est.weights
+        if w is None:
+            return 0.0
+        mean = np.einsum("i,i->", w, self.sums) / self.paths
+        square = np.einsum("i,ij,j->", w, self.cross, w) / self.paths
+        return math.sqrt(max(square - mean * mean, 0.0) / self.paths)
+
+    def estimate(self, est: _Linear, seed: int) -> Estimate:
+        if est.weights is None:
+            return Estimate.exact(est.value, seed)
+        return Estimate(value=est.value,
+                        std_error=self.std_error(est), samples=self.paths,
+                        seed=seed)
+
+
+def _survival_scan(regions, tau, steps, paths, seed,
+                   refine: int = 1) -> _Moments:
     """Shared-trajectory exit scan for one or two regions at once.
 
     Simulates at ``steps * refine`` resolution and monitors each region
     on the full fine grid and on the coarse subgrid (every
     ``refine``-th point, including t=0), two ways: the raw grid
     indicator and the bridge-corrected per-path survival weight
-    (``_bridge_monitor``). ``refine`` must be an integer >= 1. Returns a
-    dict of per-path sums and sums of squares, keyed by quantity and
-    region index i:
+    (``_bridge_monitor``). ``refine`` must be an integer >= 1. Returns
+    the ``_Moments`` of these blocks of per-path columns, one column per
+    region:
 
-    - ``("v", i)``: coarse corrected weight of region i;
-    - ``("change", i)``: coarse minus fine corrected weight;
-    - ``"pair"``: coarse weight of region 1 minus region 0;
-    - ``"margin"``: ``pair`` on the coarse grid minus the same on the
-      fine grid;
-    - ``("raw", i)`` and ``("raw_fine", i)``: the raw grid indicators
-      on the coarse and the fine grid.
+    - "start": whether the path starts in the region;
+    - "coarse" and "fine": the corrected weight on each grid;
+    - "raw" and "raw_fine": the raw grid indicator on each grid.
 
-    Differences are taken per path because the corrected fine event no
-    longer nests inside the coarse one; identical regions give exactly
-    zero. A path whose raw indicators have all died (each region, fine
-    and coarse grid) adds 0 to every sum, so it is dropped untallied.
+    With ``refine`` 1 the fine grid is the coarse one, and so are its
+    blocks. The corrected fine event no longer nests inside the coarse
+    one, so a change is read per path, as a difference of blocks.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     if not (refine >= 1 and float(refine).is_integer()):
@@ -372,14 +459,18 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
     inv_fine = _inv_sinh(tau / (steps * refine))
     inv_coarse = _inv_sinh(tau / steps)
     r = len(regions)
+    blocks = ({"start": 0, "coarse": 1, "raw": 2, "fine": 3, "raw_fine": 4}
+              if refine > 1 else
+              {"start": 0, "coarse": 1, "raw": 2, "fine": 1, "raw_fine": 2})
 
     def start(states):
         # rows: each region on the fine grid, then on the coarse grid
         last = np.array([boundary_distance(reg, states)
                          for reg in regions] * min(refine, 2))
-        return last >= 0.0, np.ones_like(last), last
+        alive = last >= 0.0
+        return alive, np.ones_like(last), last, alive[:r].copy()
 
-    def update(i, block, alive, weight, last):
+    def update(i, block, alive, weight, last, _):
         b, cols, dim = block.shape
         pts = block.reshape(-1, dim)
         dist = [boundary_distance(reg, pts) for reg in regions]
@@ -403,55 +494,16 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1):
         alive[...] = inside[:, k - 1]
         return k, drop
 
-    def tally(acc, alive, weight, last):
+    def columns(alive, weight, last, begun):
         w = np.where(alive, weight, 0.0)
-        wf, wc = w[:r], w[-r:]
-        for idx in range(r):
-            _add(acc, ("v", idx), wc[idx])
-            _add(acc, ("change", idx), wc[idx] - wf[idx])
-            _add(acc, ("raw", idx), alive[-r + idx].astype(float))
-            _add(acc, ("raw_fine", idx), alive[idx].astype(float))
-        if r >= 2:
-            pair_c = wc[1] - wc[0]
-            _add(acc, "pair", pair_c)
-            _add(acc, "margin", pair_c - (wf[1] - wf[0]))
+        parts = [begun, w[-r:], alive[-r:]]
+        if refine > 1:
+            parts += [w[:r], alive[:r]]
+        return np.concatenate(parts, dtype=float)
 
-    return _scan(regions[0].dim, tau, steps * refine, paths, seed, start,
-                 update, tally)
-
-
-def _mean_se(moments, paths: int) -> tuple[float, float]:
-    """Mean and standard error of a per-path quantity from its
-    (sum, sum of squares) over ``paths`` paths."""
-    total, total2 = moments
-    mean = total / paths
-    var = max(total2 / paths - mean * mean, 0.0)
-    return float(mean), math.sqrt(var / paths)
-
-
-def _estimate(acc, key, scale, paths, seed) -> Estimate:
-    """``scale`` times the mean of the per-path quantity ``key`` of a
-    scan over ``paths`` paths, with its standard error."""
-    mean, se = _mean_se(acc[key], paths)
-    return Estimate(value=scale * mean, std_error=scale * se, samples=paths,
-                    seed=seed)
-
-
-def _combine(exact, estimate, seed):
-    """The two arms of a comparison and the standard error of their
-    difference (b minus a). ``exact`` holds each arm's exact value, or
-    None for a scanned arm; ``estimate(key)`` reads the scan. Two scanned
-    arms share trajectories, so their SE is that of the mean per-path
-    difference (``"pair"``) under common random numbers. Otherwise the
-    scan carried one arm as ``("v", 0)``, an exact arm has std_error 0
-    and samples 0, and the SE is the hypot of the two.
-    """
-    if all(value is None for value in exact):
-        return (estimate(("v", 0)), estimate(("v", 1)),
-                estimate("pair").std_error)
-    est_a, est_b = (estimate(("v", 0)) if value is None else
-                    Estimate.exact(value, seed) for value in exact)
-    return est_a, est_b, math.hypot(est_a.std_error, est_b.std_error)
+    sums, cross = _scan(regions[0].dim, tau, steps * refine, paths, seed,
+                        start, update, columns)
+    return _Moments(int(paths), sums, cross, blocks, r)
 
 
 def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
@@ -460,16 +512,20 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
 
     Each path's weight is the product over grid steps of the probability
     that the bridge between consecutive grid states stays inside (see
-    ``_bridge_monitor``); the estimate is the mean weight. Exact up to
-    Monte Carlo error for a half-space through the origin, with an O(d)
-    bias at step d = tau/steps for other sets. The state at t=0 is
-    checked too, so an initial draw outside the set counts as an
-    immediate exit.
+    ``_bridge_monitor``). Exact up to Monte Carlo error for a half-space
+    through the origin, with an O(d) bias at step d = tau/steps for other
+    sets. The state at t=0 is checked too, so a path that starts outside
+    the set weighs 0. So where ``geometry.exact_measure`` gives mu(s),
+    the estimate is post-stratified on the start set: mu(s) times the
+    mean weight of the paths that start in s (``_Moments.mean``):
+    unbiased, with a standard error no larger, to first order, than that
+    of the mean weight of all paths, and with no extra draws. Where the measure is Monte Carlo (a
+    composite outside the plane), the estimate is that plain mean.
     """
     paths = int(paths)
     seed = check_seed(seed)
-    acc = _survival_scan([s], tau, steps, paths, seed)
-    return _estimate(acc, ("v", 0), 1.0, paths, seed)
+    m = _survival_scan([s], tau, steps, paths, seed)
+    return m.estimate(m.mean("coarse", 0, exact_measure(s)), seed)
 
 
 # The half-space oracle solves on (c - width, c], width = min(9, 12
@@ -654,39 +710,51 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
                           refine: int = 2):
     """The raw grid monitor, kept as the oracle: the frequency of paths
     inside ``s`` at every grid time, at ``steps`` and at ``steps *
-    refine`` on shared trajectories.
+    refine`` on shared trajectories, with binomial standard errors.
 
     Raw grid survival over-estimates continuous-time survival by a bias
     of order sqrt(tau/steps). The fine event is a subset of the coarse
     one path by path, so the returned (coarse, fine, change, change_se)
     has change >= 0 exactly; change measures that bias at ``steps``.
     """
-    acc = _survival_scan([s], tau, steps, paths, seed, refine=refine)
+    m = _survival_scan([s], tau, steps, paths, seed, refine=refine)
     paths = int(paths)
-    coarse, fine = acc[("raw", 0)][0], acc[("raw_fine", 0)][0]
+    coarse, fine = m.total("raw", 0), m.total("raw_fine", 0)
     ce, fe, drop = (Estimate.binomial(count, paths, seed)
                     for count in (coarse, fine, coarse - fine))
     return ce, fe, drop.value, drop.std_error
 
 
+def _compare(m: _Moments | None, a: _Linear, b: _Linear, seed):
+    """(estimate_a, estimate_b, paired_se) of two arms, exact or read off
+    the scan ``m``: paired_se is the standard error of b minus a. Two
+    scanned arms share trajectories, so it comes from their per-path
+    residual difference under common random numbers (0 for identical
+    arms); an exact arm adds no error."""
+    if m is None:
+        return (Estimate.exact(a.value, seed), Estimate.exact(b.value, seed),
+                0.0)
+    return m.estimate(a, seed), m.estimate(b, seed), m.std_error(b - a)
+
+
 def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
     """Survival over [0, tau] of two sets: exact for a half-space arm
     (``halfspace_survival``, std_error 0 and samples 0), and the
-    bridge-corrected estimate of ``exit_survival`` for any other arm.
-    Returns (estimate_a, estimate_b, paired_se), paired_se the SE of b
-    minus a (``_combine``): from per-path differences under common random
-    numbers when both arms are scanned (0 for identical sets), else the
-    hypot of the two SEs. The scan carries the scanned arms only.
+    post-stratified bridge-corrected estimate of ``exit_survival`` for
+    any other arm. Returns (estimate_a, estimate_b, paired_se),
+    paired_se the SE of b minus a (``_compare``). The scan carries the
+    scanned arms only.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
     scanned = [s for s in (a, b) if not isinstance(s, HalfSpace)]
-    acc = _survival_scan(scanned, tau, steps, paths, seed) if scanned else None
-    exact = [halfspace_survival(s.offset, tau) if isinstance(s, HalfSpace)
-             else None for s in (a, b)]
-    return _combine(exact, lambda key: _estimate(acc, key, 1.0, paths, seed),
-                    seed)
+    m = _survival_scan(scanned, tau, steps, paths, seed) if scanned else None
+    arm = iter(range(len(scanned)))
+    return _compare(m, *(
+        _Linear(halfspace_survival(s.offset, tau)) if isinstance(s, HalfSpace)
+        else m.mean("coarse", next(arm), exact_measure(s)) for s in (a, b)),
+        seed)
 
 
 @dataclass(frozen=True)
@@ -717,40 +785,42 @@ class DominanceRefinement:
 def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
                            refine: int = 2) -> DominanceRefinement:
     """One coupled pass evaluating both arms at ``steps`` and at
-    ``steps * refine`` on the same trajectories."""
+    ``steps * refine`` on the same trajectories, each arm
+    post-stratified on its start set as in ``exit_survival``."""
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
-    acc = _survival_scan([a, b], tau, steps, paths, seed, refine=refine)
-    ch_a, ch_a_se = _mean_se(acc[("change", 0)], paths)
-    ch_b, ch_b_se = _mean_se(acc[("change", 1)], paths)
-    margin, margin_se = _mean_se(acc["margin"], paths)
+    m = _survival_scan([a, b], tau, steps, paths, seed, refine=refine)
+    mu_a, mu_b = exact_measure(a), exact_measure(b)
+    coarse_a, fine_a = (m.mean(grid, 0, mu_a) for grid in ("coarse", "fine"))
+    coarse_b, fine_b = (m.mean(grid, 1, mu_b) for grid in ("coarse", "fine"))
+    change_a, change_b = coarse_a - fine_a, coarse_b - fine_b
+    margin = change_b - change_a
 
-    def raw_drop(idx):
-        return (acc[("raw", idx)][0] - acc[("raw_fine", idx)][0]) / paths
+    def raw_drop(arm):
+        return (m.total("raw", arm) - m.total("raw_fine", arm)) / paths
 
+    est_a, est_b, paired_se = _compare(m, coarse_a, coarse_b, seed)
     return DominanceRefinement(
-        est_a=_estimate(acc, ("v", 0), 1.0, paths, seed),
-        est_b=_estimate(acc, ("v", 1), 1.0, paths, seed),
-        paired_se=_mean_se(acc["pair"], paths)[1],
-        change_a=ch_a, change_a_se=ch_a_se,
-        change_b=ch_b, change_b_se=ch_b_se,
-        margin_change=margin, margin_change_se=margin_se,
+        est_a=est_a, est_b=est_b, paired_se=paired_se,
+        change_a=change_a.value, change_a_se=m.std_error(change_a),
+        change_b=change_b.value, change_b_se=m.std_error(change_b),
+        margin_change=margin.value, margin_change_se=m.std_error(margin),
         raw_drop_a=raw_drop(0), raw_drop_b=raw_drop(1))
 
 
-def _occupation_scan(pairs, tau, steps, paths, seed):
+def _occupation_scan(pairs, tau, steps, paths, seed) -> _Moments:
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
-    on shared trajectories. Returns per-path sums and sums of squares
-    keyed ``("v", i)`` for pair i and, with two pairs, ``"pair"`` for
-    the count difference (pair 1 minus pair 0). A path that has left
-    every A_1 is dropped; ``retire`` adds its integer counts first.
+    on shared trajectories: the ``_Moments`` of the blocks "start"
+    (whether the path starts in A_1) and "count" (its step count), one
+    column per pair. A path that has left every A_1 is dropped with its
+    counts tallied.
     """
     def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
-        return alive, np.zeros(alive.shape, dtype=np.int64)
+        return alive, np.zeros(alive.shape, dtype=np.int64), alive.copy()
 
-    def update(i, block, alive, counts):
+    def update(i, block, alive, counts, _):
         b, cols, dim = block.shape
         pts = block.reshape(-1, dim)
         inside = np.empty((len(pairs), b, cols), dtype=bool)
@@ -766,14 +836,13 @@ def _occupation_scan(pairs, tau, steps, paths, seed):
         alive[...] = inside[:, k - 1]
         return k, drop
 
-    def tally(acc, alive, counts):
-        for idx, row in enumerate(counts):
-            _add(acc, ("v", idx), row)
-        if len(counts) >= 2:
-            _add(acc, "pair", counts[1] - counts[0])
+    def columns(alive, counts, begun):
+        return np.concatenate([begun, counts], dtype=float)
 
-    return _scan(pairs[0][0].dim, tau, steps, paths, seed, start, update,
-                 tally, retire=tally)
+    sums, cross = _scan(pairs[0][0].dim, tau, steps, paths, seed, start,
+                        update, columns)
+    return _Moments(int(paths), sums, cross, {"start": 0, "count": 1},
+                    len(pairs))
 
 
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
@@ -781,13 +850,20 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
     """Time-discretized occupation: (tau/steps) * sum over grid times of
     the frequency of {inside A_1 strictly before, inside A_2 now}.
 
-    Faithful to the raw functional: A_2 is not forced inside A_1.
+    Faithful to the raw functional: A_2 is not forced inside A_1. A path
+    that starts outside A_1 counts 0, so where ``geometry.exact_measure``
+    gives mu(A_1), the estimate is post-stratified on A_1 as in
+    ``exit_survival``: mu(A_1) times the mean count of the paths that
+    start in A_1, unbiased, with a standard error no larger, to first
+    order, than that of the plain mean count, which is kept where
+    mu(A_1) is Monte Carlo.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
-    acc = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
-    return _estimate(acc, ("v", 0), tau / steps, paths, seed)
+    m = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
+    return m.estimate(m.mean("count", 0, exact_measure(a1), tau / steps),
+                      seed)
 
 
 def _parallel(pair) -> bool:
@@ -800,23 +876,25 @@ def _parallel(pair) -> bool:
 def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     """Occupation of two set pairs: exact for two half-spaces with one
     normal (``halfspace_occupation``, std_error 0 and samples 0), and the
-    grid scan of ``occupation`` for any other pair. Returns (estimate_a,
-    estimate_b, paired_se), paired_se the SE of B minus A as in
-    ``exit_survival_pair`` (``_combine``). The scan carries the scanned
-    pairs only.
+    post-stratified grid scan of ``occupation`` for any other pair.
+    Returns (estimate_a, estimate_b, paired_se), paired_se the SE of B
+    minus A as in ``exit_survival_pair`` (``_compare``). The scan
+    carries the scanned pairs only.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
     pairs = (pair_a, pair_b)
-    exact = [halfspace_occupation(p[0].offset, p[1].offset, tau)
+    exact = [_Linear(halfspace_occupation(p[0].offset, p[1].offset, tau))
              if _parallel(p) else None for p in pairs]
     scanned = [p for p, value in zip(pairs, exact) if value is None]
-    acc = (_occupation_scan(scanned, tau, steps, paths, seed) if scanned
-           else None)
-    return _combine(
-        exact, lambda key: _estimate(acc, key, tau / steps, paths, seed),
-        seed)
+    m = (_occupation_scan(scanned, tau, steps, paths, seed) if scanned
+         else None)
+    arm = iter(range(len(scanned)))
+    return _compare(m, *(
+        value if value is not None else
+        m.mean("count", next(arm), exact_measure(p[0]), tau / steps)
+        for p, value in zip(pairs, exact)), seed)
 
 
 # ---------------------------------------------------------------------------

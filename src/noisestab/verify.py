@@ -219,7 +219,10 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     matched half-space, per horizon. A Monte Carlo measure of A makes
     the matched offset noisy; that noise reaches the rhs standard error
     (``_offset_se``), and the margin combines both sides in quadrature.
-    The horizons run one after another, each scan on every CPU."""
+    The horizons run one after another, each scan on every CPU. Every
+    horizon's scan draws from the same shard streams ("exit", i) at the
+    same seed, so the lhs errors of the horizons are correlated: each
+    verdict stands alone, but they are not independent trials."""
     s = cfg.sampling
     (mu,) = _measures((a,), s.samples, s.seed)
     (b,) = _matched_halfspaces([mu], a.dim)
@@ -238,12 +241,15 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
 def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
                       cfg: ExperimentConfig) -> list[ComparisonResult]:
     """Scanned occupation of (A_1, A_2) against the exact occupation of
-    the matched parallel half-spaces, per horizon, each horizon an
-    independent scan at the same seed, run one after another, each scan
-    on every CPU. Monte Carlo measures make the matched offsets noisy;
-    that noise reaches the rhs standard error through each offset
-    (``_offset_se``; the measures are independent), and the margin
-    combines both sides in quadrature."""
+    the matched parallel half-spaces, per horizon, the horizons run one
+    after another, each scan on every CPU. As in
+    ``verify_exit_dominance``, every horizon's scan draws from the same
+    shard streams ("exit", i) at the same seed, so the lhs errors of
+    the horizons are correlated: each verdict stands alone, but they are
+    not independent trials. Monte Carlo measures make the matched
+    offsets noisy; that noise reaches the rhs standard error through
+    each offset (``_offset_se``; the measures are independent), and the
+    margin combines both sides in quadrature."""
     s = cfg.sampling
     mus = _measures((a1, a2), s.samples, s.seed)
     b1, b2 = _matched_halfspaces(mus, a1.dim)

@@ -24,7 +24,7 @@ from noisestab import (
     std_normal_cdf,
 )
 from noisestab.geometry import CHNDTR_MAX, PLANE_NODES, _ball_flow_far, \
-    _plane_measure
+    _plane_measure, exact_measure
 
 HALF_BALL_RADIUS = math.sqrt(2.0 * math.log(2.0))  # measure 1/2 in R^2
 
@@ -252,6 +252,20 @@ class TestGaussianMeasure:
         est = gaussian_measure(Union((ball,)), samples=50_000, seed=1)
         assert est.samples == 50_000 and est.std_error > 0.0
         assert abs(est.value - exact.value) <= 3 * est.std_error
+
+    def test_exact_measure_is_the_exact_branch(self):
+        # exact_measure gives the measure exactly where gaussian_measure
+        # reports no samples, and None where it falls back to Monte Carlo
+        ball = Ball(np.array([1.0, 0.0]), 1.0)
+        for s in (HalfSpace(np.array([0.6, 0.8]), 0.3), ball,
+                  AxisBox(np.array([-1.0, 0.0]), np.array([0.5, np.inf])),
+                  Union((ball,)), Complement(ball),
+                  Ball(np.zeros(3), 1.5), Union((Ball(np.zeros(3), 1.5),))):
+            est = gaussian_measure(s, samples=10_000, seed=2)
+            if est.samples:
+                assert exact_measure(s) is None and s.dim != 2
+            else:
+                assert exact_measure(s) == est.value
 
     def test_analytic_vs_mc_agreement(self):
         rng = np.random.default_rng(14)

@@ -347,8 +347,8 @@ class TestHalfspaceSurvival:
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
         assert (a.value, a.std_error, b.value, b.std_error, paired) == (
-            0.07556209498624514, 0.0009325256202445993, 0.154579518240423,
-            0.0012952718081987232, 0.0008506724184069206)
+            0.0755469855891273, 0.0008875558421821087, 0.15488190672498134,
+            0.0012061182098859512, 0.000852524035967316)
 
     def test_equal_for_one_and_two_workers(self, monkeypatch):
         # the horizons run on pool threads, each diagonalising its grids
@@ -848,10 +848,10 @@ HS_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
 HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
 
 
-def _stepped_scan(dim, tau, steps, paths, seed, start, update, tally,
-                  retire=None):
+def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns):
     """The shard loop as it ran before blocks: one step per round, the
-    normals of each step drawn when it is taken."""
+    normals of each step drawn when it is taken. Returns the moment sums
+    and cross-products, as ``ousim._scan`` does."""
     _, steps, decay, scale = ousim._grid_params(tau, steps)
 
     def shard(part):
@@ -859,12 +859,12 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, tally,
         rng = seeding.derive_rng(seed, "exit", index)
         states = rng.standard_normal((c, dim))
         arrays = start(states)
-        acc = {}
+        parts = []
         for i in range(1, steps + 1):
             live = arrays[0].any(axis=0)
             if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
-                if retire is not None:
-                    retire(acc, *(x.compress(~live, 1) for x in arrays))
+                parts.append(ousim._moments(columns(
+                    *(x.compress(~live, 1) for x in arrays))))
                 states = states[live]
                 arrays = [x.compress(live, 1) for x in arrays]
                 if not len(states):
@@ -874,10 +874,14 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, tally,
             z *= scale
             states += z
             update(i, states, *arrays)
-        tally(acc, *arrays)
-        return acc
+        parts.append(ousim._moments(columns(*arrays)))
+        return parts
 
-    return ousim._merge(shard(part) for part in ousim._shards(paths))
+    sums = cross = 0.0
+    for part in ousim._shards(paths):
+        for s, q in shard(part):
+            sums, cross = sums + s, cross + q
+    return sums, cross
 
 
 def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
@@ -890,7 +894,7 @@ def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
     def start(states):
         last = np.array([boundary_distance(reg, states)
                          for reg in regions] * min(refine, 2))
-        return last >= 0.0, np.ones_like(last), last
+        return last >= 0.0, np.ones_like(last), last, last[:r] >= 0.0
 
     def monitor(alive, weight, a0, a1, inv):
         alive &= a1 >= 0.0
@@ -900,7 +904,7 @@ def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
             near = np.flatnonzero(alive & (x > -40.0))
             weight[near] *= -np.expm1(x[near])
 
-    def update(i, states, alive, weight, last):
+    def update(i, states, alive, weight, last, begun):
         on_coarse = refine > 1 and i % refine == 0
         for idx, reg in enumerate(regions):
             a1 = boundary_distance(reg, states)
@@ -909,41 +913,39 @@ def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
                 monitor(alive[row], weight[row], last[row], a1, inv)
                 last[row] = a1
 
-    def tally(acc, alive, weight, last):
+    def columns(alive, weight, last, begun):
+        # start, coarse weight, coarse raw, then fine weight and raw
         w = np.where(alive, weight, 0.0)
-        wf, wc = w[:r], w[-r:]
-        for idx in range(r):
-            ousim._add(acc, ("v", idx), wc[idx])
-            ousim._add(acc, ("change", idx), wc[idx] - wf[idx])
-            ousim._add(acc, ("raw", idx), alive[-r + idx].astype(float))
-            ousim._add(acc, ("raw_fine", idx), alive[idx].astype(float))
-        if r >= 2:
-            ousim._add(acc, "pair", wc[1] - wc[0])
-            ousim._add(acc, "margin", (wc[1] - wc[0]) - (wf[1] - wf[0]))
+        rows = [begun, w[-r:], alive[-r:]]
+        if refine > 1:
+            rows += [w[:r], alive[:r]]
+        return np.vstack(rows).astype(float)
 
     return _stepped_scan(regions[0].dim, tau, steps * refine, paths, seed,
-                         start, update, tally)
+                         start, update, columns)
 
 
 def _stepped_occupation(pairs, tau, steps, paths, seed):
     """``ousim._occupation_scan`` stepped one step at a time."""
     def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
-        return alive, np.zeros(alive.shape, dtype=np.int64)
+        return alive, np.zeros(alive.shape, dtype=np.int64), alive.copy()
 
-    def update(i, states, alive, counts):
+    def update(i, states, alive, counts, begun):
         for idx, (a1, a2) in enumerate(pairs):
             counts[idx] += alive[idx] & contains(a2, states)
             alive[idx] &= contains(a1, states)
 
-    def tally(acc, alive, counts):
-        for idx, row in enumerate(counts):
-            ousim._add(acc, ("v", idx), row)
-        if len(counts) >= 2:
-            ousim._add(acc, "pair", counts[1] - counts[0])
+    def columns(alive, counts, begun):
+        return np.vstack([begun, counts]).astype(float)
 
     return _stepped_scan(pairs[0][0].dim, tau, steps, paths, seed, start,
-                         update, tally, retire=tally)
+                         update, columns)
+
+
+def _same_moments(m, reference):
+    sums, cross = reference
+    return np.array_equal(m.sums, sums) and np.array_equal(m.cross, cross)
 
 
 # a half-space that every path leaves by tau = 3, the last one alone, and
@@ -980,15 +982,16 @@ class TestBlocksMatchSteps:
     def test_exit(self, case, paths):
         regions, tau, steps, refine = self.EXIT[case]
         args = (regions, tau, steps, paths, 3)
-        assert (ousim._survival_scan(*args, refine=refine)
-                == _stepped_survival(*args, refine=refine))
+        assert _same_moments(ousim._survival_scan(*args, refine=refine),
+                             _stepped_survival(*args, refine=refine))
 
     @pytest.mark.parametrize("paths", [3000, 40_000])
     @pytest.mark.parametrize("case", sorted(OCCUPATION))
     def test_occupation(self, case, paths):
         pairs, tau, steps = self.OCCUPATION[case]
         args = (pairs, tau, steps, paths, 3)
-        assert ousim._occupation_scan(*args) == _stepped_occupation(*args)
+        assert _same_moments(ousim._occupation_scan(*args),
+                             _stepped_occupation(*args))
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_single_path(self, seed):
@@ -997,7 +1000,8 @@ class TestBlocksMatchSteps:
         # third of the points here; the projection sums the columns in
         # a fixed order instead, so a lone live row may take a block
         args = ([SLANTED], 2.0, 4, 1, seed)
-        assert ousim._survival_scan(*args) == _stepped_survival(*args)
+        assert _same_moments(ousim._survival_scan(*args),
+                             _stepped_survival(*args))
 
     def test_cases_reach_their_edges(self, step_rows):
         # the scan ends on one live row, and the tiny ball loses every
@@ -1007,6 +1011,89 @@ class TestBlocksMatchSteps:
         step_rows.clear()
         ousim._occupation_scan([(TINY, TINY)], 3.0, 7, 3000, 3)
         assert step_rows == [3]
+
+
+# the Gaussian measure of an n = 3 composite is Monte Carlo
+SLAB_BALL = Intersection((Ball(np.zeros(3), 1.5),
+                          HalfSpace(np.array([1.0, 0.0, 0.0]), 0.3)))
+
+
+class TestPostStratification:
+    """The scanned estimates are mu(A) times the mean value of the paths
+    that start in A, where mu(A) is exact, and the plain mean where it
+    is Monte Carlo."""
+
+    POINT = Ball(np.zeros(2), 0.0)
+
+    def test_no_path_starts_inside(self):
+        # the tiny ball holds 0.1% of the mass: none of 20 paths starts in
+        # it, and no path starts in the point
+        assert ousim._survival_scan([TINY], 0.5, 8, 20, 1).total(
+            "start", 0) == 0.0
+        for s, paths in ((TINY, 20), (self.POINT, 3000)):
+            results = [exit_survival(s, 0.5, 8, paths, 1),
+                       occupation(s, FULL, 0.5, 8, paths, 1)]
+            a, b, paired = exit_survival_pair(s, self.POINT, 0.5, 8, paths, 1)
+            results += [a, b]
+            assert paired == 0.0
+            a, b, paired = occupation_pair((s, FULL), (self.POINT, s), 0.5,
+                                           8, paths, 1)
+            results += [a, b]
+            assert paired == 0.0
+            for est in results:
+                assert (est.value, est.std_error) == (0.0, 0.0)
+                assert est.samples == paths
+
+    def test_identical_arms_pair_exactly(self):
+        a, b, paired = exit_survival_pair(HALF_BALL, HALF_BALL, 0.5, 32,
+                                          20_000, 3)
+        assert a == b and a.std_error > 0.0 and paired == 0.0
+        pair = (BALL_06, BALL_03)
+        a, b, paired = occupation_pair(pair, pair, 0.5, 32, 20_000, 4)
+        assert a == b and a.std_error > 0.0 and paired == 0.0
+        r = exit_dominance_refined(HALF_BALL, HALF_BALL, 0.5, 32, 20_000, 5)
+        assert r.est_a == r.est_b and r.paired_se == 0.0
+        assert r.change_a == r.change_b and r.change_a_se > 0.0
+        assert r.margin_change == 0.0 and r.margin_change_se == 0.0
+
+    def test_monte_carlo_measure_keeps_the_plain_mean(self):
+        assert ousim.exact_measure(SLAB_BALL) is None
+        m = ousim._survival_scan([SLAB_BALL], 0.5, 32, 20_000, 6)
+        est = exit_survival(SLAB_BALL, 0.5, 32, 20_000, 6)
+        m2 = ousim._occupation_scan([(SLAB_BALL, Ball(np.zeros(3), 1.0))],
+                                    0.5, 32, 20_000, 7)
+        occ = occupation(SLAB_BALL, Ball(np.zeros(3), 1.0), 0.5, 32, 20_000,
+                         7)
+        for moments, block, scale, got in ((m, "coarse", 1.0, est),
+                                           (m2, "count", 0.5 / 32, occ)):
+            v = moments.column(block, 0)
+            mean = moments.sums[v] / 20_000
+            var = moments.cross[v, v] / 20_000 - mean * mean
+            assert got.value == pytest.approx(scale * mean, rel=1e-12)
+            assert got.std_error == pytest.approx(
+                scale * math.sqrt(var / 20_000), rel=1e-12)
+            assert mean > 0.0
+
+    def test_calibrated_on_origin_halfspace(self):
+        # the bridge-corrected survival in a half-space through the origin
+        # is exact, so z = (estimate - exact) / SE is a standard normal
+        # draw per seed, up to the Monte Carlo error of the SE itself
+        exact = halfspace_survival(0.0, 0.5)
+        z = [(est.value - exact) / est.std_error
+             for est in (exit_survival(HS0, 0.5, 64, 20_000, seed)
+                         for seed in range(1, 61))]
+        assert abs(np.mean(z)) <= 0.5
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+    def test_smaller_se_on_the_short_horizon_ball(self):
+        # the short-horizon exit scan of the ou-scan benchmark: a centred
+        # ball of measure 1/2 at tau = 0.1, where half the paths start
+        # outside and the survival is 0.29
+        ball = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
+        m = ousim._survival_scan([ball], 0.1, 512, 25_000, 1)
+        post = m.std_error(m.mean("coarse", 0, 0.5))
+        plain = m.std_error(m.mean("coarse", 0, None))
+        assert post <= 0.8 * plain
 
 
 def _occupation_case():
@@ -1047,27 +1134,27 @@ class TestWorkerCount:
     # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10933325892857143, 0.0006034230066861466, 0.03583415178571429,
-            0.00029182173316425955, 0.0005809942635962284),
+            0.10938534718913771, 0.0005003766380038017, 0.03585122379704622,
+            0.00027015820736271527, 0.0005350859038445356),
         ("occupation_pair", 7000): (
-            0.11021830357142857, 0.0006033683261911618, 0.03592857142857143,
-            0.0002926905334697986, 0.0005803096029366175),
+            0.10957909220026042, 0.0004971348827375809, 0.035720203574387516,
+            0.000269631993438409, 0.0005307203430095038),
         ("exit_dominance_refined", seeding.BATCH): (
-            0.07654700131578154, 0.20667975544946265, 0.001877412881834101,
-            -7.566092418207599e-05, -0.0002608667013970058,
-            -0.00018520577721492976, 0.00026345069515666696),
+            0.07681475560675363, 0.2064909637112124, 0.0016338996073577488,
+            -7.59255790577229e-05, -0.0002606284125626912,
+            -0.0001847028335049683, 0.0002638407282456215),
         ("exit_dominance_refined", 7000): (
-            0.07608077334458895, 0.20745887854710962, 0.0018781705793529718,
-            -0.00013695744385805206, 7.774854949320178e-05,
-            0.00021470599335125386, 0.00025807103123536034),
+            0.07620705932861921, 0.20730488063578015, 0.0016341696959488218,
+            -0.0001371847786340724, 7.76908363005202e-05,
+            0.00021487561493459262, 0.00025820652267752466),
         ("exit_survival", seeding.BATCH): (
-            0.07624570719635078, 0.0009359245086905315),
+            0.07623046110412994, 0.000890293285632177),
         ("exit_survival", 7000): (
-            0.07767008386343208, 0.0009444813490762622),
+            0.0772946526932079, 0.0008938220138561207),
         ("occupation", seeding.BATCH): (
-            0.10796875, 0.0006005506000316225),
+            0.10833243746864477, 0.000500382833968208),
         ("occupation", 7000): (
-            0.10899888392857143, 0.0006038311746128828),
+            0.10942616705708007, 0.0005023144271728223),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))

@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.17168272958453543, 0.00137743752640556, 0.28417173094549586, 0.0,
-     81.66541073880995),
-    (0.07620328308088112, 0.0009359587855871641, 0.20743930276397543, 0.0,
-     140.21559678054066),
+    (0.1726346865704812, 0.001219819060395461, 0.28417173094549586, 0.0,
+     91.43736804608935),
+    (0.07662581974404109, 0.0008949589891671309, 0.20743930276397543, 0.0,
+     146.16701391163448),
 ]
 
 
