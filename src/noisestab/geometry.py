@@ -2,7 +2,8 @@
 
 Leaves are closed half-spaces, balls, and axis-aligned boxes; nodes are
 complement, intersection, and union. Indicator evaluation is exact and
-vectorized, as is a signed distance to the boundary. Heat flow has a
+vectorized, as is a signed distance to the boundary, whose level sets
+are set expressions again (``level_set``). Heat flow has a
 closed form for every leaf, in any dimension, in ``heat_flow``, the only
 place with leaf formulas: the heat flow at a point is the measure of an
 affine image of the set, and a leaf's image is a leaf of the same kind.
@@ -317,6 +318,40 @@ def boundary_distance(s: SetExpr, x) -> float | np.ndarray:
     """
     out = _distance(s, _points(s, x))
     return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def _empty(dim: int) -> HalfSpace:
+    """The empty set in R^dim: {x : x_1 <= -inf}, of measure exactly 0."""
+    return HalfSpace(np.eye(dim)[0], -math.inf)
+
+
+def level_set(s: SetExpr, delta: float) -> SetExpr:
+    """The set {x : boundary_distance(s, x) >= delta}, for any real delta.
+
+    A ball's radius becomes radius - delta and a half-space's offset
+    offset - delta. A box moves each face inwards by delta (outwards for
+    a negative delta), which is exact on both sides of its boundary:
+    outside it the distance is minus the largest face violation. An
+    intersection or a union takes the level sets of its parts, and a
+    complement the complement of its inner set's level set at -delta,
+    which differs from the level set only on {distance = delta}. A level
+    set with no point is ``_empty``.
+    """
+    delta = float(delta)
+    if isinstance(s, HalfSpace):
+        return HalfSpace(s.normal, s.offset - delta)
+    if isinstance(s, Ball):
+        radius = s.radius - delta
+        return Ball(s.center, radius) if radius >= 0.0 else _empty(s.dim)
+    if isinstance(s, AxisBox):
+        lower, upper = s.lower + delta, s.upper - delta
+        return AxisBox(lower, upper) if np.all(lower <= upper) \
+            else _empty(s.dim)
+    if isinstance(s, Complement):
+        return Complement(level_set(s.inner, -delta))
+    if isinstance(s, _Join):
+        return type(s)(tuple(level_set(p, delta) for p in s.parts))
+    raise TypeError(f"not a set expression: {type(s).__name__}")
 
 
 def _ball_flow_far(radius: float, dist: np.ndarray, n: int) -> np.ndarray:

@@ -26,30 +26,40 @@ random numbers), and so do the arms of ``exit_dominance_refined``; their
 margins carry a paired standard error. ``occupation`` stays the raw grid
 scan, the oracle. Every estimator returns ``Estimate``s.
 
-The scanned estimates are post-stratified on the start set (Glasserman,
-*Monte Carlo Methods in Financial Engineering*, 2004, 4.3). An exit
-weight or occupation count is exactly 0 for a path that starts outside
-the scanned set A (or A_1), and the Gaussian measure mu(A) is exact for
-every leaf and every 2-d composite (``geometry.exact_measure``). So a
-scan estimates mu(A) sum(v) / n_in over the n_in paths that start in A.
-Given n_in those paths are iid draws from A, so the estimate is exactly
-unbiased, and it needs no extra draws. Its standard error comes from the
-per-path residual (mu / m)(v - q 1_A), with m = n_in / N and
-q = sum(v) / n_in. A set whose measure is Monte Carlo keeps the plain
-mean sum(v) / N: the same formula with mu replaced by m, whose variance
-the residual then includes. A scan in which no path starts in A gives
-0 +- 0. The raw-grid oracles (``exit_survival_refined`` and the raw
-drops) stay binomial frequencies.
+The scanned estimates are post-stratified on shells of the start set
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
+4.3). An exit weight or occupation count is exactly 0 for a path that
+starts outside the scanned set A (or A_1), and a path that starts deep
+inside A rarely leaves it within a short horizon. So ``_shells`` cuts A
+at boundary distances delta_j = j sigma / 2, where sigma =
+sqrt(1 - e^{-2 tau}) is the OU displacement scale over the horizon,
+into at most 8 shells S_j, up to the first empty level set. The
+measure mu_j of each shell is exact wherever mu(A) is, for every leaf
+and every 2-d composite (``geometry.level_set``,
+``geometry.exact_measure``). The estimate is sum_j mu_j q_j, with q_j
+the mean value of the n_j paths that start in S_j. Given the shell
+counts those paths are iid draws from their shells, so the estimate is
+unbiased, and it needs no extra draws. A count-only rule (``_runs``)
+merges a shell with fewer than 20 starts into its inner neighbour;
+a merged run weighs its shells by their counts. The standard error
+comes from the per-path residual sum_j (mu_j / m_j)(v - q_j) 1_{S_j},
+with m_j = n_j / N. At tau = 0, with one shell left, the estimate is
+mu(A) sum(v) / n_in over the n_in paths that start in A. A set whose
+measure is Monte Carlo keeps the plain mean sum(v) / N. A scan in which
+no path starts in A gives 0 +- 0. The raw-grid oracles
+(``exit_survival_refined`` and the raw drops) stay binomial
+frequencies.
 
-A scan tallies per-path columns (each arm's start indicator and its
-values) as column sums and cross-products (``_moments``). Every
+A scan gives each path a start cell, one shell index per arm
+(``_cell``), and tallies its per-path columns (the constant 1 and each
+arm's values) as sums and cross-products per cell (``_tally``). Every
 estimate, paired SE, refinement change and margin change is a linear
-combination of per-path residuals, read off those moments
+combination of per-path residuals, read off those cell moments
 (``_Moments``, ``_Linear``); ``_compare`` joins the exact and the
 scanned arms of both pair calls under one rule and returns
-(estimate_a, estimate_b, paired_se). The columns of the arms of one
-block sit side by side, so two identical arms give a residual
-difference whose terms cancel in pairs: its standard error is exactly
+(estimate_a, estimate_b, paired_se). Two identical arms put every path
+in a cell with equal shells and get equal weights there, so their
+residual difference is 0 term by term: its standard error is exactly
 0.
 
 Both scans run on one shard loop (``_scan``). A scan splits its paths
@@ -58,7 +68,8 @@ paths, else two per ``BATCH`` paths or part of it, so a scan of any
 useful size keeps every CPU busy. Shard i draws its paths from the
 stream keyed ("exit", i). Once fewer than 7/8 of a shard's paths are
 live, the loop tallies the ones whose result is fixed, drops them and
-draws normals for the rest only. When rows drop depends only on the
+draws normals for the rest only; a dropped exit path adds only its cell
+count, since its values are 0. When rows drop depends only on the
 seed, the sizes and the sets. A shard advances a block of steps per
 round of numpy calls (about ``_BLOCK_NORMALS`` normals, drawn ahead)
 and keeps the steps up to the first after which rows would drop; the
@@ -86,7 +97,7 @@ from scipy import special
 from . import seeding
 from .gaussian import CorrelationMatrix, cholesky
 from .geometry import (HalfSpace, SetExpr, boundary_distance, contains,
-                       exact_measure)
+                       exact_measure, level_set)
 from .orthant import Estimate
 from .seeding import batches, check_seed, derive_rng, fan_out
 
@@ -291,34 +302,97 @@ def _shards(paths: int) -> list[tuple[int, int]]:
     return [(i, size + (i < extra)) for i in range(count)]
 
 
-def _moments(cols: np.ndarray):
-    """(sums, cross): the sum of each per-path column of ``cols``
-    (columns, paths) and of each product of two columns. Both are summed
-    by ``einsum``, not a BLAS product, which would leave OpenBLAS's
-    threads spinning."""
-    return np.einsum("ip->i", cols), np.einsum("ip,jp->ij", cols, cols)
+# A scanned arm is post-stratified on at most _SHELLS shells of its start
+# set; a shell with fewer than _MIN_STARTS starts joins its inner
+# neighbour (``_runs``). A start cell holds one shell index per arm, 0
+# outside the arm's start set, so one arm has _CELL cells and two _CELL^2.
+_SHELLS = 8
+_CELL = _SHELLS + 1
+_MIN_STARTS = 20
 
 
-def _scan(dim, tau, steps, paths, seed, start, update, columns):
+def _shells(s: SetExpr, tau: float):
+    """(cuts, levels) of the shells of the start set A = ``s`` at horizon
+    ``tau``: A's points at boundary distance d from delta_j up to
+    delta_{j+1}, with delta_0 = 0 and delta_j = j sigma / 2 for the
+    ``cuts`` delta_1 < delta_2 < ..., where sigma = sqrt(1 - e^{-2 tau})
+    is the OU displacement scale over the horizon. ``levels`` holds the
+    exact measures mu(A), mu(``level_set(A, delta_1)``), ..., and a final
+    0, so shell j has measure levels[j] - levels[j + 1]. There are at
+    most ``_SHELLS`` shells, and they stop before the first level set of
+    measure 0. tau = 0 gives one shell; a Monte Carlo measure of A gives
+    no cuts and ``levels`` None."""
+    mu = exact_measure(s)
+    if mu is None:
+        return np.empty(0), None
+    width = 0.5 * math.sqrt(-math.expm1(-2.0 * _horizon(tau)))
+    cuts, levels = [], [mu]
+    for j in range(1, _SHELLS if width > 0.0 else 1):
+        level = exact_measure(level_set(s, j * width))
+        if level == 0.0:
+            break
+        cuts.append(j * width)
+        levels.append(level)
+    return np.array(cuts), np.array(levels + [0.0])
+
+
+def _cell(inside, dist, cuts) -> np.ndarray:
+    """Each path's start cell, sum_a shell_a _CELL^a over the arms a:
+    shell_a is 0 for a path outside arm a's start set (``inside[a]``
+    false) and else 1 plus the number of the arm's ``cuts`` at or below
+    its boundary distance ``dist[a]``. An arm with no cuts needs no
+    distance. The cells are uint8 (two arms make 81), so that a stable
+    argsort of them is a radix sort."""
+    cell = np.zeros(inside.shape[1], dtype=np.intp)
+    for a, (ins, d, c) in enumerate(zip(inside, dist, cuts)):
+        shell = 1 + np.searchsorted(c, d, side="right") if len(c) else 1
+        cell += np.where(ins, shell, 0) * _CELL ** a
+    return cell.astype(np.uint8)
+
+
+def _tally(cell, values, cells: int):
+    """(sums, cross) of the per-path columns [1, ``values``...] (values:
+    columns, paths) per start cell: sums[c] holds each column's sum over
+    the paths in cell c, cross[c] each product of two columns. The paths
+    are grouped by cell and each group summed by ``einsum``, not a BLAS
+    product, which would leave OpenBLAS's threads spinning."""
+    counts = np.bincount(cell, minlength=cells)
+    x = np.ones((1 + len(values), len(cell)))
+    x[1:] = np.take(values, np.argsort(cell, kind="stable"), axis=1)
+    sums = np.zeros((cells, len(x)))
+    cross = np.zeros((cells, len(x), len(x)))
+    end = np.cumsum(counts)
+    for c in np.flatnonzero(counts):
+        group = x[:, end[c] - counts[c]:end[c]]
+        sums[c] = np.einsum("ip->i", group)
+        cross[c] = np.einsum("ip,jp->ij", group, group)
+    return sums, cross
+
+
+def _scan(dim, tau, steps, paths, seed, start, update, columns, cells,
+          dropped_values):
     """The shard loop of the OU grid scans: ``paths`` stationary paths
     in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau].
 
     Shard i of ``_shards(paths)`` draws from the stream keyed
-    ("exit", i). ``start(states)`` returns the scan's per-path arrays,
-    one column per path, with the liveness rows ``alive`` first. The
-    loop advances a block of steps per round (``_BLOCK_NORMALS``
-    normals, drawn ahead by ``_Lookahead``); ``update(i, block,
-    *arrays)`` gets the (b, paths, dim) states after steps i + 1 to
-    i + b, finds with ``_commit`` how many steps k to keep, updates the
-    arrays in place for those and returns ``_commit``'s (k, drop). The
-    rest of the block's normals stay drawn for the next round. So every
-    step sees the rows, the normals and the float operations of a loop
-    that stepped one at a time: once fewer than ``_LIVE_SHARE`` of the
-    paths have a live row, the dead ones are dropped, and a shard stops
-    when none is left. ``columns(*arrays)`` gives the per-path columns
-    (columns, paths) of the paths it is passed: of the dropped ones when
-    they drop and of the rest at the end. Returns their ``_moments``,
-    summed per shard in that order and over the shards in shard order.
+    ("exit", i). ``start(states)`` returns each path's start cell (one of
+    ``cells``) and the scan's per-path arrays, one column per path, with
+    the liveness rows ``alive`` first. The loop advances a block of steps
+    per round (``_BLOCK_NORMALS`` normals, drawn ahead by
+    ``_Lookahead``); ``update(i, block, *arrays)`` gets the (b, paths,
+    dim) states after steps i + 1 to i + b, finds with ``_commit`` how
+    many steps k to keep, updates the arrays in place for those and
+    returns ``_commit``'s (k, drop). The rest of the block's normals stay
+    drawn for the next round. So every step sees the rows, the normals
+    and the float operations of a loop that stepped one at a time: once
+    fewer than ``_LIVE_SHARE`` of the paths have a live row, the dead
+    ones are dropped, and a shard stops when none is left.
+    ``columns(*arrays)`` gives the per-path value columns (columns,
+    paths) of the paths it is passed: of the dropped ones when they drop,
+    if ``dropped_values`` (else each dropped path's values are 0 and only
+    its cell count is added), and of the rest at the end. Returns their
+    ``_tally``, summed per shard in that order and over the shards in
+    shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
@@ -328,15 +402,19 @@ def _scan(dim, tau, steps, paths, seed, start, update, columns):
         rng = derive_rng(seed, "exit", index)
         states = rng.standard_normal((c, dim))
         normals = _Lookahead(rng, max(_BLOCK_NORMALS, states.size))
-        arrays = start(states)
-        parts = []
+        cell, arrays = start(states)
+        parts, dropped = [], np.zeros(cells)
         drop = _dropping(arrays[0].any(axis=0))
         i = 0
         while i < steps:
             if drop is not None:
-                parts.append(_moments(columns(
-                    *(x.compress(~drop, 1) for x in arrays))))
-                states = states[drop]
+                gone = ~drop
+                if dropped_values:
+                    parts.append(_tally(cell[gone], columns(
+                        *(x.compress(gone, 1) for x in arrays)), cells))
+                else:
+                    dropped += np.bincount(cell[gone], minlength=cells)
+                states, cell = states[drop], cell[drop]
                 arrays = [x.compress(drop, 1) for x in arrays]
                 if not len(states):
                     break
@@ -348,22 +426,44 @@ def _scan(dim, tau, steps, paths, seed, start, update, columns):
             normals.take(k * block[0].size)
             states = block[k - 1]
             i += k
-        parts.append(_moments(columns(*arrays)))
-        return parts
+        parts.append(_tally(cell, columns(*arrays), cells))
+        return parts, dropped
 
     sums = cross = 0.0
-    for parts in fan_out(shard, _shards(paths)):
+    for parts, dropped in fan_out(shard, _shards(paths)):
         for s, q in parts:
             sums, cross = sums + s, cross + q
+        sums[:, 0] += dropped
+        cross[:, 0, 0] += dropped
     return sums, cross
+
+
+def _runs(counts) -> list[int]:
+    """Edges e_0 = 0 < e_1 < ... < e_G = len(counts) of the runs of
+    consecutive shells, boundary first, that the estimate stratifies
+    on, given each shell's start count. A run grows inwards until it
+    holds ``_MIN_STARTS`` starts, so a sparse shell joins its inner
+    neighbour; a sparse last run joins the one before it. The rule reads
+    the counts only."""
+    edges, held = [0], 0.0
+    for j, n in enumerate(counts, 1):
+        held += n
+        if held >= _MIN_STARTS:
+            edges.append(j)
+            held = 0.0
+    if len(edges) == 1:
+        edges.append(len(counts))
+    edges[-1] = len(counts)
+    return edges
 
 
 @dataclass(frozen=True, eq=False)
 class _Linear:
-    """An estimate read off a scan's column moments: its value, and the
-    weights on the scan's columns of its per-path residual, whose mean
-    is the estimate's error to first order. An exact value has weights
-    None. Differences of estimates of one scan are ``_Linear`` too."""
+    """An estimate read off a scan's cell moments: its value, and the
+    weights (cells, columns) of its per-path residual, which in cell c is
+    weights[c] . [1, values], and whose mean is the estimate's error to
+    first order. An exact value has weights None. Differences of
+    estimates of one scan are ``_Linear`` too."""
     value: float
     weights: np.ndarray | None = None
 
@@ -375,13 +475,13 @@ class _Linear:
 
 @dataclass(frozen=True, eq=False)
 class _Moments:
-    """The column moments of a scan over ``paths`` paths: ``sums`` and
-    ``cross`` of ``_moments``. The columns come in blocks of one column
-    per scanned arm (a region or an (A_1, A_2) pair); ``blocks`` maps a
-    block's name to its place, and two names may share one. The block
-    "start" holds each arm's start indicator: 1 for a path that starts
-    in the arm's scanned set (A or A_1), outside of which every value
-    column is 0."""
+    """The cell moments of a scan over ``paths`` paths: ``sums`` and
+    ``cross`` of ``_tally``, one row per start cell (``_cell``). Column 0
+    is the constant 1, so sums[c, 0] counts the paths that start in cell
+    c. The value columns come in blocks of one column per scanned arm (a
+    region or an (A_1, A_2) pair); ``blocks`` maps a block's name to its
+    place, and two names may share one. Every value column is 0 for a
+    path that starts outside the arm's start set (A or A_1)."""
     paths: int
     sums: np.ndarray
     cross: np.ndarray
@@ -389,39 +489,54 @@ class _Moments:
     arms: int
 
     def column(self, block: str, arm: int) -> int:
-        return self.blocks[block] * self.arms + arm
+        return 1 + self.blocks[block] * self.arms + arm
 
     def total(self, block: str, arm: int) -> float:
-        return float(self.sums[self.column(block, arm)])
+        return float(self.sums[:, self.column(block, arm)].sum())
 
-    def mean(self, block: str, arm: int, measure: float | None,
+    def mean(self, block: str, arm: int, levels: np.ndarray | None,
              scale: float = 1.0) -> _Linear:
         """``scale`` times the mean of column (``block``, ``arm``),
-        post-stratified on the arm's start set A when its ``measure`` mu
-        is exact: mu q, q = sum(v) / n_in, with residual
-        (mu / m)(v - q 1_A), m = n_in / N; 0 with weights 0 when no path
-        starts in A. A Monte Carlo measure (None) puts m for mu, which
-        gives the plain mean sum(v) / N with residual v - sum(v) / N."""
-        v, s = self.column(block, arm), self.column("start", arm)
-        w = np.zeros(self.sums.size)
-        if measure is None:
-            w[v] = scale
-            return _Linear(float(scale * (self.sums[v] / self.paths)), w)
-        inside = self.sums[s]
-        if not inside:
-            return _Linear(0.0, w)
-        q = float(self.sums[v] / inside)
-        f = scale * measure * self.paths / inside
-        w[v], w[s] = f, -f * q
-        return _Linear(scale * measure * q, w)
+        post-stratified on the shells of the arm's start set A, whose
+        exact measures are the differences of ``levels`` (``_shells``).
+        Each run G of shells that ``_runs`` keeps gives mu_G q_G, with
+        q_G = sum(v) / n_G over its n_G starts, and the residual
+        (mu_G / m_G)(v - q_G) on its paths, m_G = n_G / N; 0 with weights
+        0 when no path starts in A. A Monte Carlo measure (``levels``
+        None) gives the plain mean sum(v) / N with residual
+        v - sum(v) / N."""
+        v = self.column(block, arm)
+        w = np.zeros(self.sums.shape)
+        if levels is None:
+            w[:, v] = scale
+            return _Linear(
+                float(scale * (self.sums[:, v].sum() / self.paths)), w)
+        # the arm's shell index in each cell, 0 outside its start set
+        shell = np.arange(len(self.sums)) // _CELL ** arm % _CELL
+        shells = len(levels) - 1
+        count, total = (np.bincount(shell, self.sums[:, col], _CELL)[1:]
+                        for col in (0, v))
+        edges = _runs(count[:shells])
+        value = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            inside = count[lo:hi].sum()
+            if not inside:
+                continue
+            q = float(total[lo:hi].sum() / inside)
+            mu = levels[lo] - levels[hi]
+            f = scale * mu * self.paths / inside
+            run = (shell > lo) & (shell <= hi)
+            w[run, v], w[run, 0] = f, -f * q
+            value += scale * mu * q
+        return _Linear(float(value), w)
 
     def std_error(self, est: _Linear) -> float:
         """Standard error of the mean per-path residual of ``est``."""
         w = est.weights
         if w is None:
             return 0.0
-        mean = np.einsum("i,i->", w, self.sums) / self.paths
-        square = np.einsum("i,ij,j->", w, self.cross, w) / self.paths
+        mean = np.einsum("ci,ci->", w, self.sums) / self.paths
+        square = np.einsum("ci,cij,cj->", w, self.cross, w) / self.paths
         return math.sqrt(max(square - mean * mean, 0.0) / self.paths)
 
     def estimate(self, est: _Linear, seed: int) -> Estimate:
@@ -432,8 +547,8 @@ class _Moments:
                         seed=seed)
 
 
-def _survival_scan(regions, tau, steps, paths, seed,
-                   refine: int = 1) -> _Moments:
+def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
+                   cuts=None) -> _Moments:
     """Shared-trajectory exit scan for one or two regions at once.
 
     Simulates at ``steps * refine`` resolution and monitors each region
@@ -442,9 +557,9 @@ def _survival_scan(regions, tau, steps, paths, seed,
     indicator and the bridge-corrected per-path survival weight
     (``_bridge_monitor``). ``refine`` must be an integer >= 1. Returns
     the ``_Moments`` of these blocks of per-path columns, one column per
-    region:
+    region, tallied per start cell on each region's shell ``cuts`` (none
+    by default; see ``_shells``):
 
-    - "start": whether the path starts in the region;
     - "coarse" and "fine": the corrected weight on each grid;
     - "raw" and "raw_fine": the raw grid indicator on each grid.
 
@@ -459,18 +574,20 @@ def _survival_scan(regions, tau, steps, paths, seed,
     inv_fine = _inv_sinh(tau / (steps * refine))
     inv_coarse = _inv_sinh(tau / steps)
     r = len(regions)
-    blocks = ({"start": 0, "coarse": 1, "raw": 2, "fine": 3, "raw_fine": 4}
+    cuts = cuts or [np.empty(0)] * r
+    blocks = ({"coarse": 0, "raw": 1, "fine": 2, "raw_fine": 3}
               if refine > 1 else
-              {"start": 0, "coarse": 1, "raw": 2, "fine": 1, "raw_fine": 2})
+              {"coarse": 0, "raw": 1, "fine": 0, "raw_fine": 1})
 
     def start(states):
         # rows: each region on the fine grid, then on the coarse grid
         last = np.array([boundary_distance(reg, states)
                          for reg in regions] * min(refine, 2))
         alive = last >= 0.0
-        return alive, np.ones_like(last), last, alive[:r].copy()
+        return (_cell(alive, last, cuts),
+                [alive, np.ones_like(last), last])
 
-    def update(i, block, alive, weight, last, _):
+    def update(i, block, alive, weight, last):
         b, cols, dim = block.shape
         pts = block.reshape(-1, dim)
         dist = [boundary_distance(reg, pts) for reg in regions]
@@ -494,15 +611,16 @@ def _survival_scan(regions, tau, steps, paths, seed,
         alive[...] = inside[:, k - 1]
         return k, drop
 
-    def columns(alive, weight, last, begun):
+    def columns(alive, weight, last):
         w = np.where(alive, weight, 0.0)
-        parts = [begun, w[-r:], alive[-r:]]
+        parts = [w[-r:], alive[-r:]]
         if refine > 1:
             parts += [w[:r], alive[:r]]
         return np.concatenate(parts, dtype=float)
 
+    # a dropped path has no live row, so its weights and indicators are 0
     sums, cross = _scan(regions[0].dim, tau, steps * refine, paths, seed,
-                        start, update, columns)
+                        start, update, columns, _CELL ** r, False)
     return _Moments(int(paths), sums, cross, blocks, r)
 
 
@@ -516,16 +634,20 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     through the origin, with an O(d) bias at step d = tau/steps for other
     sets. The state at t=0 is checked too, so a path that starts outside
     the set weighs 0. So where ``geometry.exact_measure`` gives mu(s),
-    the estimate is post-stratified on the start set: mu(s) times the
-    mean weight of the paths that start in s (``_Moments.mean``):
-    unbiased, with a standard error no larger, to first order, than that
-    of the mean weight of all paths, and with no extra draws. Where the measure is Monte Carlo (a
-    composite outside the plane), the estimate is that plain mean.
+    the estimate is post-stratified on the shells of s by the start's
+    boundary distance (``_shells``): the sum over shells of each shell's
+    exact measure times the mean weight of the paths that start in it
+    (``_Moments.mean``). It is unbiased, its standard error is no larger,
+    to first order, than that of the mean weight of all paths, and it
+    takes no extra draws. At tau = 0 there is one shell, s itself. Where
+    the measure is Monte Carlo (a composite outside the plane), the
+    estimate is the plain mean weight.
     """
     paths = int(paths)
     seed = check_seed(seed)
-    m = _survival_scan([s], tau, steps, paths, seed)
-    return m.estimate(m.mean("coarse", 0, exact_measure(s)), seed)
+    cuts, levels = _shells(s, tau)
+    m = _survival_scan([s], tau, steps, paths, seed, cuts=[cuts])
+    return m.estimate(m.mean("coarse", 0, levels), seed)
 
 
 # The half-space oracle solves on (c - width, c], width = min(9, 12
@@ -749,12 +871,14 @@ def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
     paths = int(paths)
     seed = check_seed(seed)
     scanned = [s for s in (a, b) if not isinstance(s, HalfSpace)]
-    m = _survival_scan(scanned, tau, steps, paths, seed) if scanned else None
-    arm = iter(range(len(scanned)))
+    shells = [_shells(s, tau) for s in scanned]
+    m = (_survival_scan(scanned, tau, steps, paths, seed,
+                        cuts=[cuts for cuts, _ in shells])
+         if scanned else None)
+    arm = enumerate(levels for _, levels in shells)
     return _compare(m, *(
         _Linear(halfspace_survival(s.offset, tau)) if isinstance(s, HalfSpace)
-        else m.mean("coarse", next(arm), exact_measure(s)) for s in (a, b)),
-        seed)
+        else m.mean("coarse", *next(arm)) for s in (a, b)), seed)
 
 
 @dataclass(frozen=True)
@@ -786,14 +910,18 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
                            refine: int = 2) -> DominanceRefinement:
     """One coupled pass evaluating both arms at ``steps`` and at
     ``steps * refine`` on the same trajectories, each arm
-    post-stratified on its start set as in ``exit_survival``."""
+    post-stratified on the shells of its start set as in
+    ``exit_survival``."""
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
-    m = _survival_scan([a, b], tau, steps, paths, seed, refine=refine)
-    mu_a, mu_b = exact_measure(a), exact_measure(b)
-    coarse_a, fine_a = (m.mean(grid, 0, mu_a) for grid in ("coarse", "fine"))
-    coarse_b, fine_b = (m.mean(grid, 1, mu_b) for grid in ("coarse", "fine"))
+    (cuts_a, levels_a), (cuts_b, levels_b) = _shells(a, tau), _shells(b, tau)
+    m = _survival_scan([a, b], tau, steps, paths, seed, refine=refine,
+                       cuts=[cuts_a, cuts_b])
+    coarse_a, fine_a = (m.mean(grid, 0, levels_a)
+                        for grid in ("coarse", "fine"))
+    coarse_b, fine_b = (m.mean(grid, 1, levels_b)
+                        for grid in ("coarse", "fine"))
     change_a, change_b = coarse_a - fine_a, coarse_b - fine_b
     margin = change_b - change_a
 
@@ -809,18 +937,24 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
         raw_drop_a=raw_drop(0), raw_drop_b=raw_drop(1))
 
 
-def _occupation_scan(pairs, tau, steps, paths, seed) -> _Moments:
+def _occupation_scan(pairs, tau, steps, paths, seed,
+                     cuts=None) -> _Moments:
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
-    on shared trajectories: the ``_Moments`` of the blocks "start"
-    (whether the path starts in A_1) and "count" (its step count), one
-    column per pair. A path that has left every A_1 is dropped with its
-    counts tallied.
+    on shared trajectories: the ``_Moments`` of the block "count" (each
+    path's step count), one column per pair, tallied per start cell on
+    the shell ``cuts`` of each A_1 (none by default; see ``_shells``). A
+    path that has left every A_1 is dropped with its counts tallied.
     """
+    cuts = cuts or [np.empty(0)] * len(pairs)
+
     def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
-        return alive, np.zeros(alive.shape, dtype=np.int64), alive.copy()
+        dist = [boundary_distance(a1, states) if len(c) else None
+                for (a1, _), c in zip(pairs, cuts)]
+        return (_cell(alive, dist, cuts),
+                [alive, np.zeros(alive.shape, dtype=np.int64)])
 
-    def update(i, block, alive, counts, _):
+    def update(i, block, alive, counts):
         b, cols, dim = block.shape
         pts = block.reshape(-1, dim)
         inside = np.empty((len(pairs), b, cols), dtype=bool)
@@ -836,13 +970,12 @@ def _occupation_scan(pairs, tau, steps, paths, seed) -> _Moments:
         alive[...] = inside[:, k - 1]
         return k, drop
 
-    def columns(alive, counts, begun):
-        return np.concatenate([begun, counts], dtype=float)
+    def columns(alive, counts):
+        return counts.astype(float)
 
     sums, cross = _scan(pairs[0][0].dim, tau, steps, paths, seed, start,
-                        update, columns)
-    return _Moments(int(paths), sums, cross, {"start": 0, "count": 1},
-                    len(pairs))
+                        update, columns, _CELL ** len(pairs), True)
+    return _Moments(int(paths), sums, cross, {"count": 0}, len(pairs))
 
 
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
@@ -852,18 +985,18 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
 
     Faithful to the raw functional: A_2 is not forced inside A_1. A path
     that starts outside A_1 counts 0, so where ``geometry.exact_measure``
-    gives mu(A_1), the estimate is post-stratified on A_1 as in
-    ``exit_survival``: mu(A_1) times the mean count of the paths that
-    start in A_1, unbiased, with a standard error no larger, to first
-    order, than that of the plain mean count, which is kept where
-    mu(A_1) is Monte Carlo.
+    gives mu(A_1), the estimate is post-stratified on the shells of A_1
+    as in ``exit_survival``: the sum over shells of each shell's exact
+    measure times the mean count of the paths that start in it,
+    unbiased, with a standard error no larger, to first order, than that
+    of the plain mean count, which is kept where mu(A_1) is Monte Carlo.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)
     seed = check_seed(seed)
-    m = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
-    return m.estimate(m.mean("count", 0, exact_measure(a1), tau / steps),
-                      seed)
+    cuts, levels = _shells(a1, tau)
+    m = _occupation_scan([(a1, a2)], tau, steps, paths, seed, cuts=[cuts])
+    return m.estimate(m.mean("count", 0, levels, tau / steps), seed)
 
 
 def _parallel(pair) -> bool:
@@ -888,13 +1021,14 @@ def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     exact = [_Linear(halfspace_occupation(p[0].offset, p[1].offset, tau))
              if _parallel(p) else None for p in pairs]
     scanned = [p for p, value in zip(pairs, exact) if value is None]
-    m = (_occupation_scan(scanned, tau, steps, paths, seed) if scanned
-         else None)
-    arm = iter(range(len(scanned)))
+    shells = [_shells(a1, tau) for a1, _ in scanned]
+    m = (_occupation_scan(scanned, tau, steps, paths, seed,
+                          cuts=[cuts for cuts, _ in shells])
+         if scanned else None)
+    arm = enumerate(levels for _, levels in shells)
     return _compare(m, *(
         value if value is not None else
-        m.mean("count", next(arm), exact_measure(p[0]), tau / steps)
-        for p, value in zip(pairs, exact)), seed)
+        m.mean("count", *next(arm), tau / steps) for value in exact), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ class TestShippedConfigs:
             "ca51317467dc2c93e2071f215f90bd93d57181fbf51d5c5f72ea6bde1c932b19"),
         "exit_ball": (
             ["--paths", "4000"],
-            "42b4d52089e8f30a89d09c3b22ac127de2538545011daee15e1e4cd77bb904ae"),
+            "7115047d3d123bdc1d1b7f57cf7dd7e063079316d77484c3af12eddd6143172a"),
         "k2grid": (
             [],
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
@@ -327,7 +327,7 @@ class TestShippedConfigs:
             "6a1f04df5c5a481aec6966b2f9f567d036e54bfe27eba30e7d081f0897ae039f"),
         "occupation_balls": (
             ["--paths", "4000"],
-            "a1585ccc9a297a57c2bf7e2d1b36efa4e57fb045a74648ad6369f82d081f6220"),
+            "f19ec94f821bf7c1b5035333caa278d40ac6f55980627807c8823c8f56c42f98"),
         "parallel": (
             ["--samples", "100000"],
             "d13e553bc2bc4adf9153cf956e7f63c011503562a7d9a351a20dcbd49d75d925"),
@@ -340,7 +340,7 @@ class TestShippedConfigs:
         "equality_diag":
             "d89964e43a4db336cae28b2006e2cffe94ff7e338d521457146cfc17397c4c0f",
         "exit_ball":
-            "c6a9be048199b762e0bee3e591474dee004fba5079de4fd704e4f0900895e7af",
+            "7b5e3801bc5d0155468013e14bd86a4660c56ad1378626d9cb84679074ea1994",
         "k2grid":
             "6f89ff0ca36b681b9fdee0c8f3c9c46f3de94392a480c9173827291c63f87e0d",
     }

@@ -24,7 +24,7 @@ from noisestab import (
     std_normal_cdf,
 )
 from noisestab.geometry import CHNDTR_MAX, PLANE_NODES, _ball_flow_far, \
-    _plane_measure, exact_measure
+    _plane_measure, exact_measure, level_set
 
 HALF_BALL_RADIUS = math.sqrt(2.0 * math.log(2.0))  # measure 1/2 in R^2
 
@@ -703,6 +703,64 @@ class TestJoins:
     def test_rejects_mixed_dimensions(self, cls):
         with pytest.raises(ValueError, match=r"mixed ambient dimensions \[1, 2\]"):
             cls((Ball(np.zeros(2), 1.0), Ball(np.zeros(1), 1.0)))
+
+
+class TestLevelSet:
+    """level_set(s, delta) holds the points at boundary distance >= delta
+    from the boundary of s, for delta of either sign."""
+
+    BOX = AxisBox(np.array([-1.0, -0.5]), np.array([0.8, np.inf]))
+    NAMED = (
+        Complement(BOX),
+        Union((Ball(np.array([0.5, 0.0]), 1.0), BOX)),
+        Intersection((Ball(np.zeros(2), 1.5),
+                      HalfSpace(np.array([1.0, 1.0]), 0.2), BOX)),
+    )
+
+    def _sets(self):
+        rng = np.random.default_rng(17)
+        sets = list(self.NAMED)
+        sets += [_random_leaf(rng, n) for n in (1, 2, 3) for _ in range(8)]
+        sets += [_plane_set(rng, 2) for _ in range(12)]
+        return rng, sets
+
+    @pytest.mark.parametrize("delta", [-0.7, -0.1, 0.0, 0.1, 0.7])
+    def test_matches_boundary_distance(self, delta):
+        rng, sets = self._sets()
+        for s in sets:
+            pts = 1.5 * rng.standard_normal((4000, s.dim))
+            dist = boundary_distance(s, pts)
+            clear = np.abs(dist - delta) > 1e-12
+            inside = contains(level_set(s, delta), pts)
+            assert np.array_equal(inside[clear], (dist >= delta)[clear])
+            assert clear.mean() > 0.99
+
+    def test_leaf_level_sets(self):
+        level = level_set(Ball(np.array([1.0, 0.0]), 2.0), 0.5)
+        assert isinstance(level, Ball) and level.radius == 1.5
+        level = level_set(HalfSpace(np.array([0.6, 0.8]), 0.3), -0.2)
+        assert isinstance(level, HalfSpace) and level.offset == 0.5
+        level = level_set(self.BOX, -0.25)
+        assert np.array_equal(level.lower, [-1.25, -0.75])
+        assert np.array_equal(level.upper, [1.05, np.inf])
+
+    def test_empty_level_set_has_measure_zero(self):
+        ball = Ball(np.array([0.3, -0.2]), 0.6)
+        thin = AxisBox(np.array([-1.0, -5.0]), np.array([1.0, 5.0]))
+        empties = [level_set(ball, 0.61), level_set(thin, 1.01),
+                   level_set(Ball(np.zeros(3), 1.0), 2.0),
+                   level_set(Intersection((ball, thin)), 0.7),
+                   level_set(Union((ball, Ball(np.ones(2), 0.2))), 0.65),
+                   level_set(Complement(Complement(ball)), 0.61)]
+        for s in empties[:3]:
+            assert isinstance(s, HalfSpace) and s.offset == -np.inf
+        for s in empties:
+            assert exact_measure(s) == 0.0
+            assert not contains(s, np.zeros((100, s.dim))).any()
+        # a level set below the empty one's is not empty
+        assert exact_measure(level_set(ball, 0.59)) > 0.0
+        assert exact_measure(level_set(Intersection((ball, thin)),
+                                       0.59)) > 0.0
 
 
 class TestSetSystem:

@@ -347,8 +347,8 @@ class TestHalfspaceSurvival:
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
         assert (a.value, a.std_error, b.value, b.std_error, paired) == (
-            0.0755469855891273, 0.0008875558421821087, 0.15488190672498134,
-            0.0012061182098859512, 0.000852524035967316)
+            0.07574307977847233, 0.000867201760441992, 0.155027444485196,
+            0.0011553557905297806, 0.0008308424430579533)
 
     def test_equal_for_one_and_two_workers(self, monkeypatch):
         # the horizons run on pool threads, each diagonalising its grids
@@ -848,24 +848,26 @@ HS_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
 HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
 
 
-def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns):
+def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
+                  cells):
     """The shard loop as it ran before blocks: one step per round, the
-    normals of each step drawn when it is taken. Returns the moment sums
-    and cross-products, as ``ousim._scan`` does."""
+    normals of each step drawn when it is taken, and every path tallied
+    in its start cell with all its values, dropped or not. Returns the
+    cell sums and cross-products, as ``ousim._scan`` does."""
     _, steps, decay, scale = ousim._grid_params(tau, steps)
 
     def shard(part):
         index, c = part
         rng = seeding.derive_rng(seed, "exit", index)
         states = rng.standard_normal((c, dim))
-        arrays = start(states)
+        cell, arrays = start(states)
         parts = []
         for i in range(1, steps + 1):
             live = arrays[0].any(axis=0)
             if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
-                parts.append(ousim._moments(columns(
-                    *(x.compress(~live, 1) for x in arrays))))
-                states = states[live]
+                parts.append(ousim._tally(cell[~live], columns(
+                    *(x.compress(~live, 1) for x in arrays)), cells))
+                states, cell = states[live], cell[live]
                 arrays = [x.compress(live, 1) for x in arrays]
                 if not len(states):
                     break
@@ -874,7 +876,7 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns):
             z *= scale
             states += z
             update(i, states, *arrays)
-        parts.append(ousim._moments(columns(*arrays)))
+        parts.append(ousim._tally(cell, columns(*arrays), cells))
         return parts
 
     sums = cross = 0.0
@@ -884,17 +886,19 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns):
     return sums, cross
 
 
-def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
+def _stepped_survival(regions, tau, steps, paths, seed, refine=1, cuts=None):
     """``ousim._survival_scan`` stepped one step at a time."""
     tau, steps, _, _ = ousim._grid_params(tau, steps)
     inv_fine = ousim._inv_sinh(tau / (steps * refine))
     inv_coarse = ousim._inv_sinh(tau / steps)
     r = len(regions)
+    cuts = cuts or [np.empty(0)] * r
 
     def start(states):
         last = np.array([boundary_distance(reg, states)
                          for reg in regions] * min(refine, 2))
-        return last >= 0.0, np.ones_like(last), last, last[:r] >= 0.0
+        cell = ousim._cell(last[:r] >= 0.0, last[:r], cuts)
+        return cell, [last >= 0.0, np.ones_like(last), last]
 
     def monitor(alive, weight, a0, a1, inv):
         alive &= a1 >= 0.0
@@ -904,7 +908,7 @@ def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
             near = np.flatnonzero(alive & (x > -40.0))
             weight[near] *= -np.expm1(x[near])
 
-    def update(i, states, alive, weight, last, begun):
+    def update(i, states, alive, weight, last):
         on_coarse = refine > 1 and i % refine == 0
         for idx, reg in enumerate(regions):
             a1 = boundary_distance(reg, states)
@@ -913,39 +917,47 @@ def _stepped_survival(regions, tau, steps, paths, seed, refine=1):
                 monitor(alive[row], weight[row], last[row], a1, inv)
                 last[row] = a1
 
-    def columns(alive, weight, last, begun):
-        # start, coarse weight, coarse raw, then fine weight and raw
+    def columns(alive, weight, last):
+        # coarse weight, coarse raw, then fine weight and raw
         w = np.where(alive, weight, 0.0)
-        rows = [begun, w[-r:], alive[-r:]]
+        rows = [w[-r:], alive[-r:]]
         if refine > 1:
             rows += [w[:r], alive[:r]]
         return np.vstack(rows).astype(float)
 
     return _stepped_scan(regions[0].dim, tau, steps * refine, paths, seed,
-                         start, update, columns)
+                         start, update, columns, ousim._CELL ** r)
 
 
-def _stepped_occupation(pairs, tau, steps, paths, seed):
+def _stepped_occupation(pairs, tau, steps, paths, seed, cuts=None):
     """``ousim._occupation_scan`` stepped one step at a time."""
+    cuts = cuts or [np.empty(0)] * len(pairs)
+
     def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
-        return alive, np.zeros(alive.shape, dtype=np.int64), alive.copy()
+        dist = [boundary_distance(a1, states) for a1, _ in pairs]
+        return (ousim._cell(alive, dist, cuts),
+                [alive, np.zeros(alive.shape, dtype=np.int64)])
 
-    def update(i, states, alive, counts, begun):
+    def update(i, states, alive, counts):
         for idx, (a1, a2) in enumerate(pairs):
             counts[idx] += alive[idx] & contains(a2, states)
             alive[idx] &= contains(a1, states)
 
-    def columns(alive, counts, begun):
-        return np.vstack([begun, counts]).astype(float)
+    def columns(alive, counts):
+        return counts.astype(float)
 
     return _stepped_scan(pairs[0][0].dim, tau, steps, paths, seed, start,
-                         update, columns)
+                         update, columns, ousim._CELL ** len(pairs))
 
 
 def _same_moments(m, reference):
     sums, cross = reference
     return np.array_equal(m.sums, sums) and np.array_equal(m.cross, cross)
+
+
+def _cuts(sets, tau):
+    return [ousim._shells(s, tau)[0] for s in sets]
 
 
 # a half-space that every path leaves by tau = 3, the last one alone, and
@@ -956,9 +968,11 @@ SLANTED = HalfSpace(np.array([0.6, 0.8]), 0.8)
 
 
 class TestBlocksMatchSteps:
-    """The blocked scans return exactly the moment sums of the scan that
-    stepped one step at a time: the same rows, normals and float
-    operations at every step."""
+    """The blocked scans return exactly the cell moments of the scan that
+    stepped one step at a time and tallied every path with its values:
+    the same rows, normals and float operations at every step. Each
+    start set is cut into its shells, so the paths fall into several
+    cells."""
 
     EXIT = {
         "one region": ([HALF_BALL], 0.5, 37, 1),
@@ -982,16 +996,19 @@ class TestBlocksMatchSteps:
     def test_exit(self, case, paths):
         regions, tau, steps, refine = self.EXIT[case]
         args = (regions, tau, steps, paths, 3)
-        assert _same_moments(ousim._survival_scan(*args, refine=refine),
-                             _stepped_survival(*args, refine=refine))
+        cuts = _cuts(regions, tau)
+        assert _same_moments(
+            ousim._survival_scan(*args, refine=refine, cuts=cuts),
+            _stepped_survival(*args, refine=refine, cuts=cuts))
 
     @pytest.mark.parametrize("paths", [3000, 40_000])
     @pytest.mark.parametrize("case", sorted(OCCUPATION))
     def test_occupation(self, case, paths):
         pairs, tau, steps = self.OCCUPATION[case]
         args = (pairs, tau, steps, paths, 3)
-        assert _same_moments(ousim._occupation_scan(*args),
-                             _stepped_occupation(*args))
+        cuts = _cuts([a1 for a1, _ in pairs], tau)
+        assert _same_moments(ousim._occupation_scan(*args, cuts=cuts),
+                             _stepped_occupation(*args, cuts=cuts))
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_single_path(self, seed):
@@ -1000,8 +1017,24 @@ class TestBlocksMatchSteps:
         # third of the points here; the projection sums the columns in
         # a fixed order instead, so a lone live row may take a block
         args = ([SLANTED], 2.0, 4, 1, seed)
-        assert _same_moments(ousim._survival_scan(*args),
-                             _stepped_survival(*args))
+        cuts = _cuts([SLANTED], 2.0)
+        assert _same_moments(ousim._survival_scan(*args, cuts=cuts),
+                             _stepped_survival(*args, cuts=cuts))
+
+    def test_exit_drops_add_counts_only(self, monkeypatch):
+        # a dropped exit path has no live row, so its values are 0: the
+        # exit scan tallies each shard's values once, at the end, and the
+        # occupation scan tallies the counts of every drop too
+        calls = []
+        real = ousim._tally
+        monkeypatch.setattr(ousim, "_tally",
+                            lambda *a: calls.append(len(a[0])) or real(*a))
+        m = ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3,
+                                 cuts=_cuts([HALF_BALL], 0.5))
+        assert len(calls) == 1 and calls[0] < m.paths
+        calls.clear()
+        ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 3000, 3)
+        assert len(calls) > 1 and sum(calls) == 3000
 
     def test_cases_reach_their_edges(self, step_rows):
         # the scan ends on one live row, and the tiny ball loses every
@@ -1018,18 +1051,55 @@ SLAB_BALL = Intersection((Ball(np.zeros(3), 1.5),
                           HalfSpace(np.array([1.0, 0.0, 0.0]), 0.3)))
 
 
+def _one_cell(m):
+    """The moments ``m`` of a one-arm scan with every start cell inside
+    the start set merged into cell 1: the start set as one stratum."""
+    sums, cross = m.sums.copy(), m.cross.copy()
+    for x in (sums, cross):
+        x[1] = x[1:].sum(axis=0)
+        x[2:] = 0.0
+    return ousim._Moments(m.paths, sums, cross, m.blocks, m.arms)
+
+
 class TestPostStratification:
-    """The scanned estimates are mu(A) times the mean value of the paths
-    that start in A, where mu(A) is exact, and the plain mean where it
-    is Monte Carlo."""
+    """The scanned estimates sum, over shells of the start set A, each
+    shell's exact measure times the mean value of the paths that start
+    in it, where mu(A) is exact, and give the plain mean where it is
+    Monte Carlo."""
 
     POINT = Ball(np.zeros(2), 0.0)
+
+    def test_runs(self):
+        assert ousim._MIN_STARTS == 20
+        assert ousim._runs([25.0, 5.0, 30.0, 3.0]) == [0, 1, 4]
+        assert ousim._runs([5.0, 5.0, 5.0]) == [0, 3]
+        assert ousim._runs([0.0, 0.0, 40.0, 20.0]) == [0, 3, 4]
+        assert ousim._runs([40.0, 0.0, 0.0]) == [0, 3]
+        assert ousim._runs([0.0]) == [0, 1]
+
+    def test_shells(self):
+        # delta_j = j sigma / 2 up to the first empty level set, at most
+        # eight shells, one at tau = 0, none for a Monte Carlo measure
+        sigma = math.sqrt(-math.expm1(-1.0))
+        cuts, levels = ousim._shells(HALF_BALL, 0.5)
+        assert np.array_equal(cuts, [0.5 * sigma, sigma])
+        assert levels[0] == gaussian_measure(HALF_BALL).value
+        assert levels[-1] == 0.0 and np.all(np.diff(levels) < 0.0)
+        assert levels[1] == pytest.approx(
+            1.0 - math.exp(-0.5 * (HALF_BALL.radius - 0.5 * sigma) ** 2))
+        cuts, levels = ousim._shells(HS0, 0.5)
+        assert len(cuts) == 7 and levels[-2] == pytest.approx(
+            special.ndtr(-3.5 * sigma))
+        cuts, levels = ousim._shells(HALF_BALL, 0.0)
+        assert len(cuts) == 0 and list(levels) == [levels[0], 0.0]
+        cuts, levels = ousim._shells(SLAB_BALL, 0.5)
+        assert len(cuts) == 0 and levels is None
 
     def test_no_path_starts_inside(self):
         # the tiny ball holds 0.1% of the mass: none of 20 paths starts in
         # it, and no path starts in the point
-        assert ousim._survival_scan([TINY], 0.5, 8, 20, 1).total(
-            "start", 0) == 0.0
+        m = ousim._survival_scan([TINY], 0.5, 8, 20, 1)
+        assert m.sums[0, 0] == 20.0 and not m.sums[1:, 0].any()
         for s, paths in ((TINY, 20), (self.POINT, 3000)):
             results = [exit_survival(s, 0.5, 8, paths, 1),
                        occupation(s, FULL, 0.5, 8, paths, 1)]
@@ -1043,6 +1113,27 @@ class TestPostStratification:
             for est in results:
                 assert (est.value, est.std_error) == (0.0, 0.0)
                 assert est.samples == paths
+
+    def test_few_starts_merge_to_one_stratum(self):
+        # at 20 paths no shell of the half-measure ball holds 20 starts,
+        # so they merge into the start set alone: today's one-stratum
+        # scan, read off a scan with no cuts
+        cuts, levels = ousim._shells(HALF_BALL, 0.5)
+        assert len(cuts) == 2
+        for seed in range(1, 6):
+            m = ousim._survival_scan([HALF_BALL], 0.5, 8, 20, seed)
+            want = m.estimate(m.mean("coarse", 0, levels[[0, -1]]), seed)
+            m = ousim._occupation_scan([(HALF_BALL, FULL)], 0.5, 8, 20, seed)
+            want_occ = m.estimate(
+                m.mean("count", 0, levels[[0, -1]], 0.5 / 8), seed)
+            for got, ref in ((exit_survival(HALF_BALL, 0.5, 8, 20, seed),
+                              want),
+                             (occupation(HALF_BALL, FULL, 0.5, 8, 20, seed),
+                              want_occ)):
+                assert got.value == pytest.approx(ref.value, rel=1e-12)
+                assert got.std_error == pytest.approx(ref.std_error,
+                                                      rel=1e-12)
+                assert got.std_error > 0.0
 
     def test_identical_arms_pair_exactly(self):
         a, b, paired = exit_survival_pair(HALF_BALL, HALF_BALL, 0.5, 32,
@@ -1067,8 +1158,8 @@ class TestPostStratification:
         for moments, block, scale, got in ((m, "coarse", 1.0, est),
                                            (m2, "count", 0.5 / 32, occ)):
             v = moments.column(block, 0)
-            mean = moments.sums[v] / 20_000
-            var = moments.cross[v, v] / 20_000 - mean * mean
+            mean = moments.sums[:, v].sum() / 20_000
+            var = moments.cross[:, v, v].sum() / 20_000 - mean * mean
             assert got.value == pytest.approx(scale * mean, rel=1e-12)
             assert got.std_error == pytest.approx(
                 scale * math.sqrt(var / 20_000), rel=1e-12)
@@ -1079,6 +1170,7 @@ class TestPostStratification:
         # is exact, so z = (estimate - exact) / SE is a standard normal
         # draw per seed, up to the Monte Carlo error of the SE itself
         exact = halfspace_survival(0.0, 0.5)
+        assert len(ousim._shells(HS0, 0.5)[0]) == 7  # eight shells
         z = [(est.value - exact) / est.std_error
              for est in (exit_survival(HS0, 0.5, 64, 20_000, seed)
                          for seed in range(1, 61))]
@@ -1088,12 +1180,18 @@ class TestPostStratification:
     def test_smaller_se_on_the_short_horizon_ball(self):
         # the short-horizon exit scan of the ou-scan benchmark: a centred
         # ball of measure 1/2 at tau = 0.1, where half the paths start
-        # outside and the survival is 0.29
+        # outside and the survival is 0.29; on its six shells a path
+        # deep inside almost always survives
         ball = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
-        m = ousim._survival_scan([ball], 0.1, 512, 25_000, 1)
-        post = m.std_error(m.mean("coarse", 0, 0.5))
+        cuts, levels = ousim._shells(ball, 0.1)
+        m = ousim._survival_scan([ball], 0.1, 512, 25_000, 1, cuts=[cuts])
+        shells = m.std_error(m.mean("coarse", 0, levels))
+        one = _one_cell(m)
+        start = one.std_error(one.mean("coarse", 0, levels[[0, -1]]))
         plain = m.std_error(m.mean("coarse", 0, None))
-        assert post <= 0.8 * plain
+        assert len(cuts) == 5
+        assert start <= 0.8 * plain
+        assert shells <= 0.88 * start
 
 
 def _occupation_case():
@@ -1134,27 +1232,27 @@ class TestWorkerCount:
     # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10938534718913771, 0.0005003766380038017, 0.03585122379704622,
-            0.00027015820736271527, 0.0005350859038445356),
+            0.1095620853120504, 0.0004471732078453069, 0.0358712660979975,
+            0.0002691303187385768, 0.0004950391386647745),
         ("occupation_pair", 7000): (
-            0.10957909220026042, 0.0004971348827375809, 0.035720203574387516,
-            0.000269631993438409, 0.0005307203430095038),
+            0.10969449936437212, 0.000442976709790402, 0.035729076934509135,
+            0.0002686315209575148, 0.00048819381899590966),
         ("exit_dominance_refined", seeding.BATCH): (
-            0.07681475560675363, 0.2064909637112124, 0.0016338996073577488,
-            -7.59255790577229e-05, -0.0002606284125626912,
-            -0.0001847028335049683, 0.0002638407282456215),
+            0.07694545560496638, 0.2071160751133697, 0.0014535514931197065,
+            -7.541983177161704e-05, -0.0002618916327489229,
+            -0.00018647180097730587, 0.00026378196241739116),
         ("exit_dominance_refined", 7000): (
-            0.07620705932861921, 0.20730488063578015, 0.0016341696959488218,
-            -0.0001371847786340724, 7.76908363005202e-05,
-            0.00021487561493459262, 0.00025820652267752466),
+            0.07611775969716106, 0.20716415229819782, 0.0014549067779728165,
+            -0.00013791890501770043, 7.837475252123194e-05,
+            0.00021629365753893237, 0.0002581377317123399),
         ("exit_survival", seeding.BATCH): (
-            0.07623046110412994, 0.000890293285632177),
+            0.07643479453654911, 0.0008707624418921264),
         ("exit_survival", 7000): (
-            0.0772946526932079, 0.0008938220138561207),
+            0.07725718140797609, 0.0008703308809805365),
         ("occupation", seeding.BATCH): (
-            0.10833243746864477, 0.000500382833968208),
+            0.10860771342638742, 0.00044697653566116123),
         ("occupation", 7000): (
-            0.10942616705708007, 0.0005023144271728223),
+            0.1090367897367525, 0.0004465061099040175),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))

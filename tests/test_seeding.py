@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.1726346865704812, 0.001219819060395461, 0.28417173094549586, 0.0,
-     91.43736804608935),
-    (0.07662581974404109, 0.0008949589891671309, 0.20743930276397543, 0.0,
-     146.16701391163448),
+    (0.17314278598981006, 0.0011287915953380378, 0.28417173094549586, 0.0,
+     98.36088912624841),
+    (0.07674462264583166, 0.0008712707239238918, 0.20743930276397543, 0.0,
+     150.00467309350378),
 ]
 
 
