@@ -26,38 +26,48 @@ random numbers), and so do the arms of ``exit_dominance_refined``; their
 margins carry a paired standard error. ``occupation`` stays the raw grid
 scan, the oracle. Every estimator returns ``Estimate``s.
 
+The scans run their paths in antithetic pairs (Glasserman, *Monte
+Carlo Methods in Financial Engineering*, 2004, 4.2): both rows of a
+pair start at one point and step with the normals +z and -z, so a pair
+takes one normal vector per step. The start is not negated, since a
+centred ball's reflected path survives exactly when the original does.
+A shard of c paths holds floor(c / 2) pairs and, for odd c, one lone
+path. A pair, a single or the lone path is a unit; units are
+independent, the two rows of a pair are not.
+
 The scanned estimates are post-stratified on shells of the start set
-(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
-4.3). An exit weight or occupation count is exactly 0 for a path that
-starts outside the scanned set A (or A_1), and a path that starts deep
-inside A rarely leaves it within a short horizon. So ``_shells`` cuts A
-at boundary distances delta_j = j sigma / 2, where sigma =
-sqrt(1 - e^{-2 tau}) is the OU displacement scale over the horizon,
-into at most 8 shells S_j, up to the first empty level set. The
-measure mu_j of each shell is exact wherever mu(A) is, for every leaf
-and every 2-d composite (``geometry.level_set``,
+(Glasserman 2004, 4.3). An exit weight or occupation count is exactly 0
+for a path that starts outside the scanned set A (or A_1), and a path
+that starts deep inside A rarely leaves it within a short horizon. So
+``_shells`` cuts A at boundary distances delta_j = j sigma / 2, where
+sigma = sqrt(1 - e^{-2 tau}) is the OU displacement scale over the
+horizon, into at most 8 shells S_j, up to the first empty level set.
+The measure mu_j of each shell is exact wherever mu(A) is, for every
+leaf and every 2-d composite (``geometry.level_set``,
 ``geometry.exact_measure``). The estimate is sum_j mu_j q_j, with q_j
 the mean value of the n_j paths that start in S_j. Given the shell
-counts those paths are iid draws from their shells, so the estimate is
-unbiased, and it needs no extra draws. A count-only rule (``_runs``)
-merges a shell with fewer than 20 starts into its inner neighbour;
-a merged run weighs its shells by their counts. The standard error
-comes from the per-path residual sum_j (mu_j / m_j)(v - q_j) 1_{S_j},
-with m_j = n_j / N. At tau = 0, with one shell left, the estimate is
+counts the units that start there are iid draws from the shell, so the
+estimate is unbiased, and it needs no extra draws. A count-only rule
+(``_runs``) merges a shell with fewer than 20 starting paths into its
+inner neighbour; a merged run weighs its shells by their counts. The
+standard error comes from the unit residual, the sum over the unit's
+paths of sum_j (mu_j / m_j)(v - q_j) 1_{S_j}, with m_j = n_j / N: the
+residuals of a pair are summed before squaring, and each stratum's
+residuals sum to 0. At tau = 0, with one shell left, the estimate is
 mu(A) sum(v) / n_in over the n_in paths that start in A. A set whose
-measure is Monte Carlo keeps the plain mean sum(v) / N. A scan in which
-no path starts in A gives 0 +- 0. The raw-grid oracles
-(``exit_survival_refined`` and the raw drops) stay binomial
-frequencies.
+measure is Monte Carlo keeps the plain mean sum(v) / N, with unit
+residual V - n sum(v) / N for a unit of n paths and summed value V; so
+do the raw-grid oracles (``exit_survival_refined``). A scan in which
+no path starts in A gives 0 +- 0.
 
-A scan gives each path a start cell, one shell index per arm
-(``_cell``), and tallies its per-path columns (the constant 1 and each
-arm's values) as sums and cross-products per cell (``_tally``). Every
+A scan gives each unit a start cell, one shell index per arm
+(``_cell``), and tallies its columns (its path count and each arm's
+summed values) as sums and cross-products per cell (``_tally``). Every
 estimate, paired SE, refinement change and margin change is a linear
-combination of per-path residuals, read off those cell moments
+combination of unit residuals, read off those cell moments
 (``_Moments``, ``_Linear``); ``_compare`` joins the exact and the
 scanned arms of both pair calls under one rule and returns
-(estimate_a, estimate_b, paired_se). Two identical arms put every path
+(estimate_a, estimate_b, paired_se). Two identical arms put every unit
 in a cell with equal shells and get equal weights there, so their
 residual difference is 0 term by term: its standard error is exactly
 0.
@@ -66,18 +76,20 @@ Both scans run on one shard loop (``_scan``). A scan splits its paths
 into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
 paths, else two per ``BATCH`` paths or part of it, so a scan of any
 useful size keeps every CPU busy. Shard i draws its paths from the
-stream keyed ("exit", i). Once fewer than 7/8 of a shard's paths are
-live, the loop tallies the ones whose result is fixed, drops them and
-draws normals for the rest only; a dropped exit path adds only its cell
-count, since its values are 0. When rows drop depends only on the
-seed, the sizes and the sets. A shard advances a block of steps per
-round of numpy calls (about ``_BLOCK_NORMALS`` normals, drawn ahead)
-and keeps the steps up to the first after which rows would drop; the
-block's unused normals serve the next round. So every number is the one
-a loop of single steps gives, bit for bit. The shards run side by side
-on the shared thread pool (``seeding.fan_out``) and their sums are
-merged in shard order, so results do not depend on the number of
-workers.
+stream keyed ("exit", i). Once fewer than 7/8 of a shard's rows are
+live, the loop adds the values of the finished rows to their units and
+drops them. The live row of a pair whose partner has finished goes on
+as a single that draws its own normals; its law is unchanged, and the
+partner's values stay fixed in the unit (0 for an exit row, its count
+for an occupation row). Each shard tallies its units once, at the end.
+When rows drop depends only on the seed, the sizes and the sets. A
+shard advances a block of steps per round of numpy calls (about
+``_BLOCK_STATES`` state values, their normals drawn ahead) and keeps
+the steps up to the first after which rows would drop; the block's
+unused normals serve the next round. So every number is the one a loop
+of single steps gives, bit for bit. The shards run side by side on the
+shared thread pool (``seeding.fan_out``) and their sums are merged in
+shard order, so results do not depend on the number of workers.
 
 The exact half-space arms keep off OpenBLAS's thread pool: a pooled
 BLAS call leaves its threads spinning for about 0.1 s of CPU after it
@@ -163,10 +175,11 @@ class KroneckerSampler:
 # C-contiguous) once fewer than this share of its rows is live.
 _LIVE_SHARE = 7 / 8
 
-# Normals a shard draws and advances per round of numpy calls: a round
-# takes min(steps left, _BLOCK_NORMALS // (rows * dim)) steps, at least
-# one. At 2^15 a round's states take 256 kB.
-_BLOCK_NORMALS = 1 << 15
+# State values a shard advances per round of numpy calls: a round takes
+# min(steps left, _BLOCK_STATES // (rows * dim)) steps, at least one, and
+# draws one normal vector per unit and step, at most as many normals. At
+# 2^15 a round's states take 256 kB.
+_BLOCK_STATES = 1 << 15
 
 
 def _horizon(tau: float) -> float:
@@ -227,12 +240,17 @@ def _inv_sinh(d: float):
     return 1.0 / math.sinh(d) if d > 0.0 else None
 
 
-def _advance(states, z, decay, scale):
+def _advance(states, z, pairs, decay, scale):
     """Exact-transition steps from ``states`` (rows, dim) driven by the
-    raw normals ``z`` (b, rows, dim): the (b, rows, dim) states after
-    each step, each ``s * decay + z * scale`` rounded as written. ``z``
-    is scaled out of place, so it stays raw."""
-    out = np.multiply(z, scale)
+    raw normals ``z`` (b, units, dim), one vector per unit and step: rows
+    0 to ``pairs`` - 1 take +z and the next ``pairs`` rows -z of the first
+    ``pairs`` vectors (antithetic partners), and each remaining row one
+    vector of its own. Returns the (b, rows, dim) states after each step,
+    each ``s * decay + z * scale`` rounded as written. ``z`` stays raw."""
+    out = np.empty((len(z), *states.shape))
+    np.multiply(z[:, :pairs], scale, out=out[:, :pairs])
+    np.multiply(z[:, :pairs], -scale, out=out[:, pairs:2 * pairs])
+    np.multiply(z[:, pairs:], scale, out=out[:, 2 * pairs:])
     prev = states
     for row in out:
         row += prev * decay
@@ -350,15 +368,17 @@ def _cell(inside, dist, cuts) -> np.ndarray:
     return cell.astype(np.uint8)
 
 
-def _tally(cell, values, cells: int):
-    """(sums, cross) of the per-path columns [1, ``values``...] (values:
-    columns, paths) per start cell: sums[c] holds each column's sum over
-    the paths in cell c, cross[c] each product of two columns. The paths
-    are grouped by cell and each group summed by ``einsum``, not a BLAS
-    product, which would leave OpenBLAS's threads spinning."""
+def _tally(cell, count, values, cells: int):
+    """(sums, cross) of the per-unit columns [``count``, ``values``...]
+    (values: columns, units) per start cell: sums[c] holds each column's
+    sum over the units in cell c, cross[c] each product of two columns.
+    The units are grouped by cell and each group summed by ``einsum``,
+    not a BLAS product, which would leave OpenBLAS's threads spinning."""
+    order = np.argsort(cell, kind="stable")
     counts = np.bincount(cell, minlength=cells)
-    x = np.ones((1 + len(values), len(cell)))
-    x[1:] = np.take(values, np.argsort(cell, kind="stable"), axis=1)
+    x = np.empty((1 + len(values), len(cell)))
+    x[0] = count[order]
+    x[1:] = np.take(values, order, axis=1)
     sums = np.zeros((cells, len(x)))
     cross = np.zeros((cells, len(x), len(x)))
     end = np.cumsum(counts)
@@ -369,72 +389,95 @@ def _tally(cell, values, cells: int):
     return sums, cross
 
 
-def _scan(dim, tau, steps, paths, seed, start, update, columns, cells,
-          dropped_values):
+def _scan(dim, tau, steps, paths, seed, start, update, columns, cells):
     """The shard loop of the OU grid scans: ``paths`` stationary paths
-    in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau].
+    in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau],
+    in antithetic pairs.
 
     Shard i of ``_shards(paths)`` draws from the stream keyed
-    ("exit", i). ``start(states)`` returns each path's start cell (one of
-    ``cells``) and the scan's per-path arrays, one column per path, with
-    the liveness rows ``alive`` first. The loop advances a block of steps
-    per round (``_BLOCK_NORMALS`` normals, drawn ahead by
-    ``_Lookahead``); ``update(i, block, *arrays)`` gets the (b, paths,
-    dim) states after steps i + 1 to i + b, finds with ``_commit`` how
-    many steps k to keep, updates the arrays in place for those and
-    returns ``_commit``'s (k, drop). The rest of the block's normals stay
-    drawn for the next round. So every step sees the rows, the normals
-    and the float operations of a loop that stepped one at a time: once
-    fewer than ``_LIVE_SHARE`` of the paths have a live row, the dead
-    ones are dropped, and a shard stops when none is left.
-    ``columns(*arrays)`` gives the per-path value columns (columns,
-    paths) of the paths it is passed: of the dropped ones when they drop,
-    if ``dropped_values`` (else each dropped path's values are 0 and only
-    its cell count is added), and of the rest at the end. Returns their
-    ``_tally``, summed per shard in that order and over the shards in
-    shard order.
+    ("exit", i). Its c paths are floor(c / 2) pairs and, for odd c, one
+    lone path: the units. Each unit draws one start point, which both
+    rows of a pair share. ``start(starts)`` returns each unit's start
+    cell (one of ``cells``) and the scan's per-row arrays, one column per
+    row, with the liveness rows ``alive`` first. The rows are the +
+    partner of each pair, the - partner, then the singles. The loop
+    advances a block of steps per round (``_BLOCK_STATES`` state values)
+    with one normal vector per pair and per single and step
+    (``_advance``), drawn ahead by ``_Lookahead``;
+    ``update(i, block, *arrays)``
+    gets the (b, rows, dim) states after steps i + 1 to i + b, finds with
+    ``_commit`` how many steps k to keep, updates the arrays in place for
+    those and returns ``_commit``'s (k, drop). The rest of the block's
+    normals stay drawn for the next round. So every step sees the rows,
+    the normals and the float operations of a loop that stepped one at a
+    time. Once fewer than ``_LIVE_SHARE`` of the rows are live, the dead
+    rows are dropped: the live row of a pair whose partner died goes on
+    as a single (in pair order, after the singles), and a shard stops
+    when no row is left.
+
+    ``columns(*arrays)`` gives the value columns (columns, rows) of the
+    rows it is passed: of the dead rows when they drop and of the rest
+    at the end, each added to its unit's values. A unit's columns are its
+    path count (2 for a pair, also after it lost a row, and 1 for the
+    lone path) and its summed values. Returns their ``_tally`` over the
+    units in unit order, summed over the shards in shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
     seed = check_seed(seed)
 
     def shard(part):
         index, c = part
+        pairs, lone = divmod(c, 2)
         rng = derive_rng(seed, "exit", index)
-        states = rng.standard_normal((c, dim))
-        normals = _Lookahead(rng, max(_BLOCK_NORMALS, states.size))
-        cell, arrays = start(states)
-        parts, dropped = [], np.zeros(cells)
+        starts = rng.standard_normal((pairs + lone, dim))
+        normals = _Lookahead(rng, max(_BLOCK_STATES, starts.size))
+        cell, arrays = start(starts)
+        # each row's unit: rows i and pairs + i are the partners of pair i
+        unit = np.r_[0:pairs, 0:pairs + lone]
+        states = starts[unit]
+        arrays = [x[:, unit] for x in arrays]
+        done = []  # (unit, values) of the rows that have finished
+
+        def settle(rows):
+            done.append((unit[rows],
+                         columns(*(x.take(rows, 1) for x in arrays))))
+
         drop = _dropping(arrays[0].any(axis=0))
         i = 0
         while i < steps:
             if drop is not None:
-                gone = ~drop
-                if dropped_values:
-                    parts.append(_tally(cell[gone], columns(
-                        *(x.compress(gone, 1) for x in arrays)), cells))
-                else:
-                    dropped += np.bincount(cell[gone], minlength=cells)
-                states, cell = states[drop], cell[drop]
-                arrays = [x.compress(drop, 1) for x in arrays]
+                settle(np.flatnonzero(~drop))
+                plus, minus = drop[:pairs], drop[pairs:2 * pairs]
+                kept, alone = (np.flatnonzero(plus & minus),
+                               np.flatnonzero(plus ^ minus))
+                order = np.concatenate([
+                    kept, pairs + kept, 2 * pairs + np.flatnonzero(
+                        drop[2 * pairs:]),
+                    np.where(plus[alone], alone, pairs + alone)])
+                pairs = len(kept)
+                states, unit = states[order], unit[order]
+                arrays = [x.take(order, 1) for x in arrays]
                 if not len(states):
                     break
-            b = min(steps - i, max(1, _BLOCK_NORMALS // states.size))
-            z = normals.peek(b * states.size).reshape(b, *states.shape)
-            block = _advance(states, z, decay, scale)
+            b = min(steps - i, max(1, _BLOCK_STATES // states.size))
+            per_step = (len(states) - pairs) * dim  # a vector per unit
+            z = normals.peek(b * per_step).reshape(b, -1, dim)
+            block = _advance(states, z, pairs, decay, scale)
             del states  # frees the last round's block during the update
             k, drop = update(i, block, *arrays)
-            normals.take(k * block[0].size)
+            normals.take(k * per_step)
             states = block[k - 1]
             i += k
-        parts.append(_tally(cell, columns(*arrays), cells))
-        return parts, dropped
+        settle(np.arange(len(states)))
+        # every row settles once, so a unit's rows count its paths
+        units, values = (np.concatenate(x, axis=-1) for x in zip(*done))
+        return _tally(cell, np.bincount(units),
+                      np.stack([np.bincount(units, v) for v in values]),
+                      cells)
 
     sums = cross = 0.0
-    for parts, dropped in fan_out(shard, _shards(paths)):
-        for s, q in parts:
-            sums, cross = sums + s, cross + q
-        sums[:, 0] += dropped
-        cross[:, 0, 0] += dropped
+    for s, q in fan_out(shard, _shards(paths)):
+        sums, cross = sums + s, cross + q
     return sums, cross
 
 
@@ -460,10 +503,11 @@ def _runs(counts) -> list[int]:
 @dataclass(frozen=True, eq=False)
 class _Linear:
     """An estimate read off a scan's cell moments: its value, and the
-    weights (cells, columns) of its per-path residual, which in cell c is
-    weights[c] . [1, values], and whose mean is the estimate's error to
-    first order. An exact value has weights None. Differences of
-    estimates of one scan are ``_Linear`` too."""
+    weights (cells, columns) of its unit residual, which in cell c is
+    weights[c] . [n, values] for a unit of n paths and summed values,
+    and whose sum over the units, divided by the paths, is the
+    estimate's error to first order. An exact value has weights None.
+    Differences of estimates of one scan are ``_Linear`` too."""
     value: float
     weights: np.ndarray | None = None
 
@@ -476,12 +520,13 @@ class _Linear:
 @dataclass(frozen=True, eq=False)
 class _Moments:
     """The cell moments of a scan over ``paths`` paths: ``sums`` and
-    ``cross`` of ``_tally``, one row per start cell (``_cell``). Column 0
-    is the constant 1, so sums[c, 0] counts the paths that start in cell
-    c. The value columns come in blocks of one column per scanned arm (a
-    region or an (A_1, A_2) pair); ``blocks`` maps a block's name to its
-    place, and two names may share one. Every value column is 0 for a
-    path that starts outside the arm's start set (A or A_1)."""
+    ``cross`` of ``_tally`` over the scan's units, one row per start
+    cell (``_cell``). Column 0 is each unit's path count, so sums[c, 0]
+    counts the paths that start in cell c. The value columns, each
+    unit's summed values, come in blocks of one column per scanned arm
+    (a region or an (A_1, A_2) pair); ``blocks`` maps a block's name to
+    its place, and two names may share one. Every value column is 0 for
+    a unit that starts outside the arm's start set (A or A_1)."""
     paths: int
     sums: np.ndarray
     cross: np.ndarray
@@ -499,18 +544,19 @@ class _Moments:
         """``scale`` times the mean of column (``block``, ``arm``),
         post-stratified on the shells of the arm's start set A, whose
         exact measures are the differences of ``levels`` (``_shells``).
-        Each run G of shells that ``_runs`` keeps gives mu_G q_G, with
-        q_G = sum(v) / n_G over its n_G starts, and the residual
-        (mu_G / m_G)(v - q_G) on its paths, m_G = n_G / N; 0 with weights
-        0 when no path starts in A. A Monte Carlo measure (``levels``
-        None) gives the plain mean sum(v) / N with residual
-        v - sum(v) / N."""
+        Each run G of shells that ``_runs`` keeps (on path counts) gives
+        mu_G q_G, with q_G = sum(v) / n_G over its n_G starting paths, and
+        the residual (mu_G / m_G)(V - n q_G) on its units of n paths and
+        summed value V, m_G = n_G / N; 0 with weights 0 when no path
+        starts in A. No levels (a Monte Carlo measure, or the raw
+        oracle) gives the plain mean sum(v) / N with residual
+        V - n sum(v) / N."""
         v = self.column(block, arm)
         w = np.zeros(self.sums.shape)
         if levels is None:
-            w[:, v] = scale
-            return _Linear(
-                float(scale * (self.sums[:, v].sum() / self.paths)), w)
+            q = self.sums[:, v].sum() / self.paths
+            w[:, v], w[:, 0] = scale, -scale * q
+            return _Linear(float(scale * q), w)
         # the arm's shell index in each cell, 0 outside its start set
         shell = np.arange(len(self.sums)) // _CELL ** arm % _CELL
         shells = len(levels) - 1
@@ -531,7 +577,11 @@ class _Moments:
         return _Linear(float(value), w)
 
     def std_error(self, est: _Linear) -> float:
-        """Standard error of the mean per-path residual of ``est``."""
+        """Standard error of ``est``: the root of the sum over the units
+        of their squared residuals, divided by the paths, once the
+        residuals' mean is taken out (it is 0 up to rounding, since each
+        stratum's residuals sum to 0). The units are independent, so this
+        is the SE clustered by unit."""
         w = est.weights
         if w is None:
             return 0.0
@@ -618,9 +668,8 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
             parts += [w[:r], alive[:r]]
         return np.concatenate(parts, dtype=float)
 
-    # a dropped path has no live row, so its weights and indicators are 0
     sums, cross = _scan(regions[0].dim, tau, steps * refine, paths, seed,
-                        start, update, columns, _CELL ** r, False)
+                        start, update, columns, _CELL ** r)
     return _Moments(int(paths), sums, cross, blocks, r)
 
 
@@ -642,6 +691,13 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     takes no extra draws. At tau = 0 there is one shell, s itself. Where
     the measure is Monte Carlo (a composite outside the plane), the
     estimate is the plain mean weight.
+
+    The paths run in antithetic pairs that share their start (``_scan``),
+    so a pair takes one normal vector per step for two paths, and
+    ``samples`` counts paths. The standard error is that of the pairs'
+    summed residuals: the partners' weights are correlated, and a pair
+    whose one path has left goes on as one path with its partner's
+    weight fixed at 0.
     """
     paths = int(paths)
     seed = check_seed(seed)
@@ -832,7 +888,10 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
                           refine: int = 2):
     """The raw grid monitor, kept as the oracle: the frequency of paths
     inside ``s`` at every grid time, at ``steps`` and at ``steps *
-    refine`` on shared trajectories, with binomial standard errors.
+    refine`` on shared trajectories. Each is a plain mean, with the
+    standard error of its unit residuals (``_Moments.mean`` with no
+    levels), since the two rows of an antithetic pair are not
+    independent.
 
     Raw grid survival over-estimates continuous-time survival by a bias
     of order sqrt(tau/steps). The fine event is a subset of the coarse
@@ -840,11 +899,10 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
     has change >= 0 exactly; change measures that bias at ``steps``.
     """
     m = _survival_scan([s], tau, steps, paths, seed, refine=refine)
-    paths = int(paths)
-    coarse, fine = m.total("raw", 0), m.total("raw_fine", 0)
-    ce, fe, drop = (Estimate.binomial(count, paths, seed)
-                    for count in (coarse, fine, coarse - fine))
-    return ce, fe, drop.value, drop.std_error
+    coarse, fine = m.mean("raw", 0, None), m.mean("raw_fine", 0, None)
+    change = coarse - fine
+    return (m.estimate(coarse, seed), m.estimate(fine, seed), change.value,
+            m.std_error(change))
 
 
 def _compare(m: _Moments | None, a: _Linear, b: _Linear, seed):
@@ -974,7 +1032,7 @@ def _occupation_scan(pairs, tau, steps, paths, seed,
         return counts.astype(float)
 
     sums, cross = _scan(pairs[0][0].dim, tau, steps, paths, seed, start,
-                        update, columns, _CELL ** len(pairs), True)
+                        update, columns, _CELL ** len(pairs))
     return _Moments(int(paths), sums, cross, {"count": 0}, len(pairs))
 
 
@@ -990,6 +1048,9 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
     measure times the mean count of the paths that start in it,
     unbiased, with a standard error no larger, to first order, than that
     of the plain mean count, which is kept where mu(A_1) is Monte Carlo.
+    As in ``exit_survival`` the paths run in antithetic pairs and the
+    standard error is that of the pairs' summed residuals; a path that
+    has left A_1 keeps its count in its pair's sum.
     """
     tau, steps, _, _ = _grid_params(tau, steps)
     paths = int(paths)

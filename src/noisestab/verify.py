@@ -474,10 +474,12 @@ def condition_check(cfg: ExperimentConfig) -> list[dict]:
     covariances, plus the explicit witness separating them.
 
     Exponential-decay grids satisfy both. The witness satisfies the
-    entrywise condition but not the inverse condition. A witness for the
-    reverse separation is not constructed here: strictly PD matrices
-    whose inverses have nonpositive off-diagonals appear to be
-    entrywise nonnegative at this scale, and the rows only report.
+    entrywise condition but not the inverse condition. There is no
+    witness for the reverse separation: a strictly PD matrix whose
+    inverse has nonpositive off-diagonals is the inverse of a
+    nonsingular M-matrix, and such an inverse is entrywise nonnegative
+    (Berman & Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, 1994, ch. 6). The rows only report.
     """
     w = cfg.sweep
     if w.k_max < 2:

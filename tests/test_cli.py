@@ -318,7 +318,7 @@ class TestShippedConfigs:
             "ca51317467dc2c93e2071f215f90bd93d57181fbf51d5c5f72ea6bde1c932b19"),
         "exit_ball": (
             ["--paths", "4000"],
-            "7115047d3d123bdc1d1b7f57cf7dd7e063079316d77484c3af12eddd6143172a"),
+            "1f80929596054d7acb9c4d229dfa73559206daa61e7d19dcdae764eb741473a1"),
         "k2grid": (
             [],
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
@@ -327,7 +327,7 @@ class TestShippedConfigs:
             "6a1f04df5c5a481aec6966b2f9f567d036e54bfe27eba30e7d081f0897ae039f"),
         "occupation_balls": (
             ["--paths", "4000"],
-            "f19ec94f821bf7c1b5035333caa278d40ac6f55980627807c8823c8f56c42f98"),
+            "12e87e304984300ff1fab1739ac0cdd9d7a6823c6d931fe13f4710174cbab6ba"),
         "parallel": (
             ["--samples", "100000"],
             "d13e553bc2bc4adf9153cf956e7f63c011503562a7d9a351a20dcbd49d75d925"),
@@ -340,7 +340,7 @@ class TestShippedConfigs:
         "equality_diag":
             "d89964e43a4db336cae28b2006e2cffe94ff7e338d521457146cfc17397c4c0f",
         "exit_ball":
-            "7b5e3801bc5d0155468013e14bd86a4660c56ad1378626d9cb84679074ea1994",
+            "4ea167a36c816705bdde7d01f9d3095b6a42bb15dc3b046e317b9d43d2ee16b0",
         "k2grid":
             "6f89ff0ca36b681b9fdee0c8f3c9c46f3de94392a480c9173827291c63f87e0d",
     }

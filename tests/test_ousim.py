@@ -39,14 +39,15 @@ FULL = HalfSpace(np.array([1.0, 0.0]), np.inf)
 
 
 def _walk(count, n, tau, steps, seed):
-    """States of ``count`` stationary OU paths at the ``steps + 1`` grid
-    times of [0, tau], advanced by ``ousim._advance`` as the scans do,
-    from the stream of shard 0: an array of shape (steps + 1, count, n)."""
+    """States of ``count`` independent stationary OU paths (singles, no
+    antithetic pairs) at the ``steps + 1`` grid times of [0, tau],
+    advanced by ``ousim._advance``, from the stream of shard 0: an array
+    of shape (steps + 1, count, n)."""
     _, _, decay, scale = ousim._grid_params(tau, steps)
     rng = seeding.derive_rng(seed, "exit", 0)
     states = rng.standard_normal((count, n))
     z = rng.standard_normal((steps, count, n))
-    return np.concatenate([states[None], ousim._advance(states, z, decay,
+    return np.concatenate([states[None], ousim._advance(states, z, 0, decay,
                                                         scale)])
 
 
@@ -82,7 +83,7 @@ class TestSimulatePath:
         # a block of four steps of two rows leaves its normals raw
         z = seeding.derive_rng(4, "exit", 0).standard_normal((4, 2, 3))
         raw = z.copy()
-        out = ousim._advance(p[-1, :2], z, 0.5, 0.5)
+        out = ousim._advance(p[-1, :2], z, 0, 0.5, 0.5)
         assert out.shape == (4, 2, 3) and np.array_equal(z, raw)
 
     def test_block_is_steps_in_turn(self):
@@ -347,8 +348,8 @@ class TestHalfspaceSurvival:
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
         assert (a.value, a.std_error, b.value, b.std_error, paired) == (
-            0.07574307977847233, 0.000867201760441992, 0.155027444485196,
-            0.0011553557905297806, 0.0008308424430579533)
+            0.07764131161461611, 0.0009131113422149826, 0.15704153041134397,
+            0.001191804321252979, 0.0008397914753235022)
 
     def test_equal_for_one_and_two_workers(self, monkeypatch):
         # the horizons run on pool threads, each diagonalising its grids
@@ -454,8 +455,17 @@ class TestHalfspaceOccupation:
         assert abs(halfspace_occupation(c1, c2, tau) - ref) <= 2e-6
 
     def test_matches_raw_scan(self):
+        # the raw grid functional misses the excursions above c1 between
+        # grid times, so it estimates the continuous occupation with c1
+        # moved out by beta sqrt(2 d), beta = -zeta(1/2) / sqrt(2 pi), to
+        # o(sqrt(d)) (Broadie, Glasserman & Kou 1997; the OU diffusion
+        # coefficient is sqrt 2); unshifted, it overshoots by about
+        # 0.0004 at 2048 steps
+        d = 0.5 / 2048
+        beta = -special.zeta(0.5) / math.sqrt(2.0 * math.pi)
         est = occupation(HS_06, HS_03, 0.5, 2048, 40_000, 41)
-        exact = halfspace_occupation(HS_06.offset, HS_03.offset, 0.5)
+        exact = halfspace_occupation(HS_06.offset + beta * math.sqrt(2.0 * d),
+                                     HS_03.offset, 0.5)
         assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_pair_takes_parallel_pairs_exactly(self):
@@ -734,11 +744,35 @@ def step_rows(monkeypatch):
     return rows
 
 
-def _normals(shapes, dim, step_rows):
+@pytest.fixture
+def step_units(monkeypatch):
+    """(rows, units) of every step a scan commits, in order: a unit is a
+    pair, which steps with one normal vector for its two rows, or a
+    single row."""
+    steps, block = [], []
+    advance, commit = ousim._advance, ousim._commit
+
+    def paired_advance(states, z, pairs, decay, scale):
+        assert z.shape[1] == len(states) - pairs and 2 * pairs <= len(states)
+        block[:] = [(len(states), z.shape[1])]
+        return advance(states, z, pairs, decay, scale)
+
+    def counted_commit(inside, alive):
+        k, drop = commit(inside, alive)
+        steps.extend(block * k)
+        return k, drop
+
+    monkeypatch.setattr(ousim, "_advance", paired_advance)
+    monkeypatch.setattr(ousim, "_commit", counted_commit)
+    return steps
+
+
+def _normals(shapes, dim, step_units):
     """(drawn, consumed) normals of a one-shard scan: the draws recorded
-    by ``draws``, and the start plus every committed step."""
+    by ``draws``, and the start plus one vector per unit of every
+    committed step."""
     drawn = sum(math.prod(shape) for shape in shapes)
-    return drawn, dim * (shapes[0][0] + sum(step_rows))
+    return drawn, dim * (shapes[0][0] + sum(u for _, u in step_units))
 
 
 class TestShards:
@@ -779,31 +813,32 @@ class TestCompaction:
     POINT = Ball(np.zeros(2), 0.0)  # every path starts outside
 
     def test_dead_at_start_exit(self, draws, step_rows):
+        # 3,000 paths are 1,500 pairs, each drawing one start
         est = exit_survival(self.POINT, 0.5, 64, 3000, 1)
         assert est.value == 0.0 and est.std_error == 0.0
-        assert draws == [(3000, 2)] and step_rows == []
+        assert draws == [(1500, 2)] and step_rows == []
 
     def test_dead_at_start_refined(self, draws, step_rows):
         r = exit_dominance_refined(self.POINT, self.POINT, 0.5, 64, 3000, 1)
         assert r.est_a.value == r.est_b.value == 0.0
         assert r.change_a == r.margin_change == r.raw_drop_a == 0.0
-        assert draws == [(3000, 2)] and step_rows == []
+        assert draws == [(1500, 2)] and step_rows == []
 
     def test_dead_at_start_occupation(self, draws, step_rows):
-        est = occupation(self.POINT, FULL, 0.5, 64, 3000, 1)
+        est = occupation(self.POINT, FULL, 0.5, 64, 3001, 1)
         assert est.value == 0.0 and est.std_error == 0.0
-        assert draws == [(3000, 2)] and step_rows == []
+        assert draws == [(1501, 2)] and step_rows == []
 
-    def test_no_exit_draws_every_path(self, draws, step_rows):
-        # nothing leaves A_1, so nothing is dropped: the value is the
-        # one the scan gave before paths were ever dropped, and no block
-        # is cut, so every normal drawn is used
+    def test_no_exit_draws_every_path(self, draws, step_units):
+        # nothing leaves A_1, so nothing is dropped: every step draws one
+        # normal vector per pair, and no block is cut, so every normal
+        # drawn is used
         est = occupation(FULL, HALF_BALL, 0.5, 64, 3000, 11)
-        assert draws[0] == (3000, 2) and step_rows == [3000] * 64
-        drawn, consumed = _normals(draws, 2, step_rows)
+        assert draws[0] == (1500, 2) and step_units == [(3000, 1500)] * 64
+        drawn, consumed = _normals(draws, 2, step_units)
         assert drawn == consumed
-        assert est.value == 0.2504296875
-        assert est.std_error == 0.003300080233539377
+        assert est.value == 0.24627864583333334
+        assert est.std_error == 0.003619203001569907
 
     def test_dropped_paths_keep_their_counts(self):
         # the occupation of {x_1 <= 0} before leaving it is the integral
@@ -815,16 +850,21 @@ class TestCompaction:
                                0.0, 1.0)[0]
         assert exact - 3 * est.std_error <= est.value <= exact + 0.03
 
-    def test_draws_shrink_with_survivors(self, draws, step_rows):
+    def test_draws_shrink_with_survivors(self, draws, step_units):
+        # a pair that loses one row goes on as a single, which draws its
+        # own normals: units never outnumber rows or fall below half
         exit_survival(HALF_BALL, 1.0, 128, 3000, 2)
-        rows = [draws[0][0]] + step_rows
-        assert rows[0] == 3000 and len(rows) <= 129
+        assert draws[0] == (1500, 2) and len(step_units) <= 128
+        rows = [3000] + [r for r, _ in step_units]
+        units = [1500] + [u for _, u in step_units]
         assert all(b <= a for a, b in zip(rows, rows[1:]))
+        assert all(b <= a for a, b in zip(units, units[1:]))
         assert rows[-1] < 3000 * ousim._LIVE_SHARE
+        assert any(2 * u > r for r, u in step_units)
         # the normals a cut block left unused are the next round's: no
         # more than one block is ever drawn ahead
-        drawn, consumed = _normals(draws, 2, step_rows)
-        assert consumed <= drawn <= consumed + ousim._BLOCK_NORMALS
+        drawn, consumed = _normals(draws, 2, step_units)
+        assert consumed <= drawn <= consumed + ousim._BLOCK_STATES
 
     def test_coarse_monitor_kept_alive(self):
         # with refine=2 a path that left on the fine grid may still be
@@ -850,39 +890,71 @@ HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
 
 def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
                   cells):
-    """The shard loop as it ran before blocks: one step per round, the
-    normals of each step drawn when it is taken, and every path tallied
-    in its start cell with all its values, dropped or not. Returns the
-    cell sums and cross-products, as ``ousim._scan`` does."""
+    """The shard loop as it ran before blocks, in antithetic pairs: one
+    step per round, the normals of each step drawn when it is taken, one
+    vector per pair (+z for its first row, -z for its second) and per
+    single. Rows are laid out as the first rows of the pairs, the
+    second rows, then the singles; when fewer than 7/8 of the rows are
+    live, the dead rows go, and the live row of a pair whose partner died
+    joins the singles. Returns, per shard, each unit's start cell, path
+    count and values (its rows' values summed), in unit order, and the
+    number of pairs that lost one row and went on as a single."""
     _, steps, decay, scale = ousim._grid_params(tau, steps)
 
     def shard(part):
         index, c = part
+        pairs, lone = divmod(c, 2)
         rng = seeding.derive_rng(seed, "exit", index)
-        states = rng.standard_normal((c, dim))
-        cell, arrays = start(states)
-        parts = []
+        starts = rng.standard_normal((pairs + lone, dim))
+        cell, arrays = start(starts)
+        count = np.r_[np.full(pairs, 2.0), np.ones(lone)]
+        unit = np.r_[np.arange(pairs), np.arange(pairs + lone)]
+        states = starts[unit]
+        arrays = [x[:, unit] for x in arrays]
+        values = np.zeros((len(columns(*arrays)), pairs + lone))
+        demoted = 0
+
+        def settle(rows):
+            np.add.at(values, (slice(None), unit[rows]),
+                      columns(*(x[:, rows] for x in arrays)))
+
         for i in range(1, steps + 1):
             live = arrays[0].any(axis=0)
             if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
-                parts.append(ousim._tally(cell[~live], columns(
-                    *(x.compress(~live, 1) for x in arrays)), cells))
-                states, cell = states[live], cell[live]
-                arrays = [x.compress(live, 1) for x in arrays]
+                settle(~live)
+                plus, minus = live[:pairs], live[pairs:2 * pairs]
+                both = [j for j in range(pairs) if plus[j] and minus[j]]
+                one = [j if plus[j] else pairs + j for j in range(pairs)
+                       if plus[j] != minus[j]]
+                singles = [j for j in range(2 * pairs, len(live)) if live[j]]
+                order = np.array(both + [pairs + j for j in both] + singles
+                                 + one, dtype=int)
+                demoted += len(one)
+                pairs = len(both)
+                states, unit = states[order], unit[order]
+                arrays = [x[:, order] for x in arrays]
                 if not len(states):
                     break
-            z = rng.standard_normal(states.shape)
+            z = rng.standard_normal((len(states) - pairs, dim))
+            inc = np.concatenate([z[:pairs], -z[:pairs], z[pairs:]])
             states *= decay
-            z *= scale
-            states += z
+            inc *= scale
+            states += inc
             update(i, states, *arrays)
-        parts.append(ousim._tally(cell, columns(*arrays), cells))
-        return parts
+        settle(np.arange(len(states)))
+        return cell, count, values, demoted
 
+    return [shard(part) for part in ousim._shards(paths)], cells
+
+
+def _unit_moments(reference):
+    """The cell sums and cross-products of a stepped reference, tallied
+    per shard and summed in shard order, as ``ousim._scan`` does."""
+    shards, cells = reference
     sums = cross = 0.0
-    for part in ousim._shards(paths):
-        for s, q in shard(part):
-            sums, cross = sums + s, cross + q
+    for cell, count, values, _ in shards:
+        s, q = ousim._tally(cell, count, values, cells)
+        sums, cross = sums + s, cross + q
     return sums, cross
 
 
@@ -952,7 +1024,7 @@ def _stepped_occupation(pairs, tau, steps, paths, seed, cuts=None):
 
 
 def _same_moments(m, reference):
-    sums, cross = reference
+    sums, cross = _unit_moments(reference)
     return np.array_equal(m.sums, sums) and np.array_equal(m.cross, cross)
 
 
@@ -1021,29 +1093,31 @@ class TestBlocksMatchSteps:
         assert _same_moments(ousim._survival_scan(*args, cuts=cuts),
                              _stepped_survival(*args, cuts=cuts))
 
-    def test_exit_drops_add_counts_only(self, monkeypatch):
-        # a dropped exit path has no live row, so its values are 0: the
-        # exit scan tallies each shard's values once, at the end, and the
-        # occupation scan tallies the counts of every drop too
+    def test_one_tally_per_shard(self, monkeypatch):
+        # a finished row adds its values to its unit when it drops, and
+        # each shard tallies its units once, at the end: 1,500 pairs at
+        # 3,000 paths, and 10,000 pairs plus a lone path and 10,000 pairs
+        # in the two shards of 40,001 paths
         calls = []
         real = ousim._tally
         monkeypatch.setattr(ousim, "_tally",
                             lambda *a: calls.append(len(a[0])) or real(*a))
-        m = ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3,
-                                 cuts=_cuts([HALF_BALL], 0.5))
-        assert len(calls) == 1 and calls[0] < m.paths
-        calls.clear()
+        ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3,
+                             cuts=_cuts([HALF_BALL], 0.5))
         ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 3000, 3)
-        assert len(calls) > 1 and sum(calls) == 3000
+        m = ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 40_001, 3)
+        assert sorted(calls) == [1500, 1500, 10_000, 10_001]
+        assert m.sums[:, 0].sum() == 40_001
 
     def test_cases_reach_their_edges(self, step_rows):
-        # the scan ends on one live row, and the tiny ball loses every
-        # path in the first step of a seven-step block
+        # the scan ends on one live row, and the tiny ball loses both
+        # rows of its one starting pair in the first step of a seven-step
+        # block
         ousim._survival_scan([LEAVING], 3.0, 151, 3000, 3)
         assert step_rows[-1] == 1 and len(step_rows) < 151
         step_rows.clear()
         ousim._occupation_scan([(TINY, TINY)], 3.0, 7, 3000, 3)
-        assert step_rows == [3]
+        assert step_rows == [2]
 
 
 # the Gaussian measure of an n = 3 composite is Monte Carlo
@@ -1157,9 +1231,13 @@ class TestPostStratification:
                          7)
         for moments, block, scale, got in ((m, "coarse", 1.0, est),
                                            (m2, "count", 0.5 / 32, occ)):
+            # the residual of a unit of n paths with summed value V is
+            # V - n mean, and the units are independent
             v = moments.column(block, 0)
             mean = moments.sums[:, v].sum() / 20_000
-            var = moments.cross[:, v, v].sum() / 20_000 - mean * mean
+            vv, nv, nn = (moments.cross[:, i, j].sum()
+                          for i, j in ((v, v), (0, v), (0, 0)))
+            var = (vv - 2.0 * mean * nv + mean * mean * nn) / 20_000
             assert got.value == pytest.approx(scale * mean, rel=1e-12)
             assert got.std_error == pytest.approx(
                 scale * math.sqrt(var / 20_000), rel=1e-12)
@@ -1194,6 +1272,97 @@ class TestPostStratification:
         assert shells <= 0.88 * start
 
 
+class TestAntithetic:
+    """The scans run their paths in antithetic pairs: both rows of a pair
+    start at one point and step with +z and -z, a pair that has lost one
+    row goes on as a single with the finished row's values fixed, and
+    every standard error is that of the unit (pair, single or lone path)
+    residual sums."""
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0])
+    def test_calibrated_on_origin_halfspace(self, tau):
+        # exact for a half-space through the origin, so z = (estimate -
+        # exact) / SE is a standard normal draw per seed if the paired SE
+        # is right; over 100 seeds the sample sd of z has an SE of 0.07
+        exact = halfspace_survival(0.0, tau)
+        z = [(est.value - exact) / est.std_error
+             for est in (exit_survival(HS0, tau, 64, 20_000, seed)
+                         for seed in range(1, 101))]
+        assert abs(np.mean(z)) <= 0.5
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+    @pytest.mark.parametrize("scan", ["exit", "occupation"])
+    def test_clustered_se_by_hand(self, scan):
+        # the SE of the unit sums of the stepped reference: residuals of
+        # the paths of a unit are summed before squaring
+        paths, s = 3001, (HALF_BALL if scan == "exit" else BALL_06)
+        cuts, levels = ousim._shells(s, 0.5)
+        if scan == "exit":
+            args = ([s], 0.5, 37, paths, 3)
+            m = ousim._survival_scan(*args, cuts=[cuts])
+            shards, _ = _stepped_survival(*args, cuts=[cuts])
+            block = "coarse"
+        else:
+            args = ([(s, BALL_03)], 0.5, 37, paths, 3)
+            m = ousim._occupation_scan(*args, cuts=[cuts])
+            shards, _ = _stepped_occupation(*args, cuts=[cuts])
+            block = "count"
+        assert sum(demoted for *_, demoted in shards) > 100
+        cell, n = (np.concatenate([sh[i] for sh in shards]) for i in (0, 1))
+        v = np.concatenate([sh[2][0] for sh in shards])
+        assert n.sum() == paths and np.count_nonzero(n == 1) == 1
+        edges = ousim._runs(np.bincount(cell, n)[1:len(levels)])
+        value, residual = 0.0, np.zeros(len(cell))
+        for lo, hi in zip(edges, edges[1:]):
+            run = (cell > lo) & (cell <= hi)
+            q = v[run].sum() / n[run].sum()
+            mu = levels[lo] - levels[hi]
+            residual[run] = mu * paths / n[run].sum() * (v[run] - n[run] * q)
+            value += mu * q
+        est = m.mean(block, 0, levels)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert m.std_error(est) == pytest.approx(
+            math.sqrt(np.sum(residual ** 2)) / paths, rel=1e-9)
+        q = v.sum() / paths
+        assert m.std_error(m.mean(block, 0, None)) == pytest.approx(
+            math.sqrt(np.sum((v - n * q) ** 2)) / paths, rel=1e-9)
+
+    @pytest.mark.parametrize("paths,lone", [(8000, 0), (8001, 1),
+                                            (40_000, 0), (40_001, 1)])
+    def test_odd_shard_holds_one_lone_unit(self, paths, lone):
+        # the count column sums n = 2 pairs + lone paths and its square
+        # n^2 = 4 pairs + lone; 40,001 paths are shards of 20,001 and
+        # 20,000
+        m = ousim._survival_scan([HALF_BALL], 0.5, 8, paths, 3)
+        count, square = m.sums[:, 0].sum(), m.cross[:, 0, 0].sum()
+        assert count == paths and 2 * count - square == lone
+
+    def test_partners_share_their_start(self, monkeypatch):
+        # nothing leaves the full space, so the first round steps every
+        # row from its start: partners from one start point, with +z and
+        # -z, and the lone path from its own
+        rounds = []
+        real = ousim._advance
+
+        def advance(states, z, pairs, decay, scale):
+            out = real(states, z, pairs, decay, scale)
+            rounds.append((states, z, pairs, decay, scale, out))
+            return out
+
+        monkeypatch.setattr(ousim, "_advance", advance)
+        ousim._occupation_scan([(FULL, HALF_BALL)], 0.5, 4, 3001, 5)
+        states, z, pairs, decay, scale, out = rounds[0]
+        starts = seeding.derive_rng(5, "exit", 0).standard_normal((1501, 2))
+        assert pairs == 1500 and z.shape == (4, 1501, 2)
+        assert np.array_equal(states, starts[np.r_[0:1500, 0:1501]])
+        assert np.array_equal(out[0, :1500], states[:1500] * decay
+                              + z[0, :1500] * scale)
+        assert np.array_equal(out[0, 1500:3000], states[1500:3000] * decay
+                              - z[0, :1500] * scale)
+        assert np.array_equal(out[0, 3000], states[3000] * decay
+                              + z[0, 1500] * scale)
+
+
 def _occupation_case():
     # two scanned pairs (two half-spaces with one normal would be exact)
     a, b, paired = occupation_pair((BALL_06, BALL_03), (BALL_06, HS_03), 0.5,
@@ -1202,13 +1371,13 @@ def _occupation_case():
 
 
 def _exit_case():
-    # one scanned region: the scan drops dead paths untallied
+    # one scanned region: a dropped row's values are 0
     est = exit_survival(HALF_BALL, 0.5, 32, 70_000, 23)
     return est.value, est.std_error
 
 
 def _single_occupation_case():
-    # one scanned pair: the scan tallies dropped paths as it goes
+    # one scanned pair: a dropped row adds its counts to its unit
     est = occupation(BALL_06, BALL_03, 0.5, 32, 70_000, 24)
     return est.value, est.std_error
 
@@ -1232,27 +1401,27 @@ class TestWorkerCount:
     # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.1095620853120504, 0.0004471732078453069, 0.0358712660979975,
-            0.0002691303187385768, 0.0004950391386647745),
+            0.10950739224303954, 0.0004016578062431989, 0.03565748872284022,
+            0.00028024474812744175, 0.00047185721797063867),
         ("occupation_pair", 7000): (
-            0.10969449936437212, 0.000442976709790402, 0.035729076934509135,
-            0.0002686315209575148, 0.00048819381899590966),
+            0.10854598360692963, 0.0003974567172144427, 0.03566456031746801,
+            0.000278379410876901, 0.0004631470933790375),
         ("exit_dominance_refined", seeding.BATCH): (
-            0.07694545560496638, 0.2071160751133697, 0.0014535514931197065,
-            -7.541983177161704e-05, -0.0002618916327489229,
-            -0.00018647180097730587, 0.00026378196241739116),
+            0.0753398879599918, 0.20734315130284253, 0.0012333720479507729,
+            -0.00024755841357491926, 0.00012093651246306014,
+            0.0003684949260379794, 0.00026543731090954115),
         ("exit_dominance_refined", 7000): (
-            0.07611775969716106, 0.20716415229819782, 0.0014549067779728165,
-            -0.00013791890501770043, 7.837475252123194e-05,
-            0.00021629365753893237, 0.0002581377317123399),
+            0.07606522745865191, 0.20752865687285538, 0.0012336216562168958,
+            8.60793797227144e-05, -0.0003435099120318863,
+            -0.0004295892917546007, 0.0002628399540780548),
         ("exit_survival", seeding.BATCH): (
-            0.07643479453654911, 0.0008707624418921264),
+            0.0767743707938208, 0.0009125809416508895),
         ("exit_survival", 7000): (
-            0.07725718140797609, 0.0008703308809805365),
+            0.07661917229430962, 0.0009069270135582768),
         ("occupation", seeding.BATCH): (
-            0.10860771342638742, 0.00044697653566116123),
+            0.10999580349932961, 0.0004036984232945685),
         ("occupation", 7000): (
-            0.1090367897367525, 0.0004465061099040175),
+            0.10891033555829445, 0.00040096179297723284),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))

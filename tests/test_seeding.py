@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.17314278598981006, 0.0011287915953380378, 0.28417173094549586, 0.0,
-     98.36088912624841),
-    (0.07674462264583166, 0.0008712707239238918, 0.20743930276397543, 0.0,
-     150.00467309350378),
+    (0.17201101271412217, 0.0010833645421868562, 0.28417173094549586, 0.0,
+     103.52998816535798),
+    (0.07744448158167162, 0.000915350274724301, 0.20743930276397543, 0.0,
+     142.01647693988798),
 ]
 
 
