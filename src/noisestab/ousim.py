@@ -23,8 +23,10 @@ survival for every half-space arm and scans only the other arm;
 with one normal and scans only the other pair. Two arms or pairs that
 are both scanned reuse identical trajectories per path index (common
 random numbers), and so do the arms of ``exit_dominance_refined``; their
-margins carry a paired standard error. ``occupation`` stays the raw grid
-scan, the oracle. Every estimator returns ``Estimate``s.
+margins carry a paired standard error. ``occupation`` runs the
+post-stratified scan of a scanned ``occupation_pair`` arm; only its grid
+functional is raw, with no bridge correction. The raw oracle is the exit
+scan's ``exit_survival_refined``. Every estimator returns ``Estimate``s.
 
 The scans run their paths in antithetic pairs (Glasserman, *Monte
 Carlo Methods in Financial Engineering*, 2004, 4.2): both rows of a
@@ -47,7 +49,8 @@ leaf and every 2-d composite (``geometry.level_set``,
 ``geometry.exact_measure``). The estimate is sum_j mu_j q_j, with q_j
 the mean value of the n_j paths that start in S_j. Given the shell
 counts the units that start there are iid draws from the shell, so the
-estimate is unbiased, and it needs no extra draws. A count-only rule
+estimate is unbiased; to first order its standard error is no larger
+than the plain mean's, and it needs no extra draws. A count-only rule
 (``_runs``) merges a shell with fewer than 20 starting paths into its
 inner neighbour; a merged run weighs its shells by their counts. The
 standard error comes from the unit residual, the sum over the unit's
@@ -57,20 +60,22 @@ residuals sum to 0. At tau = 0, with one shell left, the estimate is
 mu(A) sum(v) / n_in over the n_in paths that start in A. A set whose
 measure is Monte Carlo keeps the plain mean sum(v) / N, with unit
 residual V - n sum(v) / N for a unit of n paths and summed value V; so
-do the raw-grid oracles (``exit_survival_refined``). A scan in which
+does the raw-grid oracle (``exit_survival_refined``). A scan in which
 no path starts in A gives 0 +- 0.
 
-A scan gives each unit a start cell, one shell index per arm
-(``_cell``), and tallies its columns (its path count and each arm's
-summed values) as sums and cross-products per cell (``_tally``). Every
+The scan owns the stratification (``_scan``): it takes each start set's
+shells (``_shells``), gives each unit a start cell, one shell index per
+arm (``_cell``), and tallies the unit's columns (its path count and each
+arm's summed values) as sums and cross-products per cell (``_tally``).
+It returns them with each arm's shell levels as ``_Moments``. Every
 estimate, paired SE, refinement change and margin change is a linear
-combination of unit residuals, read off those cell moments
-(``_Moments``, ``_Linear``); ``_compare`` joins the exact and the
-scanned arms of both pair calls under one rule and returns
-(estimate_a, estimate_b, paired_se). Two identical arms put every unit
-in a cell with equal shells and get equal weights there, so their
-residual difference is 0 term by term: its standard error is exactly
-0.
+combination of unit residuals read off those moments (``_Linear``):
+``_Moments.mean`` stratifies on the arm's levels and ``_Moments.plain``
+is the plain mean. ``_pair`` routes the two arms of both pair calls,
+each to its exact value or to one scan of the other arms. Two identical
+arms put every unit in a cell with equal shells and get equal weights
+there, so their residual difference is 0 term by term: its standard
+error is exactly 0.
 
 Both scans run on one shard loop (``_scan``). A scan splits its paths
 into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
@@ -191,9 +196,10 @@ def _horizon(tau: float) -> float:
 
 def _grid_params(tau: float, steps: int):
     tau = _horizon(tau)
+    # a fractional count would scan one grid and scale by another
+    if not (steps >= 1 and float(steps).is_integer()):
+        raise ValueError(f"steps must be an integer >= 1, got {steps}")
     steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     d = tau / steps
     return tau, steps, math.exp(-d), math.sqrt(max(0.0, -math.expm1(-2.0 * d)))
 
@@ -358,12 +364,11 @@ def _cell(inside, dist, cuts) -> np.ndarray:
     """Each path's start cell, sum_a shell_a _CELL^a over the arms a:
     shell_a is 0 for a path outside arm a's start set (``inside[a]``
     false) and else 1 plus the number of the arm's ``cuts`` at or below
-    its boundary distance ``dist[a]``. An arm with no cuts needs no
-    distance. The cells are uint8 (two arms make 81), so that a stable
-    argsort of them is a radix sort."""
+    its boundary distance ``dist[a]``. The cells are uint8 (two arms
+    make 81), so that a stable argsort of them is a radix sort."""
     cell = np.zeros(inside.shape[1], dtype=np.intp)
     for a, (ins, d, c) in enumerate(zip(inside, dist, cuts)):
-        shell = 1 + np.searchsorted(c, d, side="right") if len(c) else 1
+        shell = 1 + np.searchsorted(c, d, side="right")
         cell += np.where(ins, shell, 0) * _CELL ** a
     return cell.astype(np.uint8)
 
@@ -389,17 +394,19 @@ def _tally(cell, count, values, cells: int):
     return sums, cross
 
 
-def _scan(dim, tau, steps, paths, seed, start, update, columns, cells):
-    """The shard loop of the OU grid scans: ``paths`` stationary paths
-    in ``dim`` dimensions, ``steps`` exact-transition steps over [0, tau],
-    in antithetic pairs.
+def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
+    """The shard loop of the OU grid scans: ``paths`` stationary paths,
+    ``steps`` exact-transition steps over [0, tau], in antithetic pairs,
+    post-stratified on the shells of each of the start ``sets``.
 
     Shard i of ``_shards(paths)`` draws from the stream keyed
     ("exit", i). Its c paths are floor(c / 2) pairs and, for odd c, one
     lone path: the units. Each unit draws one start point, which both
-    rows of a pair share. ``start(starts)`` returns each unit's start
-    cell (one of ``cells``) and the scan's per-row arrays, one column per
-    row, with the liveness rows ``alive`` first. The rows are the +
+    rows of a pair share. ``start(starts)`` returns (inside, dist,
+    arrays): each start set's membership and boundary distance of the
+    starts, which give each unit's start cell (``_cell`` on the sets'
+    ``_shells``), and the scan's per-row arrays, one column per row,
+    with the liveness rows ``alive`` first. The rows are the +
     partner of each pair, the - partner, then the singles. The loop
     advances a block of steps per round (``_BLOCK_STATES`` state values)
     with one normal vector per pair and per single and step
@@ -419,11 +426,15 @@ def _scan(dim, tau, steps, paths, seed, start, update, columns, cells):
     rows it is passed: of the dead rows when they drop and of the rest
     at the end, each added to its unit's values. A unit's columns are its
     path count (2 for a pair, also after it lost a row, and 1 for the
-    lone path) and its summed values. Returns their ``_tally`` over the
-    units in unit order, summed over the shards in shard order.
+    lone path) and its summed values. Returns the ``_Moments`` of the
+    value-column ``blocks``: their ``_tally`` over the units in unit
+    order, summed over the shards in shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
+    parts = _shards(paths)
     seed = check_seed(seed)
+    cuts, levels = zip(*(_shells(s, tau) for s in sets))
+    dim = sets[0].dim
 
     def shard(part):
         index, c = part
@@ -431,7 +442,8 @@ def _scan(dim, tau, steps, paths, seed, start, update, columns, cells):
         rng = derive_rng(seed, "exit", index)
         starts = rng.standard_normal((pairs + lone, dim))
         normals = _Lookahead(rng, max(_BLOCK_STATES, starts.size))
-        cell, arrays = start(starts)
+        inside, dist, arrays = start(starts)
+        cell = _cell(inside, dist, cuts)
         # each row's unit: rows i and pairs + i are the partners of pair i
         unit = np.r_[0:pairs, 0:pairs + lone]
         states = starts[unit]
@@ -473,12 +485,12 @@ def _scan(dim, tau, steps, paths, seed, start, update, columns, cells):
         units, values = (np.concatenate(x, axis=-1) for x in zip(*done))
         return _tally(cell, np.bincount(units),
                       np.stack([np.bincount(units, v) for v in values]),
-                      cells)
+                      _CELL ** len(sets))
 
     sums = cross = 0.0
-    for s, q in fan_out(shard, _shards(paths)):
+    for s, q in fan_out(shard, parts):
         sums, cross = sums + s, cross + q
-    return sums, cross
+    return _Moments(int(paths), sums, cross, blocks, list(levels), seed)
 
 
 def _runs(counts) -> list[int]:
@@ -526,37 +538,43 @@ class _Moments:
     unit's summed values, come in blocks of one column per scanned arm
     (a region or an (A_1, A_2) pair); ``blocks`` maps a block's name to
     its place, and two names may share one. Every value column is 0 for
-    a unit that starts outside the arm's start set (A or A_1)."""
+    a unit that starts outside the arm's start set (A or A_1), and
+    ``levels[arm]`` holds the ``_shells`` levels of that set. ``seed``
+    is the scan's checked seed."""
     paths: int
     sums: np.ndarray
     cross: np.ndarray
     blocks: dict
-    arms: int
+    levels: list
+    seed: int
 
     def column(self, block: str, arm: int) -> int:
-        return 1 + self.blocks[block] * self.arms + arm
+        return 1 + self.blocks[block] * len(self.levels) + arm
 
-    def total(self, block: str, arm: int) -> float:
-        return float(self.sums[:, self.column(block, arm)].sum())
-
-    def mean(self, block: str, arm: int, levels: np.ndarray | None,
-             scale: float = 1.0) -> _Linear:
-        """``scale`` times the mean of column (``block``, ``arm``),
-        post-stratified on the shells of the arm's start set A, whose
-        exact measures are the differences of ``levels`` (``_shells``).
-        Each run G of shells that ``_runs`` keeps (on path counts) gives
-        mu_G q_G, with q_G = sum(v) / n_G over its n_G starting paths, and
-        the residual (mu_G / m_G)(V - n q_G) on its units of n paths and
-        summed value V, m_G = n_G / N; 0 with weights 0 when no path
-        starts in A. No levels (a Monte Carlo measure, or the raw
-        oracle) gives the plain mean sum(v) / N with residual
-        V - n sum(v) / N."""
+    def plain(self, block: str, arm: int, scale: float = 1.0) -> _Linear:
+        """``scale`` times the plain mean sum(v) / N of column (``block``,
+        ``arm``), with residual V - n sum(v) / N on a unit of n paths and
+        summed value V."""
         v = self.column(block, arm)
         w = np.zeros(self.sums.shape)
+        q = self.sums[:, v].sum() / self.paths
+        w[:, v], w[:, 0] = scale, -scale * q
+        return _Linear(float(scale * q), w)
+
+    def mean(self, block: str, arm: int, scale: float = 1.0) -> _Linear:
+        """``scale`` times the mean of column (``block``, ``arm``),
+        post-stratified on the shells of the arm's start set A, whose
+        exact measures are the differences of its levels. Each run G of
+        shells that ``_runs`` keeps (on path counts) gives mu_G q_G, with
+        q_G = sum(v) / n_G over its n_G starting paths, and the residual
+        (mu_G / m_G)(V - n q_G) on its units of n paths and summed value
+        V, m_G = n_G / N; 0 with weights 0 when no path starts in A. A
+        Monte Carlo measure (levels None) gives the ``plain`` mean."""
+        levels = self.levels[arm]
         if levels is None:
-            q = self.sums[:, v].sum() / self.paths
-            w[:, v], w[:, 0] = scale, -scale * q
-            return _Linear(float(scale * q), w)
+            return self.plain(block, arm, scale)
+        v = self.column(block, arm)
+        w = np.zeros(self.sums.shape)
         # the arm's shell index in each cell, 0 outside its start set
         shell = np.arange(len(self.sums)) // _CELL ** arm % _CELL
         shells = len(levels) - 1
@@ -589,16 +607,16 @@ class _Moments:
         square = np.einsum("ci,cij,cj->", w, self.cross, w) / self.paths
         return math.sqrt(max(square - mean * mean, 0.0) / self.paths)
 
-    def estimate(self, est: _Linear, seed: int) -> Estimate:
+    def estimate(self, est: _Linear) -> Estimate:
         if est.weights is None:
-            return Estimate.exact(est.value, seed)
+            return Estimate.exact(est.value, self.seed)
         return Estimate(value=est.value,
                         std_error=self.std_error(est), samples=self.paths,
-                        seed=seed)
+                        seed=self.seed)
 
 
-def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
-                   cuts=None) -> _Moments:
+def _survival_scan(regions, tau, steps, paths, seed,
+                   refine: int = 1) -> _Moments:
     """Shared-trajectory exit scan for one or two regions at once.
 
     Simulates at ``steps * refine`` resolution and monitors each region
@@ -607,8 +625,7 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
     indicator and the bridge-corrected per-path survival weight
     (``_bridge_monitor``). ``refine`` must be an integer >= 1. Returns
     the ``_Moments`` of these blocks of per-path columns, one column per
-    region, tallied per start cell on each region's shell ``cuts`` (none
-    by default; see ``_shells``):
+    region:
 
     - "coarse" and "fine": the corrected weight on each grid;
     - "raw" and "raw_fine": the raw grid indicator on each grid.
@@ -624,7 +641,6 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
     inv_fine = _inv_sinh(tau / (steps * refine))
     inv_coarse = _inv_sinh(tau / steps)
     r = len(regions)
-    cuts = cuts or [np.empty(0)] * r
     blocks = ({"coarse": 0, "raw": 1, "fine": 2, "raw_fine": 3}
               if refine > 1 else
               {"coarse": 0, "raw": 1, "fine": 0, "raw_fine": 1})
@@ -634,8 +650,7 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
         last = np.array([boundary_distance(reg, states)
                          for reg in regions] * min(refine, 2))
         alive = last >= 0.0
-        return (_cell(alive, last, cuts),
-                [alive, np.ones_like(last), last])
+        return alive[:r], last[:r], [alive, np.ones_like(last), last]
 
     def update(i, block, alive, weight, last):
         b, cols, dim = block.shape
@@ -668,9 +683,8 @@ def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
             parts += [w[:r], alive[:r]]
         return np.concatenate(parts, dtype=float)
 
-    sums, cross = _scan(regions[0].dim, tau, steps * refine, paths, seed,
-                        start, update, columns, _CELL ** r)
-    return _Moments(int(paths), sums, cross, blocks, r)
+    return _scan(regions, tau, steps * refine, paths, seed, start, update,
+                 columns, blocks)
 
 
 def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
@@ -682,28 +696,16 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     ``_bridge_monitor``). Exact up to Monte Carlo error for a half-space
     through the origin, with an O(d) bias at step d = tau/steps for other
     sets. The state at t=0 is checked too, so a path that starts outside
-    the set weighs 0. So where ``geometry.exact_measure`` gives mu(s),
-    the estimate is post-stratified on the shells of s by the start's
-    boundary distance (``_shells``): the sum over shells of each shell's
-    exact measure times the mean weight of the paths that start in it
-    (``_Moments.mean``). It is unbiased, its standard error is no larger,
-    to first order, than that of the mean weight of all paths, and it
-    takes no extra draws. At tau = 0 there is one shell, s itself. Where
-    the measure is Monte Carlo (a composite outside the plane), the
-    estimate is the plain mean weight.
+    the set weighs 0, and the scan post-stratifies the weights on the
+    shells of s (``_scan``; see the module docstring).
 
-    The paths run in antithetic pairs that share their start (``_scan``),
-    so a pair takes one normal vector per step for two paths, and
-    ``samples`` counts paths. The standard error is that of the pairs'
-    summed residuals: the partners' weights are correlated, and a pair
-    whose one path has left goes on as one path with its partner's
-    weight fixed at 0.
+    The paths run in antithetic pairs that share their start, so a pair
+    takes one normal vector per step for two paths, and ``samples``
+    counts paths. A pair whose one path has left goes on as one path
+    with its partner's weight fixed at 0.
     """
-    paths = int(paths)
-    seed = check_seed(seed)
-    cuts, levels = _shells(s, tau)
-    m = _survival_scan([s], tau, steps, paths, seed, cuts=[cuts])
-    return m.estimate(m.mean("coarse", 0, levels), seed)
+    m = _survival_scan([s], tau, steps, paths, seed)
+    return m.estimate(m.mean("coarse", 0))
 
 
 # The half-space oracle solves on (c - width, c], width = min(9, 12
@@ -889,9 +891,8 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
     """The raw grid monitor, kept as the oracle: the frequency of paths
     inside ``s`` at every grid time, at ``steps`` and at ``steps *
     refine`` on shared trajectories. Each is a plain mean, with the
-    standard error of its unit residuals (``_Moments.mean`` with no
-    levels), since the two rows of an antithetic pair are not
-    independent.
+    standard error of its unit residuals (``_Moments.plain``), since the
+    two rows of an antithetic pair are not independent.
 
     Raw grid survival over-estimates continuous-time survival by a bias
     of order sqrt(tau/steps). The fine event is a subset of the coarse
@@ -899,44 +900,48 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
     has change >= 0 exactly; change measures that bias at ``steps``.
     """
     m = _survival_scan([s], tau, steps, paths, seed, refine=refine)
-    coarse, fine = m.mean("raw", 0, None), m.mean("raw_fine", 0, None)
+    coarse, fine = m.plain("raw", 0), m.plain("raw_fine", 0)
     change = coarse - fine
-    return (m.estimate(coarse, seed), m.estimate(fine, seed), change.value,
+    return (m.estimate(coarse), m.estimate(fine), change.value,
             m.std_error(change))
 
 
-def _compare(m: _Moments | None, a: _Linear, b: _Linear, seed):
-    """(estimate_a, estimate_b, paired_se) of two arms, exact or read off
-    the scan ``m``: paired_se is the standard error of b minus a. Two
-    scanned arms share trajectories, so it comes from their per-path
-    residual difference under common random numbers (0 for identical
-    arms); an exact arm adds no error."""
-    if m is None:
-        return (Estimate.exact(a.value, seed), Estimate.exact(b.value, seed),
-                0.0)
-    return m.estimate(a, seed), m.estimate(b, seed), m.std_error(b - a)
+def _pair(arms, exact, scan, read, tau, steps, paths, seed):
+    """(estimate_a, estimate_b, paired_se) of the two ``arms``, paired_se
+    the standard error of b minus a. An arm whose ``exact(arm)`` is not
+    None takes that value (std_error 0, samples 0); the other arms run
+    in one ``scan`` on shared trajectories, and ``read(m, i)`` reads the
+    i-th of them off its moments m. So two scanned arms are paired by
+    their per-unit residual difference under common random numbers (0
+    for identical arms), and an exact arm adds no error. The grid, the
+    path count and the seed are checked as a scan checks them, also when
+    no arm is scanned."""
+    _grid_params(tau, steps)
+    batches(paths)  # rejects paths < 1
+    seed = check_seed(seed)
+    values = [exact(arm) for arm in arms]
+    scanned = [arm for arm, v in zip(arms, values) if v is None]
+    if not scanned:
+        return (*(Estimate.exact(v, seed) for v in values), 0.0)
+    m = scan(scanned, tau, steps, paths, seed)
+    # an arm's place in the scan is the number of scanned arms before it
+    a, b = (read(m, values[:k].count(None)) if v is None else _Linear(v)
+            for k, v in enumerate(values))
+    return m.estimate(a), m.estimate(b), m.std_error(b - a)
 
 
 def exit_survival_pair(a: SetExpr, b: SetExpr, tau, steps, paths, seed):
     """Survival over [0, tau] of two sets: exact for a half-space arm
-    (``halfspace_survival``, std_error 0 and samples 0), and the
-    post-stratified bridge-corrected estimate of ``exit_survival`` for
-    any other arm. Returns (estimate_a, estimate_b, paired_se),
-    paired_se the SE of b minus a (``_compare``). The scan carries the
-    scanned arms only.
+    (``halfspace_survival``), and the post-stratified bridge-corrected
+    estimate of ``exit_survival`` for any other arm. Returns
+    (estimate_a, estimate_b, paired_se) of ``_pair``.
     """
-    tau, steps, _, _ = _grid_params(tau, steps)
-    paths = int(paths)
-    seed = check_seed(seed)
-    scanned = [s for s in (a, b) if not isinstance(s, HalfSpace)]
-    shells = [_shells(s, tau) for s in scanned]
-    m = (_survival_scan(scanned, tau, steps, paths, seed,
-                        cuts=[cuts for cuts, _ in shells])
-         if scanned else None)
-    arm = enumerate(levels for _, levels in shells)
-    return _compare(m, *(
-        _Linear(halfspace_survival(s.offset, tau)) if isinstance(s, HalfSpace)
-        else m.mean("coarse", *next(arm)) for s in (a, b)), seed)
+    def exact(s):
+        return (halfspace_survival(s.offset, tau) if isinstance(s, HalfSpace)
+                else None)
+
+    return _pair((a, b), exact, _survival_scan,
+                 lambda m, arm: m.mean("coarse", arm), tau, steps, paths, seed)
 
 
 @dataclass(frozen=True)
@@ -947,9 +952,8 @@ class DominanceRefinement:
     ``change_a/b`` are the per-arm changes of the corrected survival when
     the grid is refined (coarse minus fine, signed, with standard errors
     from per-path differences); ``margin_change`` is how much the
-    dominance margin moves, with its own paired standard error.
-    ``raw_drop_a/b`` are the drops of the raw grid monitor, which are
-    nonnegative pathwise.
+    dominance margin moves, with its own paired standard error. The raw
+    grid monitor's drop is ``exit_survival_refined``'s.
     """
     est_a: Estimate
     est_b: Estimate
@@ -960,8 +964,6 @@ class DominanceRefinement:
     change_b_se: float
     margin_change: float
     margin_change_se: float
-    raw_drop_a: float
-    raw_drop_b: float
 
 
 def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
@@ -970,47 +972,29 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
     ``steps * refine`` on the same trajectories, each arm
     post-stratified on the shells of its start set as in
     ``exit_survival``."""
-    tau, steps, _, _ = _grid_params(tau, steps)
-    paths = int(paths)
-    seed = check_seed(seed)
-    (cuts_a, levels_a), (cuts_b, levels_b) = _shells(a, tau), _shells(b, tau)
-    m = _survival_scan([a, b], tau, steps, paths, seed, refine=refine,
-                       cuts=[cuts_a, cuts_b])
-    coarse_a, fine_a = (m.mean(grid, 0, levels_a)
-                        for grid in ("coarse", "fine"))
-    coarse_b, fine_b = (m.mean(grid, 1, levels_b)
-                        for grid in ("coarse", "fine"))
+    m = _survival_scan([a, b], tau, steps, paths, seed, refine=refine)
+    coarse_a, fine_a, coarse_b, fine_b = (
+        m.mean(grid, arm) for arm in (0, 1) for grid in ("coarse", "fine"))
     change_a, change_b = coarse_a - fine_a, coarse_b - fine_b
     margin = change_b - change_a
-
-    def raw_drop(arm):
-        return (m.total("raw", arm) - m.total("raw_fine", arm)) / paths
-
-    est_a, est_b, paired_se = _compare(m, coarse_a, coarse_b, seed)
     return DominanceRefinement(
-        est_a=est_a, est_b=est_b, paired_se=paired_se,
+        est_a=m.estimate(coarse_a), est_b=m.estimate(coarse_b),
+        paired_se=m.std_error(coarse_b - coarse_a),
         change_a=change_a.value, change_a_se=m.std_error(change_a),
         change_b=change_b.value, change_b_se=m.std_error(change_b),
-        margin_change=margin.value, margin_change_se=m.std_error(margin),
-        raw_drop_a=raw_drop(0), raw_drop_b=raw_drop(1))
+        margin_change=margin.value, margin_change_se=m.std_error(margin))
 
 
-def _occupation_scan(pairs, tau, steps, paths, seed,
-                     cuts=None) -> _Moments:
+def _occupation_scan(pairs, tau, steps, paths, seed) -> _Moments:
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
     on shared trajectories: the ``_Moments`` of the block "count" (each
-    path's step count), one column per pair, tallied per start cell on
-    the shell ``cuts`` of each A_1 (none by default; see ``_shells``). A
-    path that has left every A_1 is dropped with its counts tallied.
+    path's step count), one column per pair, on the shells of each A_1.
+    A path that has left every A_1 is dropped with its counts tallied.
     """
-    cuts = cuts or [np.empty(0)] * len(pairs)
-
     def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
-        dist = [boundary_distance(a1, states) if len(c) else None
-                for (a1, _), c in zip(pairs, cuts)]
-        return (_cell(alive, dist, cuts),
-                [alive, np.zeros(alive.shape, dtype=np.int64)])
+        dist = [boundary_distance(a1, states) for a1, _ in pairs]
+        return alive, dist, [alive, np.zeros(alive.shape, dtype=np.int64)]
 
     def update(i, block, alive, counts):
         b, cols, dim = block.shape
@@ -1031,9 +1015,8 @@ def _occupation_scan(pairs, tau, steps, paths, seed,
     def columns(alive, counts):
         return counts.astype(float)
 
-    sums, cross = _scan(pairs[0][0].dim, tau, steps, paths, seed, start,
-                        update, columns, _CELL ** len(pairs))
-    return _Moments(int(paths), sums, cross, {"count": 0}, len(pairs))
+    return _scan([a1 for a1, _ in pairs], tau, steps, paths, seed, start,
+                 update, columns, {"count": 0})
 
 
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
@@ -1041,55 +1024,32 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
     """Time-discretized occupation: (tau/steps) * sum over grid times of
     the frequency of {inside A_1 strictly before, inside A_2 now}.
 
-    Faithful to the raw functional: A_2 is not forced inside A_1. A path
-    that starts outside A_1 counts 0, so where ``geometry.exact_measure``
-    gives mu(A_1), the estimate is post-stratified on the shells of A_1
-    as in ``exit_survival``: the sum over shells of each shell's exact
-    measure times the mean count of the paths that start in it,
-    unbiased, with a standard error no larger, to first order, than that
-    of the plain mean count, which is kept where mu(A_1) is Monte Carlo.
-    As in ``exit_survival`` the paths run in antithetic pairs and the
-    standard error is that of the pairs' summed residuals; a path that
-    has left A_1 keeps its count in its pair's sum.
+    Faithful to the raw functional: A_2 is not forced inside A_1, and
+    there is no bridge correction. A path that starts outside A_1 counts
+    0, and the scan post-stratifies the counts on the shells of A_1 as
+    in ``exit_survival``; a path that has left A_1 keeps its count in
+    its pair's sum.
     """
-    tau, steps, _, _ = _grid_params(tau, steps)
-    paths = int(paths)
-    seed = check_seed(seed)
-    cuts, levels = _shells(a1, tau)
-    m = _occupation_scan([(a1, a2)], tau, steps, paths, seed, cuts=[cuts])
-    return m.estimate(m.mean("count", 0, levels, tau / steps), seed)
-
-
-def _parallel(pair) -> bool:
-    """Whether an (A_1, A_2) pair is two half-spaces with one normal."""
-    a1, a2 = pair
-    return (isinstance(a1, HalfSpace) and isinstance(a2, HalfSpace)
-            and np.array_equal(a1.normal, a2.normal))
+    m = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
+    return m.estimate(m.mean("count", 0, tau / steps))
 
 
 def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     """Occupation of two set pairs: exact for two half-spaces with one
-    normal (``halfspace_occupation``, std_error 0 and samples 0), and the
-    post-stratified grid scan of ``occupation`` for any other pair.
-    Returns (estimate_a, estimate_b, paired_se), paired_se the SE of B
-    minus A as in ``exit_survival_pair`` (``_compare``). The scan
-    carries the scanned pairs only.
+    normal (``halfspace_occupation``), and the post-stratified grid scan
+    of ``occupation`` for any other pair. Returns (estimate_a,
+    estimate_b, paired_se) of ``_pair``, paired_se the SE of B minus A.
     """
-    tau, steps, _, _ = _grid_params(tau, steps)
-    paths = int(paths)
-    seed = check_seed(seed)
-    pairs = (pair_a, pair_b)
-    exact = [_Linear(halfspace_occupation(p[0].offset, p[1].offset, tau))
-             if _parallel(p) else None for p in pairs]
-    scanned = [p for p, value in zip(pairs, exact) if value is None]
-    shells = [_shells(a1, tau) for a1, _ in scanned]
-    m = (_occupation_scan(scanned, tau, steps, paths, seed,
-                          cuts=[cuts for cuts, _ in shells])
-         if scanned else None)
-    arm = enumerate(levels for _, levels in shells)
-    return _compare(m, *(
-        value if value is not None else
-        m.mean("count", *next(arm), tau / steps) for value in exact), seed)
+    def exact(pair):
+        a1, a2 = pair
+        if (isinstance(a1, HalfSpace) and isinstance(a2, HalfSpace)
+                and np.array_equal(a1.normal, a2.normal)):
+            return halfspace_occupation(a1.offset, a2.offset, tau)
+        return None
+
+    return _pair((pair_a, pair_b), exact, _occupation_scan,
+                 lambda m, arm: m.mean("count", arm, tau / steps),
+                 tau, steps, paths, seed)
 
 
 # ---------------------------------------------------------------------------

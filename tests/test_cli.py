@@ -146,6 +146,37 @@ class TestExitCodes:
         assert code == 1
         assert "horizon must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    @pytest.mark.parametrize("kind, sets", [
+        ("exit-time", "a1 = halfspace([1, 0], 0.3)"),
+        ("occupation", "a1 = halfspace([1, 0], 0.3)\n"
+                       "a2 = halfspace([1, 0], -0.2)")],
+        ids=["exit-time", "occupation"])
+    def test_exact_arms_reject_no_paths(self, tmp_path, capsys, paths, kind,
+                                        sets):
+        # both arms are exact half-space values, so no scan runs; the
+        # path count is checked all the same
+        doc = f"""
+[experiment]
+kind = {kind}
+n = 2
+
+[sets]
+{sets}
+
+[grid]
+taus = 0.1, 0.5
+steps = 16
+"""
+        cfg = _write_cfg(tmp_path, doc)
+        out = tmp_path / "r.json"
+        argv = [kind, "--config", cfg, "--quiet", "--out", str(out)]
+        assert cli.cli_main(argv + ["--paths", "5"]) == 0
+        out.unlink()
+        assert cli.cli_main(argv + ["--paths", paths]) == 1
+        assert "sample count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tau", [",", " , "])
     @pytest.mark.parametrize("kind, name", [("exit-time", "exit_ball"),
                                             ("occupation",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import resource
 import sys
@@ -59,6 +60,14 @@ class TestSimulatePath:
             ousim._grid_params(-0.5, 4)
         with pytest.raises(ValueError):
             ousim._grid_params(0.5, 0)
+        # a fractional count is rejected, not truncated
+        msg = "steps must be an integer >= 1"
+        for call in (lambda: ousim._grid_params(0.5, 8.5),
+                     lambda: occupation(HS0, HALF_BALL, 0.5, 8.5, 100, 1),
+                     lambda: occupation_pair((HS0, HS0), (HS_06, HS_03), 0.5,
+                                             8.5, 100, 1)):
+            with pytest.raises(ValueError, match=msg):
+                call()
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_nonfinite_horizon_rejected(self, tau):
@@ -702,10 +711,15 @@ class TestDominanceRefined:
             exit_dominance_refined(HALF_BALL, HS0, 0.5, 8, 100, 1, refine)
 
     def test_changes_nonnegative(self):
-        # the raw grid monitor nests pathwise; the corrected changes are
+        # the raw grid monitor nests pathwise, so its fine total is at most
+        # its coarse one in every start cell; the corrected changes are
         # signed and carry their own standard errors
-        r = exit_dominance_refined(HALF_BALL, HS0, 0.4, 64, 20_000, 2)
-        assert r.raw_drop_a >= 0.0 and r.raw_drop_b >= 0.0
+        m = ousim._survival_scan([HALF_BALL, HS0], 0.4, 64, 20_000, 2,
+                                 refine=2)
+        for arm in (0, 1):
+            raw, fine = (m.sums[:, m.column(block, arm)]
+                         for block in ("raw", "raw_fine"))
+            assert np.all(raw >= fine) and raw.sum() > fine.sum()
 
 
 class _CountingRng:
@@ -807,6 +821,12 @@ class TestShards:
             ousim._shards(paths)
         with pytest.raises(ValueError, match="sample count must be >= 1"):
             exit_survival(HALF_BALL, 0.5, 8, paths, 1)
+        # pairs whose arms are all exact run no scan, and check the paths
+        # all the same
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            exit_survival_pair(HS_06, HS0, 0.5, 8, paths, 1)
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            occupation_pair((HS_06, HS_03), (HS0, HS0), 0.5, 8, paths, 1)
 
 
 class TestCompaction:
@@ -821,7 +841,7 @@ class TestCompaction:
     def test_dead_at_start_refined(self, draws, step_rows):
         r = exit_dominance_refined(self.POINT, self.POINT, 0.5, 64, 3000, 1)
         assert r.est_a.value == r.est_b.value == 0.0
-        assert r.change_a == r.margin_change == r.raw_drop_a == 0.0
+        assert r.change_a == r.margin_change == 0.0
         assert draws == [(1500, 2)] and step_rows == []
 
     def test_dead_at_start_occupation(self, draws, step_rows):
@@ -958,13 +978,13 @@ def _unit_moments(reference):
     return sums, cross
 
 
-def _stepped_survival(regions, tau, steps, paths, seed, refine=1, cuts=None):
-    """``ousim._survival_scan`` stepped one step at a time."""
+def _stepped_survival(regions, tau, steps, paths, seed, *, cuts, refine=1):
+    """``ousim._survival_scan`` stepped one step at a time, its start
+    cells cut at each region's own ``cuts``."""
     tau, steps, _, _ = ousim._grid_params(tau, steps)
     inv_fine = ousim._inv_sinh(tau / (steps * refine))
     inv_coarse = ousim._inv_sinh(tau / steps)
     r = len(regions)
-    cuts = cuts or [np.empty(0)] * r
 
     def start(states):
         last = np.array([boundary_distance(reg, states)
@@ -1001,9 +1021,9 @@ def _stepped_survival(regions, tau, steps, paths, seed, refine=1, cuts=None):
                          start, update, columns, ousim._CELL ** r)
 
 
-def _stepped_occupation(pairs, tau, steps, paths, seed, cuts=None):
-    """``ousim._occupation_scan`` stepped one step at a time."""
-    cuts = cuts or [np.empty(0)] * len(pairs)
+def _stepped_occupation(pairs, tau, steps, paths, seed, *, cuts):
+    """``ousim._occupation_scan`` stepped one step at a time, its start
+    cells cut at each A_1's own ``cuts``."""
 
     def start(states):
         alive = np.array([contains(a1, states) for a1, _ in pairs])
@@ -1068,10 +1088,9 @@ class TestBlocksMatchSteps:
     def test_exit(self, case, paths):
         regions, tau, steps, refine = self.EXIT[case]
         args = (regions, tau, steps, paths, 3)
-        cuts = _cuts(regions, tau)
         assert _same_moments(
-            ousim._survival_scan(*args, refine=refine, cuts=cuts),
-            _stepped_survival(*args, refine=refine, cuts=cuts))
+            ousim._survival_scan(*args, refine=refine),
+            _stepped_survival(*args, cuts=_cuts(regions, tau), refine=refine))
 
     @pytest.mark.parametrize("paths", [3000, 40_000])
     @pytest.mark.parametrize("case", sorted(OCCUPATION))
@@ -1079,7 +1098,7 @@ class TestBlocksMatchSteps:
         pairs, tau, steps = self.OCCUPATION[case]
         args = (pairs, tau, steps, paths, 3)
         cuts = _cuts([a1 for a1, _ in pairs], tau)
-        assert _same_moments(ousim._occupation_scan(*args, cuts=cuts),
+        assert _same_moments(ousim._occupation_scan(*args),
                              _stepped_occupation(*args, cuts=cuts))
 
     @pytest.mark.parametrize("seed", range(1, 13))
@@ -1089,9 +1108,9 @@ class TestBlocksMatchSteps:
         # third of the points here; the projection sums the columns in
         # a fixed order instead, so a lone live row may take a block
         args = ([SLANTED], 2.0, 4, 1, seed)
-        cuts = _cuts([SLANTED], 2.0)
-        assert _same_moments(ousim._survival_scan(*args, cuts=cuts),
-                             _stepped_survival(*args, cuts=cuts))
+        assert _same_moments(ousim._survival_scan(*args),
+                             _stepped_survival(*args,
+                                               cuts=_cuts([SLANTED], 2.0)))
 
     def test_one_tally_per_shard(self, monkeypatch):
         # a finished row adds its values to its unit when it drops, and
@@ -1102,8 +1121,7 @@ class TestBlocksMatchSteps:
         real = ousim._tally
         monkeypatch.setattr(ousim, "_tally",
                             lambda *a: calls.append(len(a[0])) or real(*a))
-        ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3,
-                             cuts=_cuts([HALF_BALL], 0.5))
+        ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3)
         ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 3000, 3)
         m = ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 40_001, 3)
         assert sorted(calls) == [1500, 1500, 10_000, 10_001]
@@ -1127,12 +1145,14 @@ SLAB_BALL = Intersection((Ball(np.zeros(3), 1.5),
 
 def _one_cell(m):
     """The moments ``m`` of a one-arm scan with every start cell inside
-    the start set merged into cell 1: the start set as one stratum."""
+    the start set merged into cell 1, and its levels cut to [mu(A), 0]:
+    the start set as one stratum."""
     sums, cross = m.sums.copy(), m.cross.copy()
     for x in (sums, cross):
         x[1] = x[1:].sum(axis=0)
         x[2:] = 0.0
-    return ousim._Moments(m.paths, sums, cross, m.blocks, m.arms)
+    return dataclasses.replace(m, sums=sums, cross=cross,
+                               levels=[m.levels[0][[0, -1]]])
 
 
 class TestPostStratification:
@@ -1190,16 +1210,15 @@ class TestPostStratification:
 
     def test_few_starts_merge_to_one_stratum(self):
         # at 20 paths no shell of the half-measure ball holds 20 starts,
-        # so they merge into the start set alone: today's one-stratum
-        # scan, read off a scan with no cuts
-        cuts, levels = ousim._shells(HALF_BALL, 0.5)
-        assert len(cuts) == 2
+        # so they merge into the start set alone: the one-stratum scan,
+        # read off the scan's cells merged into one
+        assert len(ousim._shells(HALF_BALL, 0.5)[0]) == 2
         for seed in range(1, 6):
-            m = ousim._survival_scan([HALF_BALL], 0.5, 8, 20, seed)
-            want = m.estimate(m.mean("coarse", 0, levels[[0, -1]]), seed)
-            m = ousim._occupation_scan([(HALF_BALL, FULL)], 0.5, 8, 20, seed)
-            want_occ = m.estimate(
-                m.mean("count", 0, levels[[0, -1]], 0.5 / 8), seed)
+            m = _one_cell(ousim._survival_scan([HALF_BALL], 0.5, 8, 20, seed))
+            want = m.estimate(m.mean("coarse", 0))
+            m = _one_cell(ousim._occupation_scan([(HALF_BALL, FULL)], 0.5, 8,
+                                                 20, seed))
+            want_occ = m.estimate(m.mean("count", 0, 0.5 / 8))
             for got, ref in ((exit_survival(HALF_BALL, 0.5, 8, 20, seed),
                               want),
                              (occupation(HALF_BALL, FULL, 0.5, 8, 20, seed),
@@ -1224,6 +1243,7 @@ class TestPostStratification:
     def test_monte_carlo_measure_keeps_the_plain_mean(self):
         assert ousim.exact_measure(SLAB_BALL) is None
         m = ousim._survival_scan([SLAB_BALL], 0.5, 32, 20_000, 6)
+        assert m.levels == [None]
         est = exit_survival(SLAB_BALL, 0.5, 32, 20_000, 6)
         m2 = ousim._occupation_scan([(SLAB_BALL, Ball(np.zeros(3), 1.0))],
                                     0.5, 32, 20_000, 7)
@@ -1261,13 +1281,12 @@ class TestPostStratification:
         # outside and the survival is 0.29; on its six shells a path
         # deep inside almost always survives
         ball = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
-        cuts, levels = ousim._shells(ball, 0.1)
-        m = ousim._survival_scan([ball], 0.1, 512, 25_000, 1, cuts=[cuts])
-        shells = m.std_error(m.mean("coarse", 0, levels))
+        m = ousim._survival_scan([ball], 0.1, 512, 25_000, 1)
+        shells = m.std_error(m.mean("coarse", 0))
         one = _one_cell(m)
-        start = one.std_error(one.mean("coarse", 0, levels[[0, -1]]))
-        plain = m.std_error(m.mean("coarse", 0, None))
-        assert len(cuts) == 5
+        start = one.std_error(one.mean("coarse", 0))
+        plain = m.std_error(m.plain("coarse", 0))
+        assert len(m.levels[0]) == 7  # six shells
         assert start <= 0.8 * plain
         assert shells <= 0.88 * start
 
@@ -1299,12 +1318,12 @@ class TestAntithetic:
         cuts, levels = ousim._shells(s, 0.5)
         if scan == "exit":
             args = ([s], 0.5, 37, paths, 3)
-            m = ousim._survival_scan(*args, cuts=[cuts])
+            m = ousim._survival_scan(*args)
             shards, _ = _stepped_survival(*args, cuts=[cuts])
             block = "coarse"
         else:
             args = ([(s, BALL_03)], 0.5, 37, paths, 3)
-            m = ousim._occupation_scan(*args, cuts=[cuts])
+            m = ousim._occupation_scan(*args)
             shards, _ = _stepped_occupation(*args, cuts=[cuts])
             block = "count"
         assert sum(demoted for *_, demoted in shards) > 100
@@ -1319,13 +1338,25 @@ class TestAntithetic:
             mu = levels[lo] - levels[hi]
             residual[run] = mu * paths / n[run].sum() * (v[run] - n[run] * q)
             value += mu * q
-        est = m.mean(block, 0, levels)
+        est = m.mean(block, 0)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert m.std_error(est) == pytest.approx(
             math.sqrt(np.sum(residual ** 2)) / paths, rel=1e-9)
         q = v.sum() / paths
-        assert m.std_error(m.mean(block, 0, None)) == pytest.approx(
+        assert m.std_error(m.plain(block, 0)) == pytest.approx(
             math.sqrt(np.sum((v - n * q) ** 2)) / paths, rel=1e-9)
+        if scan == "exit":
+            # the raw oracle is the plain mean of the raw column summed
+            # over the shell cells; its count total is exact
+            raw = np.concatenate([sh[2][1] for sh in shards])
+            q = raw.sum() / paths
+            est = m.plain("raw", 0)
+            assert m.std_error(est) == pytest.approx(
+                math.sqrt(np.sum((raw - n * q) ** 2)) / paths, rel=1e-9)
+            coarse, *_ = exit_survival_refined(s, 0.5, 37, paths, 3,
+                                               refine=1)
+            assert coarse.value == est.value == q
+            assert coarse.std_error == m.std_error(est)
 
     @pytest.mark.parametrize("paths,lone", [(8000, 0), (8001, 1),
                                             (40_000, 0), (40_001, 1)])
