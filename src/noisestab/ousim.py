@@ -87,14 +87,14 @@ drops them. The live row of a pair whose partner has finished goes on
 as a single that draws its own normals; its law is unchanged, and the
 partner's values stay fixed in the unit (0 for an exit row, its count
 for an occupation row). Each shard tallies its units once, at the end.
-When rows drop depends only on the seed, the sizes and the sets. A
-shard advances a block of steps per round of numpy calls (about
-``_BLOCK_STATES`` state values, their normals drawn ahead) and keeps
-the steps up to the first after which rows would drop; the block's
-unused normals serve the next round. So every number is the one a loop
-of single steps gives, bit for bit. The shards run side by side on the
-shared thread pool (``seeding.fan_out``) and their sums are merged in
-shard order, so results do not depend on the number of workers.
+A shard advances a block of steps per round of numpy calls (about
+``_BLOCK_STATES`` state values, their normals drawn in one call) and
+drops rows only between blocks: a row that dies mid-block steps on to
+the block's end, a valid OU path whose values no longer change. So
+when rows drop depends only on the seed, the sizes and the sets. The
+shards run side by side on the shared thread pool
+(``seeding.fan_out``) and their sums are merged in shard order, so
+results do not depend on the number of workers.
 
 The exact half-space arms keep off OpenBLAS's thread pool: a pooled
 BLAS call leaves its threads spinning for about 0.1 s of CPU after it
@@ -177,7 +177,8 @@ class KroneckerSampler:
 # ---------------------------------------------------------------------------
 
 # A scan gathers a shard's live rows (with ``compress``, which keeps them
-# C-contiguous) once fewer than this share of its rows is live.
+# C-contiguous) when, between two rounds, fewer than this share of its
+# rows is live.
 _LIVE_SHARE = 7 / 8
 
 # State values a shard advances per round of numpy calls: a round takes
@@ -248,43 +249,22 @@ def _inv_sinh(d: float):
 
 def _advance(states, z, pairs, decay, scale):
     """Exact-transition steps from ``states`` (rows, dim) driven by the
-    raw normals ``z`` (b, units, dim), one vector per unit and step: rows
-    0 to ``pairs`` - 1 take +z and the next ``pairs`` rows -z of the first
+    normals ``z`` (b, units, dim), one vector per unit and step: rows 0
+    to ``pairs`` - 1 take +z and the next ``pairs`` rows -z of the first
     ``pairs`` vectors (antithetic partners), and each remaining row one
     vector of its own. Returns the (b, rows, dim) states after each step,
-    each ``s * decay + z * scale`` rounded as written. ``z`` stays raw."""
+    each ``s * decay + z * scale`` rounded as written; -(z * scale) is
+    (-z) * scale exactly. ``z`` is scaled in place."""
+    z *= scale
     out = np.empty((len(z), *states.shape))
-    np.multiply(z[:, :pairs], scale, out=out[:, :pairs])
-    np.multiply(z[:, :pairs], -scale, out=out[:, pairs:2 * pairs])
-    np.multiply(z[:, pairs:], scale, out=out[:, 2 * pairs:])
+    out[:, :pairs] = z[:, :pairs]
+    np.negative(z[:, :pairs], out=out[:, pairs:2 * pairs])
+    out[:, 2 * pairs:] = z[:, pairs:]
     prev = states
     for row in out:
         row += prev * decay
         prev = row
     return out
-
-
-class _Lookahead:
-    """The standard normals of a stream, drawn ahead into one flat buffer
-    and handed out in stream order. PCG64 makes each normal from whole
-    64-bit words, so draws of any sizes concatenate to one draw of their
-    total."""
-
-    def __init__(self, rng, size: int):
-        self.rng, self.buf, self.pos, self.end = rng, np.empty(size), 0, 0
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next ``n`` normals, drawing only the ones not drawn yet."""
-        left = self.end - self.pos
-        if left < n:
-            self.buf[:left] = self.buf[self.pos:self.end]
-            self.rng.standard_normal(out=self.buf[left:n])
-            self.pos, self.end = 0, n
-        return self.buf[self.pos:self.pos + n]
-
-    def take(self, n: int):
-        """Mark the first ``n`` normals of the last ``peek`` used."""
-        self.pos += n
 
 
 def _dropping(live):
@@ -296,22 +276,10 @@ def _dropping(live):
 def _commit(inside, alive):
     """Turn ``inside`` (rows, b, paths), each liveness row's membership
     after each step of a block, into liveness in place: a row is live
-    after step j if it is in ``alive`` and inside after steps 0..j.
-
-    Returns (k, drop): k steps to keep, up to the first step after which
-    fewer than ``_LIVE_SHARE`` of the paths have a live row, else all b;
-    and ``_dropping`` of the paths' liveness after step k.
-    """
+    after step j if it is in ``alive`` and inside after steps 0..j."""
     inside[:, 0] &= alive
     for j in range(1, inside.shape[1]):
         inside[:, j] &= inside[:, j - 1]
-    # paths only ever leave, so the live count falls step by step
-    drop = _dropping(np.logical_or.reduce(inside[:, -1]))
-    if drop is None:
-        return inside.shape[1], None
-    live = np.logical_or.reduce(inside).sum(axis=1)
-    k = int(np.argmax(live < _LIVE_SHARE * inside.shape[2])) + 1
-    return k, np.logical_or.reduce(inside[:, k - 1])
 
 
 def _shards(paths: int) -> list[tuple[int, int]]:
@@ -408,19 +376,16 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
     ``_shells``), and the scan's per-row arrays, one column per row,
     with the liveness rows ``alive`` first. The rows are the +
     partner of each pair, the - partner, then the singles. The loop
-    advances a block of steps per round (``_BLOCK_STATES`` state values)
-    with one normal vector per pair and per single and step
-    (``_advance``), drawn ahead by ``_Lookahead``;
-    ``update(i, block, *arrays)``
-    gets the (b, rows, dim) states after steps i + 1 to i + b, finds with
-    ``_commit`` how many steps k to keep, updates the arrays in place for
-    those and returns ``_commit``'s (k, drop). The rest of the block's
-    normals stay drawn for the next round. So every step sees the rows,
-    the normals and the float operations of a loop that stepped one at a
-    time. Once fewer than ``_LIVE_SHARE`` of the rows are live, the dead
-    rows are dropped: the live row of a pair whose partner died goes on
-    as a single (in pair order, after the singles), and a shard stops
-    when no row is left.
+    advances a block of b steps per round (about ``_BLOCK_STATES`` state
+    values), drawing one normal vector per pair and per single and step
+    in one call (``_advance``); ``update(i, block, *arrays)`` gets the
+    (b, rows, dim) states after steps i + 1 to i + b and updates the
+    arrays in place for all of them (``_commit`` turns memberships into
+    liveness). Between rounds, once fewer than ``_LIVE_SHARE`` of the
+    rows are live, the dead rows are dropped: the live row of a pair
+    whose partner died goes on as a single (in pair order, after the
+    singles), and a shard stops when no row is left. A row that dies
+    mid-block steps on to the block's end with its values fixed.
 
     ``columns(*arrays)`` gives the value columns (columns, rows) of the
     rows it is passed: of the dead rows when they drop and of the rest
@@ -441,7 +406,6 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
         pairs, lone = divmod(c, 2)
         rng = derive_rng(seed, "exit", index)
         starts = rng.standard_normal((pairs + lone, dim))
-        normals = _Lookahead(rng, max(_BLOCK_STATES, starts.size))
         inside, dist, arrays = start(starts)
         cell = _cell(inside, dist, cuts)
         # each row's unit: rows i and pairs + i are the partners of pair i
@@ -454,9 +418,9 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
             done.append((unit[rows],
                          columns(*(x.take(rows, 1) for x in arrays))))
 
-        drop = _dropping(arrays[0].any(axis=0))
         i = 0
         while i < steps:
+            drop = _dropping(arrays[0].any(axis=0))
             if drop is not None:
                 settle(np.flatnonzero(~drop))
                 plus, minus = drop[:pairs], drop[pairs:2 * pairs]
@@ -472,14 +436,12 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
                 if not len(states):
                     break
             b = min(steps - i, max(1, _BLOCK_STATES // states.size))
-            per_step = (len(states) - pairs) * dim  # a vector per unit
-            z = normals.peek(b * per_step).reshape(b, -1, dim)
+            z = rng.standard_normal((b, len(states) - pairs, dim))
             block = _advance(states, z, pairs, decay, scale)
             del states  # frees the last round's block during the update
-            k, drop = update(i, block, *arrays)
-            normals.take(k * per_step)
-            states = block[k - 1]
-            i += k
+            update(i, block, *arrays)
+            states = block[-1]
+            i += b
         settle(np.arange(len(states)))
         # every row settles once, so a unit's rows count its paths
         units, values = (np.concatenate(x, axis=-1) for x in zip(*done))
@@ -664,17 +626,16 @@ def _survival_scan(regions, tau, steps, paths, seed,
         if refine > 1:  # coarse rows hold between coarse steps
             inside[r:] = True
             inside[r:, coarse::refine] = inside[:r, coarse::refine]
-        k, drop = _commit(inside, alive)
+        _commit(inside, alive)
         # fine rows at every step, coarse rows at the coarse steps
-        grids = [(slice(0, r), slice(0, k), inv_fine)]
-        if refine > 1 and coarse < k:
-            grids.append((slice(r, None), slice(coarse, k, refine),
+        grids = [(slice(0, r), slice(None), inv_fine)]
+        if refine > 1:
+            grids.append((slice(r, None), slice(coarse, None, refine),
                           inv_coarse))
         for rows, sel, inv in grids:
             _bridge_monitor(weight[rows], last[rows], dist[:, sel],
                             inside[rows, sel], inv)
-        alive[...] = inside[:, k - 1]
-        return k, drop
+        alive[...] = inside[:, -1]
 
     def columns(alive, weight, last):
         w = np.where(alive, weight, 0.0)
@@ -1002,15 +963,14 @@ def _occupation_scan(pairs, tau, steps, paths, seed) -> _Moments:
         inside = np.empty((len(pairs), b, cols), dtype=bool)
         for idx, (a1, _) in enumerate(pairs):
             inside[idx] = contains(a1, pts).reshape(b, cols)
-        k, drop = _commit(inside, alive)
+        _commit(inside, alive)
         # a step counts if the path was inside A_1 before it and is in A_2
         for idx, (_, a2) in enumerate(pairs):
-            hit = contains(a2, pts[:k * cols]).reshape(k, cols)
+            hit = contains(a2, pts).reshape(b, cols)
             hit[0] &= alive[idx]
-            hit[1:] &= inside[idx, :k - 1]
+            hit[1:] &= inside[idx, :-1]
             counts[idx] += hit.sum(axis=0)
-        alive[...] = inside[:, k - 1]
-        return k, drop
+        alive[...] = inside[:, -1]
 
     def columns(alive, counts):
         return counts.astype(float)

@@ -6,10 +6,11 @@ the same stream, independent of how work is scheduled. Chunked samplers
 walk :func:`batches`, so a result depends only on the seed and the sample
 count. The OU scans split their paths into near-equal shards sized from
 :data:`BATCH` (``ousim._shards``) and key shard ``i`` by ``i``, since
-each shard draws its paths step by step. The Monte Carlo indicator
-averages (``orthant_mc``, ``gaussian_measure`` on a composite outside
-the plane, ``semigroup_apply``) share one loop, :func:`indicator_hits`,
-whose counts do not depend on :data:`BATCH` at all.
+each shard draws its paths a block of steps at a time. The Monte Carlo
+indicator averages (``orthant_mc``, ``gaussian_measure`` on a composite
+outside the plane, ``semigroup_apply``) share one loop,
+:func:`indicator_hits`, whose counts do not depend on :data:`BATCH` at
+all.
 
 Independent pieces of work (the shards of an OU scan, the probes of a
 composite set in the equality diagnostic, the batches of the

@@ -164,9 +164,16 @@ def _joint_comparison(name: str, sets: SetSystem, m: CorrelationMatrix,
                     stability_bound(sets, m, s.samples, s.target_se, s.seed))]
 
 
-def _matched_halfspaces(measures, dim: int) -> list[HalfSpace]:
-    """Parallel half-spaces {x_1 <= c_i} with the given measures."""
-    return parallel_halfspaces([mu.value for mu in measures], np.eye(dim)[0])
+def _matched_halfspaces(sets, measures) -> list[HalfSpace]:
+    """Parallel half-spaces {x_1 <= c_i} with the given measures of the
+    ``sets``. Half-spaces that share one normal are their own match and
+    come back as they are, not as a copy rounded through
+    Phi^{-1}(Phi(c))."""
+    if all(isinstance(s, HalfSpace)
+           and np.array_equal(s.normal, sets[0].normal) for s in sets):
+        return list(sets)
+    return parallel_halfspaces([mu.value for mu in measures],
+                               np.eye(sets[0].dim)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +232,7 @@ def verify_exit_dominance(a: SetExpr, taus, cfg: ExperimentConfig
     verdict stands alone, but they are not independent trials."""
     s = cfg.sampling
     (mu,) = _measures((a,), s.samples, s.seed)
-    (b,) = _matched_halfspaces([mu], a.dim)
+    (b,) = _matched_halfspaces([a], [mu])
 
     def horizon(tau):
         lhs, rhs, _ = exit_survival_pair(a, b, tau, cfg.grid.steps, s.paths,
@@ -252,7 +259,7 @@ def verify_occupation(a1: SetExpr, a2: SetExpr, taus,
     margin combines both sides in quadrature."""
     s = cfg.sampling
     mus = _measures((a1, a2), s.samples, s.seed)
-    b1, b2 = _matched_halfspaces(mus, a1.dim)
+    b1, b2 = _matched_halfspaces([a1, a2], mus)
 
     def horizon(tau):
         lhs, rhs, _ = occupation_pair((a1, a2), (b1, b2), tau,

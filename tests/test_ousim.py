@@ -89,11 +89,11 @@ class TestSimulatePath:
     def test_shapes(self):
         p = _walk(5, 3, 0.2, 2, 4)
         assert p.shape == (3, 5, 3)
-        # a block of four steps of two rows leaves its normals raw
+        # a block of four steps of two rows scales its normals in place
         z = seeding.derive_rng(4, "exit", 0).standard_normal((4, 2, 3))
         raw = z.copy()
         out = ousim._advance(p[-1, :2], z, 0, 0.5, 0.5)
-        assert out.shape == (4, 2, 3) and np.array_equal(z, raw)
+        assert out.shape == (4, 2, 3) and np.array_equal(z, raw * 0.5)
 
     def test_block_is_steps_in_turn(self):
         # each state is s * decay + z * scale, rounded as written
@@ -357,8 +357,8 @@ class TestHalfspaceSurvival:
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
         assert (a.value, a.std_error, b.value, b.std_error, paired) == (
-            0.07764131161461611, 0.0009131113422149826, 0.15704153041134397,
-            0.001191804321252979, 0.0008397914753235022)
+            0.07587652567117545, 0.000909105314291779, 0.15500886314297518,
+            0.0011928405861034448, 0.0008421634580258509)
 
     def test_equal_for_one_and_two_workers(self, monkeypatch):
         # the horizons run on pool threads, each diagonalising its grids
@@ -744,47 +744,26 @@ def draws(monkeypatch):
 
 
 @pytest.fixture
-def step_rows(monkeypatch):
-    """The rows of every step a scan commits, in order."""
-    rows = []
-    real = ousim._commit
-
-    def commit(inside, alive):
-        k, drop = real(inside, alive)
-        rows.extend([inside.shape[2]] * k)
-        return k, drop
-
-    monkeypatch.setattr(ousim, "_commit", commit)
-    return rows
-
-
-@pytest.fixture
 def step_units(monkeypatch):
-    """(rows, units) of every step a scan commits, in order: a unit is a
+    """(rows, units) of every step a scan takes, in order: a unit is a
     pair, which steps with one normal vector for its two rows, or a
     single row."""
-    steps, block = [], []
-    advance, commit = ousim._advance, ousim._commit
+    steps = []
+    real = ousim._advance
 
-    def paired_advance(states, z, pairs, decay, scale):
+    def advance(states, z, pairs, decay, scale):
         assert z.shape[1] == len(states) - pairs and 2 * pairs <= len(states)
-        block[:] = [(len(states), z.shape[1])]
-        return advance(states, z, pairs, decay, scale)
+        steps.extend([(len(states), z.shape[1])] * len(z))
+        return real(states, z, pairs, decay, scale)
 
-    def counted_commit(inside, alive):
-        k, drop = commit(inside, alive)
-        steps.extend(block * k)
-        return k, drop
-
-    monkeypatch.setattr(ousim, "_advance", paired_advance)
-    monkeypatch.setattr(ousim, "_commit", counted_commit)
+    monkeypatch.setattr(ousim, "_advance", advance)
     return steps
 
 
 def _normals(shapes, dim, step_units):
     """(drawn, consumed) normals of a one-shard scan: the draws recorded
     by ``draws``, and the start plus one vector per unit of every
-    committed step."""
+    step."""
     drawn = sum(math.prod(shape) for shape in shapes)
     return drawn, dim * (shapes[0][0] + sum(u for _, u in step_units))
 
@@ -832,27 +811,26 @@ class TestShards:
 class TestCompaction:
     POINT = Ball(np.zeros(2), 0.0)  # every path starts outside
 
-    def test_dead_at_start_exit(self, draws, step_rows):
+    def test_dead_at_start_exit(self, draws, step_units):
         # 3,000 paths are 1,500 pairs, each drawing one start
         est = exit_survival(self.POINT, 0.5, 64, 3000, 1)
         assert est.value == 0.0 and est.std_error == 0.0
-        assert draws == [(1500, 2)] and step_rows == []
+        assert draws == [(1500, 2)] and step_units == []
 
-    def test_dead_at_start_refined(self, draws, step_rows):
+    def test_dead_at_start_refined(self, draws, step_units):
         r = exit_dominance_refined(self.POINT, self.POINT, 0.5, 64, 3000, 1)
         assert r.est_a.value == r.est_b.value == 0.0
         assert r.change_a == r.margin_change == 0.0
-        assert draws == [(1500, 2)] and step_rows == []
+        assert draws == [(1500, 2)] and step_units == []
 
-    def test_dead_at_start_occupation(self, draws, step_rows):
+    def test_dead_at_start_occupation(self, draws, step_units):
         est = occupation(self.POINT, FULL, 0.5, 64, 3001, 1)
         assert est.value == 0.0 and est.std_error == 0.0
-        assert draws == [(1501, 2)] and step_rows == []
+        assert draws == [(1501, 2)] and step_units == []
 
     def test_no_exit_draws_every_path(self, draws, step_units):
         # nothing leaves A_1, so nothing is dropped: every step draws one
-        # normal vector per pair, and no block is cut, so every normal
-        # drawn is used
+        # normal vector per pair, and every normal drawn is used
         est = occupation(FULL, HALF_BALL, 0.5, 64, 3000, 11)
         assert draws[0] == (1500, 2) and step_units == [(3000, 1500)] * 64
         drawn, consumed = _normals(draws, 2, step_units)
@@ -881,10 +859,9 @@ class TestCompaction:
         assert all(b <= a for a, b in zip(units, units[1:]))
         assert rows[-1] < 3000 * ousim._LIVE_SHARE
         assert any(2 * u > r for r, u in step_units)
-        # the normals a cut block left unused are the next round's: no
-        # more than one block is ever drawn ahead
+        # every round draws the normals of its whole block, and uses them
         drawn, consumed = _normals(draws, 2, step_units)
-        assert consumed <= drawn <= consumed + ousim._BLOCK_STATES
+        assert drawn == consumed
 
     def test_coarse_monitor_kept_alive(self):
         # with refine=2 a path that left on the fine grid may still be
@@ -910,12 +887,14 @@ HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
 
 def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
                   cells):
-    """The shard loop as it ran before blocks, in antithetic pairs: one
-    step per round, the normals of each step drawn when it is taken, one
-    vector per pair (+z for its first row, -z for its second) and per
-    single. Rows are laid out as the first rows of the pairs, the
-    second rows, then the singles; when fewer than 7/8 of the rows are
-    live, the dead rows go, and the live row of a pair whose partner died
+    """The shard loop stepped one step at a time, in antithetic pairs:
+    the normals of each step drawn when it is taken, one vector per pair
+    (+z for its first row, -z for its second) and per single. Rows are
+    laid out as the first rows of the pairs, the second rows, then the
+    singles. At the first step and at the end of each block of the
+    blocked scan's schedule, max(1, ``_BLOCK_STATES`` // (rows * dim))
+    steps, the rows are checked: when fewer than 7/8 of them are live,
+    the dead rows go, and the live row of a pair whose partner died
     joins the singles. Returns, per shard, each unit's start cell, path
     count and values (its rows' values summed), in unit order, and the
     number of pairs that lost one row and went on as a single."""
@@ -938,23 +917,27 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
             np.add.at(values, (slice(None), unit[rows]),
                       columns(*(x[:, rows] for x in arrays)))
 
+        check = 1  # the first step of the next block
         for i in range(1, steps + 1):
-            live = arrays[0].any(axis=0)
-            if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
-                settle(~live)
-                plus, minus = live[:pairs], live[pairs:2 * pairs]
-                both = [j for j in range(pairs) if plus[j] and minus[j]]
-                one = [j if plus[j] else pairs + j for j in range(pairs)
-                       if plus[j] != minus[j]]
-                singles = [j for j in range(2 * pairs, len(live)) if live[j]]
-                order = np.array(both + [pairs + j for j in both] + singles
-                                 + one, dtype=int)
-                demoted += len(one)
-                pairs = len(both)
-                states, unit = states[order], unit[order]
-                arrays = [x[:, order] for x in arrays]
-                if not len(states):
-                    break
+            if i == check:
+                live = arrays[0].any(axis=0)
+                if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
+                    settle(~live)
+                    plus, minus = live[:pairs], live[pairs:2 * pairs]
+                    both = [j for j in range(pairs) if plus[j] and minus[j]]
+                    one = [j if plus[j] else pairs + j for j in range(pairs)
+                           if plus[j] != minus[j]]
+                    singles = [j for j in range(2 * pairs, len(live))
+                               if live[j]]
+                    order = np.array(both + [pairs + j for j in both]
+                                     + singles + one, dtype=int)
+                    demoted += len(one)
+                    pairs = len(both)
+                    states, unit = states[order], unit[order]
+                    arrays = [x[:, order] for x in arrays]
+                    if not len(states):
+                        break
+                check += max(1, ousim._BLOCK_STATES // states.size)
             z = rng.standard_normal((len(states) - pairs, dim))
             inc = np.concatenate([z[:pairs], -z[:pairs], z[pairs:]])
             states *= decay
@@ -1127,15 +1110,26 @@ class TestBlocksMatchSteps:
         assert sorted(calls) == [1500, 1500, 10_000, 10_001]
         assert m.sums[:, 0].sum() == 40_001
 
-    def test_cases_reach_their_edges(self, step_rows):
-        # the scan ends on one live row, and the tiny ball loses both
-        # rows of its one starting pair in the first step of a seven-step
-        # block
+    def test_cases_reach_their_edges(self, step_units, monkeypatch):
+        # rows drop only between blocks: the leaving half-space's last
+        # block keeps one live row alone for some steps and then none,
+        # and the tiny ball's one starting pair loses both rows in the
+        # first step of a seven-step block, which they step to its end
+        live = []  # the live paths after each step, per block
+        real = ousim._commit
+
+        def commit(inside, alive):
+            real(inside, alive)
+            live.append(np.logical_or.reduce(inside).sum(axis=1).tolist())
+
+        monkeypatch.setattr(ousim, "_commit", commit)
         ousim._survival_scan([LEAVING], 3.0, 151, 3000, 3)
-        assert step_rows[-1] == 1 and len(step_rows) < 151
-        step_rows.clear()
+        assert len(step_units) == 151 and len(live) > 1
+        assert 1 in live[-1] and live[-1][-1] == 0
+        step_units.clear()
+        live.clear()
         ousim._occupation_scan([(TINY, TINY)], 3.0, 7, 3000, 3)
-        assert step_rows == [2]
+        assert step_units == [(2, 1)] * 7 and live == [[0] * 7]
 
 
 # the Gaussian measure of an n = 3 composite is Monte Carlo
@@ -1376,8 +1370,9 @@ class TestAntithetic:
         real = ousim._advance
 
         def advance(states, z, pairs, decay, scale):
+            raw = z.copy()  # the advance scales z in place
             out = real(states, z, pairs, decay, scale)
-            rounds.append((states, z, pairs, decay, scale, out))
+            rounds.append((states, raw, pairs, decay, scale, out))
             return out
 
         monkeypatch.setattr(ousim, "_advance", advance)
@@ -1432,27 +1427,27 @@ class TestWorkerCount:
     # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10950739224303954, 0.0004016578062431989, 0.03565748872284022,
-            0.00028024474812744175, 0.00047185721797063867),
+            0.10967430701208729, 0.0004034272343467438, 0.03557988103629676,
+            0.00027746903254750665, 0.0004714945395539606),
         ("occupation_pair", 7000): (
-            0.10854598360692963, 0.0003974567172144427, 0.03566456031746801,
-            0.000278379410876901, 0.0004631470933790375),
+            0.10918828899669436, 0.00039977614338295445, 0.03547484688935307,
+            0.0002758991412499166, 0.00046657343589349444),
         ("exit_dominance_refined", seeding.BATCH): (
             0.0753398879599918, 0.20734315130284253, 0.0012333720479507729,
             -0.00024755841357491926, 0.00012093651246306014,
             0.0003684949260379794, 0.00026543731090954115),
         ("exit_dominance_refined", 7000): (
-            0.07606522745865191, 0.20752865687285538, 0.0012336216562168958,
-            8.60793797227144e-05, -0.0003435099120318863,
-            -0.0004295892917546007, 0.0002628399540780548),
+            0.07583016262886454, 0.2080723858323794, 0.0012282611611009082,
+            -5.284901964225375e-05, -7.227982664356758e-05,
+            -1.9430807001313832e-05, 0.0002639143588770165),
         ("exit_survival", seeding.BATCH): (
-            0.0767743707938208, 0.0009125809416508895),
+            0.07681594103227608, 0.000914137315864985),
         ("exit_survival", 7000): (
-            0.07661917229430962, 0.0009069270135582768),
+            0.07777843731133953, 0.0009267972657646256),
         ("occupation", seeding.BATCH): (
-            0.10999580349932961, 0.0004036984232945685),
+            0.10908594940439714, 0.00040194392052398303),
         ("occupation", 7000): (
-            0.10891033555829445, 0.00040096179297723284),
+            0.1086897514312749, 0.000403151051642348),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))

@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.17201101271412217, 0.0010833645421868562, 0.28417173094549586, 0.0,
-     103.52998816535798),
-    (0.07744448158167162, 0.000915350274724301, 0.20743930276397543, 0.0,
-     142.01647693988798),
+    (0.17344535214063345, 0.001087032540665984, 0.28417173094549586, 0.0,
+     101.86114459556522),
+    (0.07622887567802838, 0.0009113505778670317, 0.20743930276397543, 0.0,
+     143.9736038715619),
 ]
 
 

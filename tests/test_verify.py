@@ -276,10 +276,14 @@ class TestExitDominance:
     def test_halfspace_equality_band(self):
         cfg = parse_config(
             "[sampling]\npaths = 20000\nseed = 8\n[grid]\nsteps = 64\n")
-        comps = verify_exit_dominance(HS0, [0.0, 0.25, 0.5], cfg)
-        assert [c.verdict for c in comps] == [EQUALITY_BAND] * 3
-        # identical sets: margins are exactly zero
-        assert all(c.lhs.value == c.rhs.value for c in comps)
+        # a half-space is its own match, also off the origin, where a copy
+        # rounded through Phi^-1(Phi(c)) would leave noise in the margin
+        for hs in (HS0, HalfSpace(np.array([1.0, 0.0]), 0.3)):
+            comps = verify_exit_dominance(hs, [0.0, 0.25, 0.5], cfg)
+            assert [c.verdict for c in comps] == [EQUALITY_BAND] * 3
+            # identical sets: margins are exactly zero
+            assert all(c.lhs.value == c.rhs.value for c in comps)
+            assert [c.margin_se for c in comps] == [0.0] * 3
 
     def test_zero_horizon_measure(self):
         cfg = parse_config(
@@ -338,9 +342,16 @@ class TestOccupation:
             "[sampling]\npaths = 20000\nseed = 11\n[grid]\nsteps = 64\n")
         ball_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
         ball_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
-        (comp,) = verify_occupation(ball_06, ball_03, [0.5], cfg)
-        assert comp.verdict == EQUALITY_BAND
-        assert comp.lhs.value == comp.rhs.value  # identical sets
+        # parallel half-spaces are their own match, also with offsets and
+        # a normal that copies rounded through Phi^-1(Phi(c)) would change
+        tilted = np.array([0.6, 0.8])
+        for a1, a2 in ((ball_06, ball_03),
+                       (HalfSpace(tilted, 0.3), HalfSpace(tilted, -0.2))):
+            comps = verify_occupation(a1, a2, [0.1, 0.5], cfg)
+            assert [c.verdict for c in comps] == [EQUALITY_BAND] * 2
+            # identical sets: margins are exactly zero
+            assert all(c.lhs.value == c.rhs.value for c in comps)
+            assert [c.margin_se for c in comps] == [0.0] * 2
 
     def test_empty_target_degenerate(self):
         cfg = parse_config(
