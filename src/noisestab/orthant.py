@@ -128,39 +128,33 @@ def orthant_mc(q: OrthantQuery, samples: int, seed: int) -> Estimate:
 # rank-1 lattice construction (fast component-by-component, prime sizes)
 # ---------------------------------------------------------------------------
 
-def _primes_up_to(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return np.nonzero(sieve)[0]
+def _is_prime(n: int) -> bool:
+    """Trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
 
 def _prev_prime(n: int) -> int:
     if n < 2:
         raise ValueError("no prime below 2")
-    primes = _primes_up_to(n)
-    return int(primes[-1])
+    while not _is_prime(n):
+        n -= 1
+    return n
 
 
 def _next_prime(n: int) -> int:
-    # Bertrand's postulate: a prime lies in [m, 2m] for every m >= 1
-    primes = _primes_up_to(2 * max(n, 2))
-    return int(primes[primes >= n][0])
+    n = max(n, 2)
+    while not _is_prime(n):
+        n += 1
+    return n
 
 
 def _primitive_root(p: int) -> int:
     pm = p - 1
-    factors = []
-    m = pm
-    for f in _primes_up_to(int(m**0.5) + 1):
-        if m % f == 0:
-            factors.append(int(f))
-            while m % f == 0:
-                m //= f
-    if m != 1:
-        factors.append(int(m))
+    # every prime factor of pm, or its cofactor, is at most sqrt(pm)
+    factors = {d for f in range(1, math.isqrt(pm) + 1) if pm % f == 0
+               for d in (f, pm // f) if _is_prime(d)}
     r = 2
     while True:
         if all(pow(r, pm // f, p) != 1 for f in factors):

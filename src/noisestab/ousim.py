@@ -64,17 +64,17 @@ does the raw-grid oracle (``exit_survival_refined``). A scan in which
 no path starts in A gives 0 +- 0.
 
 The scan owns the stratification (``_scan``): it takes each start set's
-shells (``_shells``), gives each unit a start cell, one shell index per
-arm (``_cell``), and tallies the unit's columns (its path count and each
-arm's summed values) as sums and cross-products per cell (``_tally``).
-It returns them with each arm's shell levels as ``_Moments``. Every
-estimate, paired SE, refinement change and margin change is a linear
-combination of unit residuals read off those moments (``_Linear``):
-``_Moments.mean`` stratifies on the arm's levels and ``_Moments.plain``
-is the plain mean. ``_pair`` routes the two arms of both pair calls,
-each to its exact value or to one scan of the other arms. Two identical
-arms put every unit in a cell with equal shells and get equal weights
-there, so their residual difference is 0 term by term: its standard
+shells (``_shells``) and returns its units as a table (``_Units``), in
+shard and unit order: each unit's path count, its start shell in each
+arm (from the start's boundary distance, 0 outside the arm's start set)
+and its summed values in each arm. Every estimate, paired SE, refinement
+change and margin change is read off that table as one residual per
+unit (``_Linear``): ``_Units.mean`` stratifies on the arm's shells and
+``_Units.plain`` is the plain mean. The SE is the root of the units'
+summed squared residuals, divided by the paths. ``_pair`` routes the two
+arms of both pair calls, each to its exact value or to one scan of the
+other arms. Two identical arms give every unit equal shells and equal
+residuals, so their residual difference is 0 unit by unit: its standard
 error is exactly 0.
 
 Both scans run on one shard loop (``_scan``). A scan splits its paths
@@ -83,18 +83,18 @@ paths, else two per ``BATCH`` paths or part of it, so a scan of any
 useful size keeps every CPU busy. Shard i draws its paths from the
 stream keyed ("exit", i). Once fewer than 7/8 of a shard's rows are
 live, the loop adds the values of the finished rows to their units and
-drops them. The live row of a pair whose partner has finished goes on
-as a single that draws its own normals; its law is unchanged, and the
+drops them. The live row of a pair whose partner has finished goes on as
+a single that draws its own normals; its law is unchanged, and the
 partner's values stay fixed in the unit (0 for an exit row, its count
-for an occupation row). Each shard tallies its units once, at the end.
-A shard advances a block of steps per round of numpy calls (about
+for an occupation row). Each shard sums its units' values once, at the
+end. A shard advances a block of steps per round of numpy calls (about
 ``_BLOCK_STATES`` state values, their normals drawn in one call) and
 drops rows only between blocks: a row that dies mid-block steps on to
-the block's end, a valid OU path whose values no longer change. So
-when rows drop depends only on the seed, the sizes and the sets. The
-shards run side by side on the shared thread pool
-(``seeding.fan_out``) and their sums are merged in shard order, so
-results do not depend on the number of workers.
+the block's end, a valid OU path whose values no longer change. So when
+rows drop depends only on the seed, the sizes and the sets. The shards
+run side by side on the shared thread pool (``seeding.fan_out``) and
+their units are joined in shard order, so results do not depend on the
+number of workers.
 
 The exact half-space arms keep off OpenBLAS's thread pool: a pooled
 BLAS call leaves its threads spinning for about 0.1 s of CPU after it
@@ -296,10 +296,8 @@ def _shards(paths: int) -> list[tuple[int, int]]:
 
 # A scanned arm is post-stratified on at most _SHELLS shells of its start
 # set; a shell with fewer than _MIN_STARTS starts joins its inner
-# neighbour (``_runs``). A start cell holds one shell index per arm, 0
-# outside the arm's start set, so one arm has _CELL cells and two _CELL^2.
+# neighbour (``_runs``).
 _SHELLS = 8
-_CELL = _SHELLS + 1
 _MIN_STARTS = 20
 
 
@@ -328,40 +326,6 @@ def _shells(s: SetExpr, tau: float):
     return np.array(cuts), np.array(levels + [0.0])
 
 
-def _cell(inside, dist, cuts) -> np.ndarray:
-    """Each path's start cell, sum_a shell_a _CELL^a over the arms a:
-    shell_a is 0 for a path outside arm a's start set (``inside[a]``
-    false) and else 1 plus the number of the arm's ``cuts`` at or below
-    its boundary distance ``dist[a]``. The cells are uint8 (two arms
-    make 81), so that a stable argsort of them is a radix sort."""
-    cell = np.zeros(inside.shape[1], dtype=np.intp)
-    for a, (ins, d, c) in enumerate(zip(inside, dist, cuts)):
-        shell = 1 + np.searchsorted(c, d, side="right")
-        cell += np.where(ins, shell, 0) * _CELL ** a
-    return cell.astype(np.uint8)
-
-
-def _tally(cell, count, values, cells: int):
-    """(sums, cross) of the per-unit columns [``count``, ``values``...]
-    (values: columns, units) per start cell: sums[c] holds each column's
-    sum over the units in cell c, cross[c] each product of two columns.
-    The units are grouped by cell and each group summed by ``einsum``,
-    not a BLAS product, which would leave OpenBLAS's threads spinning."""
-    order = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=cells)
-    x = np.empty((1 + len(values), len(cell)))
-    x[0] = count[order]
-    x[1:] = np.take(values, order, axis=1)
-    sums = np.zeros((cells, len(x)))
-    cross = np.zeros((cells, len(x), len(x)))
-    end = np.cumsum(counts)
-    for c in np.flatnonzero(counts):
-        group = x[:, end[c] - counts[c]:end[c]]
-        sums[c] = np.einsum("ip->i", group)
-        cross[c] = np.einsum("ip,jp->ij", group, group)
-    return sums, cross
-
-
 def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
     """The shard loop of the OU grid scans: ``paths`` stationary paths,
     ``steps`` exact-transition steps over [0, tau], in antithetic pairs,
@@ -370,17 +334,18 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
     Shard i of ``_shards(paths)`` draws from the stream keyed
     ("exit", i). Its c paths are floor(c / 2) pairs and, for odd c, one
     lone path: the units. Each unit draws one start point, which both
-    rows of a pair share. ``start(starts)`` returns (inside, dist,
-    arrays): each start set's membership and boundary distance of the
-    starts, which give each unit's start cell (``_cell`` on the sets'
-    ``_shells``), and the scan's per-row arrays, one column per row,
-    with the liveness rows ``alive`` first. The rows are the +
-    partner of each pair, the - partner, then the singles. The loop
-    advances a block of b steps per round (about ``_BLOCK_STATES`` state
-    values), drawing one normal vector per pair and per single and step
-    in one call (``_advance``); ``update(i, block, *arrays)`` gets the
-    (b, rows, dim) states after steps i + 1 to i + b and updates the
-    arrays in place for all of them (``_commit`` turns memberships into
+    rows of a pair share. The scan takes each start set's boundary
+    distance of the starts: a unit's start shell in the set is 0 at a
+    distance below 0 and else 1 plus the number of the set's ``_shells``
+    cuts at or below it. ``start(dist)`` gets those distances (sets,
+    units) and returns the scan's per-row arrays, one column per row,
+    with the liveness rows ``alive`` first. The rows are the + partner
+    of each pair, the - partner, then the singles. The loop advances a
+    block of b steps per round (about ``_BLOCK_STATES`` state values),
+    drawing one normal vector per pair and per single and step in one
+    call (``_advance``); ``update(i, block, *arrays)`` gets the (b,
+    rows, dim) states after steps i + 1 to i + b and updates the arrays
+    in place for all of them (``_commit`` turns memberships into
     liveness). Between rounds, once fewer than ``_LIVE_SHARE`` of the
     rows are live, the dead rows are dropped: the live row of a pair
     whose partner died goes on as a single (in pair order, after the
@@ -388,12 +353,10 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
     mid-block steps on to the block's end with its values fixed.
 
     ``columns(*arrays)`` gives the value columns (columns, rows) of the
-    rows it is passed: of the dead rows when they drop and of the rest
-    at the end, each added to its unit's values. A unit's columns are its
-    path count (2 for a pair, also after it lost a row, and 1 for the
-    lone path) and its summed values. Returns the ``_Moments`` of the
-    value-column ``blocks``: their ``_tally`` over the units in unit
-    order, summed over the shards in shard order.
+    rows it is passed, block by block and one column per set in each:
+    of the dead rows when they drop and of the rest at the end, each
+    added to its unit's values. Returns the ``_Units`` of the value
+    ``blocks``, the shards' units joined in shard order.
     """
     _, steps, decay, scale = _grid_params(tau, steps)
     parts = _shards(paths)
@@ -406,8 +369,11 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
         pairs, lone = divmod(c, 2)
         rng = derive_rng(seed, "exit", index)
         starts = rng.standard_normal((pairs + lone, dim))
-        inside, dist, arrays = start(starts)
-        cell = _cell(inside, dist, cuts)
+        dist = np.array([boundary_distance(s, starts) for s in sets])
+        shell = np.array([np.where(d < 0.0, 0,
+                                   1 + np.searchsorted(cut, d, side="right"))
+                          for d, cut in zip(dist, cuts)])
+        arrays = start(dist)
         # each row's unit: rows i and pairs + i are the partners of pair i
         unit = np.r_[0:pairs, 0:pairs + lone]
         states = starts[unit]
@@ -445,14 +411,14 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
         settle(np.arange(len(states)))
         # every row settles once, so a unit's rows count its paths
         units, values = (np.concatenate(x, axis=-1) for x in zip(*done))
-        return _tally(cell, np.bincount(units),
-                      np.stack([np.bincount(units, v) for v in values]),
-                      _CELL ** len(sets))
+        return (np.bincount(units), shell,
+                np.stack([np.bincount(units, v) for v in values]))
 
-    sums = cross = 0.0
-    for s, q in fan_out(shard, parts):
-        sums, cross = sums + s, cross + q
-    return _Moments(int(paths), sums, cross, blocks, list(levels), seed)
+    count, shell, values = (np.concatenate(x, axis=-1)
+                            for x in zip(*fan_out(shard, parts)))
+    return _Units(int(paths), count, shell,
+                  values.reshape(-1, len(sets), len(count)), blocks,
+                  list(levels), seed)
 
 
 def _runs(counts) -> list[int]:
@@ -476,52 +442,50 @@ def _runs(counts) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class _Linear:
-    """An estimate read off a scan's cell moments: its value, and the
-    weights (cells, columns) of its unit residual, which in cell c is
-    weights[c] . [n, values] for a unit of n paths and summed values,
-    and whose sum over the units, divided by the paths, is the
-    estimate's error to first order. An exact value has weights None.
-    Differences of estimates of one scan are ``_Linear`` too."""
+    """An estimate read off a scan's units: its value, and its
+    ``residual`` on each unit, whose sum over the units, divided by the
+    paths, is the estimate's error to first order. An exact value has
+    residual None. Differences of estimates of one scan are ``_Linear``
+    too."""
     value: float
-    weights: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
     def __sub__(self, other: "_Linear") -> "_Linear":
-        a, b = self.weights, other.weights
+        a, b = self.residual, other.residual
         return _Linear(self.value - other.value,
                        a if b is None else -b if a is None else a - b)
 
 
 @dataclass(frozen=True, eq=False)
-class _Moments:
-    """The cell moments of a scan over ``paths`` paths: ``sums`` and
-    ``cross`` of ``_tally`` over the scan's units, one row per start
-    cell (``_cell``). Column 0 is each unit's path count, so sums[c, 0]
-    counts the paths that start in cell c. The value columns, each
-    unit's summed values, come in blocks of one column per scanned arm
-    (a region or an (A_1, A_2) pair); ``blocks`` maps a block's name to
-    its place, and two names may share one. Every value column is 0 for
-    a unit that starts outside the arm's start set (A or A_1), and
-    ``levels[arm]`` holds the ``_shells`` levels of that set. ``seed``
-    is the scan's checked seed."""
+class _Units:
+    """The units of a scan over ``paths`` paths, in shard and unit order:
+    ``count`` holds each unit's path count (2 for a pair, also after it
+    lost a row, and 1 for the lone path), ``shell`` (arms, units) its
+    start shell in each scanned arm's start set (A or A_1), 0 outside
+    it, and ``values`` (blocks, arms, units) its summed values. A block
+    holds one value column per scanned arm (a region or an (A_1, A_2)
+    pair); ``blocks`` maps a block's name to its index, and two names
+    may share one. Every value is 0 for a unit that starts outside the
+    arm's start set, and ``levels[arm]`` holds the ``_shells`` levels of
+    that set. ``seed`` is the scan's checked seed."""
     paths: int
-    sums: np.ndarray
-    cross: np.ndarray
+    count: np.ndarray
+    shell: np.ndarray
+    values: np.ndarray
     blocks: dict
     levels: list
     seed: int
 
-    def column(self, block: str, arm: int) -> int:
-        return 1 + self.blocks[block] * len(self.levels) + arm
+    def column(self, block: str, arm: int) -> np.ndarray:
+        return self.values[self.blocks[block], arm]
 
     def plain(self, block: str, arm: int, scale: float = 1.0) -> _Linear:
         """``scale`` times the plain mean sum(v) / N of column (``block``,
         ``arm``), with residual V - n sum(v) / N on a unit of n paths and
         summed value V."""
         v = self.column(block, arm)
-        w = np.zeros(self.sums.shape)
-        q = self.sums[:, v].sum() / self.paths
-        w[:, v], w[:, 0] = scale, -scale * q
-        return _Linear(float(scale * q), w)
+        q = v.sum() / self.paths
+        return _Linear(float(scale * q), scale * (v - self.count * q))
 
     def mean(self, block: str, arm: int, scale: float = 1.0) -> _Linear:
         """``scale`` times the mean of column (``block``, ``arm``),
@@ -530,47 +494,44 @@ class _Moments:
         shells that ``_runs`` keeps (on path counts) gives mu_G q_G, with
         q_G = sum(v) / n_G over its n_G starting paths, and the residual
         (mu_G / m_G)(V - n q_G) on its units of n paths and summed value
-        V, m_G = n_G / N; 0 with weights 0 when no path starts in A. A
+        V, m_G = n_G / N; 0 with residuals 0 when no path starts in A. A
         Monte Carlo measure (levels None) gives the ``plain`` mean."""
         levels = self.levels[arm]
         if levels is None:
             return self.plain(block, arm, scale)
-        v = self.column(block, arm)
-        w = np.zeros(self.sums.shape)
-        # the arm's shell index in each cell, 0 outside its start set
-        shell = np.arange(len(self.sums)) // _CELL ** arm % _CELL
-        shells = len(levels) - 1
-        count, total = (np.bincount(shell, self.sums[:, col], _CELL)[1:]
-                        for col in (0, v))
-        edges = _runs(count[:shells])
-        value = 0.0
+        v, shell = self.column(block, arm), self.shell[arm]
+        count, total = (np.bincount(shell, x, len(levels))[1:]
+                        for x in (self.count, v))
+        edges = _runs(count)
+        value, residual = 0.0, np.zeros(len(v))
         for lo, hi in zip(edges, edges[1:]):
             inside = count[lo:hi].sum()
             if not inside:
                 continue
             q = float(total[lo:hi].sum() / inside)
             mu = levels[lo] - levels[hi]
-            f = scale * mu * self.paths / inside
             run = (shell > lo) & (shell <= hi)
-            w[run, v], w[run, 0] = f, -f * q
+            residual[run] = (scale * mu * self.paths / inside
+                             * (v[run] - self.count[run] * q))
             value += scale * mu * q
-        return _Linear(float(value), w)
+        return _Linear(float(value), residual)
 
     def std_error(self, est: _Linear) -> float:
-        """Standard error of ``est``: the root of the sum over the units
-        of their squared residuals, divided by the paths, once the
-        residuals' mean is taken out (it is 0 up to rounding, since each
-        stratum's residuals sum to 0). The units are independent, so this
-        is the SE clustered by unit."""
-        w = est.weights
-        if w is None:
+        """Standard error of ``est``: sqrt((sum r^2 / N - (sum r / N)^2)
+        / N) over the units' residuals r, so the residuals' mean (0 up to
+        rounding, since each stratum's residuals sum to 0) is taken out.
+        The units are independent, so this is the SE clustered by unit.
+        ``einsum`` sums, not a BLAS product, which would leave OpenBLAS's
+        threads spinning."""
+        r = est.residual
+        if r is None:
             return 0.0
-        mean = np.einsum("ci,ci->", w, self.sums) / self.paths
-        square = np.einsum("ci,cij,cj->", w, self.cross, w) / self.paths
+        mean = np.einsum("u->", r) / self.paths
+        square = np.einsum("u,u->", r, r) / self.paths
         return math.sqrt(max(square - mean * mean, 0.0) / self.paths)
 
     def estimate(self, est: _Linear) -> Estimate:
-        if est.weights is None:
+        if est.residual is None:
             return Estimate.exact(est.value, self.seed)
         return Estimate(value=est.value,
                         std_error=self.std_error(est), samples=self.paths,
@@ -578,7 +539,7 @@ class _Moments:
 
 
 def _survival_scan(regions, tau, steps, paths, seed,
-                   refine: int = 1) -> _Moments:
+                   refine: int = 1) -> _Units:
     """Shared-trajectory exit scan for one or two regions at once.
 
     Simulates at ``steps * refine`` resolution and monitors each region
@@ -586,7 +547,7 @@ def _survival_scan(regions, tau, steps, paths, seed,
     ``refine``-th point, including t=0), two ways: the raw grid
     indicator and the bridge-corrected per-path survival weight
     (``_bridge_monitor``). ``refine`` must be an integer >= 1. Returns
-    the ``_Moments`` of these blocks of per-path columns, one column per
+    the ``_Units`` of these blocks of per-path columns, one column per
     region:
 
     - "coarse" and "fine": the corrected weight on each grid;
@@ -607,12 +568,10 @@ def _survival_scan(regions, tau, steps, paths, seed,
               if refine > 1 else
               {"coarse": 0, "raw": 1, "fine": 0, "raw_fine": 1})
 
-    def start(states):
+    def start(dist):
         # rows: each region on the fine grid, then on the coarse grid
-        last = np.array([boundary_distance(reg, states)
-                         for reg in regions] * min(refine, 2))
-        alive = last >= 0.0
-        return alive[:r], last[:r], [alive, np.ones_like(last), last]
+        last = np.concatenate([dist] * min(refine, 2))
+        return [last >= 0.0, np.ones_like(last), last]
 
     def update(i, block, alive, weight, last):
         b, cols, dim = block.shape
@@ -852,7 +811,7 @@ def exit_survival_refined(s: SetExpr, tau, steps, paths, seed,
     """The raw grid monitor, kept as the oracle: the frequency of paths
     inside ``s`` at every grid time, at ``steps`` and at ``steps *
     refine`` on shared trajectories. Each is a plain mean, with the
-    standard error of its unit residuals (``_Moments.plain``), since the
+    standard error of its unit residuals (``_Units.plain``), since the
     two rows of an antithetic pair are not independent.
 
     Raw grid survival over-estimates continuous-time survival by a bias
@@ -872,7 +831,7 @@ def _pair(arms, exact, scan, read, tau, steps, paths, seed):
     the standard error of b minus a. An arm whose ``exact(arm)`` is not
     None takes that value (std_error 0, samples 0); the other arms run
     in one ``scan`` on shared trajectories, and ``read(m, i)`` reads the
-    i-th of them off its moments m. So two scanned arms are paired by
+    i-th of them off its units m. So two scanned arms are paired by
     their per-unit residual difference under common random numbers (0
     for identical arms), and an exact arm adds no error. The grid, the
     path count and the seed are checked as a scan checks them, also when
@@ -946,16 +905,15 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
         margin_change=margin.value, margin_change_se=m.std_error(margin))
 
 
-def _occupation_scan(pairs, tau, steps, paths, seed) -> _Moments:
+def _occupation_scan(pairs, tau, steps, paths, seed) -> _Units:
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
-    on shared trajectories: the ``_Moments`` of the block "count" (each
+    on shared trajectories: the ``_Units`` of the block "count" (each
     path's step count), one column per pair, on the shells of each A_1.
-    A path that has left every A_1 is dropped with its counts tallied.
+    A path that has left every A_1 is dropped with its counts kept in its
+    unit.
     """
-    def start(states):
-        alive = np.array([contains(a1, states) for a1, _ in pairs])
-        dist = [boundary_distance(a1, states) for a1, _ in pairs]
-        return alive, dist, [alive, np.zeros(alive.shape, dtype=np.int64)]
+    def start(dist):
+        return [dist >= 0.0, np.zeros(dist.shape, dtype=np.int64)]
 
     def update(i, block, alive, counts):
         b, cols, dim = block.shape

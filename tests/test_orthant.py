@@ -339,3 +339,34 @@ class TestNextPrime:
             if is_prime(n):
                 want = n
             assert orthant._next_prime(n) == want
+        below = None
+        for n in range(2, 10_000):
+            if is_prime(n):
+                below = n
+            assert orthant._prev_prime(n) == below
+
+
+class TestCbcLattice:
+    # the generating vectors of the 12-d lattices, as a sieve of
+    # Eratosthenes found the primes; a lattice of fewer dimensions is the
+    # prefix of the 12-d one, which the construction extends coordinate
+    # by coordinate
+    LATTICES = {
+        3: (3, [1] * 12),
+        1021: (1021, [1, 374, 421, 449, 236, 55, 353, 309, 145, 457, 194,
+                      253]),
+        2053: (2053, [1, 794, 609, 867, 243, 404, 277, 447, 494, 953, 675,
+                      937]),
+        65537: (65537, [1, 25016, 11134, 28225, 10616, 17729, 4042, 20832,
+                        22105, 20019, 12807, 29586]),
+        10**6: (999983, [1, 414343, 381485, 107044, 45701, 165407, 25803,
+                         484872, 297897, 195507, 287476, 189052]),
+    }
+
+    @pytest.mark.parametrize("target", sorted(LATTICES))
+    def test_cbc_lattice_pinned(self, target):
+        prime, z = self.LATTICES[target]
+        for dim in (1, 2, 5, 12):
+            frac, n = orthant._cbc_lattice(dim, target)
+            assert n == prime
+            assert np.array_equal(frac, np.array(z[:dim]) / prime)

@@ -357,8 +357,8 @@ class TestHalfspaceSurvival:
         a, b, paired = exit_survival_pair(HALF_BALL, BALL_06, 0.5, 32,
                                           70_000, 23)
         assert (a.value, a.std_error, b.value, b.std_error, paired) == (
-            0.07587652567117545, 0.000909105314291779, 0.15500886314297518,
-            0.0011928405861034448, 0.0008421634580258509)
+            0.07587652567117549, 0.0009091053142917761, 0.15500886314297554,
+            0.0011928405861034426, 0.0008421634580258524)
 
     def test_equal_for_one_and_two_workers(self, monkeypatch):
         # the horizons run on pool threads, each diagonalising its grids
@@ -711,13 +711,13 @@ class TestDominanceRefined:
             exit_dominance_refined(HALF_BALL, HS0, 0.5, 8, 100, 1, refine)
 
     def test_changes_nonnegative(self):
-        # the raw grid monitor nests pathwise, so its fine total is at most
-        # its coarse one in every start cell; the corrected changes are
-        # signed and carry their own standard errors
+        # the raw grid monitor nests pathwise, so its fine value is at most
+        # its coarse one in every unit; the corrected changes are signed
+        # and carry their own standard errors
         m = ousim._survival_scan([HALF_BALL, HS0], 0.4, 64, 20_000, 2,
                                  refine=2)
         for arm in (0, 1):
-            raw, fine = (m.sums[:, m.column(block, arm)]
+            raw, fine = (m.column(block, arm)
                          for block in ("raw", "raw_fine"))
             assert np.all(raw >= fine) and raw.sum() > fine.sum()
 
@@ -836,7 +836,7 @@ class TestCompaction:
         drawn, consumed = _normals(draws, 2, step_units)
         assert drawn == consumed
         assert est.value == 0.24627864583333334
-        assert est.std_error == 0.003619203001569907
+        assert est.std_error == 0.003619203001569908
 
     def test_dropped_paths_keep_their_counts(self):
         # the occupation of {x_1 <= 0} before leaving it is the integral
@@ -885,8 +885,8 @@ HS_06 = HalfSpace(np.array([1.0, 0.0]), 0.2533471031357997)
 HS_03 = HalfSpace(np.array([1.0, 0.0]), -0.5244005127080407)
 
 
-def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
-                  cells):
+def _stepped_scan(sets, tau, steps, paths, seed, start, update, columns,
+                  cuts):
     """The shard loop stepped one step at a time, in antithetic pairs:
     the normals of each step drawn when it is taken, one vector per pair
     (+z for its first row, -z for its second) and per single. Rows are
@@ -895,17 +895,24 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
     blocked scan's schedule, max(1, ``_BLOCK_STATES`` // (rows * dim))
     steps, the rows are checked: when fewer than 7/8 of them are live,
     the dead rows go, and the live row of a pair whose partner died
-    joins the singles. Returns, per shard, each unit's start cell, path
-    count and values (its rows' values summed), in unit order, and the
-    number of pairs that lost one row and went on as a single."""
+    joins the singles. A unit's start shell in a set is 0 outside it and
+    else 1 plus the number of the set's ``cuts`` at or below its
+    boundary distance. Returns, per shard, each unit's path count, start
+    shell in each set and values (its rows' values summed), in unit
+    order, and the number of pairs that lost one row and went on as a
+    single."""
     _, steps, decay, scale = ousim._grid_params(tau, steps)
+    dim = sets[0].dim
 
     def shard(part):
         index, c = part
         pairs, lone = divmod(c, 2)
         rng = seeding.derive_rng(seed, "exit", index)
         starts = rng.standard_normal((pairs + lone, dim))
-        cell, arrays = start(starts)
+        dist = np.array([boundary_distance(s, starts) for s in sets])
+        shell = np.array([np.where(d >= 0.0, 1 + (d >= cut[:, None]).sum(0), 0)
+                          for d, cut in zip(dist, cuts)])
+        arrays = start(dist)
         count = np.r_[np.full(pairs, 2.0), np.ones(lone)]
         unit = np.r_[np.arange(pairs), np.arange(pairs + lone)]
         states = starts[unit]
@@ -945,35 +952,29 @@ def _stepped_scan(dim, tau, steps, paths, seed, start, update, columns,
             states += inc
             update(i, states, *arrays)
         settle(np.arange(len(states)))
-        return cell, count, values, demoted
+        return count, shell, values, demoted
 
-    return [shard(part) for part in ousim._shards(paths)], cells
+    return [shard(part) for part in ousim._shards(paths)]
 
 
-def _unit_moments(reference):
-    """The cell sums and cross-products of a stepped reference, tallied
-    per shard and summed in shard order, as ``ousim._scan`` does."""
-    shards, cells = reference
-    sums = cross = 0.0
-    for cell, count, values, _ in shards:
-        s, q = ousim._tally(cell, count, values, cells)
-        sums, cross = sums + s, cross + q
-    return sums, cross
+def _unit_table(shards):
+    """(count, shell, values) of a stepped reference's units, its shards
+    joined in shard order, as ``ousim._scan`` joins them."""
+    return tuple(np.concatenate([sh[i] for sh in shards], axis=-1)
+                 for i in range(3))
 
 
 def _stepped_survival(regions, tau, steps, paths, seed, *, cuts, refine=1):
     """``ousim._survival_scan`` stepped one step at a time, its start
-    cells cut at each region's own ``cuts``."""
+    shells cut at each region's own ``cuts``."""
     tau, steps, _, _ = ousim._grid_params(tau, steps)
     inv_fine = ousim._inv_sinh(tau / (steps * refine))
     inv_coarse = ousim._inv_sinh(tau / steps)
     r = len(regions)
 
-    def start(states):
-        last = np.array([boundary_distance(reg, states)
-                         for reg in regions] * min(refine, 2))
-        cell = ousim._cell(last[:r] >= 0.0, last[:r], cuts)
-        return cell, [last >= 0.0, np.ones_like(last), last]
+    def start(dist):
+        last = np.vstack([dist] * min(refine, 2))
+        return [last >= 0.0, np.ones_like(last), last]
 
     def monitor(alive, weight, a0, a1, inv):
         alive &= a1 >= 0.0
@@ -1000,19 +1001,16 @@ def _stepped_survival(regions, tau, steps, paths, seed, *, cuts, refine=1):
             rows += [w[:r], alive[:r]]
         return np.vstack(rows).astype(float)
 
-    return _stepped_scan(regions[0].dim, tau, steps * refine, paths, seed,
-                         start, update, columns, ousim._CELL ** r)
+    return _stepped_scan(regions, tau, steps * refine, paths, seed, start,
+                         update, columns, cuts)
 
 
 def _stepped_occupation(pairs, tau, steps, paths, seed, *, cuts):
     """``ousim._occupation_scan`` stepped one step at a time, its start
-    cells cut at each A_1's own ``cuts``."""
+    shells cut at each A_1's own ``cuts``."""
 
-    def start(states):
-        alive = np.array([contains(a1, states) for a1, _ in pairs])
-        dist = [boundary_distance(a1, states) for a1, _ in pairs]
-        return (ousim._cell(alive, dist, cuts),
-                [alive, np.zeros(alive.shape, dtype=np.int64)])
+    def start(dist):
+        return [dist >= 0.0, np.zeros(dist.shape, dtype=np.int64)]
 
     def update(i, states, alive, counts):
         for idx, (a1, a2) in enumerate(pairs):
@@ -1022,13 +1020,16 @@ def _stepped_occupation(pairs, tau, steps, paths, seed, *, cuts):
     def columns(alive, counts):
         return counts.astype(float)
 
-    return _stepped_scan(pairs[0][0].dim, tau, steps, paths, seed, start,
-                         update, columns, ousim._CELL ** len(pairs))
+    return _stepped_scan([a1 for a1, _ in pairs], tau, steps, paths, seed,
+                         start, update, columns, cuts)
 
 
-def _same_moments(m, reference):
-    sums, cross = _unit_moments(reference)
-    return np.array_equal(m.sums, sums) and np.array_equal(m.cross, cross)
+def _same_units(m, shards):
+    """Whether the units ``m`` of a scan equal the stepped reference's
+    bit for bit: each unit's path count, start shells and values."""
+    count, shell, values = _unit_table(shards)
+    return (np.array_equal(m.count, count) and np.array_equal(m.shell, shell)
+            and np.array_equal(m.values.reshape(values.shape), values))
 
 
 def _cuts(sets, tau):
@@ -1043,11 +1044,11 @@ SLANTED = HalfSpace(np.array([0.6, 0.8]), 0.8)
 
 
 class TestBlocksMatchSteps:
-    """The blocked scans return exactly the cell moments of the scan that
-    stepped one step at a time and tallied every path with its values:
-    the same rows, normals and float operations at every step. Each
-    start set is cut into its shells, so the paths fall into several
-    cells."""
+    """The blocked scans return exactly the unit table of the scan that
+    stepped one step at a time and summed every path's values into its
+    unit: the same rows, normals and float operations at every step.
+    Each start set is cut into its shells, so the units fall into
+    several shells."""
 
     EXIT = {
         "one region": ([HALF_BALL], 0.5, 37, 1),
@@ -1071,7 +1072,7 @@ class TestBlocksMatchSteps:
     def test_exit(self, case, paths):
         regions, tau, steps, refine = self.EXIT[case]
         args = (regions, tau, steps, paths, 3)
-        assert _same_moments(
+        assert _same_units(
             ousim._survival_scan(*args, refine=refine),
             _stepped_survival(*args, cuts=_cuts(regions, tau), refine=refine))
 
@@ -1081,8 +1082,8 @@ class TestBlocksMatchSteps:
         pairs, tau, steps = self.OCCUPATION[case]
         args = (pairs, tau, steps, paths, 3)
         cuts = _cuts([a1 for a1, _ in pairs], tau)
-        assert _same_moments(ousim._occupation_scan(*args),
-                             _stepped_occupation(*args, cuts=cuts))
+        assert _same_units(ousim._occupation_scan(*args),
+                           _stepped_occupation(*args, cuts=cuts))
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_single_path(self, seed):
@@ -1091,24 +1092,24 @@ class TestBlocksMatchSteps:
         # third of the points here; the projection sums the columns in
         # a fixed order instead, so a lone live row may take a block
         args = ([SLANTED], 2.0, 4, 1, seed)
-        assert _same_moments(ousim._survival_scan(*args),
-                             _stepped_survival(*args,
-                                               cuts=_cuts([SLANTED], 2.0)))
+        assert _same_units(ousim._survival_scan(*args),
+                           _stepped_survival(*args,
+                                             cuts=_cuts([SLANTED], 2.0)))
 
-    def test_one_tally_per_shard(self, monkeypatch):
+    def test_one_row_per_unit(self):
         # a finished row adds its values to its unit when it drops, and
-        # each shard tallies its units once, at the end: 1,500 pairs at
-        # 3,000 paths, and 10,000 pairs plus a lone path and 10,000 pairs
-        # in the two shards of 40,001 paths
-        calls = []
-        real = ousim._tally
-        monkeypatch.setattr(ousim, "_tally",
-                            lambda *a: calls.append(len(a[0])) or real(*a))
-        ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3)
-        ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 3000, 3)
+        # the table holds each unit once, in shard and unit order: 1,500
+        # pairs at 3,000 paths, and 10,000 pairs plus a lone path, then
+        # 10,000 pairs, in the two shards of 40,001 paths
+        for m in (ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3),
+                  ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 3000,
+                                         3)):
+            assert np.array_equal(m.count, np.full(1500, 2))
+            assert m.shell.shape == (1, 1500) and m.values.shape == (
+                len(m.values), 1, 1500)
         m = ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 40_001, 3)
-        assert sorted(calls) == [1500, 1500, 10_000, 10_001]
-        assert m.sums[:, 0].sum() == 40_001
+        assert np.array_equal(m.count, np.r_[np.full(10_000, 2), 1,
+                                             np.full(10_000, 2)])
 
     def test_cases_reach_their_edges(self, step_units, monkeypatch):
         # rows drop only between blocks: the leaving half-space's last
@@ -1137,16 +1138,27 @@ SLAB_BALL = Intersection((Ball(np.zeros(3), 1.5),
                           HalfSpace(np.array([1.0, 0.0, 0.0]), 0.3)))
 
 
-def _one_cell(m):
-    """The moments ``m`` of a one-arm scan with every start cell inside
-    the start set merged into cell 1, and its levels cut to [mu(A), 0]:
-    the start set as one stratum."""
-    sums, cross = m.sums.copy(), m.cross.copy()
-    for x in (sums, cross):
-        x[1] = x[1:].sum(axis=0)
-        x[2:] = 0.0
-    return dataclasses.replace(m, sums=sums, cross=cross,
+def _one_stratum(m):
+    """The units ``m`` of a one-arm scan with every shell of the start set
+    clamped to shell 1, and its levels cut to [mu(A), 0]: the start set
+    as one stratum."""
+    return dataclasses.replace(m, shell=np.minimum(m.shell, 1),
                                levels=[m.levels[0][[0, -1]]])
+
+
+def _stratified_by_hand(n, shell, v, levels, paths):
+    """(value, unit residuals) of the post-stratified mean of the unit
+    values ``v`` (of ``n`` paths each) on the runs of their start
+    ``shell``s, whose measures are the differences of ``levels``."""
+    edges = ousim._runs(np.bincount(shell, n, len(levels))[1:])
+    value, residual = 0.0, np.zeros(len(v))
+    for lo, hi in zip(edges, edges[1:]):
+        run = (shell > lo) & (shell <= hi)
+        q = v[run].sum() / n[run].sum()
+        mu = levels[lo] - levels[hi]
+        residual[run] = mu * paths / n[run].sum() * (v[run] - n[run] * q)
+        value += mu * q
+    return value, residual
 
 
 class TestPostStratification:
@@ -1187,7 +1199,7 @@ class TestPostStratification:
         # the tiny ball holds 0.1% of the mass: none of 20 paths starts in
         # it, and no path starts in the point
         m = ousim._survival_scan([TINY], 0.5, 8, 20, 1)
-        assert m.sums[0, 0] == 20.0 and not m.sums[1:, 0].any()
+        assert m.count.sum() == 20 and not m.shell.any()
         for s, paths in ((TINY, 20), (self.POINT, 3000)):
             results = [exit_survival(s, 0.5, 8, paths, 1),
                        occupation(s, FULL, 0.5, 8, paths, 1)]
@@ -1205,13 +1217,14 @@ class TestPostStratification:
     def test_few_starts_merge_to_one_stratum(self):
         # at 20 paths no shell of the half-measure ball holds 20 starts,
         # so they merge into the start set alone: the one-stratum scan,
-        # read off the scan's cells merged into one
+        # read off the scan's shells clamped to one
         assert len(ousim._shells(HALF_BALL, 0.5)[0]) == 2
         for seed in range(1, 6):
-            m = _one_cell(ousim._survival_scan([HALF_BALL], 0.5, 8, 20, seed))
+            m = _one_stratum(ousim._survival_scan([HALF_BALL], 0.5, 8, 20,
+                                                  seed))
             want = m.estimate(m.mean("coarse", 0))
-            m = _one_cell(ousim._occupation_scan([(HALF_BALL, FULL)], 0.5, 8,
-                                                 20, seed))
+            m = _one_stratum(ousim._occupation_scan([(HALF_BALL, FULL)], 0.5,
+                                                    8, 20, seed))
             want_occ = m.estimate(m.mean("count", 0, 0.5 / 8))
             for got, ref in ((exit_survival(HALF_BALL, 0.5, 8, 20, seed),
                               want),
@@ -1243,15 +1256,13 @@ class TestPostStratification:
                                     0.5, 32, 20_000, 7)
         occ = occupation(SLAB_BALL, Ball(np.zeros(3), 1.0), 0.5, 32, 20_000,
                          7)
-        for moments, block, scale, got in ((m, "coarse", 1.0, est),
-                                           (m2, "count", 0.5 / 32, occ)):
+        for units, block, scale, got in ((m, "coarse", 1.0, est),
+                                         (m2, "count", 0.5 / 32, occ)):
             # the residual of a unit of n paths with summed value V is
             # V - n mean, and the units are independent
-            v = moments.column(block, 0)
-            mean = moments.sums[:, v].sum() / 20_000
-            vv, nv, nn = (moments.cross[:, i, j].sum()
-                          for i, j in ((v, v), (0, v), (0, 0)))
-            var = (vv - 2.0 * mean * nv + mean * mean * nn) / 20_000
+            v = units.column(block, 0)
+            mean = v.sum() / 20_000
+            var = np.sum((v - units.count * mean) ** 2) / 20_000
             assert got.value == pytest.approx(scale * mean, rel=1e-12)
             assert got.std_error == pytest.approx(
                 scale * math.sqrt(var / 20_000), rel=1e-12)
@@ -1277,7 +1288,7 @@ class TestPostStratification:
         ball = Ball(np.zeros(2), math.sqrt(2.0 * math.log(2.0)))
         m = ousim._survival_scan([ball], 0.1, 512, 25_000, 1)
         shells = m.std_error(m.mean("coarse", 0))
-        one = _one_cell(m)
+        one = _one_stratum(m)
         start = one.std_error(one.mean("coarse", 0))
         plain = m.std_error(m.plain("coarse", 0))
         assert len(m.levels[0]) == 7  # six shells
@@ -1304,50 +1315,57 @@ class TestAntithetic:
         assert abs(np.mean(z)) <= 0.5
         assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
-    @pytest.mark.parametrize("scan", ["exit", "occupation"])
+    @pytest.mark.parametrize("scan", ["exit", "occupation", "exit pair"])
     def test_clustered_se_by_hand(self, scan):
         # the SE of the unit sums of the stepped reference: residuals of
-        # the paths of a unit are summed before squaring
-        paths, s = 3001, (HALF_BALL if scan == "exit" else BALL_06)
-        cuts, levels = ousim._shells(s, 0.5)
-        if scan == "exit":
-            args = ([s], 0.5, 37, paths, 3)
-            m = ousim._survival_scan(*args)
-            shards, _ = _stepped_survival(*args, cuts=[cuts])
-            block = "coarse"
-        else:
-            args = ([(s, BALL_03)], 0.5, 37, paths, 3)
+        # the paths of a unit are summed before squaring, and each arm is
+        # stratified on its own shells
+        paths = 3001
+        if scan == "occupation":
+            sets = [BALL_06]
+            args = ([(BALL_06, BALL_03)], 0.5, 37, paths, 3)
             m = ousim._occupation_scan(*args)
-            shards, _ = _stepped_occupation(*args, cuts=[cuts])
+            shards = _stepped_occupation(*args, cuts=_cuts(sets, 0.5))
             block = "count"
+        else:
+            sets = [HALF_BALL] if scan == "exit" else [HALF_BALL, BALL_06]
+            args = (sets, 0.5, 37, paths, 3)
+            m = ousim._survival_scan(*args)
+            shards = _stepped_survival(*args, cuts=_cuts(sets, 0.5))
+            block = "coarse"
         assert sum(demoted for *_, demoted in shards) > 100
-        cell, n = (np.concatenate([sh[i] for sh in shards]) for i in (0, 1))
-        v = np.concatenate([sh[2][0] for sh in shards])
+        n, shell, values = _unit_table(shards)
         assert n.sum() == paths and np.count_nonzero(n == 1) == 1
-        edges = ousim._runs(np.bincount(cell, n)[1:len(levels)])
-        value, residual = 0.0, np.zeros(len(cell))
-        for lo, hi in zip(edges, edges[1:]):
-            run = (cell > lo) & (cell <= hi)
-            q = v[run].sum() / n[run].sum()
-            mu = levels[lo] - levels[hi]
-            residual[run] = mu * paths / n[run].sum() * (v[run] - n[run] * q)
-            value += mu * q
-        est = m.mean(block, 0)
-        assert est.value == pytest.approx(value, rel=1e-12)
-        assert m.std_error(est) == pytest.approx(
-            math.sqrt(np.sum(residual ** 2)) / paths, rel=1e-9)
+        hand = [_stratified_by_hand(n, shell[arm], values[arm],
+                                    ousim._shells(s, 0.5)[1], paths)
+                for arm, s in enumerate(sets)]
+        for arm, (value, residual) in enumerate(hand):
+            est = m.mean(block, arm)
+            assert est.value == pytest.approx(value, rel=1e-12)
+            assert m.std_error(est) == pytest.approx(
+                math.sqrt(np.sum(residual ** 2)) / paths, rel=1e-9)
+        if scan == "exit pair":
+            # the paired SE is that of each unit's residual difference
+            a, b, paired = exit_survival_pair(*sets, 0.5, 37, paths, 3)
+            (value_a, res_a), (value_b, res_b) = hand
+            assert a.value == pytest.approx(value_a, rel=1e-9)
+            assert b.value == pytest.approx(value_b, rel=1e-9)
+            assert paired == pytest.approx(
+                math.sqrt(np.sum((res_b - res_a) ** 2)) / paths, rel=1e-9)
+            return
+        v = values[0]
         q = v.sum() / paths
         assert m.std_error(m.plain(block, 0)) == pytest.approx(
             math.sqrt(np.sum((v - n * q) ** 2)) / paths, rel=1e-9)
         if scan == "exit":
-            # the raw oracle is the plain mean of the raw column summed
-            # over the shell cells; its count total is exact
-            raw = np.concatenate([sh[2][1] for sh in shards])
+            # the raw oracle is the plain mean of the raw column; its count
+            # total is exact
+            raw = values[1]
             q = raw.sum() / paths
             est = m.plain("raw", 0)
             assert m.std_error(est) == pytest.approx(
                 math.sqrt(np.sum((raw - n * q) ** 2)) / paths, rel=1e-9)
-            coarse, *_ = exit_survival_refined(s, 0.5, 37, paths, 3,
+            coarse, *_ = exit_survival_refined(sets[0], 0.5, 37, paths, 3,
                                                refine=1)
             assert coarse.value == est.value == q
             assert coarse.std_error == m.std_error(est)
@@ -1355,12 +1373,11 @@ class TestAntithetic:
     @pytest.mark.parametrize("paths,lone", [(8000, 0), (8001, 1),
                                             (40_000, 0), (40_001, 1)])
     def test_odd_shard_holds_one_lone_unit(self, paths, lone):
-        # the count column sums n = 2 pairs + lone paths and its square
-        # n^2 = 4 pairs + lone; 40,001 paths are shards of 20,001 and
-        # 20,000
+        # every unit is a pair of two paths but the lone path of an odd
+        # shard; 40,001 paths are shards of 20,001 and 20,000
         m = ousim._survival_scan([HALF_BALL], 0.5, 8, paths, 3)
-        count, square = m.sums[:, 0].sum(), m.cross[:, 0, 0].sum()
-        assert count == paths and 2 * count - square == lone
+        assert set(m.count) <= {1, 2} and m.count.sum() == paths
+        assert np.count_nonzero(m.count == 1) == lone
 
     def test_partners_share_their_start(self, monkeypatch):
         # nothing leaves the full space, so the first round steps every
@@ -1427,27 +1444,27 @@ class TestWorkerCount:
     # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10967430701208729, 0.0004034272343467438, 0.03557988103629676,
-            0.00027746903254750665, 0.0004714945395539606),
+            0.10967430701208729, 0.00040342723434674425, 0.03557988103629676,
+            0.000277469032547506, 0.00047149453955396085),
         ("occupation_pair", 7000): (
-            0.10918828899669436, 0.00039977614338295445, 0.03547484688935307,
-            0.0002758991412499166, 0.00046657343589349444),
+            0.10918828899669436, 0.0003997761433829549, 0.03547484688935307,
+            0.0002758991412499153, 0.0004665734358934953),
         ("exit_dominance_refined", seeding.BATCH): (
-            0.0753398879599918, 0.20734315130284253, 0.0012333720479507729,
-            -0.00024755841357491926, 0.00012093651246306014,
-            0.0003684949260379794, 0.00026543731090954115),
+            0.07533988795999194, 0.20734315130284256, 0.0012333720479507744,
+            -0.00024755841357479436, 0.00012093651246314341,
+            0.00036849492603793776, 0.00026543731090954034),
         ("exit_dominance_refined", 7000): (
-            0.07583016262886454, 0.2080723858323794, 0.0012282611611009082,
-            -5.284901964225375e-05, -7.227982664356758e-05,
-            -1.9430807001313832e-05, 0.0002639143588770165),
+            0.07583016262886458, 0.20807238583237966, 0.001228261161100909,
+            -5.284901964222599e-05, -7.227982664345656e-05,
+            -1.9430807001230566e-05, 0.00026391435887701824),
         ("exit_survival", seeding.BATCH): (
-            0.07681594103227608, 0.000914137315864985),
+            0.07681594103227615, 0.0009141373158649877),
         ("exit_survival", 7000): (
-            0.07777843731133953, 0.0009267972657646256),
+            0.07777843731133957, 0.000926797265764624),
         ("occupation", seeding.BATCH): (
-            0.10908594940439714, 0.00040194392052398303),
+            0.10908594940439714, 0.0004019439205239824),
         ("occupation", 7000): (
-            0.1086897514312749, 0.000403151051642348),
+            0.1086897514312749, 0.00040315105164234765),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))

@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.17344535214063345, 0.001087032540665984, 0.28417173094549586, 0.0,
-     101.86114459556522),
-    (0.07622887567802838, 0.0009113505778670317, 0.20743930276397543, 0.0,
-     143.9736038715619),
+    (0.1734453521406335, 0.0010870325406659909, 0.28417173094549586, 0.0,
+     101.86114459556451),
+    (0.07622887567802854, 0.000911350577867027, 0.20743930276397543, 0.0,
+     143.97360387156246),
 ]
 
 
