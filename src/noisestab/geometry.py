@@ -428,16 +428,16 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def _cosine_rule(breaks, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a rule for integrals over [-L, L], L =
-    PLANE_HALF_WIDTH. The breakpoints (clipped to it) split the interval,
-    each part is cut into equal pieces at most PLANE_PIECE wide, and each
-    piece [m - h, m + h] takes ``nodes`` Gauss-Legendre points in theta
-    under u = m - h cos(theta), which turns square-root behaviour at
-    either end of the piece into a smooth integrand."""
-    half_width = PLANE_HALF_WIDTH
-    edges = np.unique(np.clip(np.append(breaks, (-half_width, half_width)),
-                              -half_width, half_width))
+def _cosine_rule(breaks, nodes: int,
+                 span=(-PLANE_HALF_WIDTH, PLANE_HALF_WIDTH)):
+    """Nodes, in ascending order, and weights of a rule for integrals
+    over ``span``, [-L, L] with L = PLANE_HALF_WIDTH by default. The
+    breakpoints (clipped to it) split the interval, each part is cut into
+    equal pieces at most PLANE_PIECE wide, and each piece [m - h, m + h]
+    takes ``nodes`` Gauss-Legendre points in theta under u = m - h
+    cos(theta), which turns square-root behaviour at either end of the
+    piece into a smooth integrand."""
+    edges = np.unique(np.clip(np.append(breaks, span), *span))
     spans = np.diff(edges)
     counts = np.ceil(spans / PLANE_PIECE).astype(int)
     width = np.repeat(spans / counts, counts)
@@ -595,6 +595,79 @@ def exact_measure(s: SetExpr) -> float | None:
         return float(heat_flow(s, math.inf, np.zeros(s.dim)))
     except UnsupportedRegion:
         return _plane_measure(s) if s.dim == 2 else None
+
+
+def _chi_pdf(r: np.ndarray, n: int) -> np.ndarray:
+    """Density of |X| for X standard in R^n, at r > 0."""
+    return np.exp((n - 1) * np.log(r) - 0.5 * r * r
+                  - (0.5 * n - 1.0) * math.log(2.0) - special.gammaln(0.5 * n))
+
+
+def pair_measures(starts, ends, t: float,
+                  nodes: int = PLANE_NODES) -> np.ndarray | None:
+    """The table P[j, k] = Pr(X in starts[j], e^{-t} X + sqrt(1 - e^{-2t}) Y
+    in ends[k]), X and Y independent standard, where every set is a
+    half-space with one normal or every set is a ball centred at the
+    origin; None for any other sets. t must be positive.
+
+    The pair (X, e^{-t} X + sqrt(1 - e^{-2t}) Y) is the OU process at
+    times 0 and t, which is reversible, so P is symmetric in the sets.
+    Each start set is {u <= level} in one coordinate u of X: the
+    projection on the normal, of density phi, or the radius |X|, of the
+    chi density with n degrees of freedom. Given u, the end lies in
+    ends[k] with probability ``heat_flow(ends[k], t, u e)``, e the normal
+    or the first axis. So P[j, k] is the integral of the density times
+    that flow up to starts[j]'s level (its offset or radius), one
+    cumulative sum over the nodes of ``_cosine_rule``, which breaks at
+    every start level and around e^t times every end level, where the
+    flow turns, up to the largest start level. Mass beyond |u| = L, or
+    beyond u = sqrt(n) + L for a radius, is dropped (L =
+    PLANE_HALF_WIDTH).
+    """
+    sets = [*starts, *ends]
+    first = sets[0]
+    if all(isinstance(s, HalfSpace) and np.array_equal(s.normal, first.normal)
+           for s in sets):
+        axis, density = first.normal, std_normal_pdf
+        span = (-PLANE_HALF_WIDTH, PLANE_HALF_WIDTH)
+        levels = np.array([s.offset for s in sets])
+    elif all(isinstance(s, Ball) and s.dim == first.dim and not s.center.any()
+             for s in sets):
+        n = first.dim
+        axis, density = np.eye(n)[0], functools.partial(_chi_pdf, n=n)
+        span = (0.0, math.sqrt(n) + PLANE_HALF_WIDTH)
+        levels = np.array([s.radius for s in sets])
+    else:
+        return None
+    t = float(t)
+    if not t > 0.0:
+        raise ValueError("time must be positive")
+    start, end = levels[:len(starts)], levels[len(starts):]
+    decay = math.exp(-t)
+    # the flow turns at e^t times an end level, over a width sigma e^t:
+    # pieces at most two widths wide there, out to 8 widths, where Phi
+    # is within 7e-16 of 0 or 1
+    grades = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        turns = (end[:, None] + math.sqrt(-math.expm1(-2.0 * t))
+                 * grades) / decay
+    breaks = np.append(start, turns)
+    # no start level reaches past the largest
+    span = (span[0], float(np.clip(start.max(), *span)))
+    u, weight = _cosine_rule(breaks[np.isfinite(breaks)], nodes, span)
+    mass = weight * density(u)
+    flows = np.array([heat_flow(s, t, u[:, None] * axis) for s in ends])
+    below = np.zeros((len(ends), len(u) + 1))
+    np.cumsum(flows * mass, axis=1, out=below[:, 1:])
+    return below[:, np.searchsorted(u, start, side="right")].T
+
+
+def pair_measure(a: SetExpr, b: SetExpr, t: float) -> float | None:
+    """Pr(X in a, e^{-t} X + sqrt(1 - e^{-2t}) Y in b), X and Y independent
+    standard, for two half-spaces with one normal or two balls centred at
+    the origin (``pair_measures``); None for any other pair."""
+    table = pair_measures([a], [b], t)
+    return None if table is None else float(table[0, 0])
 
 
 def gaussian_measure(s: SetExpr, samples: int = DEFAULT_MEASURE_SAMPLES,

@@ -37,64 +37,74 @@ A shard of c paths holds floor(c / 2) pairs and, for odd c, one lone
 path. A pair, a single or the lone path is a unit; units are
 independent, the two rows of a pair are not.
 
-The scanned estimates are post-stratified on shells of the start set
-(Glasserman 2004, 4.3). An exit weight or occupation count is exactly 0
-for a path that starts outside the scanned set A (or A_1), and a path
-that starts deep inside A rarely leaves it within a short horizon. So
-``_shells`` cuts A at boundary distances delta_j = j sigma / 2, where
-sigma = sqrt(1 - e^{-2 tau}) is the OU displacement scale over the
-horizon, into at most 8 shells S_j, up to the first empty level set.
-The measure mu_j of each shell is exact wherever mu(A) is, for every
-leaf and every 2-d composite (``geometry.level_set``,
-``geometry.exact_measure``). The estimate is sum_j mu_j q_j, with q_j
-the mean value of the n_j paths that start in S_j. Given the shell
-counts the units that start there are iid draws from the shell, so the
-estimate is unbiased; to first order its standard error is no larger
-than the plain mean's, and it needs no extra draws. A count-only rule
-(``_runs``) merges a shell with fewer than 20 starting paths into its
-inner neighbour; a merged run weighs its shells by their counts. The
-standard error comes from the unit residual, the sum over the unit's
-paths of sum_j (mu_j / m_j)(v - q_j) 1_{S_j}, with m_j = n_j / N: the
-residuals of a pair are summed before squaring, and each stratum's
-residuals sum to 0. At tau = 0, with one shell left, the estimate is
-mu(A) sum(v) / n_in over the n_in paths that start in A. A set whose
-measure is Monte Carlo keeps the plain mean sum(v) / N, with unit
-residual V - n sum(v) / N for a unit of n paths and summed value V; so
-does the raw-grid oracle (``exit_survival_refined``). A scan in which
+The scanned estimates are post-stratified on the start and the end
+point (Glasserman 2004, 4.3). An exit weight or occupation count is
+exactly 0 for a path that starts outside the scanned set A (or A_1),
+and a path that starts deep inside A rarely leaves it within a short
+horizon. So ``_shells`` cuts A at boundary distances delta_j =
+j sigma / 2, where sigma = sqrt(1 - e^{-2 tau}) is the OU displacement
+scale over the horizon, into at most 8 shells S_j, up to the first empty
+level set. The measure of each shell is exact wherever mu(A) is, for
+every leaf and every 2-d composite (``geometry.level_set``,
+``geometry.exact_measure``). A path that also ends deep inside A almost
+always survives, and (X_0, X_tau) is exactly a Gaussian pair with
+correlation e^{-tau} per coordinate on any grid. So where A is a
+half-space or a ball centred at the origin, whose level sets are of the
+same kind, the cells {X_0 in S_a, X_tau in T_b} have exact measures
+(``geometry.pair_measures``): the end cells T_b are the complement of A
+(b = 0) and its shells (b >= 1). Elsewhere, and at tau = 0, each start
+shell is one cell. The estimate is sum_c mu_c q_c over the cells c, with
+q_c the mean value of the n_c paths in c. Given the cell counts the
+paths in a cell are draws from it, so the estimate is unbiased where no
+cells merge; its standard error is no larger than the plain mean's, and it
+needs no extra step draws. A count-only rule (``_runs``) merges a start
+shell with fewer than 20 paths into its inner neighbour, and then, in
+each start run, an end cell with fewer than 20 paths into its inner
+neighbour, the outside first; a merged cell weighs its parts by their
+counts. The standard error comes from the unit residual, the sum over
+the unit's paths of (mu_c / m_c)(v - q_c) for the path's cell c, with
+m_c = n_c / N: the residuals of a pair are summed before squaring, and
+each cell's residuals sum to 0. At tau = 0, with one shell left, the
+estimate is mu(A) sum(v) / n_in over the n_in paths that start in A. A
+set whose measure is Monte Carlo keeps the plain mean sum(v) / N, with
+unit residual V - n sum(v) / N for a unit of n paths and summed value V;
+so does the raw-grid oracle (``exit_survival_refined``). A scan in which
 no path starts in A gives 0 +- 0.
 
 The scan owns the stratification (``_scan``): it takes each start set's
-shells (``_shells``) and returns its units as a table (``_Units``), in
-shard and unit order: each unit's path count, its start shell in each
-arm (from the start's boundary distance, 0 outside the arm's start set)
-and its summed values in each arm. Every estimate, paired SE, refinement
-change and margin change is read off that table as one residual per
-unit (``_Linear``): ``_Units.mean`` stratifies on the arm's shells and
-``_Units.plain`` is the plain mean. The SE is the root of the units'
-summed squared residuals, divided by the paths. ``_pair`` routes the two
-arms of both pair calls, each to its exact value or to one scan of the
-other arms. Two identical arms give every unit equal shells and equal
-residuals, so their residual difference is 0 unit by unit: its standard
-error is exactly 0.
+shells and cells (``_shells``) and returns a row table (``_Units``), one
+row per path in shard and row order: each row's unit, its start shell
+and end cell in each arm (0 outside the arm's start set) and its values
+in each arm. Every estimate, paired SE, refinement change and margin
+change is read off that table as one residual per row (``_Linear``):
+``_Units.mean`` stratifies on the arm's cells and ``_Units.plain`` is
+the plain mean. The SE is the root of the units' summed squared
+residuals, divided by the paths. ``_pair`` routes the two arms of both
+pair calls, each to its exact value or to one scan of the other arms.
+Two identical arms give every row equal cells and equal residuals, so
+their residual difference is 0 row by row: its standard error is
+exactly 0.
 
 Both scans run on one shard loop (``_scan``). A scan splits its paths
 into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
 paths, else two per ``BATCH`` paths or part of it, so a scan of any
 useful size keeps every CPU busy. Shard i draws its paths from the
 stream keyed ("exit", i). Once fewer than 7/8 of a shard's rows are
-live, the loop adds the values of the finished rows to their units and
-drops them. The live row of a pair whose partner has finished goes on as
-a single that draws its own normals; its law is unchanged, and the
-partner's values stay fixed in the unit (0 for an exit row, its count
-for an occupation row). Each shard sums its units' values once, at the
-end. A shard advances a block of steps per round of numpy calls (about
-``_BLOCK_STATES`` state values, their normals drawn in one call) and
-drops rows only between blocks: a row that dies mid-block steps on to
-the block's end, a valid OU path whose values no longer change. So when
-rows drop depends only on the seed, the sizes and the sets. The shards
-run side by side on the shared thread pool (``seeding.fan_out``) and
-their units are joined in shard order, so results do not depend on the
-number of workers.
+live, the loop records the values and end cells of the finished rows
+and drops them. A dropped row that needs an end cell draws its end
+point in one shot from the exact transition over the time left, with
+its normal from the shard's stream keyed ("end", i), so the step
+normals do not depend on it. The live row of a pair whose partner has
+finished goes on as a single that draws its own normals; its law is
+unchanged, and the partner's values stay fixed (0 for an exit row, its
+count for an occupation row). A shard advances a block of steps per
+round of numpy calls (about ``_BLOCK_STATES`` state values, their
+normals drawn in one call) and drops rows only between blocks: a row
+that dies mid-block steps on to the block's end, a valid OU path whose
+values no longer change. So when rows drop depends only on the seed,
+the sizes and the sets. The shards run side by side on the shared thread
+pool (``seeding.fan_out``) and their rows are joined in shard order, so
+results do not depend on the number of workers.
 
 The exact half-space arms keep off OpenBLAS's thread pool: a pooled
 BLAS call leaves its threads spinning for about 0.1 s of CPU after it
@@ -114,7 +124,7 @@ from scipy import special
 from . import seeding
 from .gaussian import CorrelationMatrix, cholesky
 from .geometry import (HalfSpace, SetExpr, boundary_distance, contains,
-                       exact_measure, level_set)
+                       exact_measure, level_set, pair_measures)
 from .orthant import Estimate
 from .seeding import batches, check_seed, derive_rng, fan_out
 
@@ -302,8 +312,8 @@ _MIN_STARTS = 20
 
 
 def _shells(s: SetExpr, tau: float):
-    """(cuts, levels) of the shells of the start set A = ``s`` at horizon
-    ``tau``: A's points at boundary distance d from delta_j up to
+    """(cuts, levels, cells) of the shells of the start set A = ``s`` at
+    horizon ``tau``: A's points at boundary distance d from delta_j up to
     delta_{j+1}, with delta_0 = 0 and delta_j = j sigma / 2 for the
     ``cuts`` delta_1 < delta_2 < ..., where sigma = sqrt(1 - e^{-2 tau})
     is the OU displacement scale over the horizon. ``levels`` holds the
@@ -311,84 +321,139 @@ def _shells(s: SetExpr, tau: float):
     0, so shell j has measure levels[j] - levels[j + 1]. There are at
     most ``_SHELLS`` shells, and they stop before the first level set of
     measure 0. tau = 0 gives one shell; a Monte Carlo measure of A gives
-    no cuts and ``levels`` None."""
+    no cuts and ``levels`` None.
+
+    ``cells`` (shells, shells + 1) holds the exact measure of each start
+    shell a and end cell b, Pr(X_0 in shell a, X_tau in cell b), where
+    end cell 0 is the complement of A and end cell b >= 1 is shell b:
+    differences of the ``geometry.pair_measures`` of the level sets.
+    It is None at tau = 0 and wherever those do not exist."""
     mu = exact_measure(s)
     if mu is None:
-        return np.empty(0), None
+        return np.empty(0), None, None
     width = 0.5 * math.sqrt(-math.expm1(-2.0 * _horizon(tau)))
-    cuts, levels = [], [mu]
+    sets, cuts, levels = [s], [], [mu]
     for j in range(1, _SHELLS if width > 0.0 else 1):
-        level = exact_measure(level_set(s, j * width))
+        inner = level_set(s, j * width)
+        level = exact_measure(inner)
         if level == 0.0:
             break
+        sets.append(inner)
         cuts.append(j * width)
         levels.append(level)
-    return np.array(cuts), np.array(levels + [0.0])
+    levels = np.array(levels + [0.0])
+    pairs = pair_measures(sets, sets, tau) if tau > 0.0 else None
+    if pairs is None:
+        return np.array(cuts), levels, None
+    # the level sets' pair measures, with the empty set's row and column
+    q = np.pad(pairs, ((0, 1), (0, 1)))
+    inside = q[:-1, :-1] - q[1:, :-1] - q[:-1, 1:] + q[1:, 1:]
+    outside = levels[:-1] - levels[1:] - (q[:-1, 0] - q[1:, 0])
+    return (np.array(cuts), levels,
+            np.maximum(np.column_stack([outside, inside]), 0.0))
+
+
+def _cell(dist: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The shell of each boundary distance ``dist``: 0 below 0, else 1
+    plus the number of ``cuts`` at or below it."""
+    return np.where(dist < 0.0, 0,
+                    1 + np.searchsorted(cuts, dist, side="right"))
 
 
 def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
     """The shard loop of the OU grid scans: ``paths`` stationary paths,
     ``steps`` exact-transition steps over [0, tau], in antithetic pairs,
-    post-stratified on the shells of each of the start ``sets``.
+    post-stratified on the shells of each of the start ``sets`` and on
+    the end point.
 
     Shard i of ``_shards(paths)`` draws from the stream keyed
     ("exit", i). Its c paths are floor(c / 2) pairs and, for odd c, one
     lone path: the units. Each unit draws one start point, which both
     rows of a pair share. The scan takes each start set's boundary
-    distance of the starts: a unit's start shell in the set is 0 at a
-    distance below 0 and else 1 plus the number of the set's ``_shells``
-    cuts at or below it. ``start(dist)`` gets those distances (sets,
-    units) and returns the scan's per-row arrays, one column per row,
-    with the liveness rows ``alive`` first. The rows are the + partner
-    of each pair, the - partner, then the singles. The loop advances a
-    block of b steps per round (about ``_BLOCK_STATES`` state values),
-    drawing one normal vector per pair and per single and step in one
-    call (``_advance``); ``update(i, block, *arrays)`` gets the (b,
-    rows, dim) states after steps i + 1 to i + b and updates the arrays
-    in place for all of them (``_commit`` turns memberships into
+    distance of the starts: a row's start shell in the set is its
+    ``_cell``, given the set's ``_shells`` cuts. ``start(dist)`` gets
+    those distances (sets, units) and returns the scan's per-row arrays,
+    one column per row, with the liveness rows ``alive`` first. The rows
+    are the + partner of each pair, the - partner, then the singles. The
+    loop advances a block of b steps per round (about ``_BLOCK_STATES``
+    state values), drawing one normal vector per pair and per single and
+    step in one call (``_advance``); ``update(i, block, *arrays)`` gets
+    the (b, rows, dim) states after steps i + 1 to i + b and updates the
+    arrays in place for all of them (``_commit`` turns memberships into
     liveness). Between rounds, once fewer than ``_LIVE_SHARE`` of the
     rows are live, the dead rows are dropped: the live row of a pair
     whose partner died goes on as a single (in pair order, after the
     singles), and a shard stops when no row is left. A row that dies
     mid-block steps on to the block's end with its values fixed.
 
+    A row's end cell in a set whose shells have ``cells`` is the
+    ``_cell`` of its end point X_tau if it starts in the set, else 0,
+    and it is 0 in every other set. A row that runs to the end ends at
+    its last state. A row dropped at time t that starts in such a set
+    draws its end point from the exact transition over the time left,
+    X_tau = e^{-(tau - t)} X_t + sqrt(1 - e^{-2 (tau - t)}) Z, with Z
+    from shard i's stream keyed ("end", i), in the order the rows drop;
+    so the step normals are those of a scan with no end cells.
+
     ``columns(*arrays)`` gives the value columns (columns, rows) of the
     rows it is passed, block by block and one column per set in each:
-    of the dead rows when they drop and of the rest at the end, each
-    added to its unit's values. Returns the ``_Units`` of the value
-    ``blocks``, the shards' units joined in shard order.
+    of the dead rows when they drop and of the rest at the end. Returns
+    the ``_Units`` of the value ``blocks``: every row of every shard, in
+    shard and row order.
     """
-    _, steps, decay, scale = _grid_params(tau, steps)
+    tau, steps, decay, scale = _grid_params(tau, steps)
     parts = _shards(paths)
     seed = check_seed(seed)
-    cuts, levels = zip(*(_shells(s, tau) for s in sets))
+    cuts, levels, cells = zip(*(_shells(s, tau) for s in sets))
+    ended = np.array([c is not None for c in cells])
     dim = sets[0].dim
+    # the row table, which each shard fills from its first row and unit
+    unit = np.empty(int(paths), dtype=np.intp)
+    shell, end = (np.zeros((len(sets), len(unit)), dtype=np.int8)
+                  for _ in range(2))
+    values = np.empty(((max(blocks.values()) + 1) * len(sets), len(unit)))
+    firsts = np.cumsum([(0, 0)] + [(c, (c + 1) // 2) for _, c in parts],
+                       axis=0)
 
     def shard(part):
         index, c = part
+        first, first_unit = firsts[index]
         pairs, lone = divmod(c, 2)
         rng = derive_rng(seed, "exit", index)
+        end_rng = derive_rng(seed, "end", index)
         starts = rng.standard_normal((pairs + lone, dim))
         dist = np.array([boundary_distance(s, starts) for s in sets])
-        shell = np.array([np.where(d < 0.0, 0,
-                                   1 + np.searchsorted(cut, d, side="right"))
-                          for d, cut in zip(dist, cuts)])
         arrays = start(dist)
         # each row's unit: rows i and pairs + i are the partners of pair i
-        unit = np.r_[0:pairs, 0:pairs + lone]
-        states = starts[unit]
-        arrays = [x[:, unit] for x in arrays]
-        done = []  # (unit, values) of the rows that have finished
+        local = np.r_[0:pairs, 0:pairs + lone]
+        unit[first:first + c] = first_unit + local
+        for k, (d, cut) in enumerate(zip(dist, cuts)):
+            shell[k, first:first + c] = _cell(d, cut)[local]
+        row = first + np.arange(c)  # each live row's place in the table
+        states = starts[local]
+        arrays = [x[:, local] for x in arrays]
 
-        def settle(rows):
-            done.append((unit[rows],
-                         columns(*(x.take(rows, 1) for x in arrays))))
+        def settle(rows, left):
+            place = row[rows]
+            values[:, place] = columns(*(x.take(rows, 1) for x in arrays))
+            read = (shell[:, place] > 0) & ended[:, None]
+            need = read.any(axis=0)
+            if not need.any():
+                return
+            pts = states[rows[need]]
+            if left > 0.0:  # the rows were dropped before the end
+                z = end_rng.standard_normal(pts.shape)
+                pts = pts * math.exp(-left) + z * math.sqrt(
+                    -math.expm1(-2.0 * left))
+            for k in np.flatnonzero(ended):
+                end[k, place[need]] = np.where(read[k, need], _cell(
+                    boundary_distance(sets[k], pts), cuts[k]), 0)
 
         i = 0
         while i < steps:
             drop = _dropping(arrays[0].any(axis=0))
             if drop is not None:
-                settle(np.flatnonzero(~drop))
+                settle(np.flatnonzero(~drop), tau / steps * (steps - i))
                 plus, minus = drop[:pairs], drop[pairs:2 * pairs]
                 kept, alone = (np.flatnonzero(plus & minus),
                                np.flatnonzero(plus ^ minus))
@@ -397,7 +462,7 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
                         drop[2 * pairs:]),
                     np.where(plus[alone], alone, pairs + alone)])
                 pairs = len(kept)
-                states, unit = states[order], unit[order]
+                states, row = states[order], row[order]
                 arrays = [x.take(order, 1) for x in arrays]
                 if not len(states):
                     break
@@ -408,26 +473,21 @@ def _scan(sets, tau, steps, paths, seed, start, update, columns, blocks):
             update(i, block, *arrays)
             states = block[-1]
             i += b
-        settle(np.arange(len(states)))
-        # every row settles once, so a unit's rows count its paths
-        units, values = (np.concatenate(x, axis=-1) for x in zip(*done))
-        return (np.bincount(units), shell,
-                np.stack([np.bincount(units, v) for v in values]))
+        settle(np.arange(len(states)), 0.0)
 
-    count, shell, values = (np.concatenate(x, axis=-1)
-                            for x in zip(*fan_out(shard, parts)))
-    return _Units(int(paths), count, shell,
-                  values.reshape(-1, len(sets), len(count)), blocks,
-                  list(levels), seed)
+    fan_out(shard, parts)
+    return _Units(len(unit), unit, shell, end,
+                  values.reshape(-1, len(sets), len(unit)), blocks,
+                  list(levels), list(cells), seed)
 
 
 def _runs(counts) -> list[int]:
     """Edges e_0 = 0 < e_1 < ... < e_G = len(counts) of the runs of
-    consecutive shells, boundary first, that the estimate stratifies
-    on, given each shell's start count. A run grows inwards until it
-    holds ``_MIN_STARTS`` starts, so a sparse shell joins its inner
-    neighbour; a sparse last run joins the one before it. The rule reads
-    the counts only."""
+    consecutive cells, outermost first, that the estimate stratifies on,
+    given each cell's count. A run grows inwards until it holds
+    ``_MIN_STARTS`` paths, so a sparse cell joins its inner neighbour; a
+    sparse last run joins the one before it. The rule reads the counts
+    only."""
     edges, held = [0], 0.0
     for j, n in enumerate(counts, 1):
         held += n
@@ -442,8 +502,8 @@ def _runs(counts) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class _Linear:
-    """An estimate read off a scan's units: its value, and its
-    ``residual`` on each unit, whose sum over the units, divided by the
+    """An estimate read off a scan's rows: its value, and its
+    ``residual`` on each row, whose sum over the rows, divided by the
     paths, is the estimate's error to first order. An exact value has
     residual None. Differences of estimates of one scan are ``_Linear``
     too."""
@@ -458,74 +518,88 @@ class _Linear:
 
 @dataclass(frozen=True, eq=False)
 class _Units:
-    """The units of a scan over ``paths`` paths, in shard and unit order:
-    ``count`` holds each unit's path count (2 for a pair, also after it
-    lost a row, and 1 for the lone path), ``shell`` (arms, units) its
-    start shell in each scanned arm's start set (A or A_1), 0 outside
-    it, and ``values`` (blocks, arms, units) its summed values. A block
-    holds one value column per scanned arm (a region or an (A_1, A_2)
-    pair); ``blocks`` maps a block's name to its index, and two names
-    may share one. Every value is 0 for a unit that starts outside the
-    arm's start set, and ``levels[arm]`` holds the ``_shells`` levels of
-    that set. ``seed`` is the scan's checked seed."""
+    """The row table of a scan over ``paths`` paths, one row per path, in
+    shard and row order (in a shard, the + partner of each pair, the -
+    partner, then the lone path): ``unit`` holds each row's unit, its
+    index in shard and unit order, so the two rows of a pair share it;
+    ``shell`` (arms, rows) its start shell in each scanned arm's start
+    set (A or A_1), 0 outside it; ``end`` (arms, rows) its end cell
+    there (``_scan``); and ``values`` (blocks, arms, rows) its values. A
+    block holds one value column per scanned arm (a region or an (A_1,
+    A_2) pair); ``blocks`` maps a block's name to its index, and two
+    names may share one. Every value is 0 for a row that starts outside
+    the arm's start set. ``levels[arm]`` and ``cells[arm]`` hold the
+    ``_shells`` levels and cells of that set. ``seed`` is the scan's
+    checked seed."""
     paths: int
-    count: np.ndarray
+    unit: np.ndarray
     shell: np.ndarray
+    end: np.ndarray
     values: np.ndarray
     blocks: dict
     levels: list
+    cells: list
     seed: int
 
     def column(self, block: str, arm: int) -> np.ndarray:
         return self.values[self.blocks[block], arm]
 
     def plain(self, block: str, arm: int, scale: float = 1.0) -> _Linear:
-        """``scale`` times the plain mean sum(v) / N of column (``block``,
-        ``arm``), with residual V - n sum(v) / N on a unit of n paths and
-        summed value V."""
+        """``scale`` times the plain mean q = sum(v) / N of column
+        (``block``, ``arm``), with residual v - q on each row."""
         v = self.column(block, arm)
         q = v.sum() / self.paths
-        return _Linear(float(scale * q), scale * (v - self.count * q))
+        return _Linear(float(scale * q), scale * (v - q))
 
     def mean(self, block: str, arm: int, scale: float = 1.0) -> _Linear:
         """``scale`` times the mean of column (``block``, ``arm``),
-        post-stratified on the shells of the arm's start set A, whose
-        exact measures are the differences of its levels. Each run G of
-        shells that ``_runs`` keeps (on path counts) gives mu_G q_G, with
-        q_G = sum(v) / n_G over its n_G starting paths, and the residual
-        (mu_G / m_G)(V - n q_G) on its units of n paths and summed value
-        V, m_G = n_G / N; 0 with residuals 0 when no path starts in A. A
-        Monte Carlo measure (levels None) gives the ``plain`` mean."""
-        levels = self.levels[arm]
+        post-stratified on the cells of the arm's start shell and end
+        cell, whose exact measures are the arm's ``cells``; without
+        cells each start shell is one cell, of measure the difference of
+        its levels. ``_runs`` merges, on row counts, the start shells
+        into runs and then, in each start run, its end cells, outside
+        first. Each cell c of a start run and an end run gives mu_c q_c,
+        with q_c = sum(v) / n_c over its n_c rows, and the residual
+        (mu_c / m_c)(v - q_c) on each of them, m_c = n_c / N; 0 with
+        residuals 0 when no path starts in A. A Monte Carlo measure
+        (levels None) gives the ``plain`` mean."""
+        levels, cells = self.levels[arm], self.cells[arm]
         if levels is None:
             return self.plain(block, arm, scale)
-        v, shell = self.column(block, arm), self.shell[arm]
-        count, total = (np.bincount(shell, x, len(levels))[1:]
-                        for x in (self.count, v))
-        edges = _runs(count)
-        value, residual = 0.0, np.zeros(len(v))
+        if cells is None:
+            cells = (levels[:-1] - levels[1:])[:, None]
+        v, shell, end = self.column(block, arm), self.shell[arm], self.end[arm]
+        # the merged cell of each (start shell, end cell), from 1; 0
+        # outside A
+        table, measure = np.zeros((len(cells) + 1, cells.shape[1]), int), [0.0]
+        edges = _runs(np.bincount(shell, minlength=len(table))[1:])
         for lo, hi in zip(edges, edges[1:]):
-            inside = count[lo:hi].sum()
-            if not inside:
-                continue
-            q = float(total[lo:hi].sum() / inside)
-            mu = levels[lo] - levels[hi]
-            run = (shell > lo) & (shell <= hi)
-            residual[run] = (scale * mu * self.paths / inside
-                             * (v[run] - self.count[run] * q))
-            value += scale * mu * q
-        return _Linear(float(value), residual)
+            ends = np.bincount(end[(shell > lo) & (shell <= hi)],
+                               minlength=cells.shape[1])
+            cuts = _runs(ends)
+            for a, b in zip(cuts, cuts[1:]):
+                table[lo + 1:hi + 1, a:b] = len(measure)
+                measure.append(cells[lo:hi, a:b].sum())
+        cell = table[shell, end]
+        n = np.bincount(cell, minlength=len(measure))
+        q = np.divide(np.bincount(cell, v, len(measure)), n,
+                      out=np.zeros(len(measure)), where=n > 0)
+        mu = scale * np.array(measure)
+        weight = np.divide(mu * self.paths, n, out=np.zeros(len(mu)),
+                           where=n > 0)
+        return _Linear(float(np.sum(mu * q)), weight[cell] * (v - q[cell]))
 
     def std_error(self, est: _Linear) -> float:
         """Standard error of ``est``: sqrt((sum r^2 / N - (sum r / N)^2)
-        / N) over the units' residuals r, so the residuals' mean (0 up to
-        rounding, since each stratum's residuals sum to 0) is taken out.
-        The units are independent, so this is the SE clustered by unit.
-        ``einsum`` sums, not a BLAS product, which would leave OpenBLAS's
-        threads spinning."""
-        r = est.residual
-        if r is None:
+        / N) over the units' residuals r, each the sum of its rows'
+        residuals, so the residuals' mean (0 up to rounding, since each
+        cell's residuals sum to 0) is taken out. The units are
+        independent, so this is the SE clustered by unit. ``einsum``
+        sums, not a BLAS product, which would leave OpenBLAS's threads
+        spinning."""
+        if est.residual is None:
             return 0.0
+        r = np.bincount(self.unit, est.residual)
         mean = np.einsum("u->", r) / self.paths
         square = np.einsum("u,u->", r, r) / self.paths
         return math.sqrt(max(square - mean * mean, 0.0) / self.paths)
@@ -617,7 +691,9 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     through the origin, with an O(d) bias at step d = tau/steps for other
     sets. The state at t=0 is checked too, so a path that starts outside
     the set weighs 0, and the scan post-stratifies the weights on the
-    shells of s (``_scan``; see the module docstring).
+    shells of s that the path starts and ends in where s is a half-space
+    or a ball centred at the origin, and on its start shells elsewhere
+    (``_scan``; see the module docstring).
 
     The paths run in antithetic pairs that share their start, so a pair
     takes one normal vector per step for two paths, and ``samples``
@@ -831,7 +907,7 @@ def _pair(arms, exact, scan, read, tau, steps, paths, seed):
     the standard error of b minus a. An arm whose ``exact(arm)`` is not
     None takes that value (std_error 0, samples 0); the other arms run
     in one ``scan`` on shared trajectories, and ``read(m, i)`` reads the
-    i-th of them off its units m. So two scanned arms are paired by
+    i-th of them off its row table m. So two scanned arms are paired by
     their per-unit residual difference under common random numbers (0
     for identical arms), and an exact arm adds no error. The grid, the
     path count and the seed are checked as a scan checks them, also when
@@ -908,9 +984,9 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
 def _occupation_scan(pairs, tau, steps, paths, seed) -> _Units:
     """Per-path occupation step counts for one or two (A_1, A_2) pairs
     on shared trajectories: the ``_Units`` of the block "count" (each
-    path's step count), one column per pair, on the shells of each A_1.
-    A path that has left every A_1 is dropped with its counts kept in its
-    unit.
+    path's step count), one column per pair, on the shells and cells of
+    each A_1. A path that has left every A_1 is dropped with its counts
+    kept in its row.
     """
     def start(dist):
         return [dist >= 0.0, np.zeros(dist.shape, dtype=np.int64)]
@@ -944,9 +1020,10 @@ def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
 
     Faithful to the raw functional: A_2 is not forced inside A_1, and
     there is no bridge correction. A path that starts outside A_1 counts
-    0, and the scan post-stratifies the counts on the shells of A_1 as
-    in ``exit_survival``; a path that has left A_1 keeps its count in
-    its pair's sum.
+    0, and the scan post-stratifies the counts on the shells of A_1 that
+    the path starts and ends in, as in ``exit_survival``; a path that
+    has left A_1 keeps its count, and its end point is drawn when it
+    drops.
     """
     m = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
     return m.estimate(m.mean("count", 0, tau / steps))

@@ -349,7 +349,7 @@ class TestShippedConfigs:
             "ca51317467dc2c93e2071f215f90bd93d57181fbf51d5c5f72ea6bde1c932b19"),
         "exit_ball": (
             ["--paths", "4000"],
-            "c32b0c79c8a8f2c563204aaf6f2170cf8bd2074aa5b62d7fab4eecff356b65eb"),
+            "93c346ee47a02e6702e9b177a772cd106caad617d9b4730f4d3d7cc66820c7a4"),
         "k2grid": (
             [],
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
@@ -358,7 +358,7 @@ class TestShippedConfigs:
             "6a1f04df5c5a481aec6966b2f9f567d036e54bfe27eba30e7d081f0897ae039f"),
         "occupation_balls": (
             ["--paths", "4000"],
-            "0dd158a357d25750f6499d50590f3c8d26938ef08462ee7ef6211c7638bb43f5"),
+            "1ebfc5db7dd8702c95775f74126c677b87e1e8a983cf92d6220cf67a7fff11cb"),
         "parallel": (
             ["--samples", "100000"],
             "d13e553bc2bc4adf9153cf956e7f63c011503562a7d9a351a20dcbd49d75d925"),
@@ -371,7 +371,7 @@ class TestShippedConfigs:
         "equality_diag":
             "d89964e43a4db336cae28b2006e2cffe94ff7e338d521457146cfc17397c4c0f",
         "exit_ball":
-            "c60f5b7a0262e3bbedd3727547484e8318e5605837a2237487af11a105939ce4",
+            "17ed771895cf6fa8802204d369d7284dc19e5df476559e89c98f12ae20c657a7",
         "k2grid":
             "6f89ff0ca36b681b9fdee0c8f3c9c46f3de94392a480c9173827291c63f87e0d",
     }

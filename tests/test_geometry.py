@@ -24,7 +24,8 @@ from noisestab import (
     std_normal_cdf,
 )
 from noisestab.geometry import CHNDTR_MAX, PLANE_NODES, _ball_flow_far, \
-    _plane_measure, exact_measure, level_set
+    _plane_measure, exact_measure, level_set, pair_measure, pair_measures
+from noisestab.orthant import _bivariate_orthant
 
 HALF_BALL_RADIUS = math.sqrt(2.0 * math.log(2.0))  # measure 1/2 in R^2
 
@@ -772,3 +773,108 @@ class TestSetSystem:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SetSystem(())
+
+
+def _levels(s, tau, count):
+    """s and its nonempty level sets at j sigma / 2, j < count, sigma the
+    OU displacement scale over tau, as the OU scans cut their shells."""
+    width = 0.5 * math.sqrt(-math.expm1(-2.0 * tau))
+    levels = [level_set(s, j * width) for j in range(count)]
+    return [level for level in levels if isinstance(level, type(s))]
+
+
+NU = np.array([0.6, 0.8])
+
+
+class TestPairMeasure:
+    """Pr(X in a, X_t in b) for the OU pair (X, e^{-t} X + sqrt(1 -
+    e^{-2t}) Y) of two half-spaces with one normal or two centred balls:
+    one quadrature of the end's heat flow over the start's coordinate."""
+
+    PAIRS = [
+        (HalfSpace(NU, 0.3), HalfSpace(NU, -0.5), 0.1),
+        (HalfSpace(NU, 1.7), HalfSpace(NU, 0.2), 1e-3),
+        (HalfSpace(NU, -2.0), HalfSpace(NU, 2.5), 3.0),
+        (Ball(np.zeros(1), 0.4), Ball(np.zeros(1), 1.3), 0.5),
+        (Ball(np.zeros(2), HALF_BALL_RADIUS), Ball(np.zeros(2), 0.6), 0.1),
+        (Ball(np.zeros(2), 2.5), Ball(np.zeros(2), 2.4), 1e-3),
+        (Ball(np.zeros(3), 1.5), Ball(np.zeros(3), 2.0), 2.0),
+    ]
+
+    @pytest.mark.parametrize("a,b,t", PAIRS)
+    def test_reversible(self, a, b, t):
+        # the stationary OU process is reversible
+        assert abs(pair_measure(a, b, t) - pair_measure(b, a, t)) <= 1e-12
+
+    @pytest.mark.parametrize("a,b,t", PAIRS)
+    def test_stable_under_node_doubling(self, a, b, t):
+        # the cells are differences of these values, so they must hold
+        # far more digits than any scan resolves
+        one, two = (pair_measures(_levels(a, t, 4), _levels(b, t, 4), t,
+                                  nodes) for nodes in (PLANE_NODES,
+                                                       2 * PLANE_NODES))
+        assert np.max(np.abs(one - two)) <= 1e-12
+
+    def test_halfspaces_match_the_bivariate_orthant(self):
+        # (nu.X, nu.X_t) is a standard pair with correlation e^{-t}
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            c1, c2 = rng.uniform(-3.0, 3.0, 2)
+            t = 10.0 ** rng.uniform(-3.0, 1.0)
+            want = _bivariate_orthant(c1, c2, math.exp(-t))
+            got = pair_measure(HalfSpace(NU, c1), HalfSpace(NU, c2), t)
+            assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("n,ra,rb,t", [(1, 0.8, 1.2, 0.3),
+                                           (2, HALF_BALL_RADIUS, 0.9, 0.1),
+                                           (3, 1.6, 1.9, 0.7)])
+    def test_balls_match_monte_carlo(self, n, ra, rb, t):
+        rng = np.random.default_rng(n)
+        draws, chunk, hits = 4_000_000, 500_000, 0
+        for _ in range(draws // chunk):
+            x = rng.standard_normal((chunk, n))
+            y = math.exp(-t) * x + math.sqrt(-math.expm1(-2.0 * t)) \
+                * rng.standard_normal((chunk, n))
+            hits += np.count_nonzero((np.sum(x * x, axis=1) <= ra * ra)
+                                     & (np.sum(y * y, axis=1) <= rb * rb))
+        p = hits / draws
+        got = pair_measure(Ball(np.zeros(n), ra), Ball(np.zeros(n), rb), t)
+        assert abs(got - p) <= 3.0 * math.sqrt(p * (1.0 - p) / draws)
+
+    @pytest.mark.parametrize("s,whole", [
+        (HalfSpace(NU, 0.4), HalfSpace(NU, math.inf)),
+        (Ball(np.zeros(2), HALF_BALL_RADIUS), Ball(np.zeros(2), 40.0)),
+        (Ball(np.zeros(3), 1.5), Ball(np.zeros(3), 40.0))])
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+    def test_cells_of_a_start_level_sum_to_its_measure(self, s, whole, t):
+        # the end cells of each start level L: the end outside s, and in
+        # each shell of s; they sum to mu(L)
+        levels = _levels(s, t, 6)
+        table = pair_measures(levels, levels + [whole], t)
+        cells = np.column_stack([table[:, -1] - table[:, 0],
+                                 table[:, :-2] - table[:, 1:-1],
+                                 table[:, -2]])
+        assert np.all(cells >= -1e-15)
+        for level, row in zip(levels, cells):
+            assert abs(row.sum() - exact_measure(level)) <= 1e-12
+
+    def test_other_pairs_have_none(self):
+        ball = Ball(np.zeros(2), 1.0)
+        for a, b in [(ball, Ball(np.array([0.5, 0.0]), 1.0)),
+                     (ball, HalfSpace(NU, 0.3)),
+                     (HalfSpace(NU, 0.3),
+                      HalfSpace(np.array([1.0, 0.0]), 0.3)),
+                     (AxisBox(np.full(2, -1.0), np.ones(2)),
+                      AxisBox(np.full(2, -1.0), np.ones(2))),
+                     (ball, Ball(np.zeros(3), 1.0)),
+                     (Union((ball,)), ball)]:
+            assert pair_measure(a, b, 0.5) is None
+            assert pair_measure(b, a, 0.5) is None
+        with pytest.raises(ValueError, match="time must be positive"):
+            pair_measure(ball, ball, 0.0)
+
+    def test_long_time_is_independent(self):
+        a, b = Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 0.5)
+        want = exact_measure(a) * exact_measure(b)
+        assert abs(pair_measure(a, b, math.inf) - want) <= 1e-14
+        assert abs(pair_measure(a, b, 40.0) - want) <= 1e-14

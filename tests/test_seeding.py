@@ -147,10 +147,10 @@ steps = 32
 # sequential scans gave them. The rhs is the exact survival of the
 # matched half-space, so its se is 0.
 PINNED_EXIT = [
-    (0.1734453521406335, 0.0010870325406659909, 0.28417173094549586, 0.0,
-     101.86114459556451),
-    (0.07622887567802854, 0.000911350577867027, 0.20743930276397543, 0.0,
-     143.97360387156246),
+    (0.17242425145025056, 0.0008227503415322717, 0.28417173094549586, 0.0,
+     135.82185731716538),
+    (0.07617080504631345, 0.0007686814988228795, 0.20743930276397543, 0.0,
+     170.7709863170637),
 ]
 
 
