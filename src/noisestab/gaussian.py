@@ -3,8 +3,9 @@
 Provides the standard normal CDF / density / quantile, the Gaussian
 isoperimetric profile, the semigroup slope (e^{2t}-1)^{-1/2}, Cholesky
 factors with PSD clamping, conditional (Schur) reductions of correlation
-matrices, exponential-decay covariances on time grids, and the structural
-matrix predicates used by the inequality checks.
+matrices, exponential-decay covariances on time grids, the loadings of
+one-factor correlation matrices, and the structural matrix predicates
+used by the inequality checks.
 
 All operations are pure functions over immutable inputs; the domain type
 is a frozen dataclass wrapping a read-only array, and Cholesky factors
@@ -146,6 +147,41 @@ class CorrelationMatrix:
 
     def is_strictly_pd(self) -> bool:
         return self.min_eigenvalue() > PD_TOL
+
+    def one_factor(self) -> np.ndarray | None:
+        """Loadings lambda with r_ij = lambda_i lambda_j for every i != j
+        and 1 - lambda_i^2 > PD_TOL, lambda_i != 0, or None where there are
+        none. Then X_i = lambda_i W + sqrt(1 - lambda_i^2) Z_i with W and
+        the Z_i iid standard.
+
+        A 2 x 2 matrix with 0 < |rho| < 1 takes (sqrt|rho|, sign(rho)
+        sqrt|rho|). For k >= 3, lambda_i^2 = r_ij r_il / r_jl over the
+        first two other indices j < l, the sign of lambda_i is that of
+        r_1i (lambda_1 > 0), and every off-diagonal must agree with
+        lambda_i lambda_j to 1e-12. The identity, a zero entry, and
+        ``ou_covariance`` grids at k >= 3 (whose inner loadings are 1)
+        have none.
+        """
+        m, k = self.entries, self.k
+        off = ~np.eye(k, dtype=bool)
+        if k < 2 or not np.all((m[off] != 0.0) & (np.abs(m[off]) < 1.0)):
+            return None
+        if k == 2:
+            lam = math.sqrt(abs(m[0, 1]))
+            loadings = np.array([lam, math.copysign(lam, m[0, 1])])
+        else:
+            square = np.empty(k)
+            for i in range(k):
+                j, l = [x for x in range(k) if x != i][:2]
+                square[i] = m[i, j] * m[i, l] / m[j, l]
+            if np.any(square <= 0.0):
+                return None
+            loadings = np.sqrt(square) * np.sign(m[0])
+            if np.any(np.abs(np.outer(loadings, loadings) - m)[off] > 1e-12):
+                return None
+        if np.any(1.0 - loadings * loadings <= PD_TOL):
+            return None
+        return loadings
 
     @classmethod
     def from_covariance(cls, cov) -> "CorrelationMatrix":

@@ -7,6 +7,8 @@ are set expressions again (``level_set``). Heat flow has a
 closed form for every leaf, in any dimension, in ``heat_flow``, the only
 place with leaf formulas: the heat flow at a point is the measure of an
 affine image of the set, and a leaf's image is a leaf of the same kind.
+A ball's flow at one time over many points reads a table built from
+``heat_flow`` (``_flow_table``).
 A leaf's Gaussian measure is its heat flow at t = inf. A composite's
 is exact in the plane, integrated along vertical chords
 (``_plane_measure``), and Monte Carlo in other dimensions.
@@ -426,6 +428,67 @@ def heat_flow(s: SetExpr, t: float, x) -> float | np.ndarray:
         raise UnsupportedRegion(
             f"heat flow has no closed form for {type(s).__name__}")
     return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def _flow_table(s: SetExpr, t: float):
+    """A function x -> heat_flow(s, t, x) on batches (N, n), or None for a
+    composite. A half-space or a box takes ``heat_flow`` itself. A ball's
+    flow depends on x only through d = |center - e^{-t} x|, and
+    ``special.chndtr`` costs about 250 ns a point, so a ball reads a cubic
+    Hermite table in d instead: nodes sigma/64 apart up to radius +
+    12 sigma, beyond which the flow is below Phi(-12) and the table reads
+    0. The values are ``heat_flow`` at the nodes, and the slopes
+    dF/dd = -(d/sigma^2)(F_n - F_{n+2}), F_m the flow of the ball of the
+    same radius in R^m, are ``heat_flow`` too; the table reads within
+    about 2e-10 of ``heat_flow``. A table of more than 2^16 nodes (sigma
+    small against the radius) is not built, and the ball takes
+    ``heat_flow`` itself."""
+    if isinstance(s, (HalfSpace, AxisBox)):
+        return functools.partial(heat_flow, s, t)
+    if not isinstance(s, Ball):
+        return None
+    decay = math.exp(-float(t))
+    sigma = math.sqrt(-math.expm1(-2.0 * float(t)))
+    step = sigma / 64.0
+    count = math.ceil((s.radius + 12.0 * sigma) / step)
+    if count > 1 << 16:
+        return functools.partial(heat_flow, s, t)
+    d = np.arange(count + 1) * step
+    flows = [heat_flow(Ball(np.zeros(m), s.radius), t,
+                       np.outer(d / decay, np.eye(m)[0]))
+             for m in (s.dim, s.dim + 2)]
+    f0, f1 = flows[0][:-1], flows[0][1:]
+    # slopes times the step, the Hermite form on u = d/step - node in [0, 1]
+    slope = -(d / (64.0 * sigma)) * (flows[0] - flows[1])
+    m0, m1 = slope[:-1], slope[1:]
+    # rows of p(u) = a0 + a1 u + a2 u^2 + a3 u^3, and a zero row past the end
+    coef = np.zeros((count + 1, 4))
+    coef[:-1] = np.column_stack([f0, m0, 3.0 * (f1 - f0) - 2.0 * m0 - m1,
+                                 2.0 * (f0 - f1) + m0 + m1])
+
+    def flow(x):
+        pts = _points(s, x)
+        pos = np.zeros(len(pts))
+        term = np.empty_like(pos)
+        for j, c in enumerate(s.center):
+            np.multiply(pts[:, j], -decay, out=term)
+            term += c
+            pos += np.square(term, out=term)
+        np.sqrt(pos, out=pos)
+        pos *= 1.0 / step
+        node = pos.astype(np.intp)
+        np.minimum(node, count, out=node)
+        pos -= node
+        a = coef.take(node, axis=0)
+        out = a[:, 3] * pos
+        out += a[:, 2]
+        out *= pos
+        out += a[:, 1]
+        out *= pos
+        out += a[:, 0]
+        return out
+
+    return flow
 
 
 def _cosine_rule(breaks, nodes: int,

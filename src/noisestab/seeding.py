@@ -81,7 +81,10 @@ def indicator_hits(seed: int, purpose: str, samples: int, dim: int,
     batch comes from the one stream keyed ``(purpose, 0)``, so the count
     does not depend on :data:`BATCH`. ``verify.joint_containment`` keeps
     a stream per batch, so that its batches run side by side on the
-    pool; its numbers depend on :data:`BATCH` by design."""
+    pool; its numbers depend on :data:`BATCH` by design. Batch b of a
+    one-factor matrix draws W and the composites' Z_i from
+    ``derive_rng(seed, "joint", b)``, row by row; any other matrix takes
+    Kronecker draws at the sub-seed ``subseed(seed, "joint", b)``."""
     rng = derive_rng(seed, purpose, 0)
     return sum(int(predicate(rng.standard_normal((n, dim))).sum())
                for _, n in batches(samples))

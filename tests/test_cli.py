@@ -337,10 +337,10 @@ class TestShippedConfigs:
     CASES = {
         "ball_vs_bound": (
             ["--samples", "100000"],
-            "1c2d8e0f9de3f1ac15e681d58e860cddc49460703ccd3cf481f6400afd4d55fe"),
+            "21758afee7f65e74d058ef8f02907afb6b5368e2b628e680d482b675c3dd4d3a"),
         "composite_main": (
             ["--samples", "100000"],
-            "f1092b3591be7082b94139a1a667dbaa1f6ebc4123065000b00b6f9fc85b65df"),
+            "0c489d00a5bf24305dd2de7fac5c91f2ee5ab945906aeff0004fb136f70bbc76"),
         "condition": (
             [],
             "a42c7c9ae129bad3c68441037cb6a0d06df168df40617dfecebac6a41b309733"),
@@ -355,13 +355,13 @@ class TestShippedConfigs:
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
         "noise_ball": (
             ["--samples", "100000"],
-            "6a1f04df5c5a481aec6966b2f9f567d036e54bfe27eba30e7d081f0897ae039f"),
+            "41433be0f16e5e8490a5f96455597c36fa233816543c026b5ba68ef5946c9b95"),
         "occupation_balls": (
             ["--paths", "4000"],
             "1ebfc5db7dd8702c95775f74126c677b87e1e8a983cf92d6220cf67a7fff11cb"),
         "parallel": (
             ["--samples", "100000"],
-            "d13e553bc2bc4adf9153cf956e7f63c011503562a7d9a351a20dcbd49d75d925"),
+            "02843da8effb555b2e2db2e5cda2b65f9a34107749a191d56ab9b7d1c988f995"),
     }
 
     # sha256 of the CSV written to the config's [output] csv

@@ -239,6 +239,47 @@ class TestCorrelationMatrix:
             m.entries[0, 1] = 0.5
 
 
+class TestOneFactor:
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    def test_equicorrelated(self, rho):
+        lam = CorrelationMatrix.equicorrelated(4, rho).one_factor()
+        assert np.allclose(lam, math.sqrt(rho), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.7, -0.5])
+    def test_two_by_two(self, rho):
+        lam = CorrelationMatrix([[1.0, rho], [rho, 1.0]]).one_factor()
+        assert lam[0] == math.sqrt(abs(rho))
+        assert lam[0] * lam[1] == pytest.approx(rho, abs=1e-15)
+
+    def test_unequal_loadings(self):
+        want = np.array([0.9, 0.5, 0.3])
+        m = np.outer(want, want)
+        np.fill_diagonal(m, 1.0)
+        lam = CorrelationMatrix(m).one_factor()
+        assert np.allclose(lam, want, rtol=0.0, atol=1e-15)
+        # a negative loading flips the signs of its row and column
+        flip = np.array([1.0, -1.0, 1.0])
+        lam = CorrelationMatrix(m * np.outer(flip, flip)).one_factor()
+        assert np.allclose(lam, want * flip, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [
+        CorrelationMatrix.identity(3),
+        CorrelationMatrix.identity(1),
+        ou_covariance([0.0, 0.3, 0.5]),
+        random_correlation(np.random.default_rng(3), 4),
+        CorrelationMatrix.equicorrelated(3, 1.0),
+        CorrelationMatrix.equicorrelated(3, 1.0 - 1e-14),
+        CorrelationMatrix([[1.0, 1.0], [1.0, 1.0]]),
+    ], ids=["identity", "1x1", "ou-times", "generic", "rho=1",
+            "rho->1", "k2-rho=1"])
+    def test_none(self, m):
+        assert m.one_factor() is None
+
+    def test_ou_times_at_two_is_one_factor(self):
+        lam = ou_covariance([0.0, 0.4]).one_factor()
+        assert lam[0] * lam[1] == pytest.approx(math.exp(-0.4), abs=1e-15)
+
+
 class TestSchurComplement:
     def test_two_by_two(self):
         m = CorrelationMatrix.equicorrelated(2, 0.6)

@@ -24,7 +24,7 @@ from noisestab import (
     std_normal_cdf,
 )
 from noisestab.geometry import CHNDTR_MAX, PLANE_NODES, _ball_flow_far, \
-    _plane_measure, exact_measure, level_set, pair_measure, pair_measures
+    _flow_table, _plane_measure, exact_measure, level_set, pair_measure, pair_measures
 from noisestab.orthant import _bivariate_orthant
 
 HALF_BALL_RADIUS = math.sqrt(2.0 * math.log(2.0))  # measure 1/2 in R^2
@@ -612,6 +612,43 @@ class TestPlaneMeasure:
         est = gaussian_measure(s)
         assert (est.std_error, est.samples) == (0.0, 0)
         assert abs(est.value - 0.53807942) <= 1e-8
+
+
+class TestFlowTable:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_ball_table_reads_heat_flow(self, n, centred):
+        rng = np.random.default_rng(90 + 2 * n + centred)
+        worst = 0.0
+        for radius in (0.3, 1.0, 3.0):
+            for rho in (0.1, 0.5, 0.9):
+                center = np.zeros(n) if centred else rng.uniform(-1.0, 1.0, n)
+                ball = Ball(center, radius)
+                t = -0.5 * math.log(rho)
+                x = 1.5 * rng.standard_normal((100_000, n))
+                worst = max(worst, np.max(np.abs(
+                    _flow_table(ball, t)(x) - heat_flow(ball, t, x))))
+        assert worst <= 1e-9
+
+    def test_ball_table_ends_at_zero(self):
+        ball = Ball(np.array([0.5, 0.0]), 1.2)
+        far = np.array([[40.0, 0.0], [0.0, -1e6]])
+        assert np.all(_flow_table(ball, 0.3)(far) == 0.0)
+
+    def test_other_leaves_take_heat_flow(self):
+        rng = np.random.default_rng(93)
+        x = rng.standard_normal((50, 2))
+        for s in (HalfSpace(np.array([1.0, 2.0]), 0.3),
+                  AxisBox(np.array([-1.0, -np.inf]), np.array([0.5, 1.0])),
+                  # sigma 1e-4 against radius 2 would take 1.3e6 nodes
+                  Ball(np.zeros(2), 2.0)):
+            t = 5e-9 if isinstance(s, Ball) else 0.4
+            assert np.array_equal(_flow_table(s, t)(x), heat_flow(s, t, x))
+
+    def test_composite_has_none(self):
+        assert _flow_table(Union((Ball(np.zeros(2), 1.0),)), 0.4) is None
+        assert _flow_table(Complement(HalfSpace(np.ones(2), 0.0)), 0.4) \
+            is None
 
 
 class TestBallSmallTime:

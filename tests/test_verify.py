@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from noisestab import (
     AxisBox,
     Ball,
+    Complement,
     CorrelationMatrix,
     ComparisonResult,
     Estimate,
@@ -45,6 +46,7 @@ from noisestab import seeding
 from noisestab.seeding import derive_rng, subseed
 from noisestab.config import ConfigError, ExperimentConfig, load_config, \
     parse_config
+from noisestab.orthant import _bivariate_orthant
 from noisestab.report import build_report, render_csv, report_fingerprint
 from noisestab.verify import EQUALITY_BAND, HOLDS, OFFSET_STEP, SE_FLOOR, \
     VIOLATED, condition_check, hessian_sweep
@@ -135,11 +137,18 @@ class TestJointContainment:
         return joint_containment(
             sets, ou_covariance([0.0, 0.3, 0.5, 1.2]), 100_000, 43)
 
-    # values of the sequential einsum sampler; 100,000 samples are two
-    # batches at the default batch size and five of three blocks at 20,000
+    # _case_2d is one-factor and conditions on W; _case_2d_kron runs the
+    # same system on the Kronecker path, as if M were not one-factor (the
+    # einsum draws at n = 2, several containment blocks per batch), and
+    # _case_1d takes the sequential einsum sampler; 100,000 samples are
+    # two batches at the default batch size and five of three blocks at
+    # 20,000
     PINNED = {
-        ("_case_2d", seeding.BATCH): (0.16341, 0.0011692184222804566),
-        ("_case_2d", 20_000): (0.16356, 0.0011696500604881786),
+        ("_case_2d", seeding.BATCH): (0.16371076501497017,
+                                      0.0005569133479452611),
+        ("_case_2d", 20_000): (0.1624905082442363, 0.000556120507036697),
+        ("_case_2d_kron", seeding.BATCH): (0.16341, 0.0011692184222804566),
+        ("_case_2d_kron", 20_000): (0.16356, 0.0011696500604881786),
         ("_case_1d", seeding.BATCH): (0.23104, 0.0013328935381342352),
         ("_case_1d", 20_000): (0.23066, 0.0013321259865343067),
     }
@@ -147,10 +156,109 @@ class TestJointContainment:
     @pytest.mark.parametrize("case,batch", sorted(PINNED))
     def test_pinned_for_one_and_two_workers(self, case, batch, monkeypatch):
         monkeypatch.setattr(seeding, "BATCH", batch)
+        run = case
+        if case == "_case_2d_kron":
+            monkeypatch.setattr(CorrelationMatrix, "one_factor",
+                                lambda self: None)
+            run = "_case_2d"
         for workers in (1, 2):
             monkeypatch.setattr(seeding, "WORKERS", workers)
-            est = getattr(self, case)()
+            est = getattr(self, run)()
             assert (est.value, est.std_error) == self.PINNED[case, batch]
+
+
+class TestConditionalContainment:
+    """``joint_containment`` on one-factor matrices, which conditions on
+    the common factor W."""
+
+    PARALLEL = SetSystem((HS0, HalfSpace(np.array([1.0, 0.0]),
+                                         0.5244005127080407)))
+
+    def test_reflection_quarter(self):
+        # x_1 -> -x_1 maps the half-space onto its complement and keeps
+        # the ball of measure 1/2 and the law, so the value is 1/4
+        sets = SetSystem((Ball(np.zeros(2), 1.1774100225154747), HS0))
+        est = joint_containment(sets, CorrelationMatrix.equicorrelated(2, 0.5),
+                                200_000, 7)
+        assert abs(est.value - 0.25) <= 3 * est.std_error
+
+    def test_parallel_halfspaces_owen(self):
+        est = joint_containment(self.PARALLEL,
+                                CorrelationMatrix.equicorrelated(2, 0.5),
+                                200_000, 7)
+        exact = _bivariate_orthant(0.0, 0.5244005127080407, 0.5)
+        assert abs(est.value - exact) <= 3 * est.std_error
+
+    def test_two_balls_gauss_hermite(self):
+        # given W the balls hold independently, each with the flow at
+        # time 1/4 of W, so the value is E_W[flow^2] over W in R^2
+        ball = Ball(np.zeros(2), 1.1774100225154747)
+        y, wt = np.polynomial.hermite_e.hermegauss(60)
+        pts = np.column_stack([np.repeat(y, len(y)), np.tile(y, len(y))])
+        weight = np.outer(wt, wt).ravel() / (2.0 * math.pi)
+        exact = float(weight @ heat_flow(ball, 0.25, pts) ** 2)
+        est = joint_containment(SetSystem((ball, ball)),
+                                CorrelationMatrix.equicorrelated(
+                                    2, math.exp(-0.5)), 200_000, 7)
+        assert abs(est.value - exact) <= 3 * est.std_error
+
+    @staticmethod
+    def _random_system(rng, k, n):
+        def one():
+            kind = rng.integers(4)
+            if kind == 0:
+                return Ball(rng.uniform(-0.5, 0.5, n),
+                            float(rng.uniform(0.6, 1.8)))
+            if kind == 1:
+                return HalfSpace(rng.standard_normal(n),
+                                 float(rng.uniform(-0.5, 1.0)))
+            if kind == 2:
+                lo = rng.uniform(-2.0, -0.3, n)
+                return AxisBox(lo, lo + rng.uniform(1.0, 3.0, n))
+            return Union((Ball(rng.uniform(-1.5, -0.3, n), 1.0),
+                          Complement(HalfSpace(rng.standard_normal(n), 0.8))))
+        return SetSystem(tuple(one() for _ in range(k)))
+
+    @pytest.mark.parametrize("trial,k,n", [(0, 2, 1), (1, 3, 2), (2, 4, 3),
+                                           (3, 2, 3), (4, 3, 2), (5, 4, 1)])
+    def test_random_systems_match_kronecker(self, trial, k, n, monkeypatch):
+        rng = np.random.default_rng(700 + trial)
+        sets = self._random_system(rng, k, n)
+        lam = rng.uniform(0.3, 0.9, k)
+        if k == 2:
+            lam[1] = -lam[1]
+        r = np.outer(lam, lam)
+        np.fill_diagonal(r, 1.0)
+        m = CorrelationMatrix(r)
+        assert m.one_factor() is not None
+        given_w = joint_containment(sets, m, 200_000, 1000 + trial)
+        monkeypatch.setattr(CorrelationMatrix, "one_factor", lambda self: None)
+        kron = joint_containment(sets, m, 200_000, 1000 + trial)
+        assert abs(given_w.value - kron.value) \
+            <= 3 * math.hypot(given_w.std_error, kron.std_error)
+        assert given_w.std_error <= kron.std_error
+
+    def test_calibrated(self):
+        exact = _bivariate_orthant(0.0, 0.5244005127080407, 0.5)
+        m = CorrelationMatrix.equicorrelated(2, 0.5)
+        z = np.array([(est.value - exact) / est.std_error for est in (
+            joint_containment(self.PARALLEL, m, 20_000, seed)
+            for seed in range(200))])
+        assert abs(z.mean()) <= 0.25
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 2
+
+    def test_reproducible_for_one_and_two_workers(self, monkeypatch):
+        sets = SetSystem((Union((Ball(np.zeros(2), 1.0),)), HALF_BALL, HS0))
+        lam = np.array([0.8, -0.6, 0.5])
+        r = np.outer(lam, lam)
+        np.fill_diagonal(r, 1.0)
+        m = CorrelationMatrix(r)
+        runs = []
+        for workers in (1, 2, 2):
+            monkeypatch.setattr(seeding, "WORKERS", workers)
+            runs.append(joint_containment(sets, m, 150_000, 5))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].samples == 150_000
 
 
 MAIN_DOC = """
