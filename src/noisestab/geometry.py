@@ -221,8 +221,10 @@ class SetSystem:
 
 def _square_distance(s: Ball, pts: np.ndarray) -> np.ndarray:
     """|x - center|^2 column by column; even and odd columns are summed
-    apart, the order of ``einsum("ij,ij->i")`` up to n = 7."""
-    sq = [np.square(pts[:, j] - c) for j, c in enumerate(s.center)]
+    apart, the order of ``einsum("ij,ij->i")`` up to n = 7. A zero
+    centre coordinate is not subtracted, since x - 0 is x exactly."""
+    sq = [np.square(pts[:, j] - c if c else pts[:, j])
+          for j, c in enumerate(s.center)]
     for j in range(2, s.dim):
         sq[j % 2] += sq[j]
     return sum(sq[1:2], sq[0])

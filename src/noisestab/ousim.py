@@ -2,15 +2,15 @@
 
 Stepping uses the exact Gaussian transition
 X_{t+d} = e^{-d} X_t + sqrt(1 - e^{-2d}) xi, started from the stationary
-standard Gaussian, so the only discretization effect left in the exit
-and occupation estimators is excursions between grid points. The raw
-grid monitor misses them and over-estimates survival by a bias of order
-sqrt(d); it is kept as the oracle (``exit_survival_refined``). The exit
-estimators that feed verdicts weight each step by the probability that
-the bridge between the two grid states stays inside (Broadie, Glasserman
-& Kou 1997; Gobet 2000), which is exact for half-spaces through the
-origin and leaves an O(d) bias elsewhere. The occupation scan is the
-raw grid functional.
+standard Gaussian, so the only discretization effect left is excursions
+between grid points. The raw grid monitor misses them and over-estimates
+survival by a bias of order sqrt(d); it is kept as the oracle
+(``exit_survival_refined``). One scan (``_survival_scan``) serves exit
+and occupation: it weights each step by the probability that the bridge
+between the two grid states stays inside (Broadie, Glasserman & Kou
+1997; Gobet 2000), exact for half-spaces through the origin and O(d)
+elsewhere, and the occupation of A_2 before the exit from A_1 is
+d sum_i w_i 1{X_i in A_2}, with w_i that weight in A_1 after step i.
 
 Survival in a half-space {nu.x <= c}, and the occupation of parallel
 half-spaces {nu.x <= c1}, {nu.x <= c2}, depend on the 1-d OU process
@@ -23,10 +23,8 @@ survival for every half-space arm and scans only the other arm;
 with one normal and scans only the other pair. Two arms or pairs that
 are both scanned reuse identical trajectories per path index (common
 random numbers), and so do the arms of ``exit_dominance_refined``; their
-margins carry a paired standard error. ``occupation`` runs the
-post-stratified scan of a scanned ``occupation_pair`` arm; only its grid
-functional is raw, with no bridge correction. The raw oracle is the exit
-scan's ``exit_survival_refined``. Every estimator returns ``Estimate``s.
+margins carry a paired standard error. Every estimator returns
+``Estimate``s.
 
 The scans run their paths in antithetic pairs (Glasserman, *Monte
 Carlo Methods in Financial Engineering*, 2004, 4.2): both rows of a
@@ -38,8 +36,8 @@ path. A pair, a single or the lone path is a unit; units are
 independent, the two rows of a pair are not.
 
 The scanned estimates are post-stratified on the start and the end
-point (Glasserman 2004, 4.3). An exit weight or occupation count is
-exactly 0 for a path that starts outside the scanned set A (or A_1),
+point (Glasserman 2004, 4.3). An exit weight or occupation is exactly 0
+for a path that starts outside the scanned set A (or A_1),
 and a path that starts deep inside A rarely leaves it within a short
 horizon. So ``_shells`` cuts A at boundary distances delta_j =
 j sigma / 2, where sigma = sqrt(1 - e^{-2 tau}) is the OU displacement
@@ -57,19 +55,11 @@ shell is one cell. The estimate is sum_c mu_c q_c over the cells c, with
 q_c the mean value of the n_c paths in c. Given the cell counts the
 paths in a cell are draws from it, so the estimate is unbiased where no
 cells merge; its standard error is no larger than the plain mean's, and it
-needs no extra step draws. A count-only rule (``_runs``) merges a start
-shell with fewer than 20 paths into its inner neighbour, and then, in
-each start run, an end cell with fewer than 20 paths into its inner
-neighbour, the outside first; a merged cell weighs its parts by their
-counts. The standard error comes from the unit residual, the sum over
-the unit's paths of (mu_c / m_c)(v - q_c) for the path's cell c, with
-m_c = n_c / N: the residuals of a pair are summed before squaring, and
-each cell's residuals sum to 0. At tau = 0, with one shell left, the
-estimate is mu(A) sum(v) / n_in over the n_in paths that start in A. A
-set whose measure is Monte Carlo keeps the plain mean sum(v) / N, with
-unit residual V - n sum(v) / N for a unit of n paths and summed value V;
-so does the raw-grid oracle (``exit_survival_refined``). A scan in which
-no path starts in A gives 0 +- 0.
+needs no extra step draws. Sparse cells merge on their counts alone
+(``_runs``), and the standard error comes from each unit's residual
+(``_Units.mean``). A set whose measure is Monte Carlo keeps the plain
+mean, and so does the raw-grid oracle (``exit_survival_refined``). A
+scan in which no path starts in A gives 0 +- 0.
 
 The scan owns the stratification (``_scan``): it takes each start set's
 shells and cells (``_shells``) and returns a row table (``_Units``), one
@@ -85,26 +75,18 @@ Two identical arms give every row equal cells and equal residuals, so
 their residual difference is 0 row by row: its standard error is
 exactly 0.
 
-Both scans run on one shard loop (``_scan``). A scan splits its paths
-into near-equal shards (``_shards``): one below ``seeding.BATCH / 4``
-paths, else two per ``BATCH`` paths or part of it, so a scan of any
-useful size keeps every CPU busy. Shard i draws its paths from the
-stream keyed ("exit", i). Once fewer than 7/8 of a shard's rows are
-live, the loop records the values and end cells of the finished rows
-and drops them. A dropped row that needs an end cell draws its end
-point in one shot from the exact transition over the time left, with
-its normal from the shard's stream keyed ("end", i), so the step
-normals do not depend on it. The live row of a pair whose partner has
-finished goes on as a single that draws its own normals; its law is
-unchanged, and the partner's values stay fixed (0 for an exit row, its
-count for an occupation row). A shard advances a block of steps per
-round of numpy calls (about ``_BLOCK_STATES`` state values, their
-normals drawn in one call) and drops rows only between blocks: a row
-that dies mid-block steps on to the block's end, a valid OU path whose
-values no longer change. So when rows drop depends only on the seed,
-the sizes and the sets. The shards run side by side on the shared thread
-pool (``seeding.fan_out``) and their rows are joined in shard order, so
-results do not depend on the number of workers.
+The scan runs on one shard loop (``_scan``): near-equal shards
+(``_shards``), shard i drawing from the stream keyed ("exit", i), each
+advancing a block of steps per round of numpy calls (about
+``_BLOCK_STATES`` state values) and dropping its finished rows between
+blocks once fewer than 7/8 of them are live. A dropped row that needs
+an end cell draws its end point in one shot from the exact transition
+over the time left, from the stream keyed ("end", i); the live row of a
+pair whose partner has finished goes on as a single, the partner's
+values fixed (exit weight 0, the occupation so far). When rows drop
+depends only on the seed, the sizes and the sets, and the shards, run
+side by side on the shared thread pool (``seeding.fan_out``), are joined
+in shard order, so results do not depend on the number of workers.
 
 The exact half-space arms keep off OpenBLAS's thread pool: a pooled
 BLAS call leaves its threads spinning for about 0.1 s of CPU after it
@@ -224,33 +206,66 @@ def _bridge_monitor(weight, last, a1, alive, inv_sinh):
     ``alive`` (g, m, paths) the raw grid indicator after each step. Each
     step multiplies the weight of a path still alive by the probability
     that the OU bridge between its two grid states does not cross the
-    boundary, 1 - exp(-a0 a1 / sinh(d)), in step order
+    boundary, 1 - exp(x) with x = -a0 a1 / sinh(d), in step order
     (``np.multiply.at`` applies a repeated index in turn). Through the
     Lamperti change X_t = e^{-t} W(e^{2t}) this is exact for a
     half-space through the origin and the tangent-half-space
     approximation, accurate to O(d), for every other boundary.
     ``weight`` (g, paths, C-contiguous) and ``last`` are updated in
     place; ``weight`` is meaningful only where the path is alive.
+    Returns (near, factor): the flat (row, step, path) indices of the
+    factors applied, in that order, and the factors.
     """
     _, m, cols = a1.shape
-    if not m:
-        return
-    if inv_sinh is not None:  # a zero step leaves no time for an excursion
+    near, factor = np.empty(0, dtype=np.intp), np.empty(0)
+    if m and inv_sinh is not None:  # a zero step leaves no time to cross
         x = np.empty_like(a1)
         np.multiply(last, a1[:, 0], out=x[:, 0])
         np.multiply(a1[:, :-1], a1[:, 1:], out=x[:, 1:])
-        x *= -inv_sinh
-        # deeper inside, 1 - exp(x) rounds to 1 in double precision
-        near = (alive & (x > -40.0)).ravel().nonzero()[0]
-        factor = -np.expm1(x.ravel()[near])
+        # 1 - exp(-a0 a1 / sinh(d)) rounds to 1 where a0 a1 >= 40 sinh(d)
+        near = (alive & (x < 40.0 / inv_sinh)).ravel().nonzero()[0]
+        factor = -np.expm1(x.ravel()[near] * -inv_sinh)
         if m == 1:
             # one step repeats no path, and plain indexing holds up the
             # other shards' threads less than ufunc.at does
             weight.ravel()[near] *= factor
         else:  # the index of (row, step, path) in weight is (row, path)
-            row, rest = np.divmod(near, m * cols)
-            np.multiply.at(weight.ravel(), row * cols + rest % cols, factor)
-    last[...] = a1[:, -1]
+            np.multiply.at(weight.ravel(), _row_path(near, m, cols), factor)
+    if m:
+        last[...] = a1[:, -1]
+    return near, factor
+
+
+def _row_path(index, m, cols):
+    """The (row, path) index of each sorted (row, step, path) index."""
+    out = index % cols
+    if len(index) and index[-1] >= m * cols:  # a row after the first
+        out += index // (m * cols) * cols
+    return out
+
+
+def _block_hits(before, hit, near, factor):
+    """Each row's and path's bridge-weighted hits in a block of b steps,
+    ``before`` * sum_j R_j ``hit``[:, j]: ``before`` (g, paths) is the
+    weight before the block, ``hit`` (g, b, paths) the hits, and R_j the
+    product in step order of the bridge factors (``near`` and ``factor``
+    of ``_bridge_monitor``) over steps 0 to j. Without a factor the sum
+    is the hit count; it is formed step by step only on paths with both."""
+    _, b, cols = hit.shape
+    # a bool sum would widen to int64 first; a count is at most b < 2^16
+    count = hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+    out = before * count
+    key = _row_path(near, b, cols)
+    hot = count.ravel()[key] > 0
+    if hot.any():
+        fix, place = np.unique(key[hot], return_inverse=True)
+        ratio = np.ones((len(fix), b))
+        ratio[place, near[hot] // cols % b] = factor[hot]
+        np.cumprod(ratio, axis=1, out=ratio)
+        ratio *= hit[fix // cols, :, fix % cols]
+        # cumsum adds in step order, where a sum over one row need not
+        out.ravel()[fix] = before.ravel()[fix] * ratio.cumsum(axis=1)[:, -1]
+    return out
 
 
 def _inv_sinh(d: float):
@@ -612,9 +627,9 @@ class _Units:
                         seed=self.seed)
 
 
-def _survival_scan(regions, tau, steps, paths, seed,
-                   refine: int = 1) -> _Units:
-    """Shared-trajectory exit scan for one or two regions at once.
+def _survival_scan(regions, tau, steps, paths, seed, refine: int = 1,
+                   targets=()) -> _Units:
+    """Shared-trajectory exit and occupation scan of one or two regions.
 
     Simulates at ``steps * refine`` resolution and monitors each region
     on the full fine grid and on the coarse subgrid (every
@@ -625,7 +640,10 @@ def _survival_scan(regions, tau, steps, paths, seed,
     region:
 
     - "coarse" and "fine": the corrected weight on each grid;
-    - "raw" and "raw_fine": the raw grid indicator on each grid.
+    - "raw" and "raw_fine": the raw grid indicator on each grid;
+    - "occupation", given ``targets``, a set A_2 per region A_1: sum_i
+      w_i 1{X_i in A_2} over the fine steps i >= 1, w_i the fine weight
+      in A_1 after step i (``_block_hits``).
 
     With ``refine`` 1 the fine grid is the coarse one, and so are its
     blocks. The corrected fine event no longer nests inside the coarse
@@ -641,17 +659,23 @@ def _survival_scan(regions, tau, steps, paths, seed,
     blocks = ({"coarse": 0, "raw": 1, "fine": 2, "raw_fine": 3}
               if refine > 1 else
               {"coarse": 0, "raw": 1, "fine": 0, "raw_fine": 1})
+    if targets:
+        blocks["occupation"] = max(blocks.values()) + 1
+
+    def per_set(test, sets, pts, b, cols):
+        out = [test(s, pts) for s in sets]
+        return (out[0] if r == 1 else np.stack(out)).reshape(r, b, cols)
 
     def start(dist):
         # rows: each region on the fine grid, then on the coarse grid
         last = np.concatenate([dist] * min(refine, 2))
-        return [last >= 0.0, np.ones_like(last), last]
+        arrays = [last >= 0.0, np.ones_like(last), last]
+        return arrays + [np.zeros_like(dist)] if targets else arrays
 
-    def update(i, block, alive, weight, last):
+    def update(i, block, alive, weight, last, occupied=None):
         b, cols, dim = block.shape
         pts = block.reshape(-1, dim)
-        dist = [boundary_distance(reg, pts) for reg in regions]
-        dist = (dist[0] if r == 1 else np.stack(dist)).reshape(r, b, cols)
+        dist = per_set(boundary_distance, regions, pts, b, cols)
         # block step j is grid step i + 1 + j; coarse where refine divides it
         coarse = (-1 - i) % refine
         inside = np.empty((len(alive), b, cols), dtype=bool)
@@ -660,21 +684,28 @@ def _survival_scan(regions, tau, steps, paths, seed,
             inside[r:] = True
             inside[r:, coarse::refine] = inside[:r, coarse::refine]
         _commit(inside, alive)
+        before = weight[:r].copy() if targets and b > 1 else None
         # fine rows at every step, coarse rows at the coarse steps
         grids = [(slice(0, r), slice(None), inv_fine)]
         if refine > 1:
             grids.append((slice(r, None), slice(coarse, None, refine),
                           inv_coarse))
-        for rows, sel, inv in grids:
-            _bridge_monitor(weight[rows], last[rows], dist[:, sel],
-                            inside[rows, sel], inv)
+        fine, *_ = [_bridge_monitor(weight[rows], last[rows], dist[:, sel],
+                                    inside[rows, sel], inv)
+                    for rows, sel, inv in grids]
+        if targets:
+            hit = inside[:r] & per_set(contains, targets, pts, b, cols)
+            occupied += (weight[:r] * hit[:, 0] if b == 1
+                         else _block_hits(before, hit, *fine))
         alive[...] = inside[:, -1]
 
-    def columns(alive, weight, last):
+    def columns(alive, weight, last, occupied=None):
         w = np.where(alive, weight, 0.0)
         parts = [w[-r:], alive[-r:]]
         if refine > 1:
             parts += [w[:r], alive[:r]]
+        if targets:
+            parts.append(occupied)
         return np.concatenate(parts, dtype=float)
 
     return _scan(regions, tau, steps * refine, paths, seed, start, update,
@@ -693,12 +724,8 @@ def exit_survival(s: SetExpr, tau: float, steps: int, paths: int,
     the set weighs 0, and the scan post-stratifies the weights on the
     shells of s that the path starts and ends in where s is a half-space
     or a ball centred at the origin, and on its start shells elsewhere
-    (``_scan``; see the module docstring).
-
-    The paths run in antithetic pairs that share their start, so a pair
-    takes one normal vector per step for two paths, and ``samples``
-    counts paths. A pair whose one path has left goes on as one path
-    with its partner's weight fixed at 0.
+    (``_scan``; see the module docstring). The paths run in antithetic
+    pairs, and ``samples`` counts paths.
     """
     m = _survival_scan([s], tau, steps, paths, seed)
     return m.estimate(m.mean("coarse", 0))
@@ -981,59 +1008,26 @@ def exit_dominance_refined(a: SetExpr, b: SetExpr, tau, steps, paths, seed,
         margin_change=margin.value, margin_change_se=m.std_error(margin))
 
 
-def _occupation_scan(pairs, tau, steps, paths, seed) -> _Units:
-    """Per-path occupation step counts for one or two (A_1, A_2) pairs
-    on shared trajectories: the ``_Units`` of the block "count" (each
-    path's step count), one column per pair, on the shells and cells of
-    each A_1. A path that has left every A_1 is dropped with its counts
-    kept in its row.
-    """
-    def start(dist):
-        return [dist >= 0.0, np.zeros(dist.shape, dtype=np.int64)]
-
-    def update(i, block, alive, counts):
-        b, cols, dim = block.shape
-        pts = block.reshape(-1, dim)
-        inside = np.empty((len(pairs), b, cols), dtype=bool)
-        for idx, (a1, _) in enumerate(pairs):
-            inside[idx] = contains(a1, pts).reshape(b, cols)
-        _commit(inside, alive)
-        # a step counts if the path was inside A_1 before it and is in A_2
-        for idx, (_, a2) in enumerate(pairs):
-            hit = contains(a2, pts).reshape(b, cols)
-            hit[0] &= alive[idx]
-            hit[1:] &= inside[idx, :-1]
-            counts[idx] += hit.sum(axis=0)
-        alive[...] = inside[:, -1]
-
-    def columns(alive, counts):
-        return counts.astype(float)
-
-    return _scan([a1 for a1, _ in pairs], tau, steps, paths, seed, start,
-                 update, columns, {"count": 0})
-
-
 def occupation(a1: SetExpr, a2: SetExpr, tau: float, steps: int, paths: int,
                seed: int) -> Estimate:
-    """Time-discretized occupation: (tau/steps) * sum over grid times of
-    the frequency of {inside A_1 strictly before, inside A_2 now}.
+    """Bridge-weighted estimate of E int_0^{min(tau, T)} 1{X_t in A_2} dt,
+    the time spent in A_2 before T, the first exit from A_1: tau/steps
+    times the sum over grid times t_i, i >= 1, of w_i 1{X_{t_i} in A_2},
+    w_i the bridge weight of ``exit_survival`` in A_1 after step i.
 
-    Faithful to the raw functional: A_2 is not forced inside A_1, and
-    there is no bridge correction. A path that starts outside A_1 counts
-    0, and the scan post-stratifies the counts on the shells of A_1 that
-    the path starts and ends in, as in ``exit_survival``; a path that
-    has left A_1 keeps its count, and its end point is drawn when it
-    drops.
+    A_2 is not forced inside A_1. A path that starts outside A_1 counts
+    0, and the values are post-stratified on the shells of A_1 that the
+    path starts and ends in, as in ``exit_survival``.
     """
-    m = _occupation_scan([(a1, a2)], tau, steps, paths, seed)
-    return m.estimate(m.mean("count", 0, tau / steps))
+    m = _survival_scan([a1], tau, steps, paths, seed, targets=[a2])
+    return m.estimate(m.mean("occupation", 0, tau / steps))
 
 
 def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
     """Occupation of two set pairs: exact for two half-spaces with one
-    normal (``halfspace_occupation``), and the post-stratified grid scan
-    of ``occupation`` for any other pair. Returns (estimate_a,
-    estimate_b, paired_se) of ``_pair``, paired_se the SE of B minus A.
+    normal (``halfspace_occupation``), and the scan of ``occupation`` for
+    any other pair. Returns (estimate_a, estimate_b, paired_se) of
+    ``_pair``, paired_se the SE of B minus A.
     """
     def exact(pair):
         a1, a2 = pair
@@ -1042,8 +1036,12 @@ def occupation_pair(pair_a, pair_b, tau, steps, paths, seed):
             return halfspace_occupation(a1.offset, a2.offset, tau)
         return None
 
-    return _pair((pair_a, pair_b), exact, _occupation_scan,
-                 lambda m, arm: m.mean("count", arm, tau / steps),
+    def scan(pairs, *grid):
+        return _survival_scan([a1 for a1, _ in pairs], *grid,
+                              targets=[a2 for _, a2 in pairs])
+
+    return _pair((pair_a, pair_b), exact, scan,
+                 lambda m, arm: m.mean("occupation", arm, tau / steps),
                  tau, steps, paths, seed)
 
 

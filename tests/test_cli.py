@@ -358,7 +358,7 @@ class TestShippedConfigs:
             "41433be0f16e5e8490a5f96455597c36fa233816543c026b5ba68ef5946c9b95"),
         "occupation_balls": (
             ["--paths", "4000"],
-            "1ebfc5db7dd8702c95775f74126c677b87e1e8a983cf92d6220cf67a7fff11cb"),
+            "5ebd2e9dfbee28ceae9c1fb27a2871c1c59c696e306b91c9b6a355e314e35990"),
         "parallel": (
             ["--samples", "100000"],
             "02843da8effb555b2e2db2e5cda2b65f9a34107749a191d56ab9b7d1c988f995"),

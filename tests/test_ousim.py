@@ -31,6 +31,7 @@ from noisestab import (
     std_normal_cdf,
 )
 import noisestab.ousim as ousim
+import radial
 from noisestab.geometry import boundary_distance, contains, pair_measure
 from noisestab import seeding
 from noisestab.ousim import exit_dominance_refined
@@ -242,6 +243,14 @@ class TestExitSurvival:
                 comb = math.hypot(est.std_error, prev.std_error)
                 assert est.value <= prev.value + 3 * comb
             prev = est
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0])
+    def test_ball_matches_radial_oracle(self, tau):
+        # the bridge-corrected exit of a curved boundary against its
+        # exact continuous-time value
+        est = exit_survival(HALF_BALL, tau, 512, 25_000, 17)
+        exact = radial.ball_survival(HALF_BALL.radius, tau)
+        assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_refinement_never_increases(self):
         coarse, fine, change, change_se = exit_survival_refined(
@@ -464,18 +473,21 @@ class TestHalfspaceOccupation:
                + (4.0 * fine - coarse) / 3.0)
         assert abs(halfspace_occupation(c1, c2, tau) - ref) <= 2e-6
 
-    def test_matches_raw_scan(self):
-        # the raw grid functional misses the excursions above c1 between
-        # grid times, so it estimates the continuous occupation with c1
-        # moved out by beta sqrt(2 d), beta = -zeta(1/2) / sqrt(2 pi), to
-        # o(sqrt(d)) (Broadie, Glasserman & Kou 1997; the OU diffusion
-        # coefficient is sqrt 2); unshifted, it overshoots by about
-        # 0.0004 at 2048 steps
-        d = 0.5 / 2048
-        beta = -special.zeta(0.5) / math.sqrt(2.0 * math.pi)
-        est = occupation(HS_06, HS_03, 0.5, 2048, 40_000, 41)
-        exact = halfspace_occupation(HS_06.offset + beta * math.sqrt(2.0 * d),
-                                     HS_03.offset, 0.5)
+    # the first pair holds measures 0.6 and 0.3
+    @pytest.mark.parametrize("c1,c2,tau", [
+        (0.2533471031357997, -0.5244005127080407, 0.5), (0.0, 0.0, 1.0),
+        (1.0, 0.5, 0.2), (-0.3, -1.0, 1.0)])
+    def test_matches_intersection_scan(self, c1, c2, tau):
+        # parallel half-spaces written as intersections with a far
+        # half-space (the same sets up to measure e^{-800}) are scanned,
+        # and the bridge-weighted occupation reads the continuous value
+        def far(c):
+            return Intersection((HalfSpace(np.array([1.0, 0.0]), c),
+                                 HalfSpace(np.array([0.0, 1.0]), 40.0)))
+
+        est = occupation(far(c1), far(c2), tau, 512, 40_000, 41)
+        assert est.samples == 40_000
+        exact = halfspace_occupation(c1, c2, tau)
         assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_pair_takes_parallel_pairs_exactly(self):
@@ -604,6 +616,47 @@ class TestHalfspaceSolver:
         assert cpu_s() - before < 0.03
 
 
+class TestRadialOracle:
+    """The test-side finite-volume solver for |X| (``radial``): the exact
+    continuous-time survival of a centred ball and occupation of
+    concentric balls, which the scans are checked against."""
+
+    HALF = radial.measure_radius(0.5)
+    PINNED = [(0.1, 0.2868930952), (0.5, 0.0766263892),
+              (1.0, 0.0151106316)]
+    OCCUPATION = 0.1006885517  # balls of measures 0.6 and 0.3, tau = 0.5
+
+    def test_pinned(self):
+        assert self.HALF == pytest.approx(HALF_BALL.radius, rel=1e-15)
+        for tau, value in self.PINNED:
+            assert abs(radial.ball_survival(self.HALF, tau) - value) <= 1e-9
+        assert abs(radial.ball_occupation(BALL_06.radius, BALL_03.radius, 0.5)
+                   - self.OCCUPATION) <= 1e-9
+
+    def test_node_count_moves_little(self):
+        for nodes in (1000, 8000):
+            for tau, value in self.PINNED:
+                got = radial.ball_survival(self.HALF, tau, nodes=nodes)
+                assert abs(got - value) <= 2e-7
+            got = radial.ball_occupation(BALL_06.radius, BALL_03.radius, 0.5,
+                                         nodes=nodes)
+            assert abs(got - self.OCCUPATION) <= 2e-7
+
+    def test_occupation_of_the_ball_itself_integrates_survival(self):
+        # the occupation gained over [0.01, 0.5], Gauss-Legendre in
+        # s = sqrt(t), in which the survival is smooth
+        outer, inner = BALL_06.radius, BALL_06.radius * (1.0 - 1e-12)
+        s, w = np.polynomial.legendre.leggauss(20)
+        lo, hi = 0.1, math.sqrt(0.5)
+        s = lo + 0.5 * (hi - lo) * (s + 1.0)
+        integral = 0.5 * (hi - lo) * sum(
+            wi * 2.0 * si * radial.ball_survival(outer, si * si)
+            for si, wi in zip(s, w))
+        gained = (radial.ball_occupation(outer, inner, 0.5)
+                  - radial.ball_occupation(outer, inner, 0.01))
+        assert abs(gained - integral) <= 1e-7
+
+
 class TestOccupation:
     def test_empty_target(self):
         empty = Intersection((Ball(np.array([5.0, 5.0]), 0.5),
@@ -624,6 +677,14 @@ class TestOccupation:
         b = occupation(HS0, HS0, 0.5, 512, 40_000, 5)
         comb = math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) <= 3 * comb + 0.01
+
+    @pytest.mark.parametrize("steps", [128, 512])
+    def test_concentric_balls_match_radial_oracle(self, steps):
+        # the bridge weight removes the raw grid's overshoot between grid
+        # times (+15.8 and +7.9 SE here), so the value holds on both grids
+        est = occupation(BALL_06, BALL_03, 0.5, steps, 100_000, 7)
+        exact = radial.ball_occupation(BALL_06.radius, BALL_03.radius, 0.5)
+        assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_pair_identical_sets_zero_margin(self):
         occ_a, occ_b, paired = occupation_pair((HS0, HS0), (HS0, HS0),
@@ -855,13 +916,12 @@ class TestCompaction:
 
     def test_dropped_paths_keep_their_counts(self):
         # the occupation of {x_1 <= 0} before leaving it is the integral
-        # of the survival asin(e^{-t})/pi, which the raw grid overshoots
-        # (+0.020 at 256 steps); losing the counts of dropped paths would
-        # undershoot it by 0.08
+        # of the survival asin(e^{-t})/pi; losing the values of dropped
+        # paths would undershoot it by 0.08
         est = occupation(HS0, HS0, 1.0, 256, 20_000, 13)
         exact = integrate.quad(lambda t: math.asin(math.exp(-t)) / math.pi,
                                0.0, 1.0)[0]
-        assert exact - 3 * est.std_error <= est.value <= exact + 0.03
+        assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_draws_shrink_with_survivors(self, draws, step_units):
         # a pair that loses one row goes on as a single, which draws its
@@ -915,7 +975,9 @@ def _stepped_scan(sets, tau, steps, paths, seed, start, update, columns,
     blocked scan's schedule, max(1, ``_BLOCK_STATES`` // (rows * dim))
     steps, the rows are checked: when fewer than 7/8 of them are live,
     the dead rows go, and the live row of a pair whose partner died
-    joins the singles.
+    joins the singles. ``update(i, first, last, states, *arrays)`` gets
+    the states after step i and whether step i is the first or the last
+    of its block.
 
     ``shells`` holds each set's (cuts, ended). A row's start shell in a
     set is 0 outside it and else 1 plus the number of the cuts at or
@@ -969,7 +1031,8 @@ def _stepped_scan(sets, tau, steps, paths, seed, start, update, columns,
 
         check = 1  # the first step of the next block
         for i in range(1, steps + 1):
-            if i == check:
+            first = i == check
+            if first:
                 live = arrays[0].any(axis=0)
                 if np.count_nonzero(live) < ousim._LIVE_SHARE * live.size:
                     settle(~live, tau / steps * (steps - i + 1))
@@ -993,7 +1056,7 @@ def _stepped_scan(sets, tau, steps, paths, seed, start, update, columns,
             states *= decay
             inc *= scale
             states += inc
-            update(i, states, *arrays)
+            update(i, first, i in (check - 1, steps), states, *arrays)
         settle(np.arange(len(states)), 0.0)
         return unit, shell, end, values, demoted
 
@@ -1010,64 +1073,66 @@ def _row_table(shards):
                     for i in (1, 2, 3)))
 
 
-def _stepped_survival(regions, tau, steps, paths, seed, *, shells, refine=1):
+def _stepped_survival(regions, tau, steps, paths, seed, *, shells, refine=1,
+                      targets=()):
     """``ousim._survival_scan`` stepped one step at a time, its start
-    shells and end cells cut at each region's own ``shells``."""
+    shells and end cells cut at each region's own ``shells``. With
+    ``targets`` each region's occupation of its target takes, per block,
+    the weight before the block times the sum over its steps of the
+    factors' product so far times the hit."""
     tau, steps, _, _ = ousim._grid_params(tau, steps)
     inv_fine = ousim._inv_sinh(tau / (steps * refine))
     inv_coarse = ousim._inv_sinh(tau / steps)
     r = len(regions)
+    block = {}  # the weight before, the factors' product and the sum
 
     def start(dist):
         last = np.vstack([dist] * min(refine, 2))
-        return [last >= 0.0, np.ones_like(last), last]
+        arrays = [last >= 0.0, np.ones_like(last), last]
+        return arrays + [np.zeros_like(dist)] if targets else arrays
 
-    def monitor(alive, weight, a0, a1, inv):
+    def monitor(alive, weight, a0, a1, inv, ratio=None):
         alive &= a1 >= 0.0
         if inv is not None:
             x = a0 * a1
             x *= -inv
             near = np.flatnonzero(alive & (x > -40.0))
-            weight[near] *= -np.expm1(x[near])
+            factor = -np.expm1(x[near])
+            weight[near] *= factor
+            if ratio is not None:
+                ratio[near] *= factor
 
-    def update(i, states, alive, weight, last):
+    def update(i, first, closes, states, alive, weight, last, occupied=None):
+        if targets and first:
+            block.update(before=weight[:r].copy(),
+                         ratio=np.ones((r, len(states))),
+                         sum=np.zeros((r, len(states))))
         on_coarse = refine > 1 and i % refine == 0
         for idx, reg in enumerate(regions):
             a1 = boundary_distance(reg, states)
             rows = (idx, r + idx) if on_coarse else (idx,)
             for row, inv in zip(rows, (inv_fine, inv_coarse)):
-                monitor(alive[row], weight[row], last[row], a1, inv)
+                ratio = block["ratio"][idx] if targets and row == idx else None
+                monitor(alive[row], weight[row], last[row], a1, inv, ratio)
                 last[row] = a1
+        for idx, target in enumerate(targets):
+            hit = alive[idx] & contains(target, states)
+            block["sum"][idx] += block["ratio"][idx] * hit
+        if targets and closes:
+            occupied += block["before"] * block["sum"]
 
-    def columns(alive, weight, last):
-        # coarse weight, coarse raw, then fine weight and raw
+    def columns(alive, weight, last, occupied=None):
+        # coarse weight, coarse raw, then fine weight and raw, occupation
         w = np.where(alive, weight, 0.0)
         rows = [w[-r:], alive[-r:]]
         if refine > 1:
             rows += [w[:r], alive[:r]]
+        if targets:
+            rows.append(occupied)
         return np.vstack(rows).astype(float)
 
     return _stepped_scan(regions, tau, steps * refine, paths, seed, start,
                          update, columns, shells)
-
-
-def _stepped_occupation(pairs, tau, steps, paths, seed, *, shells):
-    """``ousim._occupation_scan`` stepped one step at a time, its start
-    shells and end cells cut at each A_1's own ``shells``."""
-
-    def start(dist):
-        return [dist >= 0.0, np.zeros(dist.shape, dtype=np.int64)]
-
-    def update(i, states, alive, counts):
-        for idx, (a1, a2) in enumerate(pairs):
-            counts[idx] += alive[idx] & contains(a2, states)
-            alive[idx] &= contains(a1, states)
-
-    def columns(alive, counts):
-        return counts.astype(float)
-
-    return _stepped_scan([a1 for a1, _ in pairs], tau, steps, paths, seed,
-                         start, update, columns, shells)
 
 
 def _same_rows(m, shards):
@@ -1132,10 +1197,13 @@ class TestBlocksMatchSteps:
     @pytest.mark.parametrize("case", sorted(OCCUPATION))
     def test_occupation(self, case, paths):
         pairs, tau, steps = self.OCCUPATION[case]
-        args = (pairs, tau, steps, paths, 3)
-        shells = _shells([a1 for a1, _ in pairs], tau)
-        assert _same_rows(ousim._occupation_scan(*args),
-                          _stepped_occupation(*args, shells=shells))
+        regions, targets = ([a1 for a1, _ in pairs],
+                            [a2 for _, a2 in pairs])
+        args = (regions, tau, steps, paths, 3)
+        assert _same_rows(
+            ousim._survival_scan(*args, targets=targets),
+            _stepped_survival(*args, shells=_shells(regions, tau),
+                              targets=targets))
 
     @pytest.mark.parametrize("paths", [3001, 40_001])
     def test_lone_path(self, paths):
@@ -1144,10 +1212,11 @@ class TestBlocksMatchSteps:
         assert _same_rows(ousim._survival_scan(*args),
                           _stepped_survival(*args,
                                             shells=_shells(args[0], 0.5)))
-        args = ([(BALL_06, BALL_03)], 0.5, 37, paths, 3)
-        assert _same_rows(ousim._occupation_scan(*args),
-                          _stepped_occupation(*args,
-                                              shells=_shells([BALL_06], 0.5)))
+        args = ([BALL_06], 0.5, 37, paths, 3)
+        assert _same_rows(ousim._survival_scan(*args, targets=[BALL_03]),
+                          _stepped_survival(*args,
+                                            shells=_shells([BALL_06], 0.5),
+                                            targets=[BALL_03]))
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_single_path(self, seed):
@@ -1166,12 +1235,13 @@ class TestBlocksMatchSteps:
         # path, then 10,000 pairs, in the two shards of 40,001 paths
         pairs = np.r_[0:1500, 0:1500]
         for m in (ousim._survival_scan([HALF_BALL], 0.5, 37, 3000, 3),
-                  ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 3000,
-                                         3)):
+                  ousim._survival_scan([BALL_06], 0.5, 37, 3000, 3,
+                                       targets=[BALL_03])):
             assert np.array_equal(m.unit, pairs)
             assert m.shell.shape == m.end.shape == (1, 3000)
             assert m.values.shape == (len(m.values), 1, 3000)
-        m = ousim._occupation_scan([(BALL_06, BALL_03)], 0.5, 37, 40_001, 3)
+        m = ousim._survival_scan([BALL_06], 0.5, 37, 40_001, 3,
+                                 targets=[BALL_03])
         assert np.array_equal(m.unit, np.r_[0:10_000, 0:10_001,
                                             10_001 + np.r_[0:10_000,
                                                            0:10_000]])
@@ -1204,7 +1274,7 @@ class TestBlocksMatchSteps:
         assert 1 in live[-1] and live[-1][-1] == 0
         step_units.clear()
         live.clear()
-        ousim._occupation_scan([(TINY, TINY)], 3.0, 7, 3000, 3)
+        ousim._survival_scan([TINY], 3.0, 7, 3000, 3, targets=[TINY])
         assert step_units == [(2, 1)] * 7 and live == [[0] * 7]
 
 
@@ -1343,9 +1413,9 @@ class TestPostStratification:
             m = _one_stratum(ousim._survival_scan([HALF_BALL], 0.5, 8, 20,
                                                   seed))
             want = m.estimate(m.mean("coarse", 0))
-            m = _one_stratum(ousim._occupation_scan([(HALF_BALL, FULL)], 0.5,
-                                                    8, 20, seed))
-            want_occ = m.estimate(m.mean("count", 0, 0.5 / 8))
+            m = _one_stratum(ousim._survival_scan([HALF_BALL], 0.5, 8, 20,
+                                                  seed, targets=[FULL]))
+            want_occ = m.estimate(m.mean("occupation", 0, 0.5 / 8))
             for got, ref in ((exit_survival(HALF_BALL, 0.5, 8, 20, seed),
                               want),
                              (occupation(HALF_BALL, FULL, 0.5, 8, 20, seed),
@@ -1436,12 +1506,12 @@ class TestPostStratification:
         m = ousim._survival_scan([SLAB_BALL], 0.5, 32, 20_000, 6)
         assert m.levels == [None]
         est = exit_survival(SLAB_BALL, 0.5, 32, 20_000, 6)
-        m2 = ousim._occupation_scan([(SLAB_BALL, Ball(np.zeros(3), 1.0))],
-                                    0.5, 32, 20_000, 7)
+        m2 = ousim._survival_scan([SLAB_BALL], 0.5, 32, 20_000, 7,
+                                  targets=[Ball(np.zeros(3), 1.0)])
         occ = occupation(SLAB_BALL, Ball(np.zeros(3), 1.0), 0.5, 32, 20_000,
                          7)
         for units, block, scale, got in ((m, "coarse", 1.0, est),
-                                         (m2, "count", 0.5 / 32, occ)):
+                                         (m2, "occupation", 0.5 / 32, occ)):
             # the residual of a unit of n paths with summed value V is
             # V - n mean, and the units are independent
             v = np.bincount(units.unit, units.column(block, 0))
@@ -1509,20 +1579,17 @@ class TestAntithetic:
         # the paths of a unit are summed before squaring, and each arm is
         # stratified on its own start shells and end cells
         paths = 3001
-        if scan == "occupation":
-            sets = [BALL_06]
-            args = ([(BALL_06, BALL_03)], 0.5, 37, paths, 3)
-            m = ousim._occupation_scan(*args)
-            shards = _stepped_occupation(*args, shells=_shells(sets, 0.5))
-            block = "count"
-        else:
-            sets = [HALF_BALL] if scan == "exit" else [HALF_BALL, BALL_06]
-            args = (sets, 0.5, 37, paths, 3)
-            m = ousim._survival_scan(*args)
-            shards = _stepped_survival(*args, shells=_shells(sets, 0.5))
-            block = "coarse"
+        targets = [BALL_03] if scan == "occupation" else []
+        sets = ([BALL_06] if targets else [HALF_BALL] if scan == "exit"
+                else [HALF_BALL, BALL_06])
+        args = (sets, 0.5, 37, paths, 3)
+        m = ousim._survival_scan(*args, targets=targets)
+        shards = _stepped_survival(*args, shells=_shells(sets, 0.5),
+                                   targets=targets)
+        block = "occupation" if targets else "coarse"
         assert sum(demoted for *_, demoted in shards) > 100
         unit, shell, end, values = _row_table(shards)
+        values = values[m.blocks[block] * len(sets):]
         n = np.bincount(unit)
         assert n.sum() == paths and np.count_nonzero(n == 1) == 1
         hand = [_stratified_by_hand(unit, shell[arm], end[arm], values[arm],
@@ -1582,7 +1649,7 @@ class TestAntithetic:
             return out
 
         monkeypatch.setattr(ousim, "_advance", advance)
-        ousim._occupation_scan([(FULL, HALF_BALL)], 0.5, 4, 3001, 5)
+        ousim._survival_scan([FULL], 0.5, 4, 3001, 5, targets=[HALF_BALL])
         states, z, pairs, decay, scale, out = rounds[0]
         starts = seeding.derive_rng(5, "exit", 0).standard_normal((1501, 2))
         assert pairs == 1500 and z.shape == (4, 1501, 2)
@@ -1633,11 +1700,11 @@ class TestWorkerCount:
     # at 7,000, where the order of the float sums matters
     PINNED = {
         ("occupation_pair", seeding.BATCH): (
-            0.10941304411391843, 0.00035692642990641437, 0.03553754852346042,
-            0.0002765190705292128, 0.0004311079191532911),
+            0.09933345436706174, 0.00035527770084278456, 0.02577709171200453,
+            0.00021524430956336812, 0.0003867792291570709),
         ("occupation_pair", 7000): (
-            0.10923592098249667, 0.000358256758939957, 0.03547398366305195,
-            0.000275799466575254, 0.00043125373243014267),
+            0.0991501531913196, 0.0003563573239986908, 0.02563570974054893,
+            0.0002143701599549828, 0.0003853226496811282),
         ("exit_dominance_refined", seeding.BATCH): (
             0.07614790427447932, 0.2074747916824887, 0.0010609770584645674,
             -0.00025536547099472284, 0.0001198136032649344,
@@ -1651,9 +1718,9 @@ class TestWorkerCount:
         ("exit_survival", 7000): (
             0.0772985671309612, 0.0007799664446890361),
         ("occupation", seeding.BATCH): (
-            0.10930928082559646, 0.00036062446939648564),
+            0.09938575075472766, 0.0003595711555732957),
         ("occupation", 7000): (
-            0.10874994550315373, 0.00036300178486819225),
+            0.09883495919875052, 0.000360180766526543),
     }
 
     @pytest.mark.parametrize("name,batch", sorted(PINNED))
