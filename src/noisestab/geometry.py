@@ -47,6 +47,11 @@ PLANE_GRADE_MIN = 1e-12
 CHNDTR_MAX = 1e8
 CHNDTR_FAR_NODES = 32
 
+# A ball's ``_flow_table`` reads within this of ``heat_flow`` (the largest
+# gap seen is 1.7e-10, over n = 1 to 5, radii 0.2 to 5 and e^{-t} from
+# 0.05 to 0.97).
+FLOW_TABLE_ERROR = 2e-10
+
 
 class UnsupportedRegion(ValueError):
     """Operation has no closed form on this expression shape."""
@@ -442,9 +447,9 @@ def _flow_table(s: SetExpr, t: float):
     0. The values are ``heat_flow`` at the nodes, and the slopes
     dF/dd = -(d/sigma^2)(F_n - F_{n+2}), F_m the flow of the ball of the
     same radius in R^m, are ``heat_flow`` too; the table reads within
-    about 2e-10 of ``heat_flow``. A table of more than 2^16 nodes (sigma
-    small against the radius) is not built, and the ball takes
-    ``heat_flow`` itself."""
+    FLOW_TABLE_ERROR of ``heat_flow`` and carries that bound as
+    ``flow.error``. A table of more than 2^16 nodes (sigma small against
+    the radius) is not built, and the ball takes ``heat_flow`` itself."""
     if isinstance(s, (HalfSpace, AxisBox)):
         return functools.partial(heat_flow, s, t)
     if not isinstance(s, Ball):
@@ -490,6 +495,7 @@ def _flow_table(s: SetExpr, t: float):
         out += a[:, 0]
         return out
 
+    flow.error = FLOW_TABLE_ERROR
     return flow
 
 

@@ -14,7 +14,8 @@ all.
 
 Independent pieces of work (the shards of an OU scan, the probes of a
 composite set in the equality diagnostic, the batches of the
-joint-containment frequency) go through :func:`fan_out`, which runs
+joint-containment frequency, the lattice shifts of a one-factor joint
+containment) go through :func:`fan_out`, which runs
 them on one thread per CPU this process may use. There is no setting:
 each piece draws from its own keyed stream and the results are combined
 in item order, so reports do not depend on the number of workers.
@@ -79,12 +80,14 @@ def indicator_hits(seed: int, purpose: str, samples: int, dim: int,
     """How many of ``samples`` standard normal points in R^dim satisfy
     ``predicate``, which maps an (n, dim) batch to n booleans. Every
     batch comes from the one stream keyed ``(purpose, 0)``, so the count
-    does not depend on :data:`BATCH`. ``verify.joint_containment`` keeps
-    a stream per batch, so that its batches run side by side on the
-    pool; its numbers depend on :data:`BATCH` by design. Batch b of a
-    one-factor matrix draws W and the composites' Z_i from
-    ``derive_rng(seed, "joint", b)``, row by row; any other matrix takes
-    Kronecker draws at the sub-seed ``subseed(seed, "joint", b)``."""
+    does not depend on :data:`BATCH`. ``verify.joint_containment``
+    draws no normals here. On a one-factor matrix its points are a
+    lattice, whose random shifts all come from ``derive_rng(seed,
+    "joint")``, so its numbers do not depend on :data:`BATCH` either. Any
+    other matrix keeps a stream per batch, so that its batches run side
+    by side on the pool: batch b takes Kronecker draws at the sub-seed
+    ``subseed(seed, "joint", b)``, and those numbers depend on
+    :data:`BATCH` by design."""
     rng = derive_rng(seed, purpose, 0)
     return sum(int(predicate(rng.standard_normal((n, dim))).sum())
                for _, n in batches(samples))

@@ -10,12 +10,12 @@ statistical or discretization artifact). The equality diagnostic and the
 gradient-bound check read the heat flow through ``_quantile_flows``.
 
 The lhs of ``verify-main`` and ``noise-stability`` is
-``joint_containment``, a mean over ``samples`` draws. Where the matrix
-is one-factor, X_i = lambda_i W + sigma_i Z_i, a draw is one W (with a
-Z_i for each composite set), and its value is the product of the exact
-leaf flows given W and the composites' indicators: conditional Monte
-Carlo on the common factor, whose SE is the SD of the values over
-sqrt(samples). Every other matrix (the identity, ``ou-times`` at
+``joint_containment``. Where the matrix is one-factor, X_i = lambda_i W
++ sigma_i Z_i, a point is one W (with a Z_i for each composite set),
+and its value is the product of the exact leaf flows given W and the
+composites' indicators. The points are randomly shifted copies of one
+rank-1 lattice in (W, Z), and the SE is the spread of the shift means.
+Every other matrix (the identity, ``ou-times`` at
 k >= 3, any other ``explicit`` one) takes Kronecker draws and the
 binomial SE.
 """
@@ -34,7 +34,7 @@ from .geometry import HalfSpace, SetExpr, SetSystem, UnsupportedRegion, \
     parallel_halfspaces
 from .jfunc import DERIV_HI, DERIV_LO, JQuery, hadamard_hessian, \
     hessian_top_eigenvalue, j_grad, j_value, kernel_diagnostic
-from .orthant import Estimate
+from .orthant import Estimate, _cbc_lattice
 from .ousim import KroneckerSampler, exit_survival_pair, \
     halfspace_occupation, halfspace_survival, occupation_pair, \
     semigroup_apply
@@ -105,31 +105,42 @@ def comparison_dict(c: ComparisonResult) -> dict:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-# Draws that joint_containment tests for containment at once, so that the
-# temporaries of each pool thread stay the size of a block, not a batch.
+# Points that joint_containment tests for containment at once, so that
+# the temporaries of each pool thread stay the size of a block.
 _TEST_ROWS = 1 << 13
+# Randomly shifted copies of the lattice behind a one-factor
+# joint_containment; the SE is the spread of their means.
+_JOINT_SHIFTS = 32
+# Lattice coordinates are clipped to [_U_CLIP, 1 - _U_CLIP] before the
+# normal quantile (|z| <= 8.2).
+_U_CLIP = 2.0 ** -53
 
 
 def joint_containment(sets: SetSystem, m: CorrelationMatrix, samples: int,
                       seed: int) -> Estimate:
-    """Monte Carlo estimate of Pr(X_i in A_i for every i) on ``samples``
-    draws, the X_i standard Gaussian n-vectors whose coordinates j have
+    """Estimate of Pr(X_i in A_i for every i) on about ``samples``
+    points, the X_i standard Gaussian n-vectors whose coordinates j have
     the correlation matrix M, independently across j.
 
     Where M is one-factor (``CorrelationMatrix.one_factor``), X_i =
-    lambda_i W + sigma_i Z_i, and given W the X_i are independent. A draw
-    then takes W and, for each composite set in set order, its own Z_i;
-    its value is the product over leaves of the exact
+    lambda_i W + sigma_i Z_i, and given W the X_i are independent. A
+    point then is W and, for each composite set in set order, its own
+    Z_i; its value is the product over leaves of the exact
     ``heat_flow(A_i, -ln|lambda_i|, sgn(lambda_i) W)`` times the product
-    over composites of 1{lambda_i W + sigma_i Z_i in A_i}
-    (``_conditional_containment``). Otherwise a draw is a Kronecker draw
-    (``KroneckerSampler``) and its value the indicator of the event. The
-    estimate is the mean value over the ``samples`` draws, its SE the SD
-    of the values over sqrt(samples), which for indicators is the
-    binomial SE. Conditioning keeps the draw count and cuts the SE
-    (about 0.35-0.65x on the shipped systems). The batches
-    run on the shared pool, each on its own stream keyed ("joint", b),
-    and their sums are joined in batch order, so the estimate does not
+    over composites of 1{lambda_i W + sigma_i Z_i in A_i}. The points are
+    randomly shifted copies of one rank-1 lattice
+    (``_conditional_containment``): the estimate is the mean of the
+    shift means, its SE their SD over sqrt(_JOINT_SHIFTS), and
+    ``samples`` reports the points used. Conditioning cuts the SE of the
+    indicator to 0.35-0.65x at equal points on the shipped systems, and
+    the lattice cuts that about sixfold on the composite system of
+    ``composite_main.cfg``; the shipped systems of leaves only read to
+    3e-8 or better at 1e6 points. Otherwise a point is a Kronecker draw
+    (``KroneckerSampler``), its value the indicator of the event, and the
+    estimate the frequency over the ``samples`` draws with the binomial
+    SE; the batches run each on its own stream keyed ("joint", b) and
+    their hits are joined in batch order. Either way the pieces run on
+    the shared pool and are joined in order, so the estimate does not
     depend on the workers."""
     seed = check_seed(seed)
     loadings = m.one_factor()
@@ -156,51 +167,80 @@ def joint_containment(sets: SetSystem, m: CorrelationMatrix, samples: int,
 def _conditional_containment(sets: SetSystem, loadings: np.ndarray,
                              samples: int, seed: int) -> Estimate:
     """``joint_containment`` given the common factor W, for one-factor
-    loadings. Each batch draws its normals from the stream ("joint", b),
-    one call per block of _TEST_ROWS draws: row by row, W then the Z_i of
-    the composites in set order, so the numbers do not depend on the
-    block size. Leaf flows come from ``geometry._flow_table`` (a table
-    for balls) and are taken only where every composite holds."""
-    leaves, composites = [], []
+    loadings, on randomly shifted copies of one rank-1 lattice
+    (Cranley-Patterson shifts; Dick, Kuo & Sloan, Acta Numerica 2013).
+    The lattice is ``orthant._cbc_lattice(d, samples // _JOINT_SHIFTS)``
+    in d = n (1 + composites) coordinates, p points, p the largest prime
+    at most max(samples // _JOINT_SHIFTS, 3), so the estimate reports
+    _JOINT_SHIFTS * p points: 96 for any ``samples`` below 160. The
+    _JOINT_SHIFTS shifts are uniform on [0, 1)^d, drawn from the stream
+    ("joint",). Each shifted coordinate x is folded by the tent map
+    |2x - 1|, which makes the integrand's periodic extension continuous,
+    clipped to [_U_CLIP, 1 - _U_CLIP] so that no flow sees +-inf, and
+    mapped to normals by ``std_normal_quantile``: W first, then the Z_i
+    of the composites in set order. Leaf flows come from
+    ``geometry._flow_table`` (a table for balls) and are taken only where
+    every composite holds. The value is the mean of the shift means, the
+    SE their SD over sqrt(_JOINT_SHIFTS), at least the sum of the
+    table-read leaves' error bounds (``flow.error``), which the shifts
+    cannot see. The shifts run on the pool and are joined in shift
+    order, so the estimate depends on neither the workers nor
+    ``seeding.BATCH``."""
+    if samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    leaves, composites, floor = [], [], 0.0
     for s, lam in zip(sets.sets, loadings):
         flow = _flow_table(s, -math.log(abs(lam)))
         if flow is None:
             composites.append((s, lam, math.sqrt(1.0 - lam * lam)))
         else:
             leaves.append((flow, lam < 0.0))
+            floor += getattr(flow, "error", 0.0)
     n = sets.dim
+    dim = n * (1 + len(composites))
+    gen, points = _cbc_lattice(dim, samples // _JOINT_SHIFTS)
+    # lattice point j is x_j = frac(j gen / p), and x_{a+i} = frac(x_a +
+    # x_i), so every block reads the first block's points, kept
+    # coordinate-major (each coordinate contiguous) as 2 x_i - 2 in
+    # [-2, 0); with o = frac(x_a + shift), y = 2 x_i - 2 + 2 o lies in
+    # [-2, 2), and the tent of the shifted point is ||y| - 1|
+    gen = np.rint(gen * points).astype(np.int64)
+    rows = min(points, _TEST_ROWS)
+    head = gen[:, None] * np.arange(rows) % points * (2.0 / points) - 2.0
+    shifts = derive_rng(seed, "joint").random((_JOINT_SHIFTS, dim))
 
-    def batch(part):
-        b, c = part
-        rng = derive_rng(seed, "joint", b)
-        rows = min(c, _TEST_ROWS)
-        normals = np.empty((rows, 1 + len(composites), n))
-        point = np.empty((rows, n))
-        total = square = 0.0
-        for start in range(0, c, _TEST_ROWS):
-            r = min(rows, c - start)
-            z = rng.standard_normal(out=normals[:r])
-            w = z[:, 0]
+    def shift_mean(shift):
+        total = 0.0
+        buf = np.empty((dim, rows))
+        for start in range(0, points, rows):
+            offset = (gen * start % points / points + shift) % 1.0
+            u = np.add(head[:, :points - start], 2.0 * offset[:, None],
+                       out=buf[:, :points - start])
+            np.abs(u, out=u)
+            u -= 1.0
+            np.abs(u, out=u)
+            np.clip(u, _U_CLIP, 1.0 - _U_CLIP, out=u)
+            z = std_normal_quantile(u)
+            w = z[:n]
             if composites:
-                inside = np.ones(r, dtype=bool)
+                inside = np.ones(w.shape[1], dtype=bool)
                 for j, (s, lam, sigma) in enumerate(composites, 1):
-                    x = np.multiply(w, lam, out=point[:r])
-                    x += np.multiply(z[:, j], sigma, out=z[:, j])
-                    inside &= contains(s, x)
-                # a draw outside a composite has value 0 and adds nothing
-                w = w[inside]
-            value = np.ones(len(w))
+                    x = z[j * n:(j + 1) * n]
+                    x *= sigma
+                    x += lam * w
+                    inside &= contains(s, x.T)
+                # a point outside a composite has value 0 and adds nothing
+                w = w[:, inside]
+            value = np.ones(w.shape[1])
             for flow, flip in leaves:
-                value *= flow(np.negative(w) if flip else w)
+                value *= flow(np.negative(w.T) if flip else w.T)
             total += float(value.sum())
-            square += float(value @ value)
-        return total, square
+        return total / points
 
-    sums = fan_out(batch, batches(samples))
-    mean = sum(t for t, _ in sums) / samples
-    var = max(sum(q for _, q in sums) / samples - mean * mean, 0.0)
-    return Estimate(value=mean, std_error=math.sqrt(var / samples),
-                    samples=int(samples), seed=seed)
+    means = np.array(fan_out(shift_mean, shifts))
+    se = float(np.std(means, ddof=1)) / math.sqrt(_JOINT_SHIFTS)
+    return Estimate(value=float(means.mean()), std_error=max(se, floor),
+                    samples=_JOINT_SHIFTS * points, seed=seed)
 
 
 def _measures(sets, samples: int, seed: int) -> list[Estimate]:

@@ -337,10 +337,10 @@ class TestShippedConfigs:
     CASES = {
         "ball_vs_bound": (
             ["--samples", "100000"],
-            "21758afee7f65e74d058ef8f02907afb6b5368e2b628e680d482b675c3dd4d3a"),
+            "5466f7079aeadf082f3ec9b848caaa78f0f45d01f7588481caee4e367719d393"),
         "composite_main": (
             ["--samples", "100000"],
-            "0c489d00a5bf24305dd2de7fac5c91f2ee5ab945906aeff0004fb136f70bbc76"),
+            "ed813a8c0a0c32a04968c603b8f57076e6d105c62399188692a63a55e4d42b80"),
         "condition": (
             [],
             "a42c7c9ae129bad3c68441037cb6a0d06df168df40617dfecebac6a41b309733"),
@@ -355,13 +355,13 @@ class TestShippedConfigs:
             "a5ada160bdc36ff1df867a7acba7321becbed41e46fd9f86327bdc6077ef20f5"),
         "noise_ball": (
             ["--samples", "100000"],
-            "41433be0f16e5e8490a5f96455597c36fa233816543c026b5ba68ef5946c9b95"),
+            "1a5c60005023e2b2c7e9119e346132f28793ab0a2dd727c8fb0f382df2f20a26"),
         "occupation_balls": (
             ["--paths", "4000"],
             "5ebd2e9dfbee28ceae9c1fb27a2871c1c59c696e306b91c9b6a355e314e35990"),
         "parallel": (
             ["--samples", "100000"],
-            "02843da8effb555b2e2db2e5cda2b65f9a34107749a191d56ab9b7d1c988f995"),
+            "2e3206dd4d698350cc1a7241a94b778e689d5f62a9da5f9de3148770718870d9"),
     }
 
     # sha256 of the CSV written to the config's [output] csv

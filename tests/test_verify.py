@@ -46,6 +46,7 @@ from noisestab import seeding
 from noisestab.seeding import derive_rng, subseed
 from noisestab.config import ConfigError, ExperimentConfig, load_config, \
     parse_config
+from noisestab.geometry import FLOW_TABLE_ERROR
 from noisestab.orthant import _bivariate_orthant
 from noisestab.report import build_report, render_csv, report_fingerprint
 from noisestab.verify import EQUALITY_BAND, HOLDS, OFFSET_STEP, SE_FLOOR, \
@@ -137,16 +138,17 @@ class TestJointContainment:
         return joint_containment(
             sets, ou_covariance([0.0, 0.3, 0.5, 1.2]), 100_000, 43)
 
-    # _case_2d is one-factor and conditions on W; _case_2d_kron runs the
+    # _case_2d is one-factor and conditions on W, on the shifted lattice,
+    # which does not depend on the batch size; _case_2d_kron runs the
     # same system on the Kronecker path, as if M were not one-factor (the
     # einsum draws at n = 2, several containment blocks per batch), and
     # _case_1d takes the sequential einsum sampler; 100,000 samples are
     # two batches at the default batch size and five of three blocks at
     # 20,000
     PINNED = {
-        ("_case_2d", seeding.BATCH): (0.16371076501497017,
-                                      0.0005569133479452611),
-        ("_case_2d", 20_000): (0.1624905082442363, 0.000556120507036697),
+        ("_case_2d", seeding.BATCH): (0.16316978272228222,
+                                      0.00011450602068961199),
+        ("_case_2d", 20_000): (0.16316978272228222, 0.00011450602068961199),
         ("_case_2d_kron", seeding.BATCH): (0.16341, 0.0011692184222804566),
         ("_case_2d_kron", 20_000): (0.16356, 0.0011696500604881786),
         ("_case_1d", seeding.BATCH): (0.23104, 0.0013328935381342352),
@@ -174,33 +176,82 @@ class TestConditionalContainment:
     PARALLEL = SetSystem((HS0, HalfSpace(np.array([1.0, 0.0]),
                                          0.5244005127080407)))
 
-    def test_reflection_quarter(self):
-        # x_1 -> -x_1 maps the half-space onto its complement and keeps
-        # the ball of measure 1/2 and the law, so the value is 1/4
-        sets = SetSystem((Ball(np.zeros(2), 1.1774100225154747), HS0))
-        est = joint_containment(sets, CorrelationMatrix.equicorrelated(2, 0.5),
-                                200_000, 7)
-        assert abs(est.value - 0.25) <= 3 * est.std_error
+    BALL = Ball(np.zeros(2), 1.1774100225154747)  # measure 1/2
 
-    def test_parallel_halfspaces_owen(self):
-        est = joint_containment(self.PARALLEL,
-                                CorrelationMatrix.equicorrelated(2, 0.5),
-                                200_000, 7)
-        exact = _bivariate_orthant(0.0, 0.5244005127080407, 0.5)
-        assert abs(est.value - exact) <= 3 * est.std_error
-
-    def test_two_balls_gauss_hermite(self):
+    @classmethod
+    def _known(cls, case):
+        """(sets, matrix, exact value) of a one-factor system whose value
+        is known."""
+        if case == "reflection":
+            # x_1 -> -x_1 maps the half-space onto its complement and keeps
+            # the ball of measure 1/2 and the law, so the value is 1/4
+            return (SetSystem((cls.BALL, HS0)),
+                    CorrelationMatrix.equicorrelated(2, 0.5), 0.25)
+        if case == "parallel":
+            return (cls.PARALLEL, CorrelationMatrix.equicorrelated(2, 0.5),
+                    _bivariate_orthant(0.0, 0.5244005127080407, 0.5))
         # given W the balls hold independently, each with the flow at
         # time 1/4 of W, so the value is E_W[flow^2] over W in R^2
-        ball = Ball(np.zeros(2), 1.1774100225154747)
         y, wt = np.polynomial.hermite_e.hermegauss(60)
         pts = np.column_stack([np.repeat(y, len(y)), np.tile(y, len(y))])
         weight = np.outer(wt, wt).ravel() / (2.0 * math.pi)
-        exact = float(weight @ heat_flow(ball, 0.25, pts) ** 2)
-        est = joint_containment(SetSystem((ball, ball)),
-                                CorrelationMatrix.equicorrelated(
-                                    2, math.exp(-0.5)), 200_000, 7)
+        exact = float(weight @ heat_flow(cls.BALL, 0.25, pts) ** 2)
+        return (SetSystem((cls.BALL, cls.BALL)),
+                CorrelationMatrix.equicorrelated(2, math.exp(-0.5)), exact)
+
+    def _within_3_se(self, case):
+        sets, m, exact = self._known(case)
+        est = joint_containment(sets, m, 200_000, 7)
         assert abs(est.value - exact) <= 3 * est.std_error
+
+    def test_reflection_quarter(self):
+        self._within_3_se("reflection")
+
+    def test_parallel_halfspaces_owen(self):
+        self._within_3_se("parallel")
+
+    def test_two_balls_gauss_hermite(self):
+        self._within_3_se("two_balls")
+
+    def _check_calibrated(self, case):
+        # the 32 shift means are iid, so z is about Student's t with 31
+        # degrees of freedom: 0.53% beyond 3 and 2e-5 beyond 5
+        sets, m, exact = self._known(case)
+        z = np.array([(est.value - exact) / est.std_error for est in (
+            joint_containment(sets, m, 20_000, seed) for seed in range(200))])
+        assert abs(z.mean()) <= 0.25
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 2
+        assert np.count_nonzero(np.abs(z) > 5.0) == 0
+
+    def test_calibrated(self):
+        self._check_calibrated("parallel")
+
+    @pytest.mark.parametrize("case", ["reflection", "two_balls"])
+    def test_lattice_se_calibrated(self, case):
+        self._check_calibrated(case)
+
+    def test_se_floor_is_the_flow_tables_error(self):
+        # at 1e6 points the shift means of two table-read balls agree far
+        # below the tables' error, which the shifts cannot see, so the SE
+        # is that error; half-spaces read ndtr and add no floor
+        sets, m, exact = self._known("two_balls")
+        est = joint_containment(sets, m, 1_000_000, 7)
+        assert est.std_error == 2 * FLOW_TABLE_ERROR
+        assert abs(est.value - exact) <= est.std_error
+        sets, m, exact = self._known("parallel")
+        est = joint_containment(sets, m, 1_000_000, 7)
+        assert 0.0 < est.std_error < FLOW_TABLE_ERROR
+        assert abs(est.value - exact) <= 3 * est.std_error
+
+    def test_points_used(self):
+        # a lattice of the largest prime at most max(samples // 32, 3)
+        # points, in each of 32 shifts
+        sets, m, _ = self._known("parallel")
+        for samples, used in [(1, 96), (159, 96), (160, 160),
+                              (20_000, 32 * 619), (1_000_000, 32 * 31_249)]:
+            assert joint_containment(sets, m, samples, 3).samples == used
+        with pytest.raises(ValueError, match="sample count"):
+            joint_containment(sets, m, 0, 3)
 
     @staticmethod
     def _random_system(rng, k, n):
@@ -238,15 +289,6 @@ class TestConditionalContainment:
             <= 3 * math.hypot(given_w.std_error, kron.std_error)
         assert given_w.std_error <= kron.std_error
 
-    def test_calibrated(self):
-        exact = _bivariate_orthant(0.0, 0.5244005127080407, 0.5)
-        m = CorrelationMatrix.equicorrelated(2, 0.5)
-        z = np.array([(est.value - exact) / est.std_error for est in (
-            joint_containment(self.PARALLEL, m, 20_000, seed)
-            for seed in range(200))])
-        assert abs(z.mean()) <= 0.25
-        assert np.count_nonzero(np.abs(z) > 3.0) <= 2
-
     def test_reproducible_for_one_and_two_workers(self, monkeypatch):
         sets = SetSystem((Union((Ball(np.zeros(2), 1.0),)), HALF_BALL, HS0))
         lam = np.array([0.8, -0.6, 0.5])
@@ -254,11 +296,15 @@ class TestConditionalContainment:
         np.fill_diagonal(r, 1.0)
         m = CorrelationMatrix(r)
         runs = []
-        for workers in (1, 2, 2):
+        for workers, batch in ((1, 1 << 16), (2, 1 << 16), (2, 1 << 16),
+                               (1, 20_000), (2, 20_000)):
             monkeypatch.setattr(seeding, "WORKERS", workers)
+            monkeypatch.setattr(seeding, "BATCH", batch)
             runs.append(joint_containment(sets, m, 150_000, 5))
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0].samples == 150_000
+        assert all(run == runs[0] for run in runs)
+        # 32 shifts of a lattice of 4,679 points, the largest prime at
+        # most 150,000 // 32
+        assert runs[0].samples == 149_728
 
 
 MAIN_DOC = """
