@@ -74,15 +74,16 @@ def std_normal_pdf(z):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal_quantile(p):
+def std_normal_quantile(p, out=None):
     """Inverse of the standard normal CDF (scipy's ``ndtri``).
 
     Returns -inf at 0 and +inf at 1; rejects NaN and p outside [0, 1].
+    An array ``out`` (``p`` itself, say) receives and returns the values.
     """
     arr = np.asarray(p, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("quantile argument must lie in [0, 1]")
-    z = special.ndtri(arr)
+    z = special.ndtri(arr, out=out)
     return float(z) if arr.ndim == 0 else z
 
 

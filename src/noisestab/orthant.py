@@ -182,24 +182,16 @@ def _cbc_lattice(dim: int, n_target: int) -> tuple[np.ndarray, int]:
         while k < m:
             perm[k:2 * k] = perm[:min(k, m - k)] * pow(g, k, n) % n
             k *= 2
-        np.minimum(n - perm, perm, out=perm)
-        # in place where the rounding is the same, which keeps the peak
-        # memory of a large lattice down
-        c = perm / n
-        c -= c * c
-        np.subtract(1.0 / 6.0, c, out=c)
+        perm = np.minimum(n - perm, perm)
+        pn = perm / n
+        c = pn * pn - pn + 1.0 / 6.0
         fc = np.fft.fft(c)
         q = np.ones(m)
-        factor = np.empty(m)
-        conv = np.empty(m, dtype=complex)
         w = 0
         for s in range(1, dim):
-            np.concatenate([c[: w + 1][::-1], c[w + 1: m][::-1]], out=factor)
-            factor *= gamma[s - 1]
-            factor += 1.0
-            q *= factor
-            np.multiply(fc, np.fft.fft(q, out=conv), out=conv)
-            w = int(np.fft.ifft(conv, out=conv).real.argmin())
+            reordered = np.hstack([c[: w + 1][::-1], c[w + 1: m][::-1]])
+            q = q * (1.0 + gamma[s - 1] * reordered)
+            w = int(np.fft.ifft(fc * np.fft.fft(q)).real.argmin())
             z[s] = perm[w]
     frac = _readonly(z / n)
     return frac, n

@@ -199,28 +199,24 @@ def _conditional_containment(sets: SetSystem, loadings: np.ndarray,
     n = sets.dim
     dim = n * (1 + len(composites))
     gen, points = _cbc_lattice(dim, samples // _JOINT_SHIFTS)
-    # lattice point j is x_j = frac(j gen / p), and x_{a+i} = frac(x_a +
-    # x_i), so every block reads the first block's points, kept
-    # coordinate-major (each coordinate contiguous) as 2 x_i - 2 in
-    # [-2, 0); with o = frac(x_a + shift), y = 2 x_i - 2 + 2 o lies in
-    # [-2, 2), and the tent of the shifted point is ||y| - 1|
+    # a block's points are frac(b + o), b the first block's points and o
+    # = frac(the block's first point + shift); for s = b + o in [0, 2) the
+    # tent map of frac(s) is ||2s - 2| - 1|, so firsts holds 2b - 2
     gen = np.rint(gen * points).astype(np.int64)
     rows = min(points, _TEST_ROWS)
-    head = gen[:, None] * np.arange(rows) % points * (2.0 / points) - 2.0
+    firsts = gen[:, None] * np.arange(rows) % points * (2.0 / points) - 2.0
     shifts = derive_rng(seed, "joint").random((_JOINT_SHIFTS, dim))
 
     def shift_mean(shift):
         total = 0.0
-        buf = np.empty((dim, rows))
         for start in range(0, points, rows):
-            offset = (gen * start % points / points + shift) % 1.0
-            u = np.add(head[:, :points - start], 2.0 * offset[:, None],
-                       out=buf[:, :points - start])
+            o = (gen * start % points / points + shift) % 1.0
+            u = firsts[:, :points - start] + 2.0 * o[:, None]
             np.abs(u, out=u)
             u -= 1.0
             np.abs(u, out=u)
             np.clip(u, _U_CLIP, 1.0 - _U_CLIP, out=u)
-            z = std_normal_quantile(u)
+            z = std_normal_quantile(u, out=u)
             w = z[:n]
             if composites:
                 inside = np.ones(w.shape[1], dtype=bool)

@@ -109,6 +109,13 @@ class TestQuantile:
         for p in (1e-9, 1e-4, 0.01, 0.2, 0.77, 0.999, 1 - 1e-8):
             assert abs(std_normal_quantile(p) - _bisect_quantile(p)) <= 1e-9
 
+    def test_out_receives_the_values(self):
+        p = np.linspace(0.0, 1.0, 11)
+        want = std_normal_quantile(p)
+        got = std_normal_quantile(p, out=p)
+        assert got is p
+        assert np.array_equal(got, want)
+
     def test_round_trip(self):
         p = np.linspace(1e-12, 1 - 1e-12, 1000)
         err = np.abs(std_normal_cdf(std_normal_quantile(p)) - p)
